@@ -8,10 +8,12 @@
 //!
 //! Both paths are measured at the exact point the socket front end runs
 //! them on a complete message: `serde_json::from_str` on the request
-//! line, `awesym_net::decode_request` on the frame. The frame decodes to
-//! the same request [`Content`] the line parses to (that equivalence is
-//! what the loopback suite pins bit-for-bit), so this is a pure
-//! decode-cost comparison on identical requests.
+//! line, and on the frame `awesym_net::decode_batch` plus the copy of
+//! its payload into the engine's column buffer
+//! ([`awesym_serve::FrameRequest::columns`]). The frame carries the same
+//! points the line does (checked before timing; the loopback and
+//! `frame_paths` suites pin the two paths' responses bit-for-bit), so
+//! this is a decode-cost comparison on identical requests.
 //!
 //! Emits `results/BENCH_net.json` plus a console table. `bench_gate`
 //! enforces the headline `decode_speedup_min`: the binary request path
@@ -19,7 +21,7 @@
 //! shape — the whole point of shipping a second request encoding.
 
 use awesym_bench::time_median;
-use awesym_net::{decode_request, encode_request, RequestFrame, RequestKind};
+use awesym_net::{decode_batch, encode_request, RequestFrame, RequestKind};
 use serde::Content;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -105,21 +107,32 @@ fn run_case(count: usize, syms: usize, reps: usize) -> CaseResult {
     let line = json_line(&points);
     let frame = frame_bytes(&points);
     // Sanity outside the timed loops: the two decodes agree on the
-    // payload (same row-major points, same kind).
+    // payload (the line's rows are the frame's columns, bit for bit).
     let from_line: Content = serde_json::from_str(&line).expect("parse line");
-    let from_frame = decode_request(&frame).expect("decode frame");
-    assert_eq!(
-        serde_json::to_string(from_line.get("points").expect("line points")).ok(),
-        serde_json::to_string(from_frame.get("points").expect("frame points")).ok(),
-        "decoded points diverge at {count}x{syms}"
-    );
+    let rows = from_line
+        .get("points")
+        .and_then(Content::as_seq)
+        .expect("line points");
+    let columns = decode_batch(&frame)
+        .expect("decode frame")
+        .columns()
+        .expect("finite payload");
+    for (i, row) in rows.iter().enumerate() {
+        for (s, v) in row.as_seq().expect("point row").iter().enumerate() {
+            assert_eq!(
+                v.as_f64().map(f64::to_bits),
+                Some(columns.values()[s * count + i].to_bits()),
+                "decoded points diverge at {count}x{syms}"
+            );
+        }
+    }
     let ndjson_secs = time_median(reps, || {
         let parsed: Content = serde_json::from_str(&line).expect("parse line");
         std::hint::black_box(parsed);
     });
     let binary_secs = time_median(reps, || {
-        let decoded = decode_request(&frame).expect("decode frame");
-        std::hint::black_box(decoded);
+        let decoded = decode_batch(&frame).expect("decode frame");
+        std::hint::black_box(decoded.columns().expect("finite payload"));
     });
     CaseResult {
         name: format!("batch_{count}pt_{syms}sym"),

@@ -12,7 +12,8 @@
 
 use awesym_bench::{lines_workload, opamp_workload, time_median};
 use awesym_serve::{
-    decode_frame, evaluate_batch, BatchOutput, PoolConfig, Server, ServerConfig, WorkerPool,
+    decode_frame, evaluate_batch, BatchOutput, PointColumns, PoolConfig, Server, ServerConfig,
+    WorkerPool,
 };
 use awesymbolic::CompiledModel;
 use std::fmt::Write as _;
@@ -236,7 +237,10 @@ struct PoolResult {
 fn run_pool_scaling(model: &CompiledModel, reps: usize) -> PoolResult {
     let batch_points = 1200usize;
     let model = Arc::new(model.clone());
-    let points = Arc::new(make_points(&model, batch_points));
+    let points = Arc::new(PointColumns::from_rows(
+        &make_points(&model, batch_points),
+        model.symbols().len(),
+    ));
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let mut runs: Vec<PoolRun> = Vec::new();
     let mut base_secs = f64::NAN;
@@ -249,26 +253,31 @@ fn run_pool_scaling(model: &CompiledModel, reps: usize) -> PoolResult {
             },
         );
         // Warm-up pass parks every worker on the queue before timing.
-        let warm = pool.run_batch(
-            Arc::clone(&model),
-            Arc::clone(&points),
-            BatchOutput::Moments,
-            None,
-            None,
-        );
-        assert!(
-            warm.results.iter().all(Result::is_ok),
-            "pool batch failed at {w} workers"
-        );
-        let secs = time_median(reps, || {
-            let out = pool.run_batch(
+        let warm = pool
+            .run_batch(
                 Arc::clone(&model),
                 Arc::clone(&points),
                 BatchOutput::Moments,
                 None,
                 None,
-            );
-            std::hint::black_box(out.results.len());
+            )
+            .expect("batch within the result limit");
+        assert_eq!(
+            warm.ok_count(),
+            batch_points,
+            "pool batch failed at {w} workers"
+        );
+        let secs = time_median(reps, || {
+            let out = pool
+                .run_batch(
+                    Arc::clone(&model),
+                    Arc::clone(&points),
+                    BatchOutput::Moments,
+                    None,
+                    None,
+                )
+                .expect("batch within the result limit");
+            std::hint::black_box(out.len());
         });
         if w == 1 {
             base_secs = secs;

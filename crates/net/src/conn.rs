@@ -3,7 +3,8 @@
 //! A dedicated thread per connection runs this loop: fill the
 //! [`RecvBuf`] from the socket, hand each complete message to the serve
 //! engine (NDJSON lines via `handle_line_into`, binary request frames
-//! decoded then `handle_decoded_into`), write the response back, and
+//! decoded to a typed request then `handle_frame_into`), write the
+//! response back, and
 //! watch for the orderly exits — EOF, idle timeout, write
 //! backpressure, server drain, shutdown. The engine is `&self`-shared:
 //! every session feeds the same shard fleet, so per-shard breakers,
@@ -96,16 +97,11 @@ pub(crate) fn run_conn(
             out.clear();
             let meta = if is_frame {
                 let d0 = now_ns();
-                let req = frame::decode_request(bytes).map_err(|e| ServeError::BadRequest {
+                let req = frame::decode_batch(bytes).map_err(|e| ServeError::BadRequest {
                     what: format!("binary request frame: {e}"),
                 });
                 let dur = now_ns().saturating_sub(d0);
-                Some(server.handle_decoded_into(
-                    req,
-                    WireEncoding::BinaryV1,
-                    observe.then_some((d0, dur)),
-                    &mut out,
-                ))
+                Some(server.handle_frame_into(req, observe.then_some((d0, dur)), &mut out))
             } else {
                 match std::str::from_utf8(bytes) {
                     // Zero-copy: the line is handled straight out of

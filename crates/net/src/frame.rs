@@ -4,11 +4,14 @@
 //! (`AWSB`): little-endian, length-computable from a fixed-size header,
 //! and columnar — each symbol's value for every point is contiguous —
 //! so a hot client can hand the server a batch without ever producing
-//! JSON text. The frame decodes into exactly the request [`Content`]
-//! the equivalent JSON line would parse to (including
-//! `"encoding":"binary-v1"`, so the response comes back binary too),
-//! which is what makes the socket path bit-identical to the stdin path
-//! by construction.
+//! JSON text. The socket path decodes a frame with [`decode_batch`]
+//! into a typed [`FrameRequest`] whose payload goes into the engine's
+//! column buffer with one copy; no JSON tree is built. [`decode_request`]
+//! is the reference decoder: it builds the request [`Content`] the
+//! equivalent JSON line parses to (including `"encoding":"binary-v1"`,
+//! so the response comes back binary too). That the two answer every
+//! frame with the same bytes is a tested property (the `frame_paths`
+//! suite), not a construction.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -34,6 +37,7 @@
 //! kind is deliberately unrepresentable: it has no fixed-width binary
 //! response layout, matching the response-side rule.
 
+use awesym_serve::{BatchOutput, FrameRequest, DEFAULT_MAX_BATCH_POINTS};
 use serde::Content;
 use serde_json::Value;
 use std::fmt;
@@ -155,6 +159,14 @@ pub enum RequestFrameError {
     TrailingBytes(usize),
     /// Section lengths overflow a usize (hostile header).
     SizeOverflow,
+    /// More points than the reference decoder builds a tree for (the
+    /// server's default `max_batch_points`).
+    TooManyPoints {
+        /// Point count in the header.
+        count: usize,
+        /// The limit.
+        limit: usize,
+    },
     /// Encode-side: a point row's length differs from the first row's.
     RaggedPoints {
         /// Offending row.
@@ -203,6 +215,9 @@ impl fmt::Display for RequestFrameError {
             }
             RequestFrameError::SizeOverflow => {
                 write!(f, "request frame section lengths overflow")
+            }
+            RequestFrameError::TooManyPoints { count, limit } => {
+                write!(f, "request frame has {count} points, limit is {limit}")
             }
             RequestFrameError::RaggedPoints { row, len, expect } => {
                 write!(f, "point {row} has {len} values, expected {expect}")
@@ -354,19 +369,26 @@ pub fn encode_request(req: &RequestFrame<'_>, out: &mut Vec<u8>) -> Result<(), R
     Ok(())
 }
 
-/// Decodes a complete binary-v1 request frame into the request
-/// [`Content`] the equivalent JSON line parses to — `cmd`, `model`,
-/// `points` (row-major), `kind`, `"encoding":"binary-v1"`, and the
-/// optional `times`/`deadline_ms`/`workers`/`id` fields. Handing that
-/// to the engine makes the binary path's responses byte-identical to
-/// the JSON path's by construction.
+/// A validated request frame, its variable sections borrowed.
+struct FrameView<'a> {
+    flags: u16,
+    count: usize,
+    syms: usize,
+    deadline_ms: u64,
+    workers: u32,
+    kind: RequestKind,
+    name: &'a str,
+    id: Option<Content>,
+    times: &'a [u8],
+    payload: &'a [u8],
+}
+
+/// Validates a complete frame and slices its sections. Allocates only
+/// the parsed id.
 ///
-/// # Errors
-///
-/// A typed [`RequestFrameError`] naming the first violated layout rule;
-/// validation order is header (truncation, magic, version, flags, kind,
+/// Validation order is header (truncation, magic, version, flags, kind,
 /// reserved) → exact length → name UTF-8 → id JSON.
-pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
+fn parse_frame(buf: &[u8]) -> Result<FrameView<'_>, RequestFrameError> {
     let total = request_frame_len(buf)?;
     if buf.len() < total {
         return Err(RequestFrameError::Truncated {
@@ -385,8 +407,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
     let id_len = u32_of(buf, 24) as usize;
     let mut deadline = [0u8; 8];
     deadline.copy_from_slice(&buf[28..36]);
-    let deadline_ms = u64::from_le_bytes(deadline);
-    let workers = u32_of(buf, 36);
     let kind = RequestKind::from_wire_byte(buf[40]).ok_or(RequestFrameError::BadKind(buf[40]))?;
     if buf[41..44] != [0u8; 3] {
         return Err(RequestFrameError::BadReserved);
@@ -397,59 +417,133 @@ pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
     if kind == RequestKind::Step && times_count == 0 {
         return Err(RequestFrameError::StepWithoutTimes);
     }
-    let mut off = REQUEST_HEADER_LEN;
-    let name =
-        std::str::from_utf8(&buf[off..off + name_len]).map_err(|_| RequestFrameError::BadName)?;
-    off += name_len;
-    let id: Option<Content> = if flags & FLAG_HAS_ID != 0 {
-        let text =
-            std::str::from_utf8(&buf[off..off + id_len]).map_err(|_| RequestFrameError::BadId)?;
+    // The exact-length check above makes every section below in bounds.
+    let (name, rest) = buf[REQUEST_HEADER_LEN..].split_at(name_len);
+    let name = std::str::from_utf8(name).map_err(|_| RequestFrameError::BadName)?;
+    let (id, rest) = rest.split_at(id_len);
+    let id = if flags & FLAG_HAS_ID != 0 {
+        let text = std::str::from_utf8(id).map_err(|_| RequestFrameError::BadId)?;
         Some(serde_json::from_str::<Value>(text).map_err(|_| RequestFrameError::BadId)?)
     } else {
         None
     };
-    off += id_len;
-    let f64_at = |buf: &[u8], off: usize| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[off..off + 8]);
-        f64::from_le_bytes(b)
+    let (times, payload) = rest.split_at(8 * times_count);
+    Ok(FrameView {
+        flags,
+        count,
+        syms,
+        deadline_ms: u64::from_le_bytes(deadline),
+        workers: u32_of(buf, 36),
+        kind,
+        name,
+        id,
+        times,
+        payload,
+    })
+}
+
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+}
+
+/// Decodes a complete binary-v1 request frame into the typed request the
+/// server's socket path evaluates ([`awesym_serve::Server::handle_frame_into`]).
+/// No JSON tree is built and nothing is allocated from the point count:
+/// the payload stays borrowed from `buf`, and the engine copies it into
+/// its column buffer only after checking the count against
+/// `max_batch_points`. Allocates the model-independent parts only: the
+/// id (parsed as JSON, exactly as [`decode_request`] parses it) and the
+/// `step` sample times, both bounded by the frame's length.
+///
+/// # Errors
+///
+/// The same typed [`RequestFrameError`]s as [`decode_request`], in the
+/// same order, for every frame that breaks a layout rule.
+pub fn decode_batch(buf: &[u8]) -> Result<FrameRequest<'_>, RequestFrameError> {
+    let f = parse_frame(buf)?;
+    let output = match f.kind {
+        RequestKind::Moments => BatchOutput::Moments,
+        RequestKind::DcGain => BatchOutput::DcGain,
+        RequestKind::Delays => BatchOutput::Delays,
+        RequestKind::Step => BatchOutput::Step {
+            times: f64s(f.times).collect(),
+        },
     };
-    let times: Vec<Content> = (0..times_count)
-        .map(|i| Content::F64(f64_at(buf, off + 8 * i)))
-        .collect();
-    off += 8 * times_count;
+    Ok(FrameRequest {
+        model: f.name,
+        output,
+        count: f.count,
+        syms: f.syms,
+        payload: f.payload,
+        deadline_ms: (f.flags & FLAG_HAS_DEADLINE != 0).then_some(f.deadline_ms),
+        workers: (f.workers != 0).then_some(f.workers as usize),
+        id: f.id,
+    })
+}
+
+/// Decodes a complete binary-v1 request frame into the request
+/// [`Content`] the equivalent JSON line parses to — `cmd`, `model`,
+/// `points` (row-major), `kind`, `"encoding":"binary-v1"`, and the
+/// optional `times`/`deadline_ms`/`workers`/`id` fields. This is the
+/// reference the typed [`decode_batch`] path is tested against: handing
+/// the tree to [`awesym_serve::Server::handle_decoded_into`] answers with
+/// the bytes the JSON line would get.
+///
+/// # Errors
+///
+/// A typed [`RequestFrameError`] naming the first violated layout rule;
+/// validation order is header (truncation, magic, version, flags, kind,
+/// reserved) → exact length → name UTF-8 → id JSON, then
+/// [`RequestFrameError::TooManyPoints`] for a count above the server's
+/// default `max_batch_points` — checked before any row is allocated,
+/// since a frame without symbols bounds its count by nothing.
+pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
+    let f = parse_frame(buf)?;
+    if f.count > DEFAULT_MAX_BATCH_POINTS {
+        return Err(RequestFrameError::TooManyPoints {
+            count: f.count,
+            limit: DEFAULT_MAX_BATCH_POINTS,
+        });
+    }
+    let times: Vec<Content> = f64s(f.times).map(Content::F64).collect();
     // Transpose the columnar payload back to the row-major `points`
-    // array the engine expects.
-    let mut points: Vec<Vec<Content>> = (0..count).map(|_| Vec::with_capacity(syms)).collect();
-    for s in 0..syms {
-        let col = off + 8 * s * count;
-        for (i, p) in points.iter_mut().enumerate() {
-            p.push(Content::F64(f64_at(buf, col + 8 * i)));
+    // array the JSON request carries.
+    let mut points: Vec<Vec<Content>> = (0..f.count).map(|_| Vec::with_capacity(f.syms)).collect();
+    if f.count > 0 {
+        for col in f.payload.chunks_exact(8 * f.count) {
+            for (p, v) in points.iter_mut().zip(f64s(col)) {
+                p.push(Content::F64(v));
+            }
         }
     }
     let mut fields: Vec<(String, Content)> = vec![
         ("cmd".to_string(), Content::Str("batch".to_string())),
-        ("model".to_string(), Content::Str(name.to_string())),
+        ("model".to_string(), Content::Str(f.name.to_string())),
         (
             "points".to_string(),
             Content::Seq(points.into_iter().map(Content::Seq).collect()),
         ),
-        ("kind".to_string(), Content::Str(kind.as_str().to_string())),
+        (
+            "kind".to_string(),
+            Content::Str(f.kind.as_str().to_string()),
+        ),
         (
             "encoding".to_string(),
             Content::Str("binary-v1".to_string()),
         ),
     ];
-    if kind == RequestKind::Step {
+    if f.kind == RequestKind::Step {
         fields.push(("times".to_string(), Content::Seq(times)));
     }
-    if flags & FLAG_HAS_DEADLINE != 0 {
-        fields.push(("deadline_ms".to_string(), Content::U64(deadline_ms)));
+    if f.flags & FLAG_HAS_DEADLINE != 0 {
+        fields.push(("deadline_ms".to_string(), Content::U64(f.deadline_ms)));
     }
-    if workers != 0 {
-        fields.push(("workers".to_string(), Content::U64(u64::from(workers))));
+    if f.workers != 0 {
+        fields.push(("workers".to_string(), Content::U64(u64::from(f.workers))));
     }
-    if let Some(id) = id {
+    if let Some(id) = f.id {
         fields.push(("id".to_string(), id));
     }
     Ok(Content::Map(fields))
@@ -641,6 +735,63 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, RequestFrameError::StepWithoutTimes);
+    }
+
+    #[test]
+    fn typed_decoder_shares_fields_and_errors_with_the_reference() {
+        let points = [vec![1e-9, 1e3], vec![2e-9, 2e3]];
+        let mut out = Vec::new();
+        encode_request(
+            &RequestFrame {
+                model: "alpha",
+                points: &points,
+                kind: RequestKind::Step,
+                times: &[1e-9, 5e-9],
+                deadline_ms: Some(0),
+                workers: Some(2),
+                id: Some("42"),
+            },
+            &mut out,
+        )
+        .unwrap();
+        let req = decode_batch(&out).unwrap();
+        assert_eq!((req.model, req.count, req.syms), ("alpha", 2, 2));
+        assert_eq!(
+            req.output,
+            BatchOutput::Step {
+                times: vec![1e-9, 5e-9]
+            }
+        );
+        assert_eq!((req.deadline_ms, req.workers), (Some(0), Some(2)));
+        assert_eq!(req.id.as_ref().and_then(Content::as_u64), Some(42));
+        assert_eq!(req.columns().unwrap().values(), &[1e-9, 2e-9, 1e3, 2e3]);
+        // Layout violations are the same typed errors on both decoders.
+        for (at, byte) in [(0, b'X'), (4, 9), (6, 0x80), (40, 7), (41, 1)] {
+            let mut bad = out.clone();
+            bad[at] = byte;
+            assert_eq!(
+                decode_batch(&bad).map(|_| ()),
+                decode_request(&bad).map(|_| ())
+            );
+        }
+        // A symbol-free frame bounds its count by nothing: the reference
+        // refuses to build rows past the default limit, the typed decoder
+        // allocates nothing from the count and leaves the limit to the
+        // engine.
+        let mut hostile = frame(&[]);
+        hostile[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_request(&hostile),
+            Err(RequestFrameError::TooManyPoints {
+                count: u32::MAX as usize,
+                limit: DEFAULT_MAX_BATCH_POINTS
+            })
+        );
+        let req = decode_batch(&hostile).unwrap();
+        assert_eq!(
+            (req.count, req.syms, req.payload.len()),
+            (u32::MAX as usize, 0, 0)
+        );
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //!   parser ([`RecvBuf`]) that borrows complete messages straight from
 //!   the receive buffer (no per-line `String`), and the binary-v1
 //!   *request* frame (`AWSQ`) — a columnar point payload mirroring the
-//!   binary response frame — so hot clients skip JSON in both
-//!   directions.
+//!   binary response frame, decoded by [`decode_batch`] into a typed
+//!   request whose payload goes into the engine's column buffer with one
+//!   copy — so hot clients skip JSON in both directions.
 //! - **observability** ([`metrics`]): aggregate and per-connection
 //!   `net_…` counters/histograms on the engine's own metrics registry,
 //!   with decode-stage timing split by request encoding recorded by
 //!   the engine itself.
 //!
 //! The stdin/stdout NDJSON loop remains the default transport and is
-//! bit-identical per request to this one: both feed the same engine
-//! entry points, and the loopback suite in `tests/` asserts byte
-//! equality under concurrency and injected faults. See
+//! bit-identical per request to this one: both feed the same engine,
+//! the loopback suite in `tests/` asserts byte equality under
+//! concurrency and injected faults, and the `frame_paths` suite pins
+//! the typed frame path to the [`decode_request`] reference. See
 //! `docs/networking.md` for the framing spec, negotiation, limits, and
 //! drain semantics.
 
@@ -41,9 +43,9 @@ pub mod metrics;
 pub mod reader;
 
 pub use frame::{
-    decode_request, encode_request, request_frame_len, RequestFrame, RequestFrameError,
-    RequestKind, FLAG_HAS_DEADLINE, FLAG_HAS_ID, REQUEST_HEADER_LEN, REQUEST_MAGIC,
-    REQUEST_VERSION,
+    decode_batch, decode_request, encode_request, request_frame_len, RequestFrame,
+    RequestFrameError, RequestKind, FLAG_HAS_DEADLINE, FLAG_HAS_ID, REQUEST_HEADER_LEN,
+    REQUEST_MAGIC, REQUEST_VERSION,
 };
 pub use listener::{NetConfig, NetServer};
 pub use metrics::{ConnScope, NetMetrics};

@@ -3,15 +3,16 @@
 //! A compiled model's evaluation is a pure function of the symbol values
 //! (a flat tape replay plus a tiny Padé solve), so fanning a batch of
 //! points across threads is embarrassingly parallel: each worker owns a
-//! disjoint slice of the result vector and a private
-//! [`Evaluator`] (which carries its own
-//! scratch), and the shared model is only read. Results always come back
-//! in input order, and a bad point (wrong arity, unstable ROM, …) yields
-//! a per-point [`PointError`] instead of aborting the batch. Moment-only
-//! batches additionally take the vectorized `eval_batch` lane kernel —
-//! one hoisted-load tape replay per block of `AWESYM_LANES × LANE_TILE`
-//! points (32 at the default width; see `docs/tape.md` §7) instead of a
-//! walk per point, bit-identical to the per-point path.
+//! private [`Evaluator`] (which carries its own scratch and lane register
+//! file) and evaluates disjoint chunks of the request's column-major
+//! [`PointColumns`] into a chunk of [`BatchResults`], and the shared model
+//! is only read. Results always come back in input order, and a bad point
+//! (wrong arity, unstable ROM, …) yields a per-point [`PointError`]
+//! instead of aborting the batch. Moment-only batches take the vectorized
+//! lane kernel straight off the request columns — one hoisted-load tape
+//! replay per block of `AWESYM_LANES × LANE_TILE` points (32 at the
+//! default width; see `docs/tape.md` §7) instead of a walk per point,
+//! bit-identical to the per-point path.
 //!
 //! This module is also the process's blast shield:
 //!
@@ -28,6 +29,7 @@
 //!   `crate::faults` plans inject panics, NaN moments, and slowdowns per
 //!   point, deterministically.
 
+use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
 use crate::error::{partition_code, PointError};
 use awesym_partition::{CompiledModel, Degradation, Evaluator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -253,26 +255,199 @@ fn rom_summary(
     Ok((summary, degraded))
 }
 
-/// Evaluates one point through a worker's [`Evaluator`]; `moments` is the
-/// worker's reused `2q` output buffer. `index` is the point's position in
-/// the whole batch (for fault injection). Increments `ctl.degraded` when
-/// a ROM fallback fires.
+/// One worker's evaluation state for one batch: a lazily built
+/// [`Evaluator`] (whose lane plan and register file then serve every
+/// chunk the worker claims), per-point row buffers, and the chunk result
+/// buffer the worker fills before depositing it into the batch's.
+pub(crate) struct ChunkEval<'m> {
+    model: &'m CompiledModel,
+    ev: Option<Evaluator<'m>>,
+    vals: Vec<f64>,
+    moments: Vec<f64>,
+    /// The current chunk's results, slot `i` for the chunk's `i`-th point.
+    pub(crate) out: BatchResults,
+}
+
+impl<'m> ChunkEval<'m> {
+    /// Evaluation state for `output` batches of `model`; allocates
+    /// nothing until the first chunk.
+    pub(crate) fn new(model: &'m CompiledModel, output: &BatchOutput) -> Self {
+        ChunkEval {
+            model,
+            ev: None,
+            vals: Vec::new(),
+            moments: Vec::new(),
+            out: BatchResults::new(output, result_cols(output, model), 0),
+        }
+    }
+
+    /// Evaluates points `range` of `input` into [`ChunkEval::out`], which
+    /// the caller has reset to `range.len()` unfilled slots (so a chunk
+    /// cut short by a dying worker keeps what it finished). Moment-only chunks
+    /// whose points all have the right arity go through the lane kernel
+    /// in lane-block-sized deadline-check strides, straight from the
+    /// request columns into the result columns; anything else —
+    /// including any run with fault injection active — takes the
+    /// per-point path.
+    pub(crate) fn run(
+        &mut self,
+        input: &PointColumns,
+        range: std::ops::Range<usize>,
+        output: &BatchOutput,
+        ctl: &BatchCtl,
+    ) {
+        let (start, len) = (range.start, range.len());
+        debug_assert_eq!(self.out.len(), len, "chunk results reset by the caller");
+        let model = self.model;
+        let n_in = self.ev.get_or_insert_with(|| model.evaluator()).n_inputs();
+        let lanes = matches!(output, BatchOutput::Moments)
+            && !faults_active()
+            && input.uniform(range, n_in);
+        if !lanes {
+            // The slow path is one tape replay (and possibly a Padé
+            // solve) per point — a clock read per point is noise, so
+            // check every time.
+            for i in 0..len {
+                if ctl.check_expired() {
+                    self.mark_deadline(i);
+                    return;
+                }
+                self.point_guarded(input, start, i, output, ctl);
+            }
+            return;
+        }
+        let n = input.len();
+        let mut done = 0;
+        while done < len {
+            if ctl.check_expired() {
+                self.mark_deadline(done);
+                return;
+            }
+            let stride = (len - done).min(CHECK_STRIDE);
+            let evaluator = self.ev.get_or_insert_with(|| model.evaluator());
+            let out = &mut self.out;
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                evaluator.eval_columns(
+                    &input.values()[start + done..],
+                    n,
+                    stride,
+                    &mut out.values_mut()[done..],
+                    len,
+                )
+            }));
+            match run {
+                Ok(Ok(())) => {
+                    for i in done..done + stride {
+                        if out.row(i).all(f64::is_finite) {
+                            out.succeed(i);
+                        } else {
+                            out.fail(
+                                i,
+                                PointError::numeric("evaluation produced non-finite moments"),
+                            );
+                        }
+                    }
+                }
+                Ok(Err(shape)) => {
+                    // Unreachable (arity pre-checked), but degrade to a
+                    // per-point error rather than trusting it.
+                    for i in done..done + stride {
+                        out.fail(i, PointError::bad_request(shape.to_string()));
+                    }
+                }
+                Err(_payload) => {
+                    // A panic inside the batch kernel: isolate the poisoned
+                    // point(s) by replaying this stride point by point
+                    // (each replay produces its own per-point error).
+                    ctl.panics.fetch_add(1, Ordering::Relaxed);
+                    self.ev = None;
+                    for i in done..done + stride {
+                        self.point_guarded(input, start, i, output, ctl);
+                    }
+                }
+            }
+            done += stride;
+        }
+    }
+
+    /// Marks every unfilled slot from `from` onward as deadline-exceeded.
+    fn mark_deadline(&mut self, from: usize) {
+        self.out.fail_unfilled(
+            from,
+            &PointError::deadline("deadline expired before this point was evaluated"),
+        );
+    }
+
+    /// Evaluates chunk slot `i` (batch point `start + i`) behind
+    /// `catch_unwind`: a panic in the tape replay, the Padé solve, or an
+    /// injected fault becomes an `internal` point error, and the
+    /// evaluator is rebuilt (its scratch state is suspect mid-unwind).
+    fn point_guarded(
+        &mut self,
+        input: &PointColumns,
+        start: usize,
+        i: usize,
+        output: &BatchOutput,
+        ctl: &BatchCtl,
+    ) {
+        let model = self.model;
+        let evaluator = self.ev.get_or_insert_with(|| model.evaluator());
+        let (vals, moments, out) = (&mut self.vals, &mut self.moments, &mut self.out);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            eval_point(
+                model,
+                evaluator,
+                input,
+                start + i,
+                output,
+                vals,
+                moments,
+                ctl,
+                out,
+                i,
+            )
+        }));
+        let r = r.unwrap_or_else(|payload| {
+            ctl.panics.fetch_add(1, Ordering::Relaxed);
+            self.ev = None;
+            Err(PointError::internal(format!(
+                "evaluation panicked: {}",
+                panic_message(payload.as_ref())
+            )))
+        });
+        match r {
+            Ok(()) => self.out.succeed(i),
+            Err(e) => self.out.fail(i, e),
+        }
+    }
+}
+
+/// Evaluates batch point `index` of `input` through a worker's
+/// [`Evaluator`], writing its columns (and any extra) into slot `slot` of
+/// `out`; `vals` and `moments` are the worker's reused row buffers.
+/// Increments `ctl.degraded` when a ROM fallback fires.
+#[allow(clippy::too_many_arguments)]
 fn eval_point(
     model: &CompiledModel,
     ev: &Evaluator<'_>,
-    vals: &[f64],
-    output: &BatchOutput,
-    moments: &mut [f64],
+    input: &PointColumns,
     index: usize,
+    output: &BatchOutput,
+    vals: &mut Vec<f64>,
+    moments: &mut Vec<f64>,
     ctl: &BatchCtl,
-) -> PointResult {
+    out: &mut BatchResults,
+    slot: usize,
+) -> Result<(), PointError> {
     let n_sym = ev.n_inputs();
-    if vals.len() != n_sym {
+    let arity = input.arity(index);
+    if arity != n_sym {
         return Err(PointError::bad_request(format!(
-            "point has {} values, model has {n_sym} symbols",
-            vals.len()
+            "point has {arity} values, model has {n_sym} symbols"
         )));
     }
+    input.gather(index, vals);
+    moments.resize(ev.n_outputs(), 0.0);
     let poison = apply_injected_fault(ctl.shard, index);
     // Single tape replay covers every output kind — the ROM paths reuse
     // the already-evaluated moments instead of replaying the tape again.
@@ -293,168 +468,27 @@ fn eval_point(
         }
     };
     match output {
-        BatchOutput::Moments => Ok(PointValue::Moments(moments.to_vec())),
-        BatchOutput::DcGain => Ok(PointValue::DcGain(moments[0])),
+        BatchOutput::Moments => out.set_moments(slot, moments),
+        BatchOutput::DcGain => out.set_dc_gain(slot, moments[0]),
         BatchOutput::Rom => {
             let (summary, degraded) = rom_summary(model, moments)?;
             note_degraded(&degraded);
-            Ok(PointValue::Rom(summary))
+            out.set_rom(slot, summary);
         }
         BatchOutput::Step { times } => {
             let (rom, degraded) = model
                 .rom_degraded_from_moments(moments)
                 .map_err(|e| PointError::new(partition_code(&e), e.to_string()))?;
             note_degraded(&degraded);
-            Ok(PointValue::Step {
-                samples: rom.step_response_series(times),
-                degraded,
-            })
+            out.set_step(slot, &rom.step_response_series(times), degraded);
         }
-        BatchOutput::Delays => awesym_awe::delay_estimates(moments)
-            .map(|d| PointValue::Delays(d.into()))
-            .map_err(|e| PointError::numeric(e.to_string())),
-    }
-}
-
-/// [`eval_point`] behind `catch_unwind`: a panic in the tape replay, the
-/// Padé solve, or an injected fault becomes an `internal` point error.
-/// The evaluator is passed by `&mut Option` so it can be rebuilt after a
-/// panic (its scratch state is suspect mid-unwind).
-#[allow(clippy::too_many_arguments)]
-fn eval_point_guarded<'m>(
-    model: &'m CompiledModel,
-    ev: &mut Option<Evaluator<'m>>,
-    vals: &[f64],
-    output: &BatchOutput,
-    moments: &mut [f64],
-    index: usize,
-    ctl: &BatchCtl,
-) -> PointResult {
-    let evaluator = ev.get_or_insert_with(|| model.evaluator());
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        eval_point(model, evaluator, vals, output, moments, index, ctl)
-    }));
-    match r {
-        Ok(point_result) => point_result,
-        Err(payload) => {
-            ctl.panics.fetch_add(1, Ordering::Relaxed);
-            *ev = None; // rebuild: scratch may hold partial state
-            Err(PointError::internal(format!(
-                "evaluation panicked: {}",
-                panic_message(payload.as_ref())
-            )))
+        BatchOutput::Delays => {
+            let d = awesym_awe::delay_estimates(moments)
+                .map_err(|e| PointError::numeric(e.to_string()))?;
+            out.set_delays(slot, &d.into());
         }
     }
-}
-
-/// Marks every unfilled slot from `from` onward as deadline-exceeded.
-fn mark_deadline(slots: &mut [Option<PointResult>], from: usize) {
-    for slot in &mut slots[from..] {
-        if slot.is_none() {
-            *slot = Some(Err(PointError::deadline(
-                "deadline expired before this point was evaluated",
-            )));
-        }
-    }
-}
-
-/// Evaluates one worker's chunk; `base` is the chunk's offset in the
-/// whole batch. Moment-only chunks whose points all have the right arity
-/// go through the vectorized `eval_batch` lane kernel (in
-/// lane-block-sized deadline-check sub-blocks);
-/// anything else — including any run with fault injection active — falls
-/// back to the per-point path. Shared with the persistent worker pool
-/// (`crate::pool`), which calls it once per claimed chunk.
-pub(crate) fn eval_chunk(
-    model: &CompiledModel,
-    points: &[Vec<f64>],
-    output: &BatchOutput,
-    slots: &mut [Option<PointResult>],
-    base: usize,
-    ctl: &BatchCtl,
-) {
-    let mut ev: Option<Evaluator<'_>> = Some(model.evaluator());
-    let n_m = ev.as_ref().map_or(0, Evaluator::n_outputs);
-    let n_in = ev.as_ref().map_or(0, Evaluator::n_inputs);
-    let soa_eligible = matches!(output, BatchOutput::Moments)
-        && !faults_active()
-        && points.iter().all(|p| p.len() == n_in);
-    if soa_eligible {
-        let mut flat = vec![0.0; CHECK_STRIDE * n_m];
-        let mut done = 0;
-        while done < points.len() {
-            if ctl.check_expired() {
-                mark_deadline(slots, done);
-                return;
-            }
-            let end = (done + CHECK_STRIDE).min(points.len());
-            let block = &points[done..end];
-            let out = &mut flat[..(end - done) * n_m];
-            let evaluator = ev.get_or_insert_with(|| model.evaluator());
-            let run = catch_unwind(AssertUnwindSafe(|| evaluator.try_eval_batch(block, out)));
-            match run {
-                Ok(Ok(())) => {
-                    for (slot, row) in slots[done..end].iter_mut().zip(out.chunks_exact(n_m)) {
-                        *slot = Some(if row.iter().all(|m| m.is_finite()) {
-                            Ok(PointValue::Moments(row.to_vec()))
-                        } else {
-                            Err(PointError::numeric(
-                                "evaluation produced non-finite moments",
-                            ))
-                        });
-                    }
-                }
-                Ok(Err(shape)) => {
-                    // Unreachable (arity pre-checked), but degrade to a
-                    // per-point error rather than trusting it.
-                    for slot in &mut slots[done..end] {
-                        *slot = Some(Err(PointError::bad_request(shape.to_string())));
-                    }
-                }
-                Err(_payload) => {
-                    // A panic inside the batch kernel: isolate the poisoned
-                    // point(s) by replaying this block point by point
-                    // (each replay produces its own per-point error).
-                    ctl.panics.fetch_add(1, Ordering::Relaxed);
-                    ev = None;
-                    let mut moments = vec![0.0; n_m];
-                    for (i, (slot, point)) in
-                        slots[done..end].iter_mut().zip(block.iter()).enumerate()
-                    {
-                        *slot = Some(eval_point_guarded(
-                            model,
-                            &mut ev,
-                            point,
-                            output,
-                            &mut moments,
-                            base + done + i,
-                            ctl,
-                        ));
-                    }
-                }
-            }
-            done = end;
-        }
-        return;
-    }
-    let mut moments = vec![0.0; n_m];
-    // The slow path is one tape replay (and possibly a Padé solve) per
-    // point — a clock read per point is noise, so check every time.
-    for i in 0..points.len() {
-        if ctl.check_expired() {
-            mark_deadline(&mut slots[i..], 0);
-            return;
-        }
-        slots[i] = Some(eval_point_guarded(
-            model,
-            &mut ev,
-            &points[i],
-            output,
-            &mut moments,
-            base + i,
-            ctl,
-        ));
-    }
+    Ok(())
 }
 
 /// Worker-count default: the machine's available parallelism.
@@ -481,6 +515,12 @@ pub fn evaluate_batch(
 /// `CHECK_STRIDE` points on the fast path); once it expires, remaining
 /// points are marked `deadline_exceeded` instead of being evaluated, so a
 /// runaway request bounds its own latency.
+///
+/// A row-major adapter: the points are copied into [`PointColumns`],
+/// evaluated by the same chunk engine the shard pools run, and the
+/// columnar results are converted back per point. A batch whose results
+/// would exceed [`crate::MAX_RESULT_VALUES`] is not evaluated: every
+/// point carries that `bad_request` instead.
 pub fn evaluate_batch_guarded(
     model: &CompiledModel,
     points: &[Vec<f64>],
@@ -489,36 +529,54 @@ pub fn evaluate_batch_guarded(
     deadline: Option<Instant>,
 ) -> BatchOutcome {
     let n = points.len();
+    let cols = result_cols(output, model);
+    if let Err(e) = check_result_size(n, cols) {
+        // Too large to evaluate: every point carries the refusal.
+        return BatchOutcome {
+            results: vec![Err(PointError::new(e.code(), e.to_string())); n],
+            panics_caught: 0,
+            degraded_points: 0,
+            deadline_exceeded: false,
+        };
+    }
+    let input = PointColumns::from_rows(points, model.symbols().len());
     let ctl = BatchCtl::new(deadline, 0);
-    let mut results: Vec<Option<PointResult>> = vec![None; n];
+    let mut results = BatchResults::new(output, cols, n);
     if n > 0 {
         let workers = workers.unwrap_or_else(default_workers).clamp(1, n);
         let chunk = n.div_ceil(workers);
-        if workers == 1 {
+        let ranges: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(chunk)
+            .map(|s| s..(s + chunk).min(n))
+            .collect();
+        let run = |range: std::ops::Range<usize>| {
+            let mut w = ChunkEval::new(model, output);
+            w.out.reset(range.len());
+            w.run(&input, range, output, &ctl);
+            w.out
+        };
+        let chunks: Vec<BatchResults> = if workers == 1 {
             // Serial fast path: no thread spawn, same chunk code.
-            eval_chunk(model, points, output, &mut results, 0, &ctl);
+            ranges.iter().cloned().map(run).collect()
         } else {
             std::thread::scope(|s| {
-                for (w, (out_chunk, in_chunk)) in results
-                    .chunks_mut(chunk)
-                    .zip(points.chunks(chunk))
-                    .enumerate()
-                {
-                    let ctl = &ctl;
-                    s.spawn(move || eval_chunk(model, in_chunk, output, out_chunk, w * chunk, ctl));
-                }
-            });
+                let handles: Vec<_> = ranges
+                    .iter()
+                    .cloned()
+                    .map(|r| s.spawn(move || run(r)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        for (range, mut chunk) in ranges.into_iter().zip(chunks) {
+            results.absorb(range.start, &mut chunk);
         }
     }
-    BatchOutcome {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("slot filled"))
-            .collect(),
-        panics_caught: ctl.panics.load(Ordering::Relaxed),
-        degraded_points: ctl.degraded.load(Ordering::Relaxed),
-        deadline_exceeded: ctl.expired.load(Ordering::Relaxed),
-    }
+    results.finish(&ctl);
+    results.into_outcome()
 }
 
 #[cfg(test)]

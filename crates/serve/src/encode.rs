@@ -5,8 +5,10 @@
 //! stats — goes through an [`Encoder`], writing into a caller-supplied
 //! reusable `Vec<u8>` instead of allocating fresh `String`s. Floats take
 //! the shortest-round-trip path (the vendored `ryu` formatter behind
-//! [`serde_json::write_f64`]), and batch results are streamed straight
-//! from [`PointResult`]s without building an intermediate `Content` tree.
+//! [`serde_json::write_f64`]). Batch results are written straight from
+//! the columnar [`BatchResults`] buffers: NDJSON streams each point out
+//! of the columns, and the binary frame is the fixed header, the id, the
+//! status column, and a copy of the value buffer.
 //!
 //! Clients pick an encoding per request with `"encoding":"binary-v1"`
 //! (or the explicit default, `"encoding":"ndjson"`); anything else is a
@@ -21,8 +23,9 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::batch::{PointResult, PointValue};
-use crate::error::{point_code, ErrorCode};
+use crate::batch::RomSummary;
+use crate::columns::{BatchResults, ResultKind};
+use crate::error::ErrorCode;
 use crate::ServeError;
 use awesym_partition::Degradation;
 use serde::Content;
@@ -79,8 +82,8 @@ pub fn negotiate(req: &Content) -> Result<WireEncoding, ServeError> {
 }
 
 /// A `batch` response ready to encode: the head fields that precede
-/// `"results"` in the NDJSON form, plus the raw per-point outcomes the
-/// encoder streams directly.
+/// `"results"` in the NDJSON form, plus the columnar results the encoder
+/// writes directly.
 pub struct BatchBody {
     /// Fields preceding `results` (`ok`, `id`, `count`, `ok_count`, …).
     pub head: Vec<(&'static str, Content)>,
@@ -90,9 +93,7 @@ pub struct BatchBody {
     /// columnar path too.
     pub id: Option<Content>,
     /// Per-point outcomes, in input order.
-    pub results: Vec<PointResult>,
-    /// Fixed per-point value width for the binary frame (`kind`-derived).
-    pub cols: usize,
+    pub results: BatchResults,
     /// Points that evaluated successfully.
     pub ok_count: u64,
     /// Evaluation wall time in nanoseconds (binary frame header field).
@@ -109,8 +110,16 @@ pub struct BatchBody {
 pub enum ResponseBody {
     /// A generic response: an ordered field list (already `Content`).
     Fields(Vec<(&'static str, Content)>),
-    /// A batch response: head fields plus streamed per-point results.
+    /// A batch response: head fields plus the columnar results.
     Batch(BatchBody),
+    /// A single-point `eval` response: the head fields, then
+    /// `"result"` — point 0 of the results, streamed from the columns.
+    Point {
+        /// Fields preceding `result` (`ok`, `id`).
+        head: Vec<(&'static str, Content)>,
+        /// A one-point batch whose point succeeded.
+        result: BatchResults,
+    },
 }
 
 /// A response encoder writing into a reusable growable buffer.
@@ -169,9 +178,8 @@ fn check_encode_deadline(b: &BatchBody) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Writes an ordered field list as one JSON object.
-fn write_fields(fields: &[(&'static str, Content)], out: &mut Vec<u8>) {
-    out.push(b'{');
+/// Writes the fields of an ordered field list, without braces.
+fn write_field_list(fields: &[(&'static str, Content)], out: &mut Vec<u8>) {
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(b',');
@@ -180,12 +188,18 @@ fn write_fields(fields: &[(&'static str, Content)], out: &mut Vec<u8>) {
         out.push(b':');
         write_value(v, out);
     }
+}
+
+/// Writes an ordered field list as one JSON object.
+fn write_fields(fields: &[(&'static str, Content)], out: &mut Vec<u8>) {
+    out.push(b'{');
+    write_field_list(fields, out);
     out.push(b'}');
 }
 
-fn write_f64_seq(vals: &[f64], out: &mut Vec<u8>) {
+fn write_f64_seq(vals: impl Iterator<Item = f64>, out: &mut Vec<u8>) {
     out.push(b'[');
-    for (i, &v) in vals.iter().enumerate() {
+    for (i, v) in vals.enumerate() {
         if i > 0 {
             out.push(b',');
         }
@@ -211,51 +225,65 @@ fn write_degraded(d: &Degradation, out: &mut Vec<u8>) {
     out.push(b'}');
 }
 
-/// Streams one successful point value as a JSON object — same shape as
-/// [`point_value_content`], without building the tree.
-pub fn write_point_value(v: &PointValue, out: &mut Vec<u8>) {
-    match v {
-        PointValue::Moments(m) => {
+fn write_rom(r: &RomSummary, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"poles_re\":");
+    write_f64_seq(r.poles_re.iter().copied(), out);
+    out.extend_from_slice(b",\"poles_im\":");
+    write_f64_seq(r.poles_im.iter().copied(), out);
+    out.extend_from_slice(b",\"residues_re\":");
+    write_f64_seq(r.residues_re.iter().copied(), out);
+    out.extend_from_slice(b",\"residues_im\":");
+    write_f64_seq(r.residues_im.iter().copied(), out);
+    out.extend_from_slice(b",\"dc_gain\":");
+    write_f64(r.dc_gain, out);
+    out.extend_from_slice(b",\"stable\":");
+    out.extend_from_slice(if r.stable { b"true".as_ref() } else { b"false" });
+    out.extend_from_slice(b",\"delay_50\":");
+    write_opt_f64(r.delay_50, out);
+    if let Some(d) = &r.degraded {
+        out.extend_from_slice(b",\"degraded\":");
+        write_degraded(d, out);
+    }
+    out.push(b'}');
+}
+
+/// Streams point `i` of a columnar batch: its value object, or
+/// `{"error":…,"code":…}`. Non-finite values print as `null`.
+pub fn write_result(r: &BatchResults, i: usize, out: &mut Vec<u8>) {
+    if let Some(e) = r.error(i) {
+        out.extend_from_slice(b"{\"error\":");
+        write_escaped_str(&e.message, out);
+        out.extend_from_slice(b",\"code\":");
+        write_escaped_str(&e.code, out);
+        out.push(b'}');
+        return;
+    }
+    match r.kind() {
+        ResultKind::Moments => {
             out.extend_from_slice(b"{\"moments\":");
-            write_f64_seq(m, out);
+            write_f64_seq(r.row(i), out);
             out.push(b'}');
         }
-        PointValue::DcGain(g) => {
+        ResultKind::DcGain => {
             out.extend_from_slice(b"{\"dc_gain\":");
-            write_f64(*g, out);
+            write_f64(r.dc_gain(i), out);
             out.push(b'}');
         }
-        PointValue::Step { samples, degraded } => {
+        ResultKind::Step => {
             out.extend_from_slice(b"{\"step\":");
-            write_f64_seq(samples, out);
-            if let Some(d) = degraded {
+            write_f64_seq(r.row(i), out);
+            if let Some(d) = r.degraded(i) {
                 out.extend_from_slice(b",\"degraded\":");
                 write_degraded(d, out);
             }
             out.push(b'}');
         }
-        PointValue::Rom(r) => {
-            out.extend_from_slice(b"{\"poles_re\":");
-            write_f64_seq(&r.poles_re, out);
-            out.extend_from_slice(b",\"poles_im\":");
-            write_f64_seq(&r.poles_im, out);
-            out.extend_from_slice(b",\"residues_re\":");
-            write_f64_seq(&r.residues_re, out);
-            out.extend_from_slice(b",\"residues_im\":");
-            write_f64_seq(&r.residues_im, out);
-            out.extend_from_slice(b",\"dc_gain\":");
-            write_f64(r.dc_gain, out);
-            out.extend_from_slice(b",\"stable\":");
-            out.extend_from_slice(if r.stable { b"true".as_ref() } else { b"false" });
-            out.extend_from_slice(b",\"delay_50\":");
-            write_opt_f64(r.delay_50, out);
-            if let Some(d) = &r.degraded {
-                out.extend_from_slice(b",\"degraded\":");
-                write_degraded(d, out);
-            }
-            out.push(b'}');
-        }
-        PointValue::Delays(d) => {
+        ResultKind::Rom => match r.rom(i) {
+            Some(rom) => write_rom(rom, out),
+            None => out.extend_from_slice(b"null"),
+        },
+        ResultKind::Delays => {
+            let d = r.delays(i);
             out.extend_from_slice(b"{\"elmore\":");
             write_f64(d.elmore, out);
             out.extend_from_slice(b",\"ln2_elmore\":");
@@ -267,31 +295,6 @@ pub fn write_point_value(v: &PointValue, out: &mut Vec<u8>) {
             out.push(b'}');
         }
     }
-}
-
-/// Streams one point outcome: the value object, or `{"error":…,"code":…}`.
-pub fn write_point_result(r: &PointResult, out: &mut Vec<u8>) {
-    match r {
-        Ok(v) => write_point_value(v, out),
-        Err(e) => {
-            out.extend_from_slice(b"{\"error\":");
-            write_escaped_str(&e.message, out);
-            out.extend_from_slice(b",\"code\":");
-            write_escaped_str(&e.code, out);
-            out.push(b'}');
-        }
-    }
-}
-
-/// One successful point value as a `Content` tree (the single-point
-/// `eval` response embeds it in its field list). Kept next to
-/// [`write_point_value`] with a test pinning the two to the same shape.
-pub fn point_value_content(v: &PointValue) -> Content {
-    let mut out = Vec::new();
-    write_point_value(v, &mut out);
-    // The streamed form is valid JSON by construction; parsing it back is
-    // a cold single-point path (eval), not the batch hot path.
-    serde_json::from_slice(&out).unwrap_or(Content::Null)
 }
 
 /// The default encoder: one JSON object per response, floats via the
@@ -309,31 +312,41 @@ impl Encoder for NdjsonEncoder {
                 write_fields(fields, out);
                 Ok(())
             }
+            ResponseBody::Point { head, result } => {
+                write_point_response(head, result, out);
+                Ok(())
+            }
             ResponseBody::Batch(b) => {
                 out.push(b'{');
-                for (i, (k, v)) in b.head.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    write_escaped_str(k, out);
-                    out.push(b':');
-                    write_value(v, out);
-                }
+                write_field_list(&b.head, out);
                 out.extend_from_slice(b",\"results\":[");
-                for (i, r) in b.results.iter().enumerate() {
+                for i in 0..b.results.len() {
                     if i > 0 {
                         out.push(b',');
                     }
                     if i % DEADLINE_CHECK_STRIDE == 0 && i > 0 {
                         check_encode_deadline(b)?;
                     }
-                    write_point_result(r, out);
+                    write_result(&b.results, i, out);
                 }
                 out.extend_from_slice(b"]}");
                 Ok(())
             }
         }
     }
+}
+
+/// The `eval` response object: head fields, then `"result"`.
+fn write_point_response(
+    head: &[(&'static str, Content)],
+    result: &BatchResults,
+    out: &mut Vec<u8>,
+) {
+    out.push(b'{');
+    write_field_list(head, out);
+    out.extend_from_slice(b",\"result\":");
+    write_result(result, 0, out);
+    out.push(b'}');
 }
 
 // ---------------------------------------------------------------------
@@ -353,34 +366,6 @@ pub const FLAG_HAS_ID: u16 = 2;
 /// Fixed header length in bytes (magic through `elapsed_ns`).
 pub const BINARY_HEADER_LEN: usize = 28;
 
-/// Per-point scalar for the columnar payload; error points and
-/// out-of-range columns are NaN.
-fn point_scalar(r: &PointResult, col: usize) -> f64 {
-    let Ok(v) = r else {
-        return f64::NAN;
-    };
-    match v {
-        PointValue::Moments(m) => m.get(col).copied().unwrap_or(f64::NAN),
-        PointValue::DcGain(g) => {
-            if col == 0 {
-                *g
-            } else {
-                f64::NAN
-            }
-        }
-        PointValue::Step { samples, .. } => samples.get(col).copied().unwrap_or(f64::NAN),
-        PointValue::Delays(d) => match col {
-            0 => d.elmore,
-            1 => d.ln2_elmore,
-            2 => d.d2m,
-            3 => d.two_pole.unwrap_or(f64::NAN),
-            _ => f64::NAN,
-        },
-        // Variable-width; negotiation rejects `rom` before evaluation.
-        PointValue::Rom(_) => f64::NAN,
-    }
-}
-
 /// The binary-v1 encoder: a self-delimiting little-endian frame for
 /// batch responses. Non-batch responses (including every error) fall
 /// back to the NDJSON object so failures stay human-readable even on a
@@ -398,36 +383,29 @@ impl Encoder for BinaryEncoder {
                 write_fields(fields, out);
                 return Ok(());
             }
+            ResponseBody::Point { head, result } => {
+                write_point_response(head, result, out);
+                return Ok(());
+            }
             ResponseBody::Batch(b) => b,
         };
-        let count = u32::try_from(b.results.len()).map_err(|_| ServeError::Internal {
+        let r = &b.results;
+        let count = u32::try_from(r.len()).map_err(|_| ServeError::Internal {
             what: "batch too large for binary-v1 frame".into(),
         })?;
-        let cols = u32::try_from(b.cols).map_err(|_| ServeError::Internal {
+        let cols = u32::try_from(r.cols()).map_err(|_| ServeError::Internal {
             what: "point width too large for binary-v1 frame".into(),
         })?;
-        // Serialize the id section first: its length goes in the frame
-        // and an oversized id must fail before any header bytes land.
-        let id_bytes = match &b.id {
-            Some(id) => {
-                let mut buf = Vec::new();
-                write_value(id, &mut buf);
-                u32::try_from(buf.len()).map_err(|_| ServeError::Internal {
-                    what: "request id too large for binary-v1 frame".into(),
-                })?;
-                Some(buf)
-            }
-            None => None,
-        };
         let mut flags = if b.deadline_exceeded {
             FLAG_DEADLINE_EXCEEDED
         } else {
             0
         };
-        if id_bytes.is_some() {
+        if b.id.is_some() {
             flags |= FLAG_HAS_ID;
         }
-        out.reserve(BINARY_HEADER_LEN + b.results.len() * (1 + 8 * b.cols));
+        let start = out.len();
+        out.reserve(BINARY_HEADER_LEN + r.len() + 8 * r.values().len());
         out.extend_from_slice(&BINARY_MAGIC);
         out.extend_from_slice(&BINARY_VERSION.to_le_bytes());
         out.extend_from_slice(&flags.to_le_bytes());
@@ -435,26 +413,35 @@ impl Encoder for BinaryEncoder {
         out.extend_from_slice(&cols.to_le_bytes());
         out.extend_from_slice(&u32::try_from(b.ok_count).unwrap_or(u32::MAX).to_le_bytes());
         out.extend_from_slice(&b.elapsed_ns.to_le_bytes());
-        if let Some(buf) = &id_bytes {
-            out.extend_from_slice(&(buf.len() as u32).to_le_bytes());
-            out.extend_from_slice(buf);
+        if let Some(id) = &b.id {
+            // Length-prefixed id JSON, written in place and its length
+            // patched in after.
+            let len_at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            write_value(id, out);
+            let Ok(id_len) = u32::try_from(out.len() - len_at - 4) else {
+                out.truncate(start);
+                return Err(ServeError::Internal {
+                    what: "request id too large for binary-v1 frame".into(),
+                });
+            };
+            out[len_at..len_at + 4].copy_from_slice(&id_len.to_le_bytes());
         }
-        for r in &b.results {
-            out.push(match r {
-                Ok(_) => 0,
-                Err(e) => point_code(e).wire_byte(),
-            });
-        }
-        // Columnar payload: all points' column 0, then column 1, …
-        let mut since_check = 0usize;
-        for col in 0..b.cols {
-            for r in &b.results {
-                since_check += 1;
-                if since_check >= DEADLINE_CHECK_STRIDE {
-                    since_check = 0;
-                    check_encode_deadline(b)?;
-                }
-                out.extend_from_slice(&point_scalar(r, col).to_le_bytes());
+        out.extend_from_slice(r.status());
+        // Columnar payload: the result buffer is already column-major
+        // with NaN in failed points, so this is one copy, cut into
+        // deadline-checked strides.
+        let at = out.len();
+        out.resize(at + 8 * r.values().len(), 0);
+        let strides = out[at..]
+            .chunks_mut(8 * DEADLINE_CHECK_STRIDE)
+            .zip(r.values().chunks(DEADLINE_CHECK_STRIDE));
+        for (i, (dst, vals)) in strides.enumerate() {
+            if i > 0 {
+                check_encode_deadline(b)?;
+            }
+            for (d, v) in dst.chunks_exact_mut(8).zip(vals) {
+                d.copy_from_slice(&v.to_le_bytes());
             }
         }
         Ok(())
@@ -537,6 +524,8 @@ pub struct DecodedFrame {
     /// Per-point status bytes (`0` = ok).
     pub codes: Vec<u8>,
     /// Column-major values: `columns[c][i]` is point `i`'s column `c`.
+    /// Empty when the frame carries no points (its column count is then
+    /// bounded by nothing in the frame, so no columns are built).
     pub columns: Vec<Vec<f64>>,
 }
 
@@ -650,25 +639,22 @@ pub fn decode_frame(bytes: &[u8]) -> Result<DecodedFrame, FrameError> {
             counted,
         });
     }
-    let mut columns = Vec::with_capacity(cols);
-    let mut at = body_at + count;
-    for _ in 0..cols {
-        let mut col = Vec::with_capacity(count);
-        for _ in 0..count {
-            col.push(f64::from_le_bytes([
-                bytes[at],
-                bytes[at + 1],
-                bytes[at + 2],
-                bytes[at + 3],
-                bytes[at + 4],
-                bytes[at + 5],
-                bytes[at + 6],
-                bytes[at + 7],
-            ]));
-            at += 8;
-        }
-        columns.push(col);
-    }
+    // With points present, `cols * count * 8` payload bytes were just
+    // checked against the frame, so every allocation below is bounded by
+    // the frame's length; with none, a hostile header could still claim
+    // any column count, and no columns are built.
+    let columns: Vec<Vec<f64>> = if count == 0 {
+        Vec::new()
+    } else {
+        bytes[body_at + count..]
+            .chunks_exact(8 * count)
+            .map(|col| {
+                col.chunks_exact(8)
+                    .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+                    .collect()
+            })
+            .collect()
+    };
     Ok(DecodedFrame {
         deadline_exceeded: flags & FLAG_DEADLINE_EXCEEDED != 0,
         id,
@@ -684,12 +670,13 @@ pub fn decode_frame(bytes: &[u8]) -> Result<DecodedFrame, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::DelaySummary;
+    use crate::batch::{DelaySummary, PointResult, PointValue};
+    use crate::error::point_code;
     use crate::PointError;
     use std::time::Duration;
 
-    fn moments_batch(n: usize) -> BatchBody {
-        let results: Vec<PointResult> = (0..n)
+    fn moments_results(n: usize) -> Vec<PointResult> {
+        (0..n)
             .map(|i| {
                 if i % 7 == 3 {
                     Err(PointError::numeric("injected"))
@@ -702,7 +689,11 @@ mod tests {
                     ]))
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    fn moments_batch(n: usize) -> BatchBody {
+        let results = moments_results(n);
         let ok_count = results.iter().filter(|r| r.is_ok()).count() as u64;
         BatchBody {
             head: vec![
@@ -711,8 +702,7 @@ mod tests {
                 ("ok_count", Content::U64(ok_count)),
             ],
             id: None,
-            results,
-            cols: 4,
+            results: BatchResults::from_points(&crate::BatchOutput::Moments, 4, results),
             ok_count,
             elapsed_ns: 123_456,
             deadline_exceeded: false,
@@ -796,16 +786,37 @@ mod tests {
             }),
         ];
         for v in values {
+            let (output, cols) = match &v {
+                PointValue::Moments(m) => (crate::BatchOutput::Moments, m.len()),
+                PointValue::DcGain(_) => (crate::BatchOutput::DcGain, 1),
+                PointValue::Step { samples, .. } => (
+                    crate::BatchOutput::Step {
+                        times: vec![0.0; samples.len()],
+                    },
+                    samples.len(),
+                ),
+                PointValue::Rom(_) => (crate::BatchOutput::Rom, 0),
+                PointValue::Delays(_) => (crate::BatchOutput::Delays, 4),
+            };
+            let r = BatchResults::from_points(&output, cols, vec![Ok(v.clone())]);
             let mut streamed = Vec::new();
-            write_point_value(&v, &mut streamed);
+            write_result(&r, 0, &mut streamed);
             let streamed = String::from_utf8(streamed).unwrap();
-            let tree = serde_json::to_string(&point_value_content(&v)).unwrap();
-            assert_eq!(streamed, tree, "{v:?}");
-            // And the streamed form is valid JSON.
-            serde_json::from_str::<Content>(&streamed).unwrap();
+            // The streamed form is valid JSON, and the same text the
+            // parsed tree serializes back to.
+            let tree: Content = serde_json::from_str(&streamed).expect("streamed value is JSON");
+            let reserialized = serde_json::to_string(&tree).expect("tree serializes");
+            assert_eq!(streamed, reserialized, "{v:?}");
+            // The columnar view reads back the same point.
+            assert_eq!(r.point(0), Ok(v));
         }
+        let r = BatchResults::from_points(
+            &crate::BatchOutput::Moments,
+            2,
+            vec![Err(PointError::numeric("NaN \"moments\""))],
+        );
         let mut err = Vec::new();
-        write_point_result(&Err(PointError::numeric("NaN \"moments\"")), &mut err);
+        write_result(&r, 0, &mut err);
         let c: Content = serde_json::from_slice(&err).unwrap();
         assert_eq!(
             c.get("code").and_then(Content::as_str),
@@ -825,8 +836,7 @@ mod tests {
         assert_eq!(frame.cols, 4);
         assert!(!frame.deadline_exceeded);
         assert_eq!(frame.elapsed_ns, 123_456);
-        let b = moments_batch(53);
-        for (i, r) in b.results.iter().enumerate() {
+        for (i, r) in moments_results(53).iter().enumerate() {
             match r {
                 Ok(PointValue::Moments(m)) => {
                     assert_eq!(frame.codes[i], 0);
@@ -852,11 +862,14 @@ mod tests {
         let b = BatchBody {
             head: vec![],
             id: None,
-            results: vec![
-                Ok(PointValue::DcGain(1.0)),
-                Err(PointError::deadline("late")),
-            ],
-            cols: 1,
+            results: BatchResults::from_points(
+                &crate::BatchOutput::DcGain,
+                1,
+                vec![
+                    Ok(PointValue::DcGain(1.0)),
+                    Err(PointError::deadline("late")),
+                ],
+            ),
             ok_count: 1,
             elapsed_ns: 0x0102030405060708,
             deadline_exceeded: true,
@@ -1002,6 +1015,32 @@ mod tests {
         ));
         // The pristine frame still decodes.
         decode_frame(&out).unwrap();
+    }
+
+    #[test]
+    fn hostile_column_counts_are_bounded_by_the_frame_length() {
+        // A 28-byte header claiming 2^32 − 1 columns of zero points: no
+        // payload byte bounds the column count, so nothing may be sized
+        // by it.
+        let mut hostile = Vec::new();
+        hostile.extend_from_slice(&BINARY_MAGIC);
+        hostile.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+        hostile.extend_from_slice(&0u16.to_le_bytes());
+        hostile.extend_from_slice(&0u32.to_le_bytes()); // count
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // cols
+        hostile.extend_from_slice(&0u32.to_le_bytes()); // ok_count
+        hostile.extend_from_slice(&0u64.to_le_bytes()); // elapsed_ns
+        assert_eq!(hostile.len(), BINARY_HEADER_LEN);
+        let frame = decode_frame(&hostile).expect("point-free frame decodes");
+        assert_eq!((frame.count, frame.cols), (0, u32::MAX as usize));
+        assert!(frame.columns.is_empty() && frame.codes.is_empty());
+        // With one point the same claim needs 32 GiB of payload.
+        hostile[8..12].copy_from_slice(&1u32.to_le_bytes());
+        hostile.push(0);
+        assert!(matches!(
+            decode_frame(&hostile),
+            Err(FrameError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //!   ([`save_artifact`] / [`load_artifact`]);
 //! - [`registry`]: a named, thread-safe, LRU-evicting in-memory
 //!   [`ModelRegistry`];
-//! - [`batch`]: [`evaluate_batch`], fanning points across scoped worker
-//!   threads with per-thread scratch reuse and per-point errors;
+//! - [`batch`]: the chunk engine every batch runs through, plus
+//!   [`evaluate_batch`], fanning points across scoped worker threads
+//!   with per-point errors;
+//! - [`columns`]: the columnar request and result buffers
+//!   ([`PointColumns`], [`BatchResults`]) and the typed binary-v1
+//!   request ([`FrameRequest`]);
 //! - [`pool`]: the persistent [`WorkerPool`] — threads spawned once per
 //!   shard, parked on a job queue, supervised and restarted with capped
 //!   backoff when they die;
@@ -37,6 +41,7 @@
 
 pub mod artifact;
 pub mod batch;
+pub mod columns;
 pub mod encode;
 mod error;
 #[cfg(feature = "fault-injection")]
@@ -57,13 +62,16 @@ pub use batch::{
     evaluate_batch, evaluate_batch_guarded, BatchOutcome, BatchOutput, DelaySummary, PointResult,
     PointValue, RomSummary,
 };
+pub use columns::{BatchResults, FrameRequest, PointColumns, MAX_RESULT_VALUES};
 pub use encode::{
     decode_frame, BinaryEncoder, DecodedFrame, Encoder, FrameError, NdjsonEncoder, WireEncoding,
 };
 pub use error::{ErrorCode, PointError, ServeError};
 pub use pool::{PoolConfig, WorkerPool};
 pub use registry::{ModelRegistry, RegistryStats};
-pub use server::{Response, ResponseMeta, Server, ServerConfig, DEFAULT_CAPACITY};
+pub use server::{
+    Response, ResponseMeta, Server, ServerConfig, DEFAULT_CAPACITY, DEFAULT_MAX_BATCH_POINTS,
+};
 pub use shard::{
     adaptive_retry_after_ms, shard_of, BreakerConfig, CircuitBreaker, Shard, ShardConfig,
     ShardHealth, TieredRegistry, TieredStats,

@@ -24,13 +24,18 @@
 //!   futile restarts. Restart and death counts are exposed for health
 //!   reporting and the per-shard circuit breaker.
 //!
-//! Evaluators borrow the compiled model, so workers rebuild one per
-//! claimed chunk (construction is a few allocations — noise next to a
-//! chunk of tape replays). What the pool eliminates is the per-batch
-//! thread churn, which was the actual scaling killer.
+//! Jobs are columnar end to end: workers read the request's
+//! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
+//! into the job's one column-major result buffer. Evaluators borrow the
+//! compiled model, so each worker builds one per job it joins and keeps
+//! it — lane plan, register file and all — for every chunk it claims in
+//! that job. What the pool eliminates is the per-batch thread churn,
+//! which was the actual scaling killer.
 
-use crate::batch::{eval_chunk, BatchCtl, BatchOutcome, BatchOutput, PointResult};
+use crate::batch::{BatchCtl, BatchOutput, ChunkEval};
+use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
 use crate::error::PointError;
+use crate::ServeError;
 use awesym_partition::CompiledModel;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -118,10 +123,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One queued batch: the inputs, an atomic chunk frontier workers claim
-/// from, and the result slots they fill.
+/// from, and the result buffer they fill.
 struct Job {
     model: Arc<CompiledModel>,
-    points: Arc<Vec<Vec<f64>>>,
+    points: Arc<PointColumns>,
     output: BatchOutput,
     ctl: BatchCtl,
     /// Points per chunk.
@@ -136,7 +141,7 @@ struct Job {
     next_chunk: AtomicUsize,
     chunks_done: AtomicUsize,
     done: AtomicBool,
-    slots: Mutex<Vec<Option<PointResult>>>,
+    results: Mutex<BatchResults>,
 }
 
 impl Job {
@@ -148,31 +153,26 @@ impl Job {
             && self.next_chunk.load(Ordering::Relaxed) < self.n_chunks
     }
 
+    /// The next unclaimed chunk's point range, if any.
+    fn claim(&self) -> Option<std::ops::Range<usize>> {
+        let c = self.next_chunk.fetch_add(1, Ordering::Relaxed);
+        (c < self.n_chunks).then(|| c * self.chunk..((c + 1) * self.chunk).min(self.points.len()))
+    }
+
     /// Claims and evaluates chunks until the frontier is exhausted.
     /// Returns `true` when an injected worker-kill fired and the calling
     /// worker must die (this job's accounting is already safe by then).
     fn work(&self, shared: &Shared) -> bool {
-        loop {
-            let c = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-            if c >= self.n_chunks {
-                return false;
-            }
-            let start = c * self.chunk;
-            let end = ((c + 1) * self.chunk).min(self.points.len());
-            let mut local: Vec<Option<PointResult>> = vec![None; end - start];
+        let mut w = ChunkEval::new(&self.model, &self.output);
+        while let Some(range) = self.claim() {
+            let start = range.start;
+            w.out.reset(range.len());
             let run = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
                 if crate::faults::fault_kills_worker(self.ctl.shard, start) {
                     panic!("injected fault: worker killed at chunk starting {start}");
                 }
-                eval_chunk(
-                    &self.model,
-                    &self.points[start..end],
-                    &self.output,
-                    &mut local,
-                    start,
-                    &self.ctl,
-                );
+                w.run(&self.points, range, &self.output, &self.ctl);
             }));
             let killed = run.is_err();
             if killed {
@@ -180,31 +180,26 @@ impl Job {
                 // not finish becomes structured errors so the job still
                 // completes with one result per point.
                 self.ctl.panics.fetch_add(1, Ordering::Relaxed);
-                for slot in &mut local {
-                    if slot.is_none() {
-                        *slot = Some(Err(PointError::internal(
-                            "worker thread died mid-chunk; shard supervisor will restart it",
-                        )));
-                    }
-                }
+                w.out.fail_unfilled(
+                    0,
+                    &PointError::internal(
+                        "worker thread died mid-chunk; shard supervisor will restart it",
+                    ),
+                );
             }
-            self.deposit(shared, start, local);
+            self.deposit(shared, start, &mut w.out);
             if killed {
                 return true;
             }
         }
+        false
     }
 
-    /// Moves a finished chunk's results into the shared slots and, when
+    /// Copies a finished chunk's results into the job's buffer and, when
     /// it was the last chunk, marks the job done, removes it from the
     /// queue, and wakes the submitter.
-    fn deposit(&self, shared: &Shared, start: usize, local: Vec<Option<PointResult>>) {
-        {
-            let mut slots = lock(&self.slots);
-            for (slot, value) in slots[start..start + local.len()].iter_mut().zip(local) {
-                *slot = value;
-            }
-        }
+    fn deposit(&self, shared: &Shared, start: usize, chunk: &mut BatchResults) {
+        lock(&self.results).absorb(start, chunk);
         let finished = self.chunks_done.fetch_add(1, Ordering::AcqRel) + 1;
         if finished == self.n_chunks {
             let mut q = lock(&shared.queue);
@@ -372,22 +367,24 @@ impl WorkerPool {
     /// co-evaluate this job (`None` → all); the submitting thread never
     /// evaluates unless the whole pool is dead, in which case it drains
     /// the job itself so the request still completes.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] when the job's result buffer would
+    /// exceed [`crate::MAX_RESULT_VALUES`]; nothing is allocated or run.
     pub fn run_batch(
         &self,
         model: Arc<CompiledModel>,
-        points: Arc<Vec<Vec<f64>>>,
+        points: Arc<PointColumns>,
         output: BatchOutput,
         deadline: Option<Instant>,
         max_workers: Option<usize>,
-    ) -> BatchOutcome {
+    ) -> Result<BatchResults, ServeError> {
         let n = points.len();
+        let cols = result_cols(&output, &model);
+        check_result_size(n, cols)?;
         if n == 0 {
-            return BatchOutcome {
-                results: Vec::new(),
-                panics_caught: 0,
-                degraded_points: 0,
-                deadline_exceeded: false,
-            };
+            return Ok(BatchResults::new(&output, cols, 0));
         }
         self.supervise();
         let max_workers = max_workers
@@ -395,6 +392,7 @@ impl WorkerPool {
             .clamp(1, self.config.workers);
         let chunk = chunk_size(n, max_workers, model.op_count());
         let job = Arc::new(Job {
+            results: Mutex::new(BatchResults::new(&output, cols, n)),
             model,
             points,
             output,
@@ -406,7 +404,6 @@ impl WorkerPool {
             next_chunk: AtomicUsize::new(0),
             chunks_done: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            slots: Mutex::new(vec![None; n]),
         });
         {
             let mut q = lock(&self.shared.queue);
@@ -434,16 +431,9 @@ impl WorkerPool {
             q = guard;
         }
         drop(q);
-        let slots = std::mem::take(&mut *lock(&job.slots));
-        BatchOutcome {
-            results: slots
-                .into_iter()
-                .map(|r| r.expect("pool job completed with every slot filled"))
-                .collect(),
-            panics_caught: job.ctl.panics.load(Ordering::Relaxed),
-            degraded_points: job.ctl.degraded.load(Ordering::Relaxed),
-            deadline_exceeded: job.ctl.expired.load(Ordering::Relaxed),
-        }
+        let mut results = std::mem::take(&mut *lock(&job.results));
+        results.finish(&job.ctl);
+        Ok(results)
     }
 
     /// Serial fallback when no worker is alive: the submitting thread
@@ -451,23 +441,12 @@ impl WorkerPool {
     /// worker-kill faults are not applied here — this is the recovery
     /// path that guarantees the request completes.
     fn drain(&self, job: &Arc<Job>) {
-        loop {
-            let c = job.next_chunk.fetch_add(1, Ordering::Relaxed);
-            if c >= job.n_chunks {
-                return;
-            }
-            let start = c * job.chunk;
-            let end = ((c + 1) * job.chunk).min(job.points.len());
-            let mut local: Vec<Option<PointResult>> = vec![None; end - start];
-            eval_chunk(
-                &job.model,
-                &job.points[start..end],
-                &job.output,
-                &mut local,
-                start,
-                &job.ctl,
-            );
-            job.deposit(&self.shared, start, local);
+        let mut w = ChunkEval::new(&job.model, &job.output);
+        while let Some(range) = job.claim() {
+            let start = range.start;
+            w.out.reset(range.len());
+            w.run(&job.points, range, &job.output, &job.ctl);
+            job.deposit(&self.shared, start, &mut w.out);
         }
     }
 }
@@ -545,15 +524,17 @@ mod tests {
         Arc::new(CompiledModel::build(c, w.input, w.output, &bindings, 2).unwrap())
     }
 
-    fn grid(n: usize) -> Arc<Vec<Vec<f64>>> {
-        Arc::new(
-            (0..n)
-                .map(|i| {
-                    let t = i as f64 / n as f64;
-                    vec![0.5e-9 + 3e-9 * t, 300.0 + 4000.0 * t]
-                })
-                .collect(),
-        )
+    fn rows(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let t = i as f64 / n as f64;
+                vec![0.5e-9 + 3e-9 * t, 300.0 + 4000.0 * t]
+            })
+            .collect()
+    }
+
+    fn grid(n: usize) -> Arc<PointColumns> {
+        Arc::new(PointColumns::from_rows(&rows(n), 2))
     }
 
     fn small_pool(workers: usize) -> WorkerPool {
@@ -616,17 +597,23 @@ mod tests {
     fn pool_results_match_direct_evaluation_at_any_worker_count() {
         let m = model2();
         let pts = grid(333);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
+        let reference = evaluate_batch(&m, &rows(pts.len()), &BatchOutput::Moments, Some(1));
         for workers in [1, 2, 4, 8] {
             let pool = small_pool(workers);
-            let out = pool.run_batch(
-                Arc::clone(&m),
-                Arc::clone(&pts),
-                BatchOutput::Moments,
-                None,
-                None,
+            let out = pool
+                .run_batch(
+                    Arc::clone(&m),
+                    Arc::clone(&pts),
+                    BatchOutput::Moments,
+                    None,
+                    None,
+                )
+                .unwrap();
+            assert_eq!(
+                out.clone().into_outcome().results,
+                reference,
+                "workers={workers}"
             );
-            assert_eq!(out.results, reference, "workers={workers}");
             assert_eq!(out.panics_caught, 0);
             assert!(!out.deadline_exceeded);
         }
@@ -643,9 +630,14 @@ mod tests {
             BatchOutput::DcGain,
             BatchOutput::Delays,
         ] {
-            let out = pool.run_batch(Arc::clone(&m), Arc::clone(&pts), output.clone(), None, None);
-            assert_eq!(out.results.len(), 90, "{output:?}");
-            assert!(out.results.iter().all(Result::is_ok), "{output:?}");
+            let out = pool
+                .run_batch(Arc::clone(&m), Arc::clone(&pts), output.clone(), None, None)
+                .unwrap();
+            assert_eq!(out.clone().into_outcome().results.len(), 90, "{output:?}");
+            assert!(
+                out.clone().into_outcome().results.iter().all(Result::is_ok),
+                "{output:?}"
+            );
         }
         assert_eq!(pool.alive(), 2);
         assert_eq!(pool.restarts(), 0);
@@ -654,24 +646,28 @@ mod tests {
     #[test]
     fn empty_batch_returns_immediately() {
         let pool = small_pool(4);
-        let out = pool.run_batch(
-            model2(),
-            Arc::new(Vec::new()),
-            BatchOutput::Moments,
-            None,
-            None,
-        );
-        assert!(out.results.is_empty());
+        let out = pool
+            .run_batch(
+                model2(),
+                Arc::new(PointColumns::from_rows(&[], 2)),
+                BatchOutput::Moments,
+                None,
+                None,
+            )
+            .unwrap();
+        assert!(out.clone().into_outcome().results.is_empty());
     }
 
     #[test]
     fn expired_deadline_marks_every_point() {
         let pool = small_pool(4);
         let past = Instant::now() - Duration::from_millis(1);
-        let out = pool.run_batch(model2(), grid(200), BatchOutput::Moments, Some(past), None);
+        let out = pool
+            .run_batch(model2(), grid(200), BatchOutput::Moments, Some(past), None)
+            .unwrap();
         assert!(out.deadline_exceeded);
-        assert_eq!(out.results.len(), 200);
-        for r in &out.results {
+        assert_eq!(out.clone().into_outcome().results.len(), 200);
+        for r in &out.clone().into_outcome().results {
             assert_eq!(r.as_ref().unwrap_err().code, "deadline_exceeded");
         }
     }
@@ -681,15 +677,17 @@ mod tests {
         let pool = small_pool(8);
         let m = model2();
         let pts = grid(300);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
-        let out = pool.run_batch(
-            Arc::clone(&m),
-            Arc::clone(&pts),
-            BatchOutput::Moments,
-            None,
-            Some(1),
-        );
-        assert_eq!(out.results, reference);
+        let reference = evaluate_batch(&m, &rows(pts.len()), &BatchOutput::Moments, Some(1));
+        let out = pool
+            .run_batch(
+                Arc::clone(&m),
+                Arc::clone(&pts),
+                BatchOutput::Moments,
+                None,
+                Some(1),
+            )
+            .unwrap();
+        assert_eq!(out.clone().into_outcome().results, reference);
     }
 
     #[test]
@@ -697,7 +695,7 @@ mod tests {
         let pool = Arc::new(small_pool(4));
         let m = model2();
         let pts = grid(256);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
+        let reference = evaluate_batch(&m, &rows(pts.len()), &BatchOutput::Moments, Some(1));
         std::thread::scope(|s| {
             for _ in 0..6 {
                 let pool = Arc::clone(&pool);
@@ -706,14 +704,16 @@ mod tests {
                 let reference = &reference;
                 s.spawn(move || {
                     for _ in 0..5 {
-                        let out = pool.run_batch(
-                            Arc::clone(&m),
-                            Arc::clone(&pts),
-                            BatchOutput::Moments,
-                            None,
-                            None,
-                        );
-                        assert_eq!(&out.results, reference);
+                        let out = pool
+                            .run_batch(
+                                Arc::clone(&m),
+                                Arc::clone(&pts),
+                                BatchOutput::Moments,
+                                None,
+                                None,
+                            )
+                            .unwrap();
+                        assert_eq!(&out.clone().into_outcome().results, reference);
                     }
                 });
             }
@@ -749,11 +749,13 @@ mod tests {
         // queue lock — and drain the tail, so `deaths`/`alive` below are
         // deterministic rather than racing the final chunk's deposit.
         let n = 4 * MAX_CHUNK_FLOOR;
-        let out = pool.run_batch(Arc::clone(&m), grid(n), BatchOutput::Moments, None, None);
+        let out = pool
+            .run_batch(Arc::clone(&m), grid(n), BatchOutput::Moments, None, None)
+            .unwrap();
         faults::clear();
         // Every point answered: killed chunks as internal errors, the
         // rest drained serially by the submitter after the pool died.
-        assert_eq!(out.results.len(), n);
+        assert_eq!(out.clone().into_outcome().results.len(), n);
         assert!(out.panics_caught > 0);
         assert!(pool.deaths() > 0);
         assert_eq!(pool.alive(), 0);
@@ -761,9 +763,11 @@ mod tests {
         // and the next batch is fully healthy.
         std::thread::sleep(Duration::from_millis(5));
         let pts = grid(100);
-        let reference = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(1));
-        let out = pool.run_batch(Arc::clone(&m), pts, BatchOutput::Moments, None, None);
-        assert_eq!(out.results, reference);
+        let reference = evaluate_batch(&m, &rows(100), &BatchOutput::Moments, Some(1));
+        let out = pool
+            .run_batch(Arc::clone(&m), pts, BatchOutput::Moments, None, None)
+            .unwrap();
+        assert_eq!(out.clone().into_outcome().results, reference);
         assert!(pool.restarts() >= 3, "restarts={}", pool.restarts());
         assert_eq!(pool.alive(), 3);
     }

@@ -37,6 +37,7 @@
 //! keeps serving.
 
 use crate::batch::BatchOutput;
+use crate::columns::{check_finite, BatchResults, FrameRequest, PointColumns};
 use crate::encode::{self, BatchBody, ResponseBody, WireEncoding};
 use crate::registry::{ModelRegistry, RegistryStats};
 use crate::shard::{adaptive_retry_after_ms, shard_of, Shard, ShardConfig};
@@ -52,6 +53,9 @@ use std::time::{Duration, Instant};
 
 /// Default registry capacity for a server.
 pub const DEFAULT_CAPACITY: usize = 16;
+
+/// Default [`ServerConfig::max_batch_points`].
+pub const DEFAULT_MAX_BATCH_POINTS: usize = 1 << 20;
 
 /// Operational limits and fault-tolerance knobs for a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +100,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             capacity: DEFAULT_CAPACITY,
-            max_batch_points: 1 << 20,
+            max_batch_points: DEFAULT_MAX_BATCH_POINTS,
             max_line_bytes: 64 << 20,
             deadline_ms: None,
             max_inflight: 0,
@@ -140,6 +144,17 @@ pub struct ResponseMeta {
     pub shutdown: bool,
 }
 
+/// A dispatched request, ready for the response envelope.
+struct Replied {
+    id: Content,
+    outcome: Result<Reply, ServeError>,
+    /// The negotiated response encoding.
+    encoding: WireEncoding,
+    shutdown: bool,
+    /// The shard that evaluated the request, if any.
+    shard_used: Option<usize>,
+}
+
 /// A command's successful payload before the response envelope (`ok`,
 /// `id`) is attached.
 enum Reply {
@@ -147,6 +162,8 @@ enum Reply {
     Fields(Vec<(&'static str, Content)>),
     /// A batch body the encoder streams directly.
     Batch(BatchBody),
+    /// A single-point `eval` result, written as the `"result"` field.
+    Point(BatchResults),
 }
 
 /// The serving engine: a sharded model fleet plus counters, driven one
@@ -269,12 +286,28 @@ fn point_from(c: &Content, what: &str) -> Result<Vec<f64>, ServeError> {
         })?;
     // NaN/Inf symbol values would propagate through every moment; reject
     // them at the door with a clear message instead.
-    if let Some(i) = vals.iter().position(|v| !v.is_finite()) {
-        return Err(ServeError::BadRequest {
-            what: format!("{what} has a non-finite value at index {i}"),
-        });
-    }
+    check_finite(vals.iter().copied(), what)?;
     Ok(vals)
+}
+
+/// A batch's `points` array as columns for a `syms`-symbol model, with
+/// the JSON path's validation: the first point that is not an array of
+/// finite numbers rejects the request; rows of another length become
+/// per-point arity errors.
+fn columns_from(raw: &[Content], syms: usize) -> Result<PointColumns, ServeError> {
+    let mut cols = PointColumns::zeroed(raw.len(), syms);
+    for (i, p) in raw.iter().enumerate() {
+        let row = p
+            .as_seq()
+            .filter(|row| row.iter().all(|v| v.as_f64().is_some()))
+            .ok_or_else(|| ServeError::BadRequest {
+                what: "each point must be an array of numbers".into(),
+            })?;
+        let vals = || row.iter().filter_map(Content::as_f64);
+        check_finite(vals(), "each point")?;
+        cols.set_row(i, row.len(), vals());
+    }
+    Ok(cols)
 }
 
 fn output_kind(req: &Content) -> Result<BatchOutput, ServeError> {
@@ -460,20 +493,21 @@ impl Server {
         Ok(InflightGuard(&self.inflight))
     }
 
-    /// The request's evaluation deadline: a per-request `"deadline_ms"`
+    /// The request's evaluation deadline: a per-request `deadline_ms`
     /// overrides the configured default. Returns the absolute instant and
     /// the millisecond figure (for error reporting).
-    fn deadline_of(&self, req: &Content, t0: Instant) -> Option<(Instant, u64)> {
-        let ms = req
-            .get("deadline_ms")
-            .and_then(Content::as_u64)
-            .or(self.config.deadline_ms)?;
+    fn deadline_at(&self, request_ms: Option<u64>, t0: Instant) -> Option<(Instant, u64)> {
+        let ms = request_ms.or(self.config.deadline_ms)?;
         Some((t0 + Duration::from_millis(ms), ms))
     }
 
     /// Resolves a request's model and the shard that owns it.
     fn route(&self, req: &Content) -> Result<(&Shard, Arc<CompiledModel>), ServeError> {
-        let name = need_str(req, "model")?;
+        self.lookup(need_str(req, "model")?)
+    }
+
+    /// Resolves model `name` and the shard that owns it.
+    fn lookup(&self, name: &str) -> Result<(&Shard, Arc<CompiledModel>), ServeError> {
         let shard = self.shard_for(name);
         let model = shard
             .registry()
@@ -482,6 +516,20 @@ impl Server {
                 name: name.to_string(),
             })?;
         Ok((shard, model))
+    }
+
+    /// The `max_batch_points` guard, checked before anything sized by the
+    /// point count is allocated.
+    fn check_batch_len(&self, count: usize) -> Result<(), ServeError> {
+        if count > self.config.max_batch_points {
+            return Err(ServeError::BadRequest {
+                what: format!(
+                    "batch has {count} points, limit is {}",
+                    self.config.max_batch_points
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn cmd_load(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
@@ -568,7 +616,7 @@ impl Server {
         deadline: Option<(Instant, u64)>,
         clock: &mut StageClock,
         shard_used: &mut Option<usize>,
-    ) -> Result<Vec<(&'static str, Content)>, ServeError> {
+    ) -> Result<BatchResults, ServeError> {
         let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
         *shard_used = Some(shard.id());
         let values = point_from(
@@ -578,42 +626,41 @@ impl Server {
             "'values'",
         )?;
         let kind = output_kind(req)?;
-        let outcome = clock.time(Stage::Eval, || {
-            shard.evaluate(
-                Arc::clone(&model),
-                Arc::new(vec![values]),
+        let results = clock.time(Stage::Eval, || {
+            shard.evaluate_columns(
+                model,
+                Arc::new(PointColumns::from_point(values)),
                 kind,
                 deadline.map(|(at, _)| at),
                 Some(1),
             )
         })?;
-        clock.time(Stage::Degrade, || self.record_outcome(&outcome));
-        let mut results = outcome.results;
-        let result = results.pop().ok_or_else(|| ServeError::Internal {
-            what: "batch engine returned no result for a single-point request".into(),
-        })?;
-        match result {
-            Ok(v) => Ok(vec![("result", encode::point_value_content(&v))]),
-            Err(_) if outcome.deadline_exceeded => Err(ServeError::DeadlineExceeded {
+        clock.time(Stage::Degrade, || self.record_outcome(&results));
+        match results.error(0) {
+            None => Ok(results),
+            Some(_) if results.deadline_exceeded => Err(ServeError::DeadlineExceeded {
                 deadline_ms: deadline.map_or(0, |(_, ms)| ms),
             }),
-            Err(e) => Err(ServeError::Point(e)),
+            Some(e) => Err(ServeError::Point(e.clone())),
         }
     }
 
-    /// Folds a batch outcome's health counters into the server stats.
-    fn record_outcome(&self, outcome: &crate::batch::BatchOutcome) {
-        if outcome.panics_caught > 0 {
-            self.stats.record_panics_caught(outcome.panics_caught);
+    /// Folds a batch's health counters into the server stats.
+    fn record_outcome(&self, results: &BatchResults) {
+        if results.panics_caught > 0 {
+            self.stats.record_panics_caught(results.panics_caught);
         }
-        if outcome.degraded_points > 0 {
-            self.stats.record_degradations(outcome.degraded_points);
+        if results.degraded_points > 0 {
+            self.stats.record_degradations(results.degraded_points);
         }
-        if outcome.deadline_exceeded {
+        if results.deadline_exceeded {
             self.stats.record_deadline_exceeded();
         }
     }
 
+    /// A JSON `batch` request: the `points` array is validated and
+    /// copied into columns (charged to `parse`), then evaluated like any
+    /// other batch.
     fn cmd_batch(
         &self,
         req: &Content,
@@ -630,47 +677,82 @@ impl Server {
                 .ok_or_else(|| ServeError::BadRequest {
                     what: "missing 'points' array of arrays".into(),
                 })?;
-        if raw_points.len() > self.config.max_batch_points {
-            return Err(ServeError::BadRequest {
-                what: format!(
-                    "batch has {} points, limit is {}",
-                    raw_points.len(),
-                    self.config.max_batch_points
-                ),
-            });
-        }
-        let points: Vec<Vec<f64>> = raw_points
-            .iter()
-            .map(|p| point_from(p, "each point"))
-            .collect::<Result<_, _>>()?;
+        self.check_batch_len(raw_points.len())?;
+        let points = clock.time(Stage::Parse, || {
+            columns_from(raw_points, model.symbols().len())
+        })?;
         let kind = output_kind(req)?;
-        // The binary frame carries a fixed number of f64 columns per
-        // point, derived from the output kind before any evaluation.
-        let cols = match (&kind, encoding) {
-            (BatchOutput::Rom, WireEncoding::BinaryV1) => {
-                return Err(ServeError::BadRequest {
-                    what: "kind 'rom' has no fixed-width binary layout; \
-                           use \"encoding\":\"ndjson\""
-                        .into(),
-                })
-            }
-            (BatchOutput::Rom, _) => 0,
-            (BatchOutput::Moments, _) => 2 * model.order(),
-            (BatchOutput::DcGain, _) => 1,
-            (BatchOutput::Delays, _) => 4,
-            (BatchOutput::Step { times }, _) => times.len(),
-        };
         let workers = req
             .get("workers")
             .and_then(Content::as_u64)
             .map(|v| (v as usize).max(1));
+        self.run_batch(
+            shard, model, points, kind, workers, deadline, clock, encoding,
+        )
+    }
+
+    /// A binary-v1 frame's batch: the payload is copied into columns
+    /// only once the model is resolved and the point count is within
+    /// `max_batch_points`; validation and error precedence match
+    /// [`Server::cmd_batch`] on the equivalent JSON request.
+    fn frame_batch(
+        &self,
+        req: FrameRequest<'_>,
+        deadline: Option<(Instant, u64)>,
+        clock: &mut StageClock,
+        shard_used: &mut Option<usize>,
+    ) -> Result<BatchBody, ServeError> {
+        let (shard, model) = clock.time(Stage::Lookup, || self.lookup(req.model))?;
+        *shard_used = Some(shard.id());
+        self.check_batch_len(req.count)?;
+        let points = clock.time(Stage::Parse, || req.columns())?;
+        if let BatchOutput::Step { times } = &req.output {
+            check_finite(times.iter().copied(), "'times'")?;
+        }
+        let workers = req.workers.map(|w| w.max(1));
+        self.run_batch(
+            shard,
+            model,
+            points,
+            req.output,
+            workers,
+            deadline,
+            clock,
+            WireEncoding::BinaryV1,
+        )
+    }
+
+    /// The batch engine's back half, shared by every batch request:
+    /// evaluation on the owning shard's pool into columnar results, then
+    /// the response head.
+    #[allow(clippy::too_many_arguments)]
+    fn run_batch(
+        &self,
+        shard: &Shard,
+        model: Arc<CompiledModel>,
+        points: PointColumns,
+        kind: BatchOutput,
+        workers: Option<usize>,
+        deadline: Option<(Instant, u64)>,
+        clock: &mut StageClock,
+        encoding: WireEncoding,
+    ) -> Result<BatchBody, ServeError> {
+        // The binary frame carries a fixed number of f64 columns per
+        // point, so the variable-width kind has no binary form.
+        if kind == BatchOutput::Rom && encoding == WireEncoding::BinaryV1 {
+            return Err(ServeError::BadRequest {
+                what: "kind 'rom' has no fixed-width binary layout; \
+                       use \"encoding\":\"ndjson\""
+                    .into(),
+            });
+        }
         let n_points = points.len();
         let t0 = Instant::now();
-        let outcome = clock.time(Stage::Eval, || {
-            shard.evaluate(
-                Arc::clone(&model),
+        let results = clock.time(Stage::Eval, || {
+            shard.evaluate_columns(
+                model,
                 Arc::new(points),
-                kind.clone(),
+                kind,
                 deadline.map(|(at, _)| at),
                 workers,
             )
@@ -678,8 +760,8 @@ impl Server {
         let elapsed = t0.elapsed();
         let ok_count = clock.time(Stage::Degrade, || {
             self.stats.record_batch(n_points, elapsed);
-            self.record_outcome(&outcome);
-            outcome.results.iter().filter(|r| r.is_ok()).count()
+            self.record_outcome(&results);
+            results.ok_count()
         });
         let secs = elapsed.as_secs_f64();
         let mut head = vec![
@@ -695,20 +777,19 @@ impl Server {
                 }),
             ),
         ];
-        if outcome.deadline_exceeded {
+        if results.deadline_exceeded {
             head.push(("deadline_exceeded", Content::Bool(true)));
         }
         Ok(BatchBody {
             head,
-            // Filled from the request envelope by `handle_line_into` so
+            // Filled from the request envelope by `respond` so
             // correlation survives the binary frame too.
             id: None,
-            cols,
             ok_count: ok_count as u64,
             elapsed_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            deadline_exceeded: outcome.deadline_exceeded,
+            deadline_exceeded: results.deadline_exceeded,
             deadline,
-            results: outcome.results,
+            results,
         })
     }
 
@@ -832,9 +913,11 @@ impl Server {
         Some(self.finish_request(req, WireEncoding::Ndjson, t0, clock, out))
     }
 
-    /// Handles a request that was already decoded off the wire — the
-    /// binary-v1 *request* frame path, where the transport turns the
-    /// frame into the request [`Content`] before entering the engine.
+    /// Handles a request that was already decoded into a [`Content`]
+    /// tree — the reference path for binary-v1 *request* frames
+    /// (`awesym_net::decode_request` builds the tree the equivalent JSON
+    /// line parses to), and how the transport answers a message it could
+    /// not decode at all.
     ///
     /// `decode` is the externally measured `(start_ns, dur_ns)` of that
     /// decode; it is credited to the `parse` stage so the per-stage
@@ -860,8 +943,52 @@ impl Server {
         self.finish_request(req, req_encoding, t0, clock, out)
     }
 
-    /// The shared back half of request handling: dispatch, envelope,
-    /// encode, and accounting for an already-parsed request.
+    /// Handles a typed binary-v1 request frame — the socket path for
+    /// `AWSQ` frames, which never builds a JSON tree: the payload goes
+    /// from the receive buffer into the request columns, through the
+    /// lane kernel into the result columns, and out as an `AWSB` frame.
+    ///
+    /// `decode` is the transport's measured frame decode, charged to
+    /// `parse` (as is the payload copy). A decode failure is passed in
+    /// as `Err` and answered with the typed NDJSON error envelope. For
+    /// every frame `awesym_net::decode_request` accepts, the response
+    /// bytes equal [`Server::handle_decoded_into`] on its tree, timing
+    /// fields aside.
+    pub fn handle_frame_into(
+        &self,
+        req: Result<FrameRequest<'_>, ServeError>,
+        decode: Option<(u64, u64)>,
+        out: &mut Vec<u8>,
+    ) -> ResponseMeta {
+        let t0 = Instant::now();
+        let mut clock = StageClock::new(self.config.observe);
+        if let Some((start, dur)) = decode {
+            clock.charge(Stage::Parse, start, dur);
+        }
+        let mut shard_used = None;
+        let (id, outcome) = match req {
+            Ok(mut req) => {
+                let id = req.id.take().unwrap_or(Content::Null);
+                let deadline = self.deadline_at(req.deadline_ms, t0);
+                let outcome = self.admit().and_then(|_slot| {
+                    self.frame_batch(req, deadline, &mut clock, &mut shard_used)
+                        .map(Reply::Batch)
+                });
+                (id, outcome)
+            }
+            Err(e) => (Content::Null, Err(e)),
+        };
+        let reply = Replied {
+            id,
+            outcome,
+            encoding: WireEncoding::BinaryV1,
+            shutdown: false,
+            shard_used,
+        };
+        self.respond(reply, WireEncoding::BinaryV1, t0, clock, out)
+    }
+
+    /// Dispatches an already-parsed request, then [`Server::respond`]s.
     /// `req_encoding` is the encoding the *request* arrived in (used
     /// only to label the parse-stage split).
     fn finish_request(
@@ -883,7 +1010,7 @@ impl Server {
         let outcome: Result<Reply, ServeError> = req.and_then(|req| {
             encoding = encode::negotiate(&req)?;
             let cmd = need_str(&req, "cmd")?.to_string();
-            let deadline = self.deadline_of(&req, t0);
+            let deadline = self.deadline_at(req.get("deadline_ms").and_then(Content::as_u64), t0);
             if encoding == WireEncoding::BinaryV1 && cmd != "batch" {
                 return Err(ServeError::BadRequest {
                     what: format!("encoding 'binary-v1' only applies to cmd 'batch' (got '{cmd}')"),
@@ -901,7 +1028,7 @@ impl Server {
                 "eval" => {
                     let _slot = self.admit()?;
                     self.cmd_eval(&req, deadline, &mut clock, &mut shard_used)
-                        .map(Reply::Fields)
+                        .map(Reply::Point)
                 }
                 "batch" => {
                     let _slot = self.admit()?;
@@ -923,6 +1050,33 @@ impl Server {
                 }),
             }
         });
+        let reply = Replied {
+            id,
+            outcome,
+            encoding,
+            shutdown,
+            shard_used,
+        };
+        self.respond(reply, req_encoding, t0, clock, out)
+    }
+
+    /// The shared back half of request handling: envelope, encode, and
+    /// accounting for a dispatched request.
+    fn respond(
+        &self,
+        reply: Replied,
+        req_encoding: WireEncoding,
+        t0: Instant,
+        mut clock: StageClock,
+        out: &mut Vec<u8>,
+    ) -> ResponseMeta {
+        let Replied {
+            id,
+            outcome,
+            mut encoding,
+            shutdown,
+            shard_used,
+        } = reply;
         let mut ok = outcome.is_ok();
         let mut envelope = vec![("ok", Content::Bool(ok))];
         if !id.is_null() {
@@ -935,6 +1089,13 @@ impl Server {
                 encoding = WireEncoding::Ndjson;
                 envelope.extend(extra);
                 ResponseBody::Fields(envelope)
+            }
+            Ok(Reply::Point(result)) => {
+                encoding = WireEncoding::Ndjson;
+                ResponseBody::Point {
+                    head: envelope,
+                    result,
+                }
             }
             Ok(Reply::Batch(mut b)) => {
                 envelope.append(&mut b.head);

@@ -28,12 +28,13 @@
 //! the chaos harness and `bench_gate` read cross-shard interference
 //! directly from stats.
 //!
-//! The per-point panic guard in [`crate::evaluate_batch`] already
+//! The per-point panic guard in the batch engine already
 //! isolates *point* failures; this layer isolates *model/worker*
 //! failures (a model whose tape replay reliably dies, a poisoned
 //! evaluator) to the shard that owns them.
 
 use crate::batch::{BatchOutcome, BatchOutput};
+use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
 use crate::error::ServeError;
 use crate::pool::{PoolConfig, WorkerPool};
 use crate::registry::{ModelRegistry, RegistryStats};
@@ -558,9 +559,9 @@ impl Shard {
         Ok(DepthGuard { shard: self })
     }
 
-    /// Evaluates a batch on this shard's pool, with admission control
-    /// and breaker accounting. The model must already be resolved (the
-    /// caller counts lookup time separately).
+    /// Row-major adapter over [`Shard::evaluate_columns`]: the points are
+    /// copied into columns on the way in and the results split back into
+    /// per-point values on the way out.
     pub fn evaluate(
         &self,
         model: Arc<CompiledModel>,
@@ -569,12 +570,31 @@ impl Shard {
         deadline: Option<Instant>,
         max_workers: Option<usize>,
     ) -> Result<BatchOutcome, ServeError> {
+        let columns = PointColumns::from_rows(&points, model.symbols().len());
+        self.evaluate_columns(model, Arc::new(columns), output, deadline, max_workers)
+            .map(BatchResults::into_outcome)
+    }
+
+    /// Evaluates a columnar batch on this shard's pool, with admission
+    /// control and breaker accounting. The model must already be resolved
+    /// (the caller counts lookup time separately).
+    pub fn evaluate_columns(
+        &self,
+        model: Arc<CompiledModel>,
+        points: Arc<PointColumns>,
+        output: BatchOutput,
+        deadline: Option<Instant>,
+        max_workers: Option<usize>,
+    ) -> Result<BatchResults, ServeError> {
+        // Refused before admission, so an oversized batch never holds a
+        // queue slot or a half-open breaker's probe.
+        check_result_size(points.len(), result_cols(&output, &model))?;
         let _depth = self.admit()?;
         let deaths_before = self.pool.deaths();
         let restarts_before = self.pool.restarts();
         let outcome = self
             .pool
-            .run_batch(model, points, output, deadline, max_workers);
+            .run_batch(model, points, output, deadline, max_workers)?;
         let deaths = self.pool.deaths() - deaths_before;
         let restarts = self.pool.restarts() - restarts_before;
         if restarts > 0 {

@@ -48,6 +48,14 @@ pub enum BatchShapeError {
         /// `points.len() * n_outputs()`.
         expected: usize,
     },
+    /// A column-major input slice holds `got` values; `expected` are
+    /// needed (or its stride is shorter than the point count).
+    InputLen {
+        /// Slice length supplied.
+        got: usize,
+        /// Values the strided columns span.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for BatchShapeError {
@@ -63,6 +71,9 @@ impl fmt::Display for BatchShapeError {
             ),
             BatchShapeError::OutputLen { got, expected } => {
                 write!(f, "output slice holds {got} values, {expected} needed")
+            }
+            BatchShapeError::InputLen { got, expected } => {
+                write!(f, "input columns hold {got} values, {expected} needed")
             }
         }
     }
@@ -104,9 +115,16 @@ impl AffineTail {
 
     #[inline]
     fn eval_row(&self, i: usize, vals: &[f64]) -> f64 {
+        self.eval_row_with(i, |j| vals[j])
+    }
+
+    /// Row `i` with input `j` read through `x` (the lane driver reads it
+    /// from the register file's input region).
+    #[inline]
+    fn eval_row_with(&self, i: usize, x: impl Fn(usize) -> f64) -> f64 {
         let mut acc = self.base[i];
-        for ((&j, &x), &x0) in self.jac[i].iter().zip(vals).zip(&self.x0) {
-            acc += j * (x - x0);
+        for (j, (&jac, &x0)) in self.jac[i].iter().zip(&self.x0).enumerate() {
+            acc += jac * (x(j) - x0);
         }
         acc
     }
@@ -117,8 +135,10 @@ impl AffineTail {
 ///
 /// The evaluator owns its register file, so evaluation takes `&self` and
 /// allocates nothing per point. It is `Send` but not `Sync`: create one
-/// per worker thread (they are cheap — one `Vec` of `n_regs` doubles,
-/// plus a lazily-built `LanePlan` on the first batch call).
+/// per worker thread (they are cheap — one `Vec` of `n_regs` doubles;
+/// the `LanePlan` is built on the first batch call, and
+/// [`Evaluator::eval_columns`] keeps its lane register file from its
+/// first call on).
 ///
 /// ```
 /// use awesym_symbolic::ExprGraph;
@@ -140,6 +160,54 @@ pub struct Evaluator<'m> {
     /// The lane lowering of `fun`'s tape, built on the first batch call
     /// (per-point callers never pay for it).
     plan: OnceCell<LanePlan>,
+    /// The column-major entry's lane register file, kept across calls so
+    /// a caller that feeds the kernel in small strides (the serve
+    /// engine's 32-point deadline checks) allocates and splats the const
+    /// pool once.
+    lanes: RefCell<LaneFile>,
+}
+
+/// An evaluator's lane register file plus the row buffers the
+/// column-major scalar tail gathers into. Empty until the first batch
+/// call that needs it.
+#[derive(Debug, Default)]
+struct LaneFile {
+    backing: Vec<f64>,
+    /// Start of the 64-byte-aligned register file inside `backing`.
+    off: usize,
+    /// Block size the const pool is splatted for; 0 before the first
+    /// lane call.
+    block: usize,
+    point: Vec<f64>,
+    row: Vec<f64>,
+}
+
+impl LaneFile {
+    /// The register file for `B`-point blocks of `plan`, allocated and
+    /// const-splatted on first use (or when the block size changes).
+    ///
+    /// The file is 64-byte aligned. `Vec<f64>` only guarantees 8-byte
+    /// alignment, and when the base lands mid-cache-line every tile
+    /// load/store in the replay straddles two lines — a silent
+    /// per-process penalty (≈20 % on the bundled workloads) that comes
+    /// and goes with allocator layout. `align_offset` keeps this in safe
+    /// code: over-allocate one cache line and start at the first aligned
+    /// element (offset 0 if the implementation ever declines to compute
+    /// one). Replay writes only runtime-register slots, so the const pool
+    /// stays valid across calls.
+    fn regs<const B: usize>(&mut self, plan: &LanePlan) -> &mut [f64] {
+        let n_slots = plan.n_slots() * B;
+        if self.block != B {
+            self.backing = vec![0.0; n_slots + 8];
+            self.off = match self.backing.as_ptr().align_offset(64) {
+                o if o <= 8 => o,
+                _ => 0,
+            };
+            plan.init_consts::<B>(&mut self.backing[self.off..self.off + n_slots]);
+            self.block = B;
+        }
+        &mut self.backing[self.off..self.off + n_slots]
+    }
 }
 
 impl<'m> Evaluator<'m> {
@@ -152,6 +220,7 @@ impl<'m> Evaluator<'m> {
             tail,
             scratch: RefCell::new(vec![0.0; fun.tape().n_regs()]),
             plan: OnceCell::new(),
+            lanes: RefCell::new(LaneFile::default()),
         }
     }
 
@@ -267,14 +336,14 @@ impl<'m> Evaluator<'m> {
         // Sampled profiling: the whole batch counts as one call, so the
         // per-op tally is one tape walk scaled by the point count.
         let t0 = profile::SAMPLER.sample().then(Instant::now);
+        let n_out = self.n_outputs();
         let full = match width {
             LaneWidth::Scalar => 0,
-            LaneWidth::W4 => self.eval_blocks::<16>(points, out, muladd),
-            LaneWidth::W8 => self.eval_blocks::<32>(points, out, muladd),
+            LaneWidth::W4 => self.eval_rows::<16>(points, out, muladd),
+            LaneWidth::W8 => self.eval_rows::<32>(points, out, muladd),
         };
         // Scalar tail: remainder points (or the whole batch at width 1)
         // take the per-point path, which is bit-identical in exact mode.
-        let n_out = self.n_outputs();
         for (p, row) in points[full..]
             .iter()
             .zip(out[full * n_out..].chunks_exact_mut(n_out))
@@ -283,6 +352,79 @@ impl<'m> Evaluator<'m> {
         }
         if let Some(t0) = t0 {
             profile::record(self.fun.tape(), points.len(), t0.elapsed());
+        }
+        Ok(())
+    }
+
+    /// Evaluates `count` points held column-major — symbol `s` of point
+    /// `i` is `input[s * in_stride + i]` — writing output `k` of point
+    /// `i` to `out[k * out_stride + i]`. The strides let a caller run a
+    /// sub-range of a larger column-major batch in place: the serve
+    /// engine passes its request buffer and result buffer offset to the
+    /// first point of each deadline stride.
+    ///
+    /// Runs the same lane kernel and block driver as
+    /// [`Evaluator::eval_batch`] at the configured width, so results are
+    /// bit-identical to per-point [`Evaluator::eval_into`]. The register
+    /// file and const pool are built on the first call and reused by
+    /// later ones.
+    ///
+    /// # Errors
+    ///
+    /// [`BatchShapeError::InputLen`] / [`BatchShapeError::OutputLen`]
+    /// when a stride is shorter than `count` or a slice cannot hold every
+    /// column; nothing is evaluated on error.
+    pub fn eval_columns(
+        &self,
+        input: &[f64],
+        in_stride: usize,
+        count: usize,
+        out: &mut [f64],
+        out_stride: usize,
+    ) -> Result<(), BatchShapeError> {
+        let span = |cols: usize, stride: usize| match cols {
+            0 => 0,
+            c => (c - 1) * stride + count,
+        };
+        let (need_in, need_out) = (
+            span(self.n_inputs(), in_stride),
+            span(self.n_outputs(), out_stride),
+        );
+        if in_stride < count || input.len() < need_in {
+            return Err(BatchShapeError::InputLen {
+                got: input.len(),
+                expected: need_in.max(count),
+            });
+        }
+        if out_stride < count || out.len() < need_out {
+            return Err(BatchShapeError::OutputLen {
+                got: out.len(),
+                expected: need_out.max(count),
+            });
+        }
+        let t0 = profile::SAMPLER.sample().then(Instant::now);
+        let full = match configured_lane_width() {
+            LaneWidth::Scalar => 0,
+            LaneWidth::W4 => self.eval_cols::<16>(input, in_stride, count, out, out_stride),
+            LaneWidth::W8 => self.eval_cols::<32>(input, in_stride, count, out, out_stride),
+        };
+        if full < count {
+            let mut file = self.lanes.borrow_mut();
+            let LaneFile { point, row, .. } = &mut *file;
+            point.resize(self.n_inputs(), 0.0);
+            row.resize(self.n_outputs(), 0.0);
+            for i in full..count {
+                for (s, x) in point.iter_mut().enumerate() {
+                    *x = input[s * in_stride + i];
+                }
+                self.eval_into(point, row);
+                for (k, &v) in row.iter().enumerate() {
+                    out[k * out_stride + i] = v;
+                }
+            }
+        }
+        if let Some(t0) = t0 {
+            profile::record(self.fun.tape(), count, t0.elapsed());
         }
         Ok(())
     }
@@ -359,64 +501,108 @@ impl<'m> Evaluator<'m> {
         Ok(())
     }
 
-    /// Runs all full `B`-point blocks through the lane kernel with
-    /// double-buffered input loading and returns how many points were
-    /// covered (a multiple of `B`; the caller owns the scalar tail).
+    /// Row-major front of the block driver: block rows are transposed
+    /// into the input region, outputs scattered into point rows.
     ///
-    /// Block `k + 1`'s point rows are transposed into the inactive input
-    /// region *before* block `k` replays, so the next block's gather
-    /// loads overlap the current block's arithmetic chain instead of
-    /// serializing after it (runtime registers are phase-shared — only
-    /// the input regions ping/pong — which is safe because loads touch
-    /// nothing but the inactive input region).
-    fn eval_blocks<const B: usize>(
+    /// Its register file lives for one call. Row-major callers hand the
+    /// kernel whole batches, and some (the timing engine) keep hundreds
+    /// of evaluators alive at once, where a kept file per evaluator would
+    /// only add resident memory.
+    fn eval_rows<const B: usize>(
         &self,
         points: &[Vec<f64>],
         out: &mut [f64],
         muladd: MulAddMode,
     ) -> usize {
-        let full = points.len() / B * B;
+        let n_out = self.n_outputs();
+        self.eval_blocks::<B>(
+            &mut LaneFile::default(),
+            points.len(),
+            muladd,
+            |plan, phase, p0, regs| plan.load_inputs::<B>(phase, &points[p0..p0 + B], regs),
+            |p0, k, tile| {
+                for (l, &v) in tile.iter().enumerate() {
+                    out[(p0 + l) * n_out + k] = v;
+                }
+            },
+        )
+    }
+
+    /// Column-major front of the block driver: each symbol's block is one
+    /// contiguous copy in, each output's block one contiguous copy out.
+    fn eval_cols<const B: usize>(
+        &self,
+        input: &[f64],
+        in_stride: usize,
+        count: usize,
+        out: &mut [f64],
+        out_stride: usize,
+    ) -> usize {
+        self.eval_blocks::<B>(
+            &mut self.lanes.borrow_mut(),
+            count,
+            configured_muladd_mode(),
+            |plan, phase, p0, regs| {
+                for (s, slot) in plan.input_slots(phase).enumerate() {
+                    regs[slot * B..(slot + 1) * B]
+                        .copy_from_slice(&input[s * in_stride + p0..][..B]);
+                }
+            },
+            |p0, k, tile| out[k * out_stride + p0..][..B].copy_from_slice(tile),
+        )
+    }
+
+    /// The block driver: runs all full `B`-point blocks of an `n`-point
+    /// batch through the lane kernel, in `file`'s register file, and
+    /// returns how many points were covered (a multiple of `B`; the
+    /// caller owns the scalar tail).
+    /// `load(plan, phase, p0, regs)` fills `phase`'s input region with
+    /// block `p0`; `store(p0, k, tile)` receives output `k` of the block
+    /// (tape outputs first, then affine-tail rows).
+    ///
+    /// Inputs are double-buffered: block `k + 1` is loaded into the
+    /// inactive input region *before* block `k` replays, so the next
+    /// block's loads overlap the current block's arithmetic chain instead
+    /// of serializing after it (runtime registers are phase-shared — only
+    /// the input regions ping/pong — which is safe because loads touch
+    /// nothing but the inactive input region).
+    fn eval_blocks<const B: usize>(
+        &self,
+        file: &mut LaneFile,
+        n: usize,
+        muladd: MulAddMode,
+        mut load: impl FnMut(&LanePlan, Phase, usize, &mut [f64]),
+        mut store: impl FnMut(usize, usize, &[f64; B]),
+    ) -> usize {
+        let full = n / B * B;
         if full == 0 {
             return 0;
         }
         let plan = self.plan.get_or_init(|| {
             LanePlan::new(self.fun.tape(), self.fun.output_regs(), self.fun.n_syms())
         });
-        let n_out = self.n_outputs();
-        let k = self.fun.n_outputs();
-        // 64-byte-align the lane register file. `Vec<f64>` only
-        // guarantees 8-byte alignment, and when the base lands
-        // mid-cache-line every tile load/store in the replay straddles
-        // two lines — a silent per-process penalty (≈20 % on the bundled
-        // workloads) that comes and goes with allocator layout.
-        // `align_offset` keeps this in safe code: over-allocate one
-        // cache line and start at the first aligned element (offset 0 if
-        // the implementation ever declines to compute one).
-        let n_slots = plan.n_slots() * B;
-        let mut backing = vec![0.0; n_slots + 8];
-        let off = match backing.as_ptr().align_offset(64) {
-            o if o <= 8 => o,
-            _ => 0,
-        };
-        let regs = &mut backing[off..off + n_slots];
-        plan.init_consts::<B>(regs);
+        let k_tape = self.fun.n_outputs();
+        let regs = file.regs::<B>(plan);
         let mut phase = Phase::Ping;
-        plan.load_inputs::<B>(phase, &points[..B], regs);
+        load(plan, phase, 0, regs);
         for p0 in (0..full).step_by(B) {
             if p0 + B < full {
-                plan.load_inputs::<B>(phase.other(), &points[p0 + B..p0 + 2 * B], regs);
+                load(plan, phase.other(), p0 + B, regs);
             }
             plan.replay::<B>(phase, regs, muladd);
-            let outs = plan.outputs(phase);
-            for lane in 0..B {
-                let row = &mut out[(p0 + lane) * n_out..(p0 + lane + 1) * n_out];
-                for (o, &slot) in row[..k].iter_mut().zip(outs) {
-                    *o = regs[slot as usize * B + lane];
-                }
-                if let Some(t) = &self.tail {
-                    for (i, o) in row[k..].iter_mut().enumerate() {
-                        *o = t.eval_row(i, &points[p0 + lane]);
-                    }
+            for (k, &slot) in plan.outputs(phase).iter().enumerate() {
+                let o = slot as usize * B;
+                store(p0, k, (&regs[o..o + B]).try_into().expect("B-lane tile"));
+            }
+            if let Some(t) = &self.tail {
+                // Tail rows read the block's inputs straight from the
+                // input region, in the same operand order as `eval_row`.
+                let x0 = plan.input_slots(phase).start * B;
+                let x = &regs[x0..x0 + self.fun.n_syms() * B];
+                for i in 0..t.rows() {
+                    let tile: [f64; B] =
+                        std::array::from_fn(|l| t.eval_row_with(i, |j| x[j * B + l]));
+                    store(p0, k_tape + i, &tile);
                 }
             }
             phase = phase.other();
@@ -587,6 +773,47 @@ mod tests {
         ev.eval_batch(&points, &mut batch);
         for (i, p) in points.iter().enumerate() {
             assert_eq!(&batch[i * 3..i * 3 + 3], &ev.eval(p)[..]);
+        }
+    }
+
+    #[test]
+    fn eval_columns_matches_single_point_on_strided_ranges() {
+        let f = demo_fn();
+        let tail = AffineTail::new(
+            vec![0.5, -2.0],
+            vec![vec![1.0, -0.25, 3.0], vec![0.0, 2.0, -1.5]],
+            vec![1.0, 1.0, 2.0],
+        );
+        for ev in [f.evaluator(), f.evaluator_with_tail(tail)] {
+            let (n_in, n_out) = (ev.n_inputs(), ev.n_outputs());
+            let points = demo_points(101);
+            let n = points.len();
+            let cols: Vec<f64> = (0..n_in)
+                .flat_map(|s| points.iter().map(move |p| p[s]))
+                .collect();
+            // Sub-ranges of the batch in place, in stride-sized calls that
+            // reuse one register file, plus a scalar tail at the end.
+            let mut out = vec![f64::NAN; n_out * n];
+            for (start, len) in [(0, 32), (32, 32), (64, 37)] {
+                ev.eval_columns(&cols[start..], n, len, &mut out[start..], n)
+                    .unwrap();
+            }
+            for (i, p) in points.iter().enumerate() {
+                let want = ev.eval(p);
+                for (k, w) in want.iter().enumerate() {
+                    assert_eq!(out[k * n + i].to_bits(), w.to_bits(), "point {i} out {k}");
+                }
+            }
+            // Short slices and strides are typed errors.
+            let mut short = vec![0.0; n_out * n - 1];
+            assert!(matches!(
+                ev.eval_columns(&cols, n, n, &mut short, n),
+                Err(BatchShapeError::OutputLen { .. })
+            ));
+            assert!(matches!(
+                ev.eval_columns(&cols, n - 1, n, &mut out, n),
+                Err(BatchShapeError::InputLen { .. })
+            ));
         }
     }
 

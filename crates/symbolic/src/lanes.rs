@@ -368,6 +368,18 @@ impl LanePlan {
         }
     }
 
+    /// Slot range of `phase`'s input region: symbol `s`'s lanes live in
+    /// slot `start + s`.
+    pub(crate) fn input_slots(&self, phase: Phase) -> std::ops::Range<usize> {
+        let base = self.n_regs
+            + self.consts.len()
+            + match phase {
+                Phase::Ping => 0,
+                Phase::Pong => self.n_syms,
+            };
+        base..base + self.n_syms
+    }
+
     /// Transposes a full block of `B` point rows into `phase`'s input
     /// region (column-major: symbol `s`, lane `l` at `in_base + s` slot,
     /// offset `l`).
@@ -378,12 +390,7 @@ impl LanePlan {
         regs: &mut [f64],
     ) {
         debug_assert_eq!(points.len(), B);
-        let base = self.n_regs
-            + self.consts.len()
-            + match phase {
-                Phase::Ping => 0,
-                Phase::Pong => self.n_syms,
-            };
+        let base = self.input_slots(phase).start;
         for (l, p) in points.iter().enumerate() {
             for (s, &x) in p.iter().enumerate() {
                 regs[(base + s) * B + l] = x;
