@@ -1,5 +1,6 @@
-//! Serving-runtime benchmark: single-point evaluation vs. `evaluate_batch`
-//! throughput at 1/2/4/8 workers on the Table 1 workloads.
+//! Serving-runtime benchmark: single-point evaluation vs. batch
+//! throughput on a persistent `WorkerPool` at 1/2/4/8 workers on the
+//! Table 1 workloads.
 //!
 //! ```text
 //! cargo run --release -p awesym-bench --bin serve_bench
@@ -12,8 +13,7 @@
 
 use awesym_bench::{lines_workload, opamp_workload, time_median};
 use awesym_serve::{
-    decode_frame, evaluate_batch, BatchOutput, PointColumns, PoolConfig, Server, ServerConfig,
-    WorkerPool,
+    decode_frame, BatchOutput, PointColumns, PoolConfig, Server, ServerConfig, WorkerPool,
 };
 use awesymbolic::CompiledModel;
 use std::fmt::Write as _;
@@ -57,6 +57,42 @@ struct CaseResult {
     batch: Vec<(usize, f64)>,
 }
 
+/// Median seconds per `moments` batch of `points` on a fresh pool of
+/// `workers` threads. A warm-up pass parks every worker on the queue
+/// before timing, so no rep pays thread spawn.
+fn time_pool(
+    model: &Arc<CompiledModel>,
+    points: &Arc<PointColumns>,
+    workers: usize,
+    reps: usize,
+) -> f64 {
+    let pool = WorkerPool::new(
+        0,
+        PoolConfig {
+            workers,
+            ..PoolConfig::default()
+        },
+    );
+    let run = || {
+        pool.run_batch(
+            Arc::clone(model),
+            Arc::clone(points),
+            BatchOutput::Moments,
+            None,
+            None,
+        )
+        .expect("batch within the result limit")
+    };
+    assert_eq!(
+        run().ok_count(),
+        points.len(),
+        "pool batch failed at {workers} workers"
+    );
+    time_median(reps, || {
+        std::hint::black_box(run().len());
+    })
+}
+
 fn run_case(case: &Case, reps: usize) -> CaseResult {
     let n = case.points.len();
     // Serial baseline: one `eval_moments` call per point, fresh allocation
@@ -66,16 +102,14 @@ fn run_case(case: &Case, reps: usize) -> CaseResult {
             std::hint::black_box(case.model.eval_moments(p));
         }
     });
+    let model = Arc::new(case.model.clone());
+    let points = Arc::new(PointColumns::from_rows(
+        &case.points,
+        case.model.symbols().len(),
+    ));
     let batch = WORKER_COUNTS
         .iter()
-        .map(|&w| {
-            let secs = time_median(reps, || {
-                let out = evaluate_batch(&case.model, &case.points, &BatchOutput::Moments, Some(w));
-                assert!(out.iter().all(Result::is_ok), "batch eval failed");
-                std::hint::black_box(out);
-            });
-            (w, secs)
-        })
+        .map(|&w| (w, time_pool(&model, &points, w, reps)))
         .collect();
     println!(
         "{}: {n} points, serial {:.1} ms",
@@ -228,11 +262,9 @@ struct PoolResult {
 }
 
 /// Times a 1200-point batch through the persistent `WorkerPool` at each
-/// worker count, against the same pool's own 1-worker time. Unlike the
-/// per-case `evaluate_batch` numbers (which pay thread spawn per batch),
-/// this measures the steady-state fleet path: workers stay parked on the
-/// queue between batches, so the speedup curve is what a serving shard
-/// actually sees. `host_cpus` is recorded so the gate can apply a
+/// worker count, against the same pool's own 1-worker time: workers stay
+/// parked on the queue between batches, so the speedup curve is what a
+/// serving shard actually sees. `host_cpus` is recorded so the gate can apply a
 /// core-count-aware scaling floor instead of demanding 4x from a laptop.
 fn run_pool_scaling(model: &CompiledModel, reps: usize) -> PoolResult {
     let batch_points = 1200usize;
@@ -245,40 +277,7 @@ fn run_pool_scaling(model: &CompiledModel, reps: usize) -> PoolResult {
     let mut runs: Vec<PoolRun> = Vec::new();
     let mut base_secs = f64::NAN;
     for &w in &WORKER_COUNTS {
-        let pool = WorkerPool::new(
-            0,
-            PoolConfig {
-                workers: w,
-                ..PoolConfig::default()
-            },
-        );
-        // Warm-up pass parks every worker on the queue before timing.
-        let warm = pool
-            .run_batch(
-                Arc::clone(&model),
-                Arc::clone(&points),
-                BatchOutput::Moments,
-                None,
-                None,
-            )
-            .expect("batch within the result limit");
-        assert_eq!(
-            warm.ok_count(),
-            batch_points,
-            "pool batch failed at {w} workers"
-        );
-        let secs = time_median(reps, || {
-            let out = pool
-                .run_batch(
-                    Arc::clone(&model),
-                    Arc::clone(&points),
-                    BatchOutput::Moments,
-                    None,
-                    None,
-                )
-                .expect("batch within the result limit");
-            std::hint::black_box(out.len());
-        });
+        let secs = time_pool(&model, &points, w, reps);
         if w == 1 {
             base_secs = secs;
         }

@@ -131,11 +131,11 @@ struct SimdResult {
 }
 
 /// Times the scalar SoA reference against the lane kernel at widths 4
-/// and 8 (exact mul-add mode) and asserts the lane outputs bit-identical
+/// and 8 and asserts the lane outputs bit-identical
 /// to the reference. The ≥ [`MIN_SIMD_SPEEDUP`] floor applies to the
 /// faster of the two widths on the gated case only.
 fn run_simd_case(case: &Case, n_points: usize, reps: usize, gated: bool) -> SimdResult {
-    use awesym_symbolic::{LaneWidth, MulAddMode};
+    use awesym_symbolic::LaneWidth;
     let pts = make_points(&case.opt, n_points);
     let n = pts.len() as f64;
     let ev = case.opt.evaluator();
@@ -154,7 +154,7 @@ fn run_simd_case(case: &Case, n_points: usize, reps: usize, gated: bool) -> Simd
     let mut failures = Vec::new();
     let mut time_width = |width: LaneWidth| {
         let t = time_min(reps, || {
-            ev.eval_batch_lanes(&pts, &mut flat, width, MulAddMode::Exact)
+            ev.eval_batch_lanes(&pts, &mut flat, width)
                 .expect("lane shapes");
             flat[0]
         }) / n;

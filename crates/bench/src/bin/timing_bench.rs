@@ -15,9 +15,10 @@
 //! 1-core container cannot show a 4x parallel speedup, an 8-core host
 //! must).
 //!
-//! Engines are constructed once per worker count and reused across reps —
-//! the persistent-pool design means reps measure steady-state throughput,
-//! not thread/evaluator setup.
+//! Engines are constructed once per worker count and reused across reps.
+//! Every rep's run spawns and joins its own worker threads and builds its
+//! stage evaluators; the lane plans are the compiled stages' own, built
+//! once, so reps past the first pay no plan lowering.
 
 use awesym_bench::time_median;
 use awesym_timing::{ChainSpec, GateChain, McConfig, McEngine, McReport, QuantileGrid};

@@ -84,7 +84,7 @@ USAGE:
                [--order q]
                compiles a gate chain (spec file, or a uniform n-stage
                chain) and streams a Monte Carlo yield analysis through
-               the persistent-pool batch engine; NDJSON report on stdout
+               the Monte Carlo batch engine; NDJSON report on stdout
                (docs/timing.md). --samples accepts 1e7-style notation;
                --metric is elmore|d2m|two-pole; --deadline defaults to
                1.25x the nominal path delay.
@@ -529,11 +529,10 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
         shard_workers: o.shard_workers.unwrap_or(defaults.shard_workers),
         ..defaults
     });
-    // Read the lane/FMA env knobs now, on the main thread: a malformed
+    // Read the lane-width env knob now, on the main thread: a malformed
     // `AWESYM_LANES` warns on stderr, and deferring that to the first
     // batch would emit it from a worker thread mid-request.
     let _ = awesym_symbolic::configured_lane_width();
-    let _ = awesym_symbolic::configured_muladd_mode();
     if let Some(addr) = &o.listen {
         // Socket front end: same engine, TCP transport (docs/networking.md).
         let net_defaults = awesym_net::NetConfig::default();

@@ -102,8 +102,16 @@ fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
     // opens. Between jobs, poll `health` until supervision has respawned
     // at least one worker — a job run with zero live workers drains on
     // the submitter, counts as a success, and would reset the streak.
+    //
+    // The binary frame below must land inside the same open window as
+    // the refusal, or it becomes the half-open probe and gets evaluated.
+    // Health polling can end just as the cooldown runs out, so a refusal
+    // with less than `ROOM_MS` left is not the one to follow up: the next
+    // job then becomes the probe, fails, and re-opens the breaker with a
+    // doubled cooldown.
+    const ROOM_MS: u64 = 100;
     let tripped = quiet_panics(|| {
-        for _ in 0..20 {
+        for _ in 0..40 {
             for _ in 0..1000 {
                 c.send_line("{\"cmd\":\"health\"}");
                 let health = parse_line(&c.read_line());
@@ -121,7 +129,8 @@ fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
             }
             c.send_line(&spec.json_line(None));
             let resp = parse_line(&c.read_line());
-            if !ok_of(&resp) {
+            let room = resp.get("retry_after_ms").and_then(Content::as_u64);
+            if !ok_of(&resp) && room.is_none_or(|ms| ms >= ROOM_MS) {
                 return Some(resp);
             }
         }
@@ -156,15 +165,20 @@ fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
     faults::clear();
 
     // Storm over: the same session keeps working once the cooldown
-    // elapses and the half-open probe closes the breaker.
+    // elapses and the half-open probe closes the breaker. A re-opened
+    // breaker's cooldown can exceed this loop's polling, so each refusal
+    // also waits out its own retry hint.
     let mut recovered = false;
     for _ in 0..100 {
         std::thread::sleep(Duration::from_millis(20));
         c.send_line(&spec.json_line(None));
-        if ok_of(&parse_line(&c.read_line())) {
+        let resp = parse_line(&c.read_line());
+        if ok_of(&resp) {
             recovered = true;
             break;
         }
+        let hint = resp.get("retry_after_ms").and_then(Content::as_u64);
+        std::thread::sleep(Duration::from_millis(hint.unwrap_or(0)));
     }
     assert!(recovered, "breaker never recovered after the storm");
 }

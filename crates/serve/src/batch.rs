@@ -1,18 +1,19 @@
-//! Concurrent batch evaluation over a shared compiled model.
+//! The chunk engine every batch runs through.
 //!
 //! A compiled model's evaluation is a pure function of the symbol values
 //! (a flat tape replay plus a tiny Padé solve), so fanning a batch of
-//! points across threads is embarrassingly parallel: each worker owns a
-//! private [`Evaluator`] (which carries its own scratch and lane register
-//! file) and evaluates disjoint chunks of the request's column-major
-//! [`PointColumns`] into a chunk of [`BatchResults`], and the shared model
-//! is only read. Results always come back in input order, and a bad point
-//! (wrong arity, unstable ROM, …) yields a per-point [`PointError`]
-//! instead of aborting the batch. Moment-only batches take the vectorized
-//! lane kernel straight off the request columns — one hoisted-load tape
-//! replay per block of `AWESYM_LANES × LANE_TILE` points (32 at the
-//! default width; see `docs/tape.md` §7) instead of a walk per point,
-//! bit-identical to the per-point path.
+//! points across threads is embarrassingly parallel: each
+//! [`crate::WorkerPool`] worker owns a private [`Evaluator`] (which
+//! carries its own scratch and lane register file; the lane plan is the
+//! model's, shared) and evaluates disjoint chunks of the request's
+//! column-major [`PointColumns`] into a chunk of [`BatchResults`], and the
+//! shared model is only read. Results always come back in input order,
+//! and a bad point (wrong arity, unstable ROM, …) yields a per-point
+//! [`PointError`] instead of aborting the batch. Moment-only batches take
+//! the vectorized lane kernel straight off the request columns — one
+//! hoisted-load tape replay per block of `AWESYM_LANES × LANE_TILE`
+//! points (32 at the default width; see `docs/tape.md` §7) instead of a
+//! walk per point, bit-identical to the per-point path.
 //!
 //! This module is also the process's blast shield:
 //!
@@ -22,14 +23,14 @@
 //! - **numeric health** — non-finite moments are rejected as
 //!   `numeric_unstable` instead of being returned, and ROM construction
 //!   reports when it had to degrade to a lower approximation order;
-//! - **deadlines** — [`evaluate_batch_guarded`] checks a deadline
-//!   cooperatively between points and marks unevaluated points
-//!   `deadline_exceeded` instead of running arbitrarily long;
+//! - **deadlines** — every chunk checks the batch deadline cooperatively
+//!   between points and marks unevaluated points `deadline_exceeded`
+//!   instead of running arbitrarily long;
 //! - **fault injection** — with the `fault-injection` feature, installed
 //!   `crate::faults` plans inject panics, NaN moments, and slowdowns per
 //!   point, deterministically.
 
-use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
+use crate::columns::{result_cols, BatchResults, PointColumns};
 use crate::error::{partition_code, PointError};
 use awesym_partition::{CompiledModel, Degradation, Evaluator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -130,19 +131,6 @@ pub enum PointValue {
 
 /// One point's outcome: a value or a structured point-local error.
 pub type PointResult = Result<PointValue, PointError>;
-
-/// A guarded batch run's results plus its health counters.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Per-point outcomes, in input order — one per input point, always.
-    pub results: Vec<PointResult>,
-    /// Panics caught and converted to `internal` point errors.
-    pub panics_caught: u64,
-    /// Points whose ROM degraded to a lower approximation order.
-    pub degraded_points: u64,
-    /// True when the deadline fired before every point was evaluated.
-    pub deadline_exceeded: bool,
-}
 
 /// Shared per-batch control block: the deadline, the health counters the
 /// workers update, and the id of the shard evaluating the batch (0 on
@@ -256,8 +244,8 @@ fn rom_summary(
 }
 
 /// One worker's evaluation state for one batch: a lazily built
-/// [`Evaluator`] (whose lane plan and register file then serve every
-/// chunk the worker claims), per-point row buffers, and the chunk result
+/// [`Evaluator`] (whose lane register file then serves every chunk the
+/// worker claims), per-point row buffers, and the chunk result
 /// buffer the worker fills before depositing it into the batch's.
 pub(crate) struct ChunkEval<'m> {
     model: &'m CompiledModel,
@@ -496,104 +484,23 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Evaluates `points` against `model`, fanning across `workers` threads
-/// (`None` → [`default_workers`]). Results are returned in input order;
-/// each point independently succeeds or reports a structured
-/// [`PointError`] — a panic inside one point's evaluation is caught and
-/// isolated, never aborting the batch or the process.
-pub fn evaluate_batch(
-    model: &CompiledModel,
-    points: &[Vec<f64>],
-    output: &BatchOutput,
-    workers: Option<usize>,
-) -> Vec<PointResult> {
-    evaluate_batch_guarded(model, points, output, workers, None).results
-}
-
-/// As [`evaluate_batch`], with a cooperative deadline and health
-/// counters. Workers check the deadline between points (every
-/// `CHECK_STRIDE` points on the fast path); once it expires, remaining
-/// points are marked `deadline_exceeded` instead of being evaluated, so a
-/// runaway request bounds its own latency.
-///
-/// A row-major adapter: the points are copied into [`PointColumns`],
-/// evaluated by the same chunk engine the shard pools run, and the
-/// columnar results are converted back per point. A batch whose results
-/// would exceed [`crate::MAX_RESULT_VALUES`] is not evaluated: every
-/// point carries that `bad_request` instead.
-pub fn evaluate_batch_guarded(
-    model: &CompiledModel,
-    points: &[Vec<f64>],
-    output: &BatchOutput,
-    workers: Option<usize>,
-    deadline: Option<Instant>,
-) -> BatchOutcome {
-    let n = points.len();
-    let cols = result_cols(output, model);
-    if let Err(e) = check_result_size(n, cols) {
-        // Too large to evaluate: every point carries the refusal.
-        return BatchOutcome {
-            results: vec![Err(PointError::new(e.code(), e.to_string())); n],
-            panics_caught: 0,
-            degraded_points: 0,
-            deadline_exceeded: false,
-        };
-    }
-    let input = PointColumns::from_rows(points, model.symbols().len());
-    let ctl = BatchCtl::new(deadline, 0);
-    let mut results = BatchResults::new(output, cols, n);
-    if n > 0 {
-        let workers = workers.unwrap_or_else(default_workers).clamp(1, n);
-        let chunk = n.div_ceil(workers);
-        let ranges: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(n))
-            .collect();
-        let run = |range: std::ops::Range<usize>| {
-            let mut w = ChunkEval::new(model, output);
-            w.out.reset(range.len());
-            w.run(&input, range, output, &ctl);
-            w.out
-        };
-        let chunks: Vec<BatchResults> = if workers == 1 {
-            // Serial fast path: no thread spawn, same chunk code.
-            ranges.iter().cloned().map(run).collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .cloned()
-                    .map(|r| s.spawn(move || run(r)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-        for (range, mut chunk) in ranges.into_iter().zip(chunks) {
-            results.absorb(range.start, &mut chunk);
-        }
-    }
-    results.finish(&ctl);
-    results.into_outcome()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{PoolConfig, WorkerPool};
     use awesym_circuit::generators::fig1_rc;
     use awesym_partition::SymbolBinding;
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn model2() -> CompiledModel {
+    fn model2() -> Arc<CompiledModel> {
         let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
         let c = &w.circuit;
         let bindings = [
             SymbolBinding::capacitance("c1", vec![c.find("C1").unwrap()]),
             SymbolBinding::resistance("r2", vec![c.find("R2").unwrap()]),
         ];
-        CompiledModel::build(c, w.input, w.output, &bindings, 2).unwrap()
+        Arc::new(CompiledModel::build(c, w.input, w.output, &bindings, 2).unwrap())
     }
 
     fn grid(n: usize) -> Vec<Vec<f64>> {
@@ -605,11 +512,52 @@ mod tests {
             .collect()
     }
 
+    /// Runs `points` through a fresh pool of `workers` threads (`None` →
+    /// [`default_workers`]), as a shard does.
+    fn run(
+        m: &Arc<CompiledModel>,
+        points: &[Vec<f64>],
+        output: &BatchOutput,
+        workers: Option<usize>,
+        deadline: Option<Instant>,
+    ) -> BatchResults {
+        let pool = WorkerPool::new(
+            0,
+            PoolConfig {
+                workers: workers.unwrap_or_else(default_workers),
+                ..PoolConfig::default()
+            },
+        );
+        let input = PointColumns::from_rows(points, m.symbols().len());
+        pool.run_batch(
+            Arc::clone(m),
+            Arc::new(input),
+            output.clone(),
+            deadline,
+            None,
+        )
+        .unwrap()
+    }
+
+    /// Every point's outcome, in input order.
+    fn points_of(r: &BatchResults) -> Vec<PointResult> {
+        (0..r.len()).map(|i| r.point(i)).collect()
+    }
+
+    fn evaluate(
+        m: &Arc<CompiledModel>,
+        points: &[Vec<f64>],
+        output: &BatchOutput,
+        workers: Option<usize>,
+    ) -> Vec<PointResult> {
+        points_of(&run(m, points, output, workers, None))
+    }
+
     #[test]
     fn batch_matches_direct_evaluation_in_order() {
         let m = model2();
         let pts = grid(64);
-        let got = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(4));
+        let got = evaluate(&m, &pts, &BatchOutput::Moments, Some(4));
         assert_eq!(got.len(), pts.len());
         for (r, p) in got.iter().zip(&pts) {
             assert_eq!(r.as_ref().unwrap(), &PointValue::Moments(m.eval_moments(p)));
@@ -620,9 +568,9 @@ mod tests {
     fn worker_counts_agree() {
         let m = model2();
         let pts = grid(37);
-        let base = evaluate_batch(&m, &pts, &BatchOutput::Rom, Some(1));
+        let base = evaluate(&m, &pts, &BatchOutput::Rom, Some(1));
         for w in [2, 3, 8, 64] {
-            assert_eq!(evaluate_batch(&m, &pts, &BatchOutput::Rom, Some(w)), base);
+            assert_eq!(evaluate(&m, &pts, &BatchOutput::Rom, Some(w)), base);
         }
     }
 
@@ -630,7 +578,7 @@ mod tests {
     fn bad_points_error_without_aborting_batch() {
         let m = model2();
         let pts = vec![vec![1e-9, 1e3], vec![1e-9], vec![2e-9, 2e3]];
-        let got = evaluate_batch(&m, &pts, &BatchOutput::DcGain, Some(2));
+        let got = evaluate(&m, &pts, &BatchOutput::DcGain, Some(2));
         assert!(got[0].is_ok());
         let e = got[1].as_ref().unwrap_err();
         assert!(e.message.contains("2 symbols"), "{e}");
@@ -651,16 +599,16 @@ mod tests {
             },
             BatchOutput::Delays,
         ] {
-            let got = evaluate_batch(&m, &pts, &out, None);
+            let got = evaluate(&m, &pts, &out, None);
             assert!(got.iter().all(Result::is_ok), "{out:?}");
         }
-        assert!(evaluate_batch(&m, &[], &BatchOutput::Moments, None).is_empty());
+        assert!(evaluate(&m, &[], &BatchOutput::Moments, None).is_empty());
     }
 
     #[test]
     fn delay_values_are_physical() {
         let m = model2();
-        let got = evaluate_batch(&m, &grid(3), &BatchOutput::Delays, Some(2));
+        let got = evaluate(&m, &grid(3), &BatchOutput::Delays, Some(2));
         for r in got {
             let PointValue::Delays(d) = r.unwrap() else {
                 panic!("wrong kind")
@@ -672,11 +620,11 @@ mod tests {
     #[test]
     fn healthy_points_report_no_degradation() {
         let m = model2();
-        let out = evaluate_batch_guarded(&m, &grid(8), &BatchOutput::Rom, Some(2), None);
+        let out = run(&m, &grid(8), &BatchOutput::Rom, Some(2), None);
         assert_eq!(out.panics_caught, 0);
         assert_eq!(out.degraded_points, 0);
         assert!(!out.deadline_exceeded);
-        for r in &out.results {
+        for r in &points_of(&out) {
             let PointValue::Rom(s) = r.as_ref().unwrap() else {
                 panic!("wrong kind")
             };
@@ -691,7 +639,7 @@ mod tests {
         // evaluated, and the outcome says so.
         let past = Instant::now() - Duration::from_millis(1);
         for workers in [1, 4] {
-            let out = evaluate_batch_guarded(
+            let out = run(
                 &m,
                 &grid(100),
                 &BatchOutput::Moments,
@@ -699,9 +647,8 @@ mod tests {
                 Some(past),
             );
             assert!(out.deadline_exceeded);
-            assert_eq!(out.results.len(), 100);
-            let expired = out
-                .results
+            assert_eq!(out.len(), 100);
+            let expired = points_of(&out)
                 .iter()
                 .filter(|r| {
                     r.as_ref()
@@ -717,10 +664,10 @@ mod tests {
     fn generous_deadline_changes_nothing() {
         let m = model2();
         let pts = grid(40);
-        let free = evaluate_batch(&m, &pts, &BatchOutput::Moments, Some(2));
+        let free = evaluate(&m, &pts, &BatchOutput::Moments, Some(2));
         let far = Instant::now() + Duration::from_secs(3600);
-        let out = evaluate_batch_guarded(&m, &pts, &BatchOutput::Moments, Some(2), Some(far));
+        let out = run(&m, &pts, &BatchOutput::Moments, Some(2), Some(far));
         assert!(!out.deadline_exceeded);
-        assert_eq!(out.results, free);
+        assert_eq!(points_of(&out), free);
     }
 }

@@ -12,13 +12,11 @@
 //!   point count.
 //!
 //! NDJSON batches convert their `points` array into the same
-//! [`PointColumns`] buffer (one allocation), and the row-major adapters
-//! ([`crate::evaluate_batch`], [`crate::Shard::evaluate`]) convert on the
-//! way in and out, so one engine evaluates every batch.
+//! [`PointColumns`] buffer (one allocation), and the row-major adapter
+//! [`crate::Shard::evaluate`] converts on the way in, so one engine
+//! evaluates every batch.
 
-use crate::batch::{
-    BatchCtl, BatchOutcome, BatchOutput, DelaySummary, PointResult, PointValue, RomSummary,
-};
+use crate::batch::{BatchCtl, BatchOutput, DelaySummary, PointResult, PointValue, RomSummary};
 use crate::error::{point_code, PointError};
 use crate::ServeError;
 use awesym_partition::{CompiledModel, Degradation};
@@ -561,17 +559,6 @@ impl BatchResults {
             })?),
             ResultKind::Delays => PointValue::Delays(self.delays(i)),
         })
-    }
-
-    /// Every point as a row-major [`BatchOutcome`] (the adapter the
-    /// row-major entry points return).
-    pub fn into_outcome(self) -> BatchOutcome {
-        BatchOutcome {
-            results: (0..self.count).map(|i| self.point(i)).collect(),
-            panics_caught: self.panics_caught,
-            degraded_points: self.degraded_points,
-            deadline_exceeded: self.deadline_exceeded,
-        }
     }
 }
 

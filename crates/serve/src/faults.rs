@@ -37,8 +37,8 @@ pub enum Fault {
 /// shard: points evaluated by any other shard see no faults at all. That
 /// is the lever the cross-shard chaos harness uses to storm one shard
 /// while asserting its neighbors stay bit-identical to a fault-free run.
-/// Unsharded evaluation paths (the plain [`crate::evaluate_batch`]
-/// helpers, a single-shard server) count as shard 0.
+/// Unsharded evaluation paths (a bare [`crate::WorkerPool`] built for
+/// shard 0, a single-shard server) count as shard 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Seed for the per-point hash.
@@ -196,15 +196,21 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_rate_shaped() {
+        // The plan is process-global and lib tests run in parallel, so
+        // aim it at a shard no other test evaluates on: an untargeted
+        // plan would fault their batches too.
+        const SHARD: usize = 7778;
         install(FaultPlan {
             seed: 42,
             panic_rate_pct: 10,
             nan_rate_pct: 10,
+            target_shard: Some(SHARD),
             ..FaultPlan::default()
         });
         assert!(active());
-        let first: Vec<Option<Fault>> = (0..1000).map(fault_for_point).collect();
-        let second: Vec<Option<Fault>> = (0..1000).map(fault_for_point).collect();
+        let decide = |i| fault_for_point_on(SHARD, i);
+        let first: Vec<Option<Fault>> = (0..1000).map(decide).collect();
+        let second: Vec<Option<Fault>> = (0..1000).map(decide).collect();
         assert_eq!(first, second);
         let panics = first.iter().filter(|f| **f == Some(Fault::Panic)).count();
         let nans = first

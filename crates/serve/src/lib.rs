@@ -9,15 +9,14 @@
 //!   ([`save_artifact`] / [`load_artifact`]);
 //! - [`registry`]: a named, thread-safe, LRU-evicting in-memory
 //!   [`ModelRegistry`];
-//! - [`batch`]: the chunk engine every batch runs through, plus
-//!   [`evaluate_batch`], fanning points across scoped worker threads
-//!   with per-point errors;
+//! - [`batch`]: the chunk engine every batch runs through, with
+//!   per-point errors, panic isolation and deadlines;
 //! - [`columns`]: the columnar request and result buffers
 //!   ([`PointColumns`], [`BatchResults`]) and the typed binary-v1
 //!   request ([`FrameRequest`]);
-//! - [`pool`]: the persistent [`WorkerPool`] — threads spawned once per
-//!   shard, parked on a job queue, supervised and restarted with capped
-//!   backoff when they die;
+//! - [`pool`]: the persistent [`WorkerPool`], the crate's only executor —
+//!   threads spawned once per shard, parked on a job queue, supervised
+//!   and restarted with capped backoff when they die;
 //! - [`shard`]: the crash-isolation layer — [`shard_of`] name placement,
 //!   the warm/cold [`TieredRegistry`], the per-shard [`CircuitBreaker`],
 //!   and the [`Shard`] supervisor tying them together;
@@ -58,10 +57,7 @@ pub use artifact::{
     FORMAT_MINOR, FORMAT_TAG, FORMAT_VERSION,
 };
 pub use awesym_partition::Degradation;
-pub use batch::{
-    evaluate_batch, evaluate_batch_guarded, BatchOutcome, BatchOutput, DelaySummary, PointResult,
-    PointValue, RomSummary,
-};
+pub use batch::{BatchOutput, DelaySummary, PointResult, PointValue, RomSummary};
 pub use columns::{BatchResults, FrameRequest, PointColumns, MAX_RESULT_VALUES};
 pub use encode::{
     decode_frame, BinaryEncoder, DecodedFrame, Encoder, FrameError, NdjsonEncoder, WireEncoding,

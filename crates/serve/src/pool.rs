@@ -1,12 +1,11 @@
-//! Persistent worker pool for batch evaluation.
+//! Persistent worker pool for batch evaluation — the one executor every
+//! batch runs on.
 //!
-//! This ports the proven `McEngine` pattern from `awesym-timing`
-//! (`crates/timing/src/engine.rs`) to the serving path, replacing the
-//! per-batch `std::thread::scope` spawn that made batch throughput
-//! *drop* as workers increased (thread spawn + join cost swamped the
-//! sub-microsecond per-point work). Workers are spawned once, park on a
-//! condvar, and steal coarse chunks of whatever job is at the head of
-//! the queue via an atomic chunk frontier — so a batch pays one mutex
+//! A per-batch `std::thread::scope` spawn made batch throughput *drop* as
+//! workers increased (thread spawn + join cost swamped the
+//! sub-microsecond per-point work), so workers are spawned once, park on
+//! a condvar, and steal coarse chunks of whatever job is at the head of
+//! the queue via an atomic chunk frontier — a batch pays one mutex
 //! handoff instead of N thread spawns.
 //!
 //! The pool is also the shard supervisor's foundation:
@@ -28,9 +27,10 @@
 //! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
 //! into the job's one column-major result buffer. Evaluators borrow the
 //! compiled model, so each worker builds one per job it joins and keeps
-//! it — lane plan, register file and all — for every chunk it claims in
-//! that job. What the pool eliminates is the per-batch thread churn,
-//! which was the actual scaling killer.
+//! it — scratch and lane register file — for every chunk it claims in
+//! that job; the lane plan belongs to the model's compiled function and
+//! is built once for its lifetime. What the pool eliminates is the
+//! per-batch thread churn, which was the actual scaling killer.
 
 use crate::batch::{BatchCtl, BatchOutput, ChunkEval};
 use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
@@ -178,7 +178,11 @@ impl Job {
             if killed {
                 // The worker is about to die; whatever this chunk did
                 // not finish becomes structured errors so the job still
-                // completes with one result per point.
+                // completes with one result per point. The death is
+                // counted before the deposit that may complete the job:
+                // the shard charges deaths seen when the job returns to
+                // that job's breaker outcome.
+                shared.deaths.fetch_add(1, Ordering::Relaxed);
                 self.ctl.panics.fetch_add(1, Ordering::Relaxed);
                 w.out.fail_unfilled(
                     0,
@@ -453,7 +457,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock and holds it until it parks, so it either sees the flag or
+        // is already parked when the notify below arrives.
+        {
+            let _q = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
         self.shared.work.notify_all();
         let handles = std::mem::take(&mut lock(&self.supervisor).handles);
         for h in handles {
@@ -493,7 +503,6 @@ fn worker_loop(shared: &Shared) {
                 // for (work() deposits before returning), so dropping
                 // `alive` here can never strand a claimed chunk.
                 shared.alive.fetch_sub(1, Ordering::Relaxed);
-                shared.deaths.fetch_add(1, Ordering::Relaxed);
             }
             drop(q);
             // Leaving frees a participation slot (or signals death to
@@ -510,7 +519,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::evaluate_batch;
+    use crate::batch::{PointResult, PointValue};
     use awesym_circuit::generators::fig1_rc;
     use awesym_partition::SymbolBinding;
 
@@ -535,6 +544,19 @@ mod tests {
 
     fn grid(n: usize) -> Arc<PointColumns> {
         Arc::new(PointColumns::from_rows(&rows(n), 2))
+    }
+
+    /// Per-point model calls for `rows(n)`: the independent reference.
+    fn reference(m: &CompiledModel, n: usize) -> Vec<PointResult> {
+        rows(n)
+            .iter()
+            .map(|p| Ok(PointValue::Moments(m.eval_moments(p))))
+            .collect()
+    }
+
+    /// Every point's outcome, in input order.
+    fn points_of(r: &BatchResults) -> Vec<PointResult> {
+        (0..r.len()).map(|i| r.point(i)).collect()
     }
 
     fn small_pool(workers: usize) -> WorkerPool {
@@ -597,7 +619,7 @@ mod tests {
     fn pool_results_match_direct_evaluation_at_any_worker_count() {
         let m = model2();
         let pts = grid(333);
-        let reference = evaluate_batch(&m, &rows(pts.len()), &BatchOutput::Moments, Some(1));
+        let reference = reference(&m, pts.len());
         for workers in [1, 2, 4, 8] {
             let pool = small_pool(workers);
             let out = pool
@@ -609,11 +631,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            assert_eq!(
-                out.clone().into_outcome().results,
-                reference,
-                "workers={workers}"
-            );
+            assert_eq!(points_of(&out), reference, "workers={workers}");
             assert_eq!(out.panics_caught, 0);
             assert!(!out.deadline_exceeded);
         }
@@ -633,11 +651,8 @@ mod tests {
             let out = pool
                 .run_batch(Arc::clone(&m), Arc::clone(&pts), output.clone(), None, None)
                 .unwrap();
-            assert_eq!(out.clone().into_outcome().results.len(), 90, "{output:?}");
-            assert!(
-                out.clone().into_outcome().results.iter().all(Result::is_ok),
-                "{output:?}"
-            );
+            assert_eq!(points_of(&out).len(), 90, "{output:?}");
+            assert!(points_of(&out).iter().all(Result::is_ok), "{output:?}");
         }
         assert_eq!(pool.alive(), 2);
         assert_eq!(pool.restarts(), 0);
@@ -655,7 +670,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert!(out.clone().into_outcome().results.is_empty());
+        assert!(points_of(&out).is_empty());
     }
 
     #[test]
@@ -666,8 +681,8 @@ mod tests {
             .run_batch(model2(), grid(200), BatchOutput::Moments, Some(past), None)
             .unwrap();
         assert!(out.deadline_exceeded);
-        assert_eq!(out.clone().into_outcome().results.len(), 200);
-        for r in &out.clone().into_outcome().results {
+        assert_eq!(points_of(&out).len(), 200);
+        for r in &points_of(&out) {
             assert_eq!(r.as_ref().unwrap_err().code, "deadline_exceeded");
         }
     }
@@ -677,7 +692,7 @@ mod tests {
         let pool = small_pool(8);
         let m = model2();
         let pts = grid(300);
-        let reference = evaluate_batch(&m, &rows(pts.len()), &BatchOutput::Moments, Some(1));
+        let reference = reference(&m, pts.len());
         let out = pool
             .run_batch(
                 Arc::clone(&m),
@@ -687,7 +702,7 @@ mod tests {
                 Some(1),
             )
             .unwrap();
-        assert_eq!(out.clone().into_outcome().results, reference);
+        assert_eq!(points_of(&out), reference);
     }
 
     #[test]
@@ -695,7 +710,7 @@ mod tests {
         let pool = Arc::new(small_pool(4));
         let m = model2();
         let pts = grid(256);
-        let reference = evaluate_batch(&m, &rows(pts.len()), &BatchOutput::Moments, Some(1));
+        let reference = reference(&m, pts.len());
         std::thread::scope(|s| {
             for _ in 0..6 {
                 let pool = Arc::clone(&pool);
@@ -713,7 +728,7 @@ mod tests {
                                 None,
                             )
                             .unwrap();
-                        assert_eq!(&out.clone().into_outcome().results, reference);
+                        assert_eq!(&points_of(&out), reference);
                     }
                 });
             }
@@ -755,7 +770,7 @@ mod tests {
         faults::clear();
         // Every point answered: killed chunks as internal errors, the
         // rest drained serially by the submitter after the pool died.
-        assert_eq!(out.clone().into_outcome().results.len(), n);
+        assert_eq!(points_of(&out).len(), n);
         assert!(out.panics_caught > 0);
         assert!(pool.deaths() > 0);
         assert_eq!(pool.alive(), 0);
@@ -763,11 +778,11 @@ mod tests {
         // and the next batch is fully healthy.
         std::thread::sleep(Duration::from_millis(5));
         let pts = grid(100);
-        let reference = evaluate_batch(&m, &rows(100), &BatchOutput::Moments, Some(1));
+        let reference = reference(&m, 100);
         let out = pool
             .run_batch(Arc::clone(&m), pts, BatchOutput::Moments, None, None)
             .unwrap();
-        assert_eq!(out.clone().into_outcome().results, reference);
+        assert_eq!(points_of(&out), reference);
         assert!(pool.restarts() >= 3, "restarts={}", pool.restarts());
         assert_eq!(pool.alive(), 3);
     }

@@ -1306,6 +1306,28 @@ mod tests {
     }
 
     #[test]
+    fn stats_report_lane_plan_builds() {
+        let s = Server::default();
+        assert!(ok_of(&parse(&s.handle_line(&compile_req("m")).unwrap())));
+        // 64 points: two full lane blocks at the default width.
+        let points: Vec<String> = (0..64).map(|i| format!("[{}e-9,1e3]", 1 + i % 3)).collect();
+        let line = format!(
+            r#"{{"cmd":"batch","model":"m","points":[{}],"kind":"moments"}}"#,
+            points.join(",")
+        );
+        assert!(ok_of(&parse(&s.handle_line(&line).unwrap())));
+        let builds = parse(&s.handle_line(r#"{"cmd":"stats"}"#).unwrap())
+            .get("server")
+            .and_then(|v| v.get("lane_plan_builds_total"))
+            .and_then(Content::as_u64)
+            .unwrap();
+        // The counter is process-global and other tests here build plans
+        // too; the `lane_plan_builds` test binary checks the exact count.
+        let lanes = awesym_symbolic::configured_lane_width() != awesym_symbolic::LaneWidth::Scalar;
+        assert!(builds >= u64::from(lanes));
+    }
+
+    #[test]
     fn compile_eval_batch_stats_shutdown_flow() {
         let s = Server::default();
         let r = s.handle_line(&compile_req("m")).unwrap();

@@ -33,7 +33,7 @@
 //! failures (a model whose tape replay reliably dies, a poisoned
 //! evaluator) to the shard that owns them.
 
-use crate::batch::{BatchOutcome, BatchOutput};
+use crate::batch::BatchOutput;
 use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
 use crate::error::ServeError;
 use crate::pool::{PoolConfig, WorkerPool};
@@ -560,8 +560,7 @@ impl Shard {
     }
 
     /// Row-major adapter over [`Shard::evaluate_columns`]: the points are
-    /// copied into columns on the way in and the results split back into
-    /// per-point values on the way out.
+    /// copied into columns on the way in.
     pub fn evaluate(
         &self,
         model: Arc<CompiledModel>,
@@ -569,10 +568,9 @@ impl Shard {
         output: BatchOutput,
         deadline: Option<Instant>,
         max_workers: Option<usize>,
-    ) -> Result<BatchOutcome, ServeError> {
+    ) -> Result<BatchResults, ServeError> {
         let columns = PointColumns::from_rows(&points, model.symbols().len());
         self.evaluate_columns(model, Arc::new(columns), output, deadline, max_workers)
-            .map(BatchResults::into_outcome)
     }
 
     /// Evaluates a columnar batch on this shard's pool, with admission
@@ -853,8 +851,8 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(out.results.len(), 2);
-        assert!(out.results.iter().all(Result::is_ok));
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.ok_count(), 2);
         let health = shard.health();
         assert_eq!(health.shard, 3);
         assert_eq!(health.models, 1);

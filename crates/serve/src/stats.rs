@@ -130,6 +130,10 @@ pub struct StatsSnapshot {
     /// and were dropped (the serve loop never stalls on a slow or dead
     /// sink).
     pub stats_dropped: u64,
+    /// Lane plans built by this process so far: one per compiled function
+    /// that has run a batch, however many requests it served (read from
+    /// `awesym_symbolic::profile`).
+    pub lane_plan_builds_total: u64,
     /// Per-stage request-time breakdown, in pipeline order (only stages
     /// a request passed through are counted).
     pub stages: Vec<StageSnapshot>,
@@ -394,6 +398,7 @@ impl ServerStats {
             requests_shed: self.requests_shed.get(),
             degradations: self.degradations.get(),
             stats_dropped: self.stats_dropped.get(),
+            lane_plan_builds_total: awesym_symbolic::profile::snapshot().lane_plan_builds,
             stages,
             serialize_encodings,
             parse_encodings,

@@ -375,7 +375,7 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         for i in 0..10 {
             match run(&shard) {
                 Ok(out) => {
-                    assert_eq!(out.results.len(), 300, "job {i}");
+                    assert_eq!(out.len(), 300, "job {i}");
                     // Give supervision a chance to respawn victims so
                     // the next job has workers to lose again.
                     std::thread::sleep(Duration::from_millis(5));
@@ -408,7 +408,7 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         std::thread::sleep(Duration::from_millis(20));
         shard.supervise();
         if let Ok(out) = run(&shard) {
-            assert!(out.results.iter().all(Result::is_ok));
+            assert_eq!(out.ok_count(), out.len());
             closed = true;
             break;
         }

@@ -4,8 +4,12 @@
 
 use awesym_circuit::generators::fig1_rc;
 use awesym_partition::{CompiledModel, SymbolBinding};
-use awesym_serve::{evaluate_batch, BatchOutput, ModelRegistry, PointValue, TieredRegistry};
+use awesym_serve::{
+    BatchOutput, ModelRegistry, PointColumns, PointResult, PointValue, PoolConfig, TieredRegistry,
+    WorkerPool,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn build_model() -> CompiledModel {
     let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
@@ -15,6 +19,34 @@ fn build_model() -> CompiledModel {
         SymbolBinding::resistance("r2", vec![c.find("R2").unwrap()]),
     ];
     CompiledModel::build(c, w.input, w.output, &bindings, 2).unwrap()
+}
+
+/// Evaluates `points` on a fresh `workers`-thread pool; every point's
+/// outcome, in input order.
+fn evaluate_on_pool(
+    model: &CompiledModel,
+    points: &[Vec<f64>],
+    output: &BatchOutput,
+    workers: usize,
+) -> Vec<PointResult> {
+    let pool = WorkerPool::new(
+        0,
+        PoolConfig {
+            workers,
+            ..PoolConfig::default()
+        },
+    );
+    let input = PointColumns::from_rows(points, model.symbols().len());
+    let out = pool
+        .run_batch(
+            Arc::new(model.clone()),
+            Arc::new(input),
+            output.clone(),
+            None,
+            None,
+        )
+        .unwrap();
+    (0..out.len()).map(|i| out.point(i)).collect()
 }
 
 /// Deterministic evaluation point for (thread, iteration).
@@ -206,9 +238,9 @@ fn tiered_eviction_racing_lookups_stays_consistent() {
 fn batch_results_are_worker_count_invariant() {
     let model = build_model();
     let points: Vec<Vec<f64>> = (0..1200).map(|i| point(i % 8, i / 8)).collect();
-    let serial = evaluate_batch(&model, &points, &BatchOutput::Moments, Some(1));
+    let serial = evaluate_on_pool(&model, &points, &BatchOutput::Moments, 1);
     for workers in [2, 4, 8] {
-        let parallel = evaluate_batch(&model, &points, &BatchOutput::Moments, Some(workers));
+        let parallel = evaluate_on_pool(&model, &points, &BatchOutput::Moments, workers);
         assert_eq!(parallel, serial, "workers={workers}");
     }
     // And the serial results equal direct model calls, in input order.
@@ -224,7 +256,7 @@ fn batch_results_are_worker_count_invariant() {
 fn rom_batches_are_worker_count_invariant() {
     let model = build_model();
     let points: Vec<Vec<f64>> = (0..160).map(|i| point(i % 8, i / 8)).collect();
-    let serial = evaluate_batch(&model, &points, &BatchOutput::Rom, Some(1));
-    let parallel = evaluate_batch(&model, &points, &BatchOutput::Rom, Some(8));
+    let serial = evaluate_on_pool(&model, &points, &BatchOutput::Rom, 1);
+    let parallel = evaluate_on_pool(&model, &points, &BatchOutput::Rom, 8);
     assert_eq!(parallel, serial);
 }

@@ -19,9 +19,12 @@
 use awesym_circuit::generators::fig1_rc;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::faults::{self, Fault, FaultPlan};
-use awesym_serve::{evaluate_batch, evaluate_batch_guarded, BatchOutput, Server, ServerConfig};
+use awesym_serve::{
+    BatchOutput, PointColumns, PointResult, PointValue, PoolConfig, Server, ServerConfig,
+    WorkerPool,
+};
 use serde::Content;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The fault plan is process-global state, so tests touching it must not
@@ -112,12 +115,22 @@ fn server_counter(server: &Server, key: &str) -> u64 {
 #[test]
 fn faulted_batch_answers_every_point_and_healthy_points_are_bit_identical() {
     let _guard = plan_guard();
-    let model = model2();
+    let model = Arc::new(model2());
     let points = grid(1200);
 
-    // Fault-free baseline first (no plan installed).
-    faults::clear();
-    let baseline = evaluate_batch(&model, &points, &BatchOutput::Moments, Some(4));
+    // Fault-free baseline: per-point model calls.
+    let baseline: Vec<PointResult> = points
+        .iter()
+        .map(|p| Ok(PointValue::Moments(model.eval_moments(p))))
+        .collect();
+    let pool = WorkerPool::new(
+        0,
+        PoolConfig {
+            workers: 4,
+            ..PoolConfig::default()
+        },
+    );
+    let input = Arc::new(PointColumns::from_rows(&points, 2));
 
     // 10% panics + 10% NaN moments, seeded.
     let plan = FaultPlan {
@@ -128,20 +141,21 @@ fn faulted_batch_answers_every_point_and_healthy_points_are_bit_identical() {
     };
     faults::install(plan);
     let outcome = quiet_panics(|| {
-        evaluate_batch_guarded(&model, &points, &BatchOutput::Moments, Some(4), None)
+        pool.run_batch(model, input, BatchOutput::Moments, None, None)
+            .unwrap()
     });
     faults::clear();
 
     // Every point answered.
-    assert_eq!(outcome.results.len(), points.len());
+    assert_eq!(outcome.len(), points.len());
     let mut panicked = 0u64;
     let mut poisoned = 0u64;
-    for (i, (got, base)) in outcome.results.iter().zip(&baseline).enumerate() {
+    for (i, base) in baseline.iter().enumerate() {
+        let got = &outcome.point(i);
         match plan.fault_for(i) {
             None => {
-                // Healthy points: bit-identical to the fault-free run
-                // (the faulted run takes the per-point path, the baseline
-                // the SoA kernel — the two must agree to the bit).
+                // Healthy points: bit-identical to the fault-free
+                // per-point model calls.
                 assert_eq!(got, base, "point {i}");
             }
             Some(Fault::Panic) => {

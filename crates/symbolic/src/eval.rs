@@ -7,16 +7,15 @@
 //! (const/sym loads hoisted out, operands pre-resolved) with
 //! double-buffered input columns, and the remainder falls back to the
 //! per-point path. Lane width is env-selected (`AWESYM_LANES` ∈ {1,4,8});
-//! results are bit-identical to [`Evaluator::eval_into`] at every width
-//! unless fused mul-add is explicitly opted into (`AWESYM_TAPE_FMA=1`).
-//! The pre-lane SoA kernel survives as [`Evaluator::eval_batch_soa_ref`],
-//! the baseline the `simd` bench section measures speedups against.
+//! results are bit-identical to [`Evaluator::eval_into`] at every width.
+//! The lane plan itself belongs to the [`CompiledFn`], so every evaluator
+//! of a function shares one. The pre-lane SoA kernel survives as
+//! [`Evaluator::eval_batch_soa_ref`], the baseline the `simd` bench
+//! section measures speedups against.
 
-use crate::lanes::{
-    configured_lane_width, configured_muladd_mode, LanePlan, LaneWidth, MulAddMode, Phase,
-};
+use crate::lanes::{configured_lane_width, LanePlan, LaneWidth, Phase};
 use crate::{profile, CompiledFn};
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::time::Instant;
 
@@ -28,8 +27,9 @@ pub const LANES: usize = 8;
 
 /// A batch input whose shape does not match the compiled function —
 /// either a point with the wrong symbol count or an output slice of the
-/// wrong length. Returned by [`Evaluator::try_eval_batch`] so callers can
-/// turn shape bugs into per-request errors instead of panics.
+/// wrong length. Returned by [`Evaluator::eval_columns`] and
+/// [`Evaluator::eval_batch_lanes`] so callers can turn shape bugs into
+/// per-request errors instead of panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchShapeError {
     /// Point `index` carried `got` values; the function takes `expected`.
@@ -136,9 +136,9 @@ impl AffineTail {
 /// The evaluator owns its register file, so evaluation takes `&self` and
 /// allocates nothing per point. It is `Send` but not `Sync`: create one
 /// per worker thread (they are cheap — one `Vec` of `n_regs` doubles;
-/// the `LanePlan` is built on the first batch call, and
-/// [`Evaluator::eval_columns`] keeps its lane register file from its
-/// first call on).
+/// the lane plan is the [`CompiledFn`]'s, built once by the first batch
+/// call through any evaluator, and [`Evaluator::eval_columns`] keeps its
+/// lane register file from its first call on).
 ///
 /// ```
 /// use awesym_symbolic::ExprGraph;
@@ -157,9 +157,6 @@ pub struct Evaluator<'m> {
     fun: &'m CompiledFn,
     tail: Option<AffineTail>,
     scratch: RefCell<Vec<f64>>,
-    /// The lane lowering of `fun`'s tape, built on the first batch call
-    /// (per-point callers never pay for it).
-    plan: OnceCell<LanePlan>,
     /// The column-major entry's lane register file, kept across calls so
     /// a caller that feeds the kernel in small strides (the serve
     /// engine's 32-point deadline checks) allocates and splats the const
@@ -219,7 +216,6 @@ impl<'m> Evaluator<'m> {
             fun,
             tail,
             scratch: RefCell::new(vec![0.0; fun.tape().n_regs()]),
-            plan: OnceCell::new(),
             lanes: RefCell::new(LaneFile::default()),
         }
     }
@@ -277,60 +273,39 @@ impl<'m> Evaluator<'m> {
     /// 32-point blocks); the remainder falls back to the single-point
     /// path. Results are bit-identical to per-point
     /// [`Evaluator::eval_into`] at every lane width — see `docs/tape.md`
-    /// §7 — unless fused mul-add is opted into via `AWESYM_TAPE_FMA=1`
-    /// (documented ~1e-12 relative divergence on `MulAdd`-bearing tapes).
+    /// §7.
     ///
     /// # Panics
     ///
     /// Panics when a point has the wrong arity or `out` is not
-    /// `points.len() * self.n_outputs()` long. Use
-    /// [`Evaluator::try_eval_batch`] to get a typed error instead.
+    /// `points.len() * self.n_outputs()` long. Column-major callers that
+    /// want a typed error use [`Evaluator::eval_columns`].
     pub fn eval_batch(&self, points: &[Vec<f64>], out: &mut [f64]) {
-        if let Err(e) = self.try_eval_batch(points, out) {
+        if let Err(e) = self.eval_batch_lanes(points, out, configured_lane_width()) {
             // A shape mismatch here is a caller bug; panic in every build
             // profile rather than read stale registers.
             panic!("eval_batch shape error: {e}");
         }
     }
 
-    /// As [`Evaluator::eval_batch`], but mismatched point arity or output
-    /// length is a typed [`BatchShapeError`] instead of a panic — nothing
-    /// is evaluated and `out` is untouched on error, so stale registers
-    /// can never masquerade as results.
+    /// The batch path at an explicit lane width, ignoring the
+    /// process-wide `AWESYM_LANES` setting. This is what the parity tests
+    /// and `tape_bench`'s `simd` section call to compare widths inside
+    /// one process; [`Evaluator::eval_batch`] is this at the configured
+    /// width.
     ///
     /// # Errors
     ///
     /// [`BatchShapeError::PointArity`] for the first point whose length is
     /// not `self.n_inputs()`; [`BatchShapeError::OutputLen`] when `out` is
-    /// not `points.len() * self.n_outputs()` long.
-    pub fn try_eval_batch(
-        &self,
-        points: &[Vec<f64>],
-        out: &mut [f64],
-    ) -> Result<(), BatchShapeError> {
-        self.eval_batch_lanes(
-            points,
-            out,
-            configured_lane_width(),
-            configured_muladd_mode(),
-        )
-    }
-
-    /// The batch path at an explicit lane width and `MulAdd` mode,
-    /// ignoring the process-wide `AWESYM_LANES` / `AWESYM_TAPE_FMA`
-    /// configuration. This is what the parity tests and `tape_bench`'s
-    /// `simd` section call to compare widths inside one process;
-    /// [`Evaluator::try_eval_batch`] is this with the configured settings.
-    ///
-    /// # Errors
-    ///
-    /// Shape errors as for [`Evaluator::try_eval_batch`].
+    /// not `points.len() * self.n_outputs()` long. Nothing is evaluated
+    /// and `out` is untouched on error, so stale registers can never
+    /// masquerade as results.
     pub fn eval_batch_lanes(
         &self,
         points: &[Vec<f64>],
         out: &mut [f64],
         width: LaneWidth,
-        muladd: MulAddMode,
     ) -> Result<(), BatchShapeError> {
         self.check_shapes(points, out)?;
         // Sampled profiling: the whole batch counts as one call, so the
@@ -339,11 +314,11 @@ impl<'m> Evaluator<'m> {
         let n_out = self.n_outputs();
         let full = match width {
             LaneWidth::Scalar => 0,
-            LaneWidth::W4 => self.eval_rows::<16>(points, out, muladd),
-            LaneWidth::W8 => self.eval_rows::<32>(points, out, muladd),
+            LaneWidth::W4 => self.eval_rows::<16>(points, out),
+            LaneWidth::W8 => self.eval_rows::<32>(points, out),
         };
         // Scalar tail: remainder points (or the whole batch at width 1)
-        // take the per-point path, which is bit-identical in exact mode.
+        // take the per-point path, which is bit-identical.
         for (p, row) in points[full..]
             .iter()
             .zip(out[full * n_out..].chunks_exact_mut(n_out))
@@ -438,7 +413,7 @@ impl<'m> Evaluator<'m> {
     ///
     /// # Errors
     ///
-    /// Shape errors as for [`Evaluator::try_eval_batch`].
+    /// Shape errors as for [`Evaluator::eval_batch_lanes`].
     pub fn eval_batch_soa_ref(
         &self,
         points: &[Vec<f64>],
@@ -504,21 +479,14 @@ impl<'m> Evaluator<'m> {
     /// Row-major front of the block driver: block rows are transposed
     /// into the input region, outputs scattered into point rows.
     ///
-    /// Its register file lives for one call. Row-major callers hand the
-    /// kernel whole batches, and some (the timing engine) keep hundreds
-    /// of evaluators alive at once, where a kept file per evaluator would
-    /// only add resident memory.
-    fn eval_rows<const B: usize>(
-        &self,
-        points: &[Vec<f64>],
-        out: &mut [f64],
-        muladd: MulAddMode,
-    ) -> usize {
+    /// Its register file lives for one call: row-major callers hand the
+    /// kernel whole batches, so a kept file would only add resident
+    /// memory.
+    fn eval_rows<const B: usize>(&self, points: &[Vec<f64>], out: &mut [f64]) -> usize {
         let n_out = self.n_outputs();
         self.eval_blocks::<B>(
             &mut LaneFile::default(),
             points.len(),
-            muladd,
             |plan, phase, p0, regs| plan.load_inputs::<B>(phase, &points[p0..p0 + B], regs),
             |p0, k, tile| {
                 for (l, &v) in tile.iter().enumerate() {
@@ -541,7 +509,6 @@ impl<'m> Evaluator<'m> {
         self.eval_blocks::<B>(
             &mut self.lanes.borrow_mut(),
             count,
-            configured_muladd_mode(),
             |plan, phase, p0, regs| {
                 for (s, slot) in plan.input_slots(phase).enumerate() {
                     regs[slot * B..(slot + 1) * B]
@@ -570,7 +537,6 @@ impl<'m> Evaluator<'m> {
         &self,
         file: &mut LaneFile,
         n: usize,
-        muladd: MulAddMode,
         mut load: impl FnMut(&LanePlan, Phase, usize, &mut [f64]),
         mut store: impl FnMut(usize, usize, &[f64; B]),
     ) -> usize {
@@ -578,9 +544,7 @@ impl<'m> Evaluator<'m> {
         if full == 0 {
             return 0;
         }
-        let plan = self.plan.get_or_init(|| {
-            LanePlan::new(self.fun.tape(), self.fun.output_regs(), self.fun.n_syms())
-        });
+        let plan = self.fun.lane_plan();
         let k_tape = self.fun.n_outputs();
         let regs = file.regs::<B>(plan);
         let mut phase = Phase::Ping;
@@ -589,7 +553,7 @@ impl<'m> Evaluator<'m> {
             if p0 + B < full {
                 load(plan, phase.other(), p0 + B, regs);
             }
-            plan.replay::<B>(phase, regs, muladd);
+            plan.replay::<B>(phase, regs);
             for (k, &slot) in plan.outputs(phase).iter().enumerate() {
                 let o = slot as usize * B;
                 store(p0, k, (&regs[o..o + B]).try_into().expect("B-lane tile"));
@@ -725,14 +689,13 @@ mod tests {
         let points = demo_points(77);
         let n_out = ev.n_outputs();
         let mut scalar = vec![0.0; points.len() * n_out];
-        ev.eval_batch_lanes(&points, &mut scalar, LaneWidth::Scalar, MulAddMode::Exact)
+        ev.eval_batch_lanes(&points, &mut scalar, LaneWidth::Scalar)
             .unwrap();
         let mut soa = vec![0.0; points.len() * n_out];
         ev.eval_batch_soa_ref(&points, &mut soa).unwrap();
         for width in [LaneWidth::W4, LaneWidth::W8] {
             let mut got = vec![0.0; points.len() * n_out];
-            ev.eval_batch_lanes(&points, &mut got, width, MulAddMode::Exact)
-                .unwrap();
+            ev.eval_batch_lanes(&points, &mut got, width).unwrap();
             for (i, (&g, (&s, &r))) in got.iter().zip(scalar.iter().zip(&soa)).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -841,14 +804,15 @@ mod tests {
         let f = demo_fn();
         let ev = f.evaluator();
         let n_out = ev.n_outputs();
+        let width = configured_lane_width();
         let good = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
         let mut out = vec![0.0; good.len() * n_out];
-        ev.try_eval_batch(&good, &mut out).unwrap();
+        ev.eval_batch_lanes(&good, &mut out, width).unwrap();
 
         // A short point is named by index, and out is untouched.
         let bad = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0]];
         let mut scratch = vec![-7.0; bad.len() * n_out];
-        let e = ev.try_eval_batch(&bad, &mut scratch).unwrap_err();
+        let e = ev.eval_batch_lanes(&bad, &mut scratch, width).unwrap_err();
         assert_eq!(
             e,
             BatchShapeError::PointArity {
@@ -862,7 +826,7 @@ mod tests {
 
         // Wrong output length is its own variant.
         let mut short = vec![0.0; 1];
-        let e = ev.try_eval_batch(&good, &mut short).unwrap_err();
+        let e = ev.eval_batch_lanes(&good, &mut short, width).unwrap_err();
         assert!(
             matches!(e, BatchShapeError::OutputLen { got: 1, .. }),
             "{e}"

@@ -11,6 +11,7 @@
 //! liveness-based register reuse); [`CompileOptions`] is the escape hatch
 //! for inspecting the raw lowering.
 
+use crate::lanes::{LanePlan, PlanCell};
 use crate::opt::{self, CompileOptions, OptLevel};
 use crate::{AffineTail, Evaluator, MPoly};
 use std::collections::HashMap;
@@ -270,6 +271,7 @@ impl ExprGraph {
             n_syms: self.n_syms,
             raw_ops,
             opt_level: options.opt_level,
+            plan: PlanCell::default(),
         }
     }
 
@@ -456,6 +458,9 @@ pub struct CompiledFn {
     n_syms: usize,
     raw_ops: usize,
     opt_level: OptLevel,
+    /// The tape's lane lowering, built by the first batch call through any
+    /// evaluator and shared by all of them.
+    plan: PlanCell,
 }
 
 impl CompiledFn {
@@ -494,6 +499,13 @@ impl CompiledFn {
     /// Registers holding each output after a replay.
     pub(crate) fn output_regs(&self) -> &[u32] {
         &self.outputs
+    }
+
+    /// The lane plan, built (and counted in
+    /// `profile::snapshot().lane_plan_builds`) on first use.
+    pub(crate) fn lane_plan(&self) -> &LanePlan {
+        self.plan
+            .get_or_build(|| LanePlan::new(&self.tape, &self.outputs, self.n_syms))
     }
 
     /// An [`Evaluator`] with its own scratch space — the preferred
@@ -587,6 +599,7 @@ impl serde::Deserialize for CompiledFn {
             n_syms,
             raw_ops,
             opt_level,
+            plan: PlanCell::default(),
         })
     }
 }

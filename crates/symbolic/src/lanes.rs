@@ -1,6 +1,6 @@
 //! The vectorized lane backend for tape evaluation.
 //!
-//! [`Evaluator::eval_batch`](crate::Evaluator::eval_batch) lowers an
+//! The batch entry points of [`Evaluator`](crate::Evaluator) lower an
 //! optimized tape into a `LanePlan` — a dense arithmetic instruction
 //! stream over a *slotted* lane register file — and replays it over blocks
 //! of `W × LANE_TILE` points, where `W` is the SIMD lane width (4 or 8
@@ -39,18 +39,24 @@
 //!
 //! Every tape op is evaluated **elementwise** — lane `l` of a block only
 //! ever combines lane `l` of its operands, there are no cross-lane
-//! reductions — so lane width and tiling never change results: the kernel
+//! reductions, and `MulAdd` keeps the scalar replay's intermediate
+//! rounding — so lane width and tiling never change results: the kernel
 //! is bit-identical to per-point
 //! [`Evaluator::eval_into`](crate::Evaluator::eval_into) at every width,
-//! including the scalar tail. The one documented exception is the opt-in
-//! fused-multiply-add mode ([`MulAddMode::Fused`], env
-//! `AWESYM_TAPE_FMA=1`), which skips `MulAdd`'s intermediate rounding and
-//! may diverge from the scalar kernel by up to ~1e-12 relative (see
-//! `docs/tape.md` §7). The CI `simd-parity` job pins the exact-mode
-//! guarantee at widths 1/4/8.
+//! including the scalar tail. The CI `simd-parity` job pins this at widths
+//! 1/4/8.
+//!
+//! ## One plan per compiled function
+//!
+//! The plan depends only on the tape, so it lives on the
+//! [`CompiledFn`](crate::CompiledFn): the first batch call through any of
+//! its evaluators builds it, and every later evaluator — every pool worker,
+//! every request — reuses it. `profile::snapshot().lane_plan_builds`
+//! counts the builds process-wide.
 
-use crate::{Tape, TapeOp};
+use crate::{profile, Tape, TapeOp};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Register-tiling factor: lane blocks per tape-op dispatch. One
 /// dispatched instruction covers `width × LANE_TILE` points, so the
@@ -123,43 +129,10 @@ impl std::fmt::Display for LaneWidth {
     }
 }
 
-/// How the lane kernel evaluates [`TapeOp::MulAdd`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MulAddMode {
-    /// `a*b + c` with the intermediate rounding — bit-identical to the
-    /// scalar replay. The default, and the only mode the parity gates
-    /// accept.
-    Exact,
-    /// `f64::mul_add(a, b, c)` — one rounding, faster on FMA hardware,
-    /// but the skipped rounding lets results drift from the scalar kernel
-    /// by up to ~1e-12 relative on the bundled workloads. Opt-in via
-    /// `AWESYM_TAPE_FMA=1`.
-    Fused,
-}
-
-impl MulAddMode {
-    /// Parses an `AWESYM_TAPE_FMA` value: `"1"`/`"true"` → fused,
-    /// anything else (including unset) → exact.
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        match value {
-            Some("1") | Some("true") => MulAddMode::Fused,
-            _ => MulAddMode::Exact,
-        }
-    }
-}
-
 /// Process-wide lane width, read once from `AWESYM_LANES`.
 pub fn configured_lane_width() -> LaneWidth {
     static WIDTH: std::sync::OnceLock<LaneWidth> = std::sync::OnceLock::new();
     *WIDTH.get_or_init(|| LaneWidth::from_env_value(std::env::var("AWESYM_LANES").ok().as_deref()))
-}
-
-/// Process-wide `MulAdd` mode, read once from `AWESYM_TAPE_FMA`.
-pub fn configured_muladd_mode() -> MulAddMode {
-    static MODE: std::sync::OnceLock<MulAddMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        MulAddMode::from_env_value(std::env::var("AWESYM_TAPE_FMA").ok().as_deref())
-    })
 }
 
 /// Which input region the current block reads from (see module docs).
@@ -224,6 +197,40 @@ enum Def {
     Const(u32),
     Sym(u32),
     Op,
+}
+
+/// A compiled function's [`LanePlan`] slot: empty until the first batch
+/// call, then shared by every evaluator of the function. Clones carry a
+/// built plan along; equality ignores the slot, since the plan is a pure
+/// function of the tape.
+#[derive(Clone, Default)]
+pub(crate) struct PlanCell(OnceLock<LanePlan>);
+
+impl PlanCell {
+    /// The plan, built by `build` on first use and counted.
+    pub(crate) fn get_or_build(&self, build: impl FnOnce() -> LanePlan) -> &LanePlan {
+        self.0.get_or_init(|| {
+            profile::LANE_PLAN_BUILDS.inc();
+            build()
+        })
+    }
+}
+
+impl PartialEq for PlanCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for PlanCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = if self.0.get().is_some() {
+            "built"
+        } else {
+            "empty"
+        };
+        write!(f, "PlanCell({state})")
+    }
 }
 
 /// A tape lowered for the lane kernel: the dense arithmetic stream (one
@@ -411,17 +418,11 @@ impl LanePlan {
     /// writes its destination tile back — straight-line, bounds-check-free
     /// maps over fixed-size arrays that LLVM lowers to `B / width`-many
     /// vector ops per tile.
-    pub(crate) fn replay<const B: usize>(
-        &self,
-        phase: Phase,
-        regs: &mut [f64],
-        muladd: MulAddMode,
-    ) {
+    pub(crate) fn replay<const B: usize>(&self, phase: Phase, regs: &mut [f64]) {
         let insns = match phase {
             Phase::Ping => &self.insns_ping,
             Phase::Pong => &self.insns_pong,
         };
-        let fused = muladd == MulAddMode::Fused;
         #[inline(always)]
         fn tile<const B: usize>(regs: &[f64], slot: u32) -> [f64; B] {
             let o = slot as usize * B;
@@ -461,13 +462,9 @@ impl LanePlan {
                     let a = tile::<B>(regs, insn.a);
                     let b = tile::<B>(regs, insn.b);
                     let c = tile::<B>(regs, insn.c);
-                    if fused {
-                        std::array::from_fn(|l| a[l].mul_add(b[l], c[l]))
-                    } else {
-                        // Same `a*b + c` rounding as the scalar replay,
-                        // so exact-mode batch results are bit-identical.
-                        std::array::from_fn(|l| a[l] * b[l] + c[l])
-                    }
+                    // Same `a*b + c` rounding as the scalar replay, so
+                    // batch results are bit-identical.
+                    std::array::from_fn(|l| a[l] * b[l] + c[l])
                 }
             };
             let db = insn.dst as usize * B;
@@ -500,9 +497,6 @@ mod tests {
         assert_eq!(LaneWidth::from_env_value(Some("8")), LaneWidth::W8);
         // Unrecognized values warn and fall back to the default.
         assert_eq!(LaneWidth::from_env_value(Some("16")), LaneWidth::W8);
-        assert_eq!(MulAddMode::from_env_value(None), MulAddMode::Exact);
-        assert_eq!(MulAddMode::from_env_value(Some("1")), MulAddMode::Fused);
-        assert_eq!(MulAddMode::from_env_value(Some("0")), MulAddMode::Exact);
     }
 
     #[test]
@@ -571,7 +565,7 @@ mod tests {
         let mut regs = vec![0.0; plan.n_slots() * B];
         plan.init_consts::<B>(&mut regs);
         plan.load_inputs::<B>(Phase::Pong, &points, &mut regs);
-        plan.replay::<B>(Phase::Pong, &mut regs, MulAddMode::Exact);
+        plan.replay::<B>(Phase::Pong, &mut regs);
         let outs = plan.outputs(Phase::Pong);
         for (l, p) in points.iter().enumerate() {
             let want = ev.eval(p);

@@ -55,10 +55,7 @@ mod symbols;
 
 pub use eval::{AffineTail, BatchShapeError, Evaluator, LANES};
 pub use expr::{CompiledFn, ExprGraph, ExprId, Tape, TapeOp};
-pub use lanes::{
-    configured_lane_width, configured_muladd_mode, LaneWidth, MulAddMode, LANE_TILE,
-    MAX_BLOCK_POINTS,
-};
+pub use lanes::{configured_lane_width, LaneWidth, LANE_TILE, MAX_BLOCK_POINTS};
 pub use mpoly::MPoly;
 pub use opt::{CompileOptions, OptLevel};
 pub use ratio::Ratio;

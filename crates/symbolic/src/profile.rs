@@ -12,6 +12,11 @@
 //! short-lived worker evaluators, so per-instance counters would vanish
 //! with their workers). [`snapshot`] reads them; [`reset`] zeroes them
 //! between bench phases.
+//!
+//! One unsampled counter rides along: every lane-plan build (one per
+//! compiled function that ever runs a batch; see [`crate::lanes`]) bumps
+//! [`EvalProfile::lane_plan_builds`], a process-lifetime total that
+//! [`reset`] leaves alone.
 
 use crate::{Tape, TapeOp};
 use awesym_obs::{Counter, Sampler};
@@ -31,6 +36,8 @@ static SAMPLED_CALLS: Counter = Counter::new();
 static POINTS: Counter = Counter::new();
 static TAPE_OPS: Counter = Counter::new();
 static NANOS: Counter = Counter::new();
+/// Lane plans built (unsampled; bumped by `lanes::PlanCell`).
+pub(crate) static LANE_PLAN_BUILDS: Counter = Counter::new();
 static BY_KIND: [Counter; 9] = [
     Counter::new(),
     Counter::new(),
@@ -89,6 +96,9 @@ pub struct EvalProfile {
     /// Executed-instruction tally per op kind (same order as
     /// [`OP_KINDS`]).
     pub ops_by_kind: [(&'static str, u64); 9],
+    /// Lane plans built since the process started (unsampled; not
+    /// zeroed by [`reset`]).
+    pub lane_plan_builds: u64,
 }
 
 impl EvalProfile {
@@ -125,10 +135,12 @@ pub fn snapshot() -> EvalProfile {
         tape_ops: TAPE_OPS.get(),
         nanos: NANOS.get(),
         ops_by_kind,
+        lane_plan_builds: LANE_PLAN_BUILDS.get(),
     }
 }
 
-/// Zeroes the global profile (bench phase boundaries).
+/// Zeroes the sampled profile (bench phase boundaries); the lane-plan
+/// build total is kept.
 pub fn reset() {
     SAMPLED_CALLS.take();
     POINTS.take();

@@ -2,7 +2,7 @@
 //! batch kernel (`crate::lanes`).
 //!
 //! The contract under test (docs/tape.md §7): at any lane width, batch
-//! evaluation in exact mul-add mode is **bit-identical** to per-point
+//! evaluation is **bit-identical** to per-point
 //! `eval_into` — including the scalar tail, the empty batch, and outputs
 //! whose reaching definition is a hoisted const/sym load. The CI
 //! `simd-parity` job additionally runs this whole suite with
@@ -10,8 +10,7 @@
 //! is exercised at every width, not just the explicit-width API.
 
 use awesym_symbolic::{
-    AffineTail, CompileOptions, CompiledFn, ExprGraph, ExprId, LaneWidth, MulAddMode, OptLevel,
-    TapeOp,
+    AffineTail, CompileOptions, CompiledFn, ExprGraph, ExprId, LaneWidth, OptLevel, TapeOp,
 };
 use proptest::prelude::*;
 
@@ -59,8 +58,7 @@ fn assert_boundary_parity(f: &CompiledFn, width: LaneWidth) {
     for n in sizes {
         let pts = points_for(f, n);
         let mut batch = vec![0.0; n * n_out];
-        ev.eval_batch_lanes(&pts, &mut batch, width, MulAddMode::Exact)
-            .unwrap();
+        ev.eval_batch_lanes(&pts, &mut batch, width).unwrap();
         for (i, p) in pts.iter().enumerate() {
             let single = ev.eval(p);
             for (j, (&b, &s)) in batch[i * n_out..(i + 1) * n_out]
@@ -114,8 +112,7 @@ fn empty_batch_is_a_no_op_at_every_width() {
     let ev = f.evaluator();
     for width in [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8] {
         let mut out: Vec<f64> = Vec::new();
-        ev.eval_batch_lanes(&[], &mut out, width, MulAddMode::Exact)
-            .unwrap();
+        ev.eval_batch_lanes(&[], &mut out, width).unwrap();
         assert!(out.is_empty());
     }
 }
@@ -141,8 +138,7 @@ fn affine_tail_parity_across_widths_and_boundaries() {
                 .map(|i| vec![0.5 + i as f64, 1.5 - 0.25 * i as f64])
                 .collect();
             let mut batch = vec![0.0; n * n_out];
-            ev.eval_batch_lanes(&pts, &mut batch, width, MulAddMode::Exact)
-                .unwrap();
+            ev.eval_batch_lanes(&pts, &mut batch, width).unwrap();
             for (i, p) in pts.iter().enumerate() {
                 let single = ev.eval(p);
                 assert_eq!(
@@ -154,32 +150,6 @@ fn affine_tail_parity_across_widths_and_boundaries() {
                     "width {width}, size {n}, point {i}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn fused_muladd_stays_within_documented_tolerance() {
-    // Fused mode skips MulAdd's intermediate rounding: allowed to diverge
-    // from exact mode, but only within the documented 1e-12 relative
-    // envelope (docs/tape.md §7).
-    let f = mixed_fn(OptLevel::Full);
-    let ev = f.evaluator();
-    let n_out = ev.n_outputs();
-    let pts = points_for(&f, 96);
-    let mut exact = vec![0.0; pts.len() * n_out];
-    let mut fused = vec![0.0; pts.len() * n_out];
-    for width in [LaneWidth::W4, LaneWidth::W8] {
-        ev.eval_batch_lanes(&pts, &mut exact, width, MulAddMode::Exact)
-            .unwrap();
-        ev.eval_batch_lanes(&pts, &mut fused, width, MulAddMode::Fused)
-            .unwrap();
-        for (i, (&e, &fu)) in exact.iter().zip(&fused).enumerate() {
-            let rel = (e - fu).abs() / e.abs().max(1e-300);
-            assert!(
-                rel <= 1e-12,
-                "width {width}, slot {i}: fused {fu} vs exact {e}, rel {rel:e}"
-            );
         }
     }
 }
@@ -206,12 +176,10 @@ proptest! {
             })
             .collect();
         let mut scalar = vec![0.0; n * n_out];
-        ev.eval_batch_lanes(&pts, &mut scalar, LaneWidth::Scalar, MulAddMode::Exact)
-            .unwrap();
+        ev.eval_batch_lanes(&pts, &mut scalar, LaneWidth::Scalar).unwrap();
         for width in [LaneWidth::W4, LaneWidth::W8] {
             let mut got = vec![0.0; n * n_out];
-            ev.eval_batch_lanes(&pts, &mut got, width, MulAddMode::Exact)
-                .unwrap();
+            ev.eval_batch_lanes(&pts, &mut got, width).unwrap();
             for (i, (&g, &s)) in got.iter().zip(&scalar).enumerate() {
                 prop_assert_eq!(g.to_bits(), s.to_bits(), "width {} slot {}", width, i);
             }

@@ -274,22 +274,29 @@ pub fn stage_delay(m: &[f64], metric: DelayMetric) -> f64 {
 }
 
 /// Per-worker state for a [`GateChain`] run: one [`Evaluator`] per stage
-/// (owned scratch, reused across every block the worker processes) plus
-/// the SoA point/moment buffers.
+/// (owned scratch and lane register file, reused across every block the
+/// worker processes) plus flat column-major buffers for a block's symbol
+/// values and one stage's moments.
 pub struct ChainWorker<'a> {
     chain: &'a GateChain,
     evals: Vec<Evaluator<'a>>,
-    /// Per stage: the block's symbol points (`count × 2`).
-    points: Vec<Vec<Vec<f64>>>,
+    /// The block's stage inputs: symbol `k` of sample `j` at stage `s` is
+    /// `points[(2 * s + k) * count + j]`.
+    points: Vec<f64>,
+    /// One stage's moments: moment `k` of sample `j` is
+    /// `moments[k * count + j]`.
     moments: Vec<f64>,
+    /// One sample's moments, gathered for the delay metric.
+    row: Vec<f64>,
 }
 
 impl<'a> ChainWorker<'a> {
     fn new(chain: &'a GateChain) -> Self {
         ChainWorker {
             evals: chain.stages.iter().map(|s| s.model.evaluator()).collect(),
-            points: vec![Vec::new(); chain.stages.len()],
+            points: Vec::new(),
             moments: Vec::new(),
+            row: Vec::new(),
             chain,
         }
     }
@@ -298,11 +305,8 @@ impl<'a> ChainWorker<'a> {
 impl BlockWorker for ChainWorker<'_> {
     fn run_block(&mut self, block: BlockSpec, out: &mut Vec<f64>) {
         let chain = self.chain;
-        let n_stages = chain.stages.len();
         let count = block.count;
-        for pts in &mut self.points {
-            pts.resize_with(count, || vec![0.0; 2]);
-        }
+        self.points.resize(2 * chain.stages.len() * count, 0.0);
         // Draw order (per sample): global pair, then each stage's local
         // pair in path order. Pinned — see module docs.
         let mut rng = BlockRng::new(block.seed, block.index);
@@ -312,23 +316,31 @@ impl BlockWorker for ChainWorker<'_> {
             for (s, stage) in chain.stages.iter().enumerate() {
                 let l_r = rng.log_normal(stage.sigma[0]);
                 let l_c = rng.log_normal(stage.sigma[1]);
-                let p = &mut self.points[s][j];
-                p[0] = stage.nominal[0] * g_r * l_r;
-                p[1] = stage.nominal[1] * g_c * l_c;
+                self.points[2 * s * count + j] = stage.nominal[0] * g_r * l_r;
+                self.points[(2 * s + 1) * count + j] = stage.nominal[1] * g_c * l_c;
             }
         }
         out.clear();
         out.resize(count, 0.0);
-        for s in 0..n_stages {
-            let ev = &self.evals[s];
+        for (s, ev) in self.evals.iter().enumerate() {
             let n_out = ev.n_outputs();
-            self.moments.resize(count * n_out, 0.0);
-            ev.eval_batch(&self.points[s][..count], &mut self.moments);
+            self.moments.resize(n_out * count, 0.0);
+            self.row.resize(n_out, 0.0);
+            ev.eval_columns(
+                &self.points[2 * s * count..],
+                count,
+                count,
+                &mut self.moments,
+                count,
+            )
+            .expect("stage buffers are sized for the stage tape");
             for (j, o) in out.iter_mut().enumerate() {
-                let m = &self.moments[j * n_out..(j + 1) * n_out];
+                for (k, m) in self.row.iter_mut().enumerate() {
+                    *m = self.moments[k * count + j];
+                }
                 // NaN from any stage poisons the sample's sum, which the
                 // accumulator then counts as invalid.
-                *o += stage_delay(m, chain.spec.metric);
+                *o += stage_delay(&self.row, chain.spec.metric);
             }
         }
     }
@@ -409,10 +421,10 @@ mod tests {
 
     #[test]
     fn stage_tapes_lane_width_parity() {
-        use awesym_symbolic::{LaneWidth, MulAddMode};
+        use awesym_symbolic::LaneWidth;
         // Real compiled stage-delay tapes: the lane kernel must be
-        // bit-identical to the per-point path at every width in exact
-        // mode, so Monte Carlo results cannot depend on AWESYM_LANES
+        // bit-identical to the per-point path at every width, so Monte
+        // Carlo results cannot depend on AWESYM_LANES
         // (the CI simd-parity matrix additionally runs the whole crate
         // suite with the env var pinned to 1/4/8).
         let chain = GateChain::compile(&tiny_spec()).unwrap();
@@ -435,8 +447,7 @@ mod tests {
             }
             for width in [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8] {
                 let mut got = vec![0.0; points.len() * n_out];
-                ev.eval_batch_lanes(&points, &mut got, width, MulAddMode::Exact)
-                    .unwrap();
+                ev.eval_batch_lanes(&points, &mut got, width).unwrap();
                 for (i, (&g, &r)) in got.iter().zip(&reference).enumerate() {
                     assert_eq!(
                         g.to_bits(),

@@ -1,6 +1,6 @@
-//! Streaming Monte Carlo engine: a persistent worker pool that drives a
-//! compiled task's batch evaluator through fixed-size sample blocks and
-//! folds every block into merge-order-invariant online accumulators.
+//! Streaming Monte Carlo engine: worker threads drive a compiled task's
+//! batch evaluator through fixed-size sample blocks and fold every block
+//! into merge-order-invariant online accumulators.
 //!
 //! ## Determinism contract
 //!
@@ -19,19 +19,21 @@
 //! per worker — no per-sample vector is ever materialized, so a 10⁷-sample
 //! run costs the same resident memory as a 10⁴-sample one.
 //!
-//! ## Pool lifecycle
+//! ## Threads
 //!
-//! Threads spawn once in [`McEngine::new`] and park on a condvar between
-//! jobs; each [`McEngine::run`] publishes one job (epoch bump), waits for
-//! all workers to check in, and merges their accumulators. Workers build
-//! their [`BlockWorker`] (evaluators + scratch) once at spawn and reuse it
-//! across every job — the pattern `awesym-serve`'s per-request spawning
-//! left on the table (see ROADMAP).
+//! Each [`McEngine::run`] spawns its worker threads with
+//! `std::thread::scope` and joins them before it returns, so no thread
+//! outlives a run. Every thread builds its [`BlockWorker`] when the run
+//! starts (cheap: evaluators share their compiled function's lane plan)
+//! and drops it, scratch and all, when the run ends, so an idle engine
+//! holds no per-worker memory. A block that panics does not hang the run:
+//! once the other threads have finished, `run` re-raises that panic's
+//! payload, and the engine stays usable for the next run.
 
 use crate::accum::{QuantileGrid, Summary, YieldAccumulator};
 use awesym_obs::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One unit of work: which block, how many samples it holds, and the run
@@ -62,8 +64,9 @@ pub trait McTask: Send + Sync {
     type Worker<'a>: BlockWorker
     where
         Self: 'a;
-    /// Builds one worker. Called once per pool thread at spawn; the
-    /// worker is reused across jobs.
+    /// Builds one worker. Called once per worker thread at the start of
+    /// every run; the worker serves every block its thread claims in that
+    /// run and is dropped when the run ends.
     fn make_worker(&self) -> Self::Worker<'_>;
 }
 
@@ -133,44 +136,18 @@ pub struct McReport {
     pub wall_secs: f64,
     /// Samples per wall-clock second.
     pub samples_per_sec: f64,
-    /// Worker threads in the pool.
+    /// Worker threads that ran the job.
     pub workers: usize,
 }
 
-/// One published job. Workers read everything through the `Arc`; the
-/// atomic counter is the work-stealing frontier.
-struct Job {
-    cfg: McConfig,
-    next_block: Arc<AtomicU64>,
-    n_blocks: u64,
-}
-
-/// Pool state guarded by one mutex: the current job (bumped epoch
-/// publishes it), the shutdown flag, and the per-job result inbox.
-struct Slot {
-    epoch: u64,
-    shutdown: bool,
-    job: Option<Job>,
-    done: usize,
-    results: Vec<YieldAccumulator>,
-}
-
-struct Shared {
-    slot: Mutex<Slot>,
-    start: Condvar,
-    finish: Condvar,
-}
-
-/// Persistent-pool streaming Monte Carlo engine over a compiled task.
+/// Streaming Monte Carlo engine over a compiled task.
 ///
-/// Spawns its worker threads once at construction; [`McEngine::run`] can
-/// then be called any number of times (e.g. a benchmark's repetitions)
-/// without paying thread or evaluator setup again. Dropping the engine
-/// shuts the pool down.
+/// Construction only registers metrics; [`McEngine::run`] can then be
+/// called any number of times (e.g. a benchmark's repetitions), each run
+/// on its own scoped worker threads. See the module docs.
 pub struct McEngine<T: McTask + 'static> {
     task: Arc<T>,
-    shared: Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    workers: usize,
     metrics: EngineMetrics,
 }
 
@@ -188,8 +165,7 @@ struct EngineMetrics {
 const BLOCK_NS_EDGES: &[u64] = &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
 impl<T: McTask + 'static> McEngine<T> {
-    /// Spawns a pool of `workers` threads over `task`. Each thread builds
-    /// its [`BlockWorker`] immediately and parks until the first job.
+    /// An engine running `task` on `workers` threads per run.
     ///
     /// Metrics (`mc_blocks_total`, `mc_samples_total`, `mc_merges_total`,
     /// `mc_block_ns`, `mc_samples_per_sec`) register on `registry`.
@@ -199,41 +175,16 @@ impl<T: McTask + 'static> McEngine<T> {
     /// Panics when `workers == 0`.
     pub fn new(task: Arc<T>, workers: usize, registry: &Registry) -> Self {
         assert!(workers > 0, "engine needs at least one worker");
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(Slot {
-                epoch: 0,
-                shutdown: false,
-                job: None,
-                done: 0,
-                results: Vec::new(),
-            }),
-            start: Condvar::new(),
-            finish: Condvar::new(),
-        });
-        let metrics = EngineMetrics {
-            blocks: registry.counter("mc_blocks_total"),
-            samples: registry.counter("mc_samples_total"),
-            merges: registry.counter("mc_merges_total"),
-            block_ns: registry.histogram("mc_block_ns", BLOCK_NS_EDGES),
-            samples_per_sec: registry.gauge("mc_samples_per_sec"),
-        };
-        let handles = (0..workers)
-            .map(|_| {
-                let task = Arc::clone(&task);
-                let shared = Arc::clone(&shared);
-                let blocks_c = Arc::clone(&metrics.blocks);
-                let samples_c = Arc::clone(&metrics.samples);
-                let block_ns = Arc::clone(&metrics.block_ns);
-                std::thread::spawn(move || {
-                    worker_loop(&*task, &shared, &blocks_c, &samples_c, &block_ns);
-                })
-            })
-            .collect();
         McEngine {
             task,
-            shared,
-            handles,
-            metrics,
+            workers,
+            metrics: EngineMetrics {
+                blocks: registry.counter("mc_blocks_total"),
+                samples: registry.counter("mc_samples_total"),
+                merges: registry.counter("mc_merges_total"),
+                block_ns: registry.histogram("mc_block_ns", BLOCK_NS_EDGES),
+                samples_per_sec: registry.gauge("mc_samples_per_sec"),
+            },
         }
     }
 
@@ -242,114 +193,70 @@ impl<T: McTask + 'static> McEngine<T> {
         &self.task
     }
 
-    /// Number of pool threads.
+    /// Worker threads per run.
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.workers
     }
 
     /// Runs one Monte Carlo job to completion and returns the merged
-    /// report. Blocks the calling thread; the pool does the work.
+    /// report. Blocks the calling thread while the run's worker threads
+    /// do the work.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the payload of a block that panicked, after every other
+    /// worker thread has finished.
     pub fn run(&self, cfg: &McConfig) -> McReport {
         assert!(cfg.block_size > 0, "block size must be positive");
         let t0 = Instant::now();
-        let n_blocks = cfg.n_blocks();
-        let workers = self.handles.len();
-        {
-            let mut slot = self.shared.slot.lock().unwrap();
-            slot.job = Some(Job {
-                cfg: *cfg,
-                next_block: Arc::new(AtomicU64::new(0)),
-                n_blocks,
-            });
-            slot.done = 0;
-            slot.results = Vec::with_capacity(workers);
-            slot.epoch += 1;
-            self.shared.start.notify_all();
-            // Wait for every worker to deposit its accumulator.
-            while slot.done < workers {
-                slot = self.shared.finish.wait(slot).unwrap();
-            }
-            slot.job = None;
-            let mut results = std::mem::take(&mut slot.results);
-            drop(slot);
+        let next_block = AtomicU64::new(0);
+        // Every thread is joined before any panic is re-raised.
+        let joined: Vec<std::thread::Result<YieldAccumulator>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.workers)
+                .map(|_| s.spawn(|| self.work(cfg, &next_block)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut results: Vec<YieldAccumulator> = joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
 
-            // Deterministic merge: worker deposit order varies run to run,
-            // but the accumulator's merge is order-invariant by
-            // construction, so any order yields bit-identical results.
-            let mut acc = results.pop().expect("at least one worker result");
-            for other in &results {
-                acc.merge(other);
-                self.metrics.merges.inc();
-            }
-            let summary = acc.finish();
-            let wall_secs = t0.elapsed().as_secs_f64();
-            let samples_per_sec = if wall_secs > 0.0 {
-                summary.samples as f64 / wall_secs
-            } else {
-                0.0
-            };
-            self.metrics.samples_per_sec.set(samples_per_sec as i64);
-            McReport {
-                summary,
-                wall_secs,
-                samples_per_sec,
-                workers,
-            }
+        // Deterministic merge: which worker ran which blocks varies run to
+        // run, but the accumulator's merge is order-invariant by
+        // construction, so any order yields bit-identical results.
+        let mut acc = results.pop().expect("at least one worker result");
+        for other in &results {
+            acc.merge(other);
+            self.metrics.merges.inc();
         }
-    }
-}
-
-impl<T: McTask + 'static> Drop for McEngine<T> {
-    fn drop(&mut self) {
-        {
-            let mut slot = self.shared.slot.lock().unwrap();
-            slot.shutdown = true;
-            self.shared.start.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            // A worker that panicked already poisoned the run it was part
-            // of; surface it here rather than swallowing.
-            if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
-            }
-        }
-    }
-}
-
-/// The body each pool thread runs: build the worker once, then serve jobs
-/// until shutdown.
-fn worker_loop<T: McTask>(
-    task: &T,
-    shared: &Shared,
-    blocks_c: &awesym_obs::Counter,
-    samples_c: &awesym_obs::Counter,
-    block_ns: &awesym_obs::Histogram,
-) {
-    let mut worker = task.make_worker();
-    let mut buf: Vec<f64> = Vec::new();
-    let mut seen_epoch = 0u64;
-    loop {
-        // Park until a new job epoch (or shutdown) appears.
-        let (cfg, next_block, n_blocks) = {
-            let mut slot = shared.slot.lock().unwrap();
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                if slot.epoch != seen_epoch {
-                    seen_epoch = slot.epoch;
-                    let job = slot.job.as_ref().expect("epoch bump publishes a job");
-                    break (job.cfg, Arc::clone(&job.next_block), job.n_blocks);
-                }
-                slot = shared.start.wait(slot).unwrap();
-            }
+        let summary = acc.finish();
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let samples_per_sec = if wall_secs > 0.0 {
+            summary.samples as f64 / wall_secs
+        } else {
+            0.0
         };
+        self.metrics.samples_per_sec.set(samples_per_sec as i64);
+        McReport {
+            summary,
+            wall_secs,
+            samples_per_sec,
+            workers: self.workers,
+        }
+    }
 
+    /// One worker thread's share of a run: build the worker, then claim
+    /// and fold blocks until the counter passes the last one.
+    fn work(&self, cfg: &McConfig, next_block: &AtomicU64) -> YieldAccumulator {
+        let mut worker = self.task.make_worker();
+        let mut buf: Vec<f64> = Vec::new();
         let mut acc = YieldAccumulator::new(cfg.grid, cfg.deadline);
+        let n_blocks = cfg.n_blocks();
         loop {
             let b = next_block.fetch_add(1, Ordering::Relaxed);
             if b >= n_blocks {
-                break;
+                return acc;
             }
             let remaining = cfg.samples - b * cfg.block_size as u64;
             let count = (cfg.block_size as u64).min(remaining) as usize;
@@ -364,15 +271,12 @@ fn worker_loop<T: McTask>(
             );
             debug_assert_eq!(buf.len(), count, "worker filled the block");
             acc.push_block(b, &buf);
-            block_ns.observe(t0.elapsed().as_nanos() as u64);
-            blocks_c.inc();
-            samples_c.add(count as u64);
+            self.metrics
+                .block_ns
+                .observe(t0.elapsed().as_nanos() as u64);
+            self.metrics.blocks.inc();
+            self.metrics.samples.add(count as u64);
         }
-
-        let mut slot = shared.slot.lock().unwrap();
-        slot.results.push(acc);
-        slot.done += 1;
-        shared.finish.notify_all();
     }
 }
 
@@ -459,6 +363,56 @@ mod tests {
         let r = run_with(1, 1_025); // 2 full 512-blocks + 1-sample tail
         assert_eq!(r.summary.samples, 1_025);
         assert_eq!(r.summary.blocks, 3);
+    }
+
+    #[test]
+    fn panicking_block_reraises_and_engine_stays_usable() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const BAD_SEED: u64 = 0xBAD;
+        /// The log-normal task, except that block 3 panics under one seed.
+        struct FlakyTask;
+        struct FlakyWorker;
+        impl BlockWorker for FlakyWorker {
+            fn run_block(&mut self, block: BlockSpec, out: &mut Vec<f64>) {
+                if block.seed == BAD_SEED && block.index == 3 {
+                    panic!("injected failure in block 3");
+                }
+                LnWorker.run_block(block, out);
+            }
+        }
+        impl McTask for FlakyTask {
+            type Worker<'a> = FlakyWorker;
+            fn make_worker(&self) -> FlakyWorker {
+                FlakyWorker
+            }
+        }
+        let engine = Arc::new(McEngine::new(Arc::new(FlakyTask), 3, &Registry::new()));
+        let (tx, rx) = mpsc::channel();
+        let helper = Arc::clone(&engine);
+        // A helper thread, so a hung run fails the watchdog below instead
+        // of hanging the test binary.
+        let handle = std::thread::spawn(move || {
+            let cfg = McConfig::new(5_000, BAD_SEED, grid()).with_block_size(256);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| helper.run(&cfg)));
+            let _ = tx.send(run.map(|r| r.summary));
+        });
+        let payload = match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Err(payload)) => payload,
+            Ok(Ok(summary)) => panic!("run returned despite a panicking block: {summary:?}"),
+            Err(e) => panic!("run did not return within 5 s of a block panic: {e}"),
+        };
+        handle.join().expect("helper thread exits after reporting");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("injected failure in block 3"));
+        // The same engine runs the next job as a fresh one would.
+        let cfg = McConfig::new(5_000, 7, grid()).with_block_size(256);
+        let again = engine.run(&cfg);
+        let fresh = McEngine::new(Arc::new(FlakyTask), 3, &Registry::new()).run(&cfg);
+        assert_eq!(again.summary, fresh.summary);
     }
 
     #[test]

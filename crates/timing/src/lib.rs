@@ -16,9 +16,9 @@
 //!   compiles to an optimized moment tape over `rdrv`/`cload` symbols, and
 //!   the path delay composes per-stage 50 %-delay metrics under shared
 //!   global + per-stage process variation;
-//! - [`engine`] — the persistent-pool streaming engine
-//!   ([`engine::McEngine`]): threads spawn once, steal whole blocks from an
-//!   atomic counter, drive the SoA batch evaluator, and deposit
+//! - [`engine`] — the streaming engine ([`engine::McEngine`]): each run's
+//!   scoped threads steal whole blocks from an atomic counter, drive the
+//!   lane kernel through `Evaluator::eval_columns`, and return
 //!   accumulators that merge bit-identically at any worker count.
 //!
 //! See `docs/timing.md` for the model, symbol conventions, the determinism

@@ -32,6 +32,12 @@ step "cargo build --release" cargo build --release
 
 step "cargo test -q" cargo test -q
 
+# perfbench builds against the workspace crates through path
+# dependencies: the APIs it calls must keep compiling, and a new crate or
+# dependency edge must not rewrite its lockfile.
+step "perfbench check (locked, offline)" \
+  cargo check --locked --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo fmt --check" cargo fmt --check
 
 step "cargo clippy --workspace -- -D warnings" \
