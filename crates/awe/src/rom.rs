@@ -151,21 +151,49 @@ impl Rom {
         let t_max = 10.0 / p_dom.re.abs().max(f64::MIN_POSITIVE);
         let rising = self.dc_gain() >= 0.0;
         let crossed = |v: f64| if rising { v >= target } else { v <= target };
+        // The scan and bisection evaluate the step response a few hundred
+        // times: hoist each pole's `k/p`, and skip `cos`/`sin` where the
+        // exponent is real. Bit-identical to `step_response`.
+        let terms: Vec<(Complex64, Complex64)> = self
+            .poles
+            .iter()
+            .zip(&self.residues)
+            .map(|(&p, &k)| (p, k / p))
+            .collect();
+        let step = |t: f64| -> f64 {
+            terms
+                .iter()
+                .map(|&(p, kp)| {
+                    let z = p * t;
+                    let r = z.re.exp();
+                    // cos(±0) = 1 and sin(±0) = ±0 exactly.
+                    let (cos, sin) = if z.im == 0.0 {
+                        (1.0, z.im)
+                    } else {
+                        (z.im.cos(), z.im.sin())
+                    };
+                    // The real part of `kp * (e^z − 1)`.
+                    kp.re * (r * cos - 1.0) - kp.im * (r * sin)
+                })
+                .sum()
+        };
         let n = 2000;
         let mut prev_t = 0.0;
-        let mut prev_v = self.step_response(0.0);
-        if crossed(prev_v) {
+        if crossed(step(0.0)) {
             return Some(0.0);
         }
         for i in 1..=n {
             let t = t_max * i as f64 / n as f64;
-            let v = self.step_response(t);
-            if crossed(v) {
-                // Bisect between prev_t and t.
+            if crossed(step(t)) {
+                // Bisect between prev_t and t. Once `mid` lands on an
+                // end, every later step would too: stopping is exact.
                 let (mut lo, mut hi) = (prev_t, t);
                 for _ in 0..60 {
                     let mid = 0.5 * (lo + hi);
-                    if crossed(self.step_response(mid)) {
+                    if mid == lo || mid == hi {
+                        break;
+                    }
+                    if crossed(step(mid)) {
                         hi = mid;
                     } else {
                         lo = mid;
@@ -174,9 +202,7 @@ impl Rom {
                 return Some(0.5 * (lo + hi));
             }
             prev_t = t;
-            prev_v = v;
         }
-        let _ = prev_v;
         None
     }
 

@@ -52,6 +52,21 @@ impl ElementKind {
     pub fn is_storage(self) -> bool {
         matches!(self, ElementKind::Capacitor | ElementKind::Inductor)
     }
+
+    /// The letter a SPICE element line of this kind starts with.
+    pub(crate) fn spice_letter(self) -> &'static str {
+        match self {
+            ElementKind::Resistor => "R",
+            ElementKind::Capacitor => "C",
+            ElementKind::Inductor => "L",
+            ElementKind::Vsource => "V",
+            ElementKind::Isource => "I",
+            ElementKind::Vccs => "G",
+            ElementKind::Vcvs => "E",
+            ElementKind::Cccs => "F",
+            ElementKind::Ccvs => "H",
+        }
+    }
 }
 
 /// A linear circuit element.

@@ -140,15 +140,25 @@ impl Circuit {
     /// Serializes to a SPICE-like netlist accepted by
     /// [`crate::parse_spice`], using node *names* so a parse round trip
     /// preserves lookups.
+    ///
+    /// SPICE reads an element's kind from the first letter of its name,
+    /// so a name that starts with another letter (a resistor named `hr1`)
+    /// is written with its kind's letter in front (`Rhr1`), and so is
+    /// every reference to it from a current-controlled source.
     pub fn to_spice(&self) -> String {
         let mut out = String::from("* AWEsymbolic netlist\n");
         let name = |n: Node| self.node_name(n);
+        let ctrl_prefix = |branch: &str| {
+            self.find(branch)
+                .map_or("", |id| spice_prefix(self.element(id)))
+        };
         for e in &self.elements {
             use crate::ElementKind::*;
+            let prefix = spice_prefix(e);
             let _ = match e.kind {
                 Vccs | Vcvs => writeln!(
                     out,
-                    "{} {} {} {} {} {:e}",
+                    "{prefix}{} {} {} {} {} {:e}",
                     e.name,
                     name(e.p),
                     name(e.n),
@@ -158,18 +168,40 @@ impl Circuit {
                 ),
                 Cccs | Ccvs => writeln!(
                     out,
-                    "{} {} {} {} {:e}",
+                    "{prefix}{} {} {} {}{} {:e}",
                     e.name,
                     name(e.p),
                     name(e.n),
+                    ctrl_prefix(&e.ctrl_branch),
                     e.ctrl_branch,
                     e.value
                 ),
-                _ => writeln!(out, "{} {} {} {:e}", e.name, name(e.p), name(e.n), e.value),
+                _ => writeln!(
+                    out,
+                    "{prefix}{} {} {} {:e}",
+                    e.name,
+                    name(e.p),
+                    name(e.n),
+                    e.value
+                ),
             };
         }
         out.push_str(".end\n");
         out
+    }
+}
+
+/// What [`Circuit::to_spice`] writes before `e`'s name so its line starts
+/// with the kind's SPICE letter: nothing when the name already does.
+fn spice_prefix(e: &Element) -> &'static str {
+    let letter = e.kind.spice_letter();
+    if e.name
+        .get(..1)
+        .is_some_and(|first| first.eq_ignore_ascii_case(letter))
+    {
+        ""
+    } else {
+        letter
     }
 }
 
@@ -249,5 +281,25 @@ mod tests {
         let c2 = crate::parse_spice(&text).unwrap();
         assert_eq!(c2.num_elements(), 3);
         assert_eq!(c2.element(c2.find("R1").unwrap()).value, 1e3);
+    }
+
+    #[test]
+    fn spice_names_start_with_their_kind_letter() {
+        let mut c = Circuit::new();
+        let n1 = c.node("1");
+        let n2 = c.node("2");
+        c.add(Element::vsource("vin", n1, Circuit::GROUND, 1.0));
+        c.add(Element::resistor("hr1", n1, n2, 1e3));
+        c.add(Element::inductor("tl1", n2, Circuit::GROUND, 1e-9));
+        c.add(Element::cccs("mirror", n2, Circuit::GROUND, "tl1", 2.0));
+        let text = c.to_spice();
+        assert!(text.contains("\nvin 1 0 "), "{text}");
+        assert!(text.contains("\nRhr1 1 2 "), "{text}");
+        assert!(text.contains("\nFmirror 2 0 Ltl1 "), "{text}");
+        let c2 = crate::parse_spice(&text).unwrap();
+        let kinds: Vec<ElementKind> = c2.elements().iter().map(|e| e.kind).collect();
+        let want: Vec<ElementKind> = c.elements().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, want);
+        assert_eq!(c2.find(&c2.elements()[3].ctrl_branch), Some(ElementId(2)));
     }
 }

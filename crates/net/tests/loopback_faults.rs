@@ -100,8 +100,7 @@ fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
     // as typed per-point errors) but counts as a breaker failure; the
     // default threshold is 8 consecutive, so keep hammering until it
     // opens. Between jobs, poll `health` until supervision has respawned
-    // at least one worker — a job run with zero live workers drains on
-    // the submitter, counts as a success, and would reset the streak.
+    // at least one worker, so each job reaches a pool thread to kill.
     //
     // The binary frame below must land inside the same open window as
     // the refusal, or it becomes the half-open probe and gets evaluated.

@@ -7,13 +7,16 @@
 //! carries its own scratch and lane register file; the lane plan is the
 //! model's, shared) and evaluates disjoint chunks of the request's
 //! column-major [`PointColumns`] into a chunk of [`BatchResults`], and the
-//! shared model is only read. Results always come back in input order,
-//! and a bad point (wrong arity, unstable ROM, …) yields a per-point
-//! [`PointError`] instead of aborting the batch. Moment-only batches take
-//! the vectorized lane kernel straight off the request columns — one
-//! hoisted-load tape replay per block of `AWESYM_LANES × LANE_TILE`
-//! points (32 at the default width; see `docs/tape.md` §7) instead of a
-//! walk per point, bit-identical to the per-point path.
+//! shared model is only read. A one-point batch (every `eval`) runs the
+//! same engine on the submitting thread instead, with no pool hand-off;
+//! batches of two or more points are unchanged. Results always come back
+//! in input order, and a bad point (wrong arity, unstable ROM, …) yields
+//! a per-point [`PointError`] instead of aborting the batch. Moment-only
+//! batches take the vectorized lane kernel straight off the request
+//! columns — one hoisted-load tape replay per block of
+//! `AWESYM_LANES × LANE_TILE` points (32 at the default width; see
+//! `docs/tape.md` §7) instead of a walk per point, bit-identical to the
+//! per-point path.
 //!
 //! This module is also the process's blast shield:
 //!
@@ -139,6 +142,10 @@ pub(crate) struct BatchCtl {
     pub(crate) deadline: Option<Instant>,
     pub(crate) expired: AtomicBool,
     pub(crate) panics: AtomicU64,
+    /// Chunks that crashed outside the per-point guard. The shard's
+    /// breaker is charged from this count, so only this job's crashes
+    /// count against it.
+    pub(crate) crashes: AtomicU64,
     pub(crate) degraded: AtomicU64,
     pub(crate) shard: usize,
 }
@@ -150,6 +157,7 @@ impl BatchCtl {
             deadline,
             expired: AtomicBool::new(false),
             panics: AtomicU64::new(0),
+            crashes: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             shard,
         }

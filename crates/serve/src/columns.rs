@@ -325,6 +325,10 @@ pub struct BatchResults {
     extras: Vec<(usize, PointExtra)>,
     /// Panics caught and converted to `internal` point errors.
     pub panics_caught: u64,
+    /// Chunks whose evaluation crashed outside the per-point guard (an
+    /// injected worker kill); their unfinished points answer `internal`.
+    /// Each is also one of [`BatchResults::panics_caught`].
+    pub chunk_crashes: u64,
     /// Points whose ROM degraded to a lower approximation order.
     pub degraded_points: u64,
     /// True when the deadline fired before every point was evaluated.
@@ -344,6 +348,7 @@ impl BatchResults {
             errors: Vec::new(),
             extras: Vec::new(),
             panics_caught: 0,
+            chunk_crashes: 0,
             degraded_points: 0,
             deadline_exceeded: false,
         };
@@ -538,6 +543,7 @@ impl BatchResults {
         self.errors.sort_unstable_by_key(|(i, _)| *i);
         self.extras.sort_unstable_by_key(|(i, _)| *i);
         self.panics_caught = ctl.panics.load(Ordering::Relaxed);
+        self.chunk_crashes = ctl.crashes.load(Ordering::Relaxed);
         self.degraded_points = ctl.degraded.load(Ordering::Relaxed);
         self.deadline_exceeded = ctl.expired.load(Ordering::Relaxed);
     }

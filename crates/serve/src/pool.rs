@@ -8,12 +8,21 @@
 //! the queue via an atomic chunk frontier — a batch pays one mutex
 //! handoff instead of N thread spawns.
 //!
+//! A job of exactly one point (every `eval`) skips even that handoff: it
+//! runs on the submitting thread through the same chunk engine the
+//! workers use, with no queue lock, no wake-up and no wait. Waking a
+//! parked worker and sleeping until it answers costs more than the point
+//! itself. Jobs of two or more points always go through the queue.
+//!
 //! The pool is also the shard supervisor's foundation:
 //!
-//! - **jobs never hang** — every chunk runs under `catch_unwind`; a
-//!   panicking worker fills its chunk's slots with `internal` point
-//!   errors and completes the chunk's accounting *before* dying, so the
-//!   submitter always gets a full result vector;
+//! - **jobs never hang** — every chunk runs under `catch_unwind`; a chunk
+//!   that crashes outside the per-point guard fills its unfinished slots
+//!   with `internal` point errors and is counted on the job
+//!   ([`BatchResults::chunk_crashes`], which the shard's breaker reads)
+//!   before the chunk's accounting completes, so the submitter always
+//!   gets a full result vector. On a pool worker the crash also ends the
+//!   thread; on the submitting thread it does not;
 //! - **worker death is survivable** — if every worker dies mid-job, the
 //!   submitting thread notices (`alive == 0`) and drains the remaining
 //!   chunks itself, serially;
@@ -21,7 +30,7 @@
 //!   supervision pass: dead workers are respawned, subject to a capped
 //!   exponential backoff so a crash-looping model cannot burn CPU on
 //!   futile restarts. Restart and death counts are exposed for health
-//!   reporting and the per-shard circuit breaker.
+//!   reporting; both count threads only.
 //!
 //! Jobs are columnar end to end: workers read the request's
 //! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
@@ -36,6 +45,7 @@ use crate::batch::{BatchCtl, BatchOutput, ChunkEval};
 use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
 use crate::error::PointError;
 use crate::ServeError;
+use awesym_obs::Counter;
 use awesym_partition::CompiledModel;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -166,30 +176,12 @@ impl Job {
         let mut w = ChunkEval::new(&self.model, &self.output);
         while let Some(range) = self.claim() {
             let start = range.start;
-            w.out.reset(range.len());
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                if crate::faults::fault_kills_worker(self.ctl.shard, start) {
-                    panic!("injected fault: worker killed at chunk starting {start}");
-                }
-                w.run(&self.points, range, &self.output, &self.ctl);
-            }));
-            let killed = run.is_err();
+            let killed = run_chunk(&mut w, &self.points, range, &self.output, &self.ctl);
             if killed {
-                // The worker is about to die; whatever this chunk did
-                // not finish becomes structured errors so the job still
-                // completes with one result per point. The death is
-                // counted before the deposit that may complete the job:
-                // the shard charges deaths seen when the job returns to
-                // that job's breaker outcome.
+                // The worker is about to die. Counting the death before
+                // the deposit that may complete the job puts it inside
+                // the shard's `worker_deaths` reading for this job.
                 shared.deaths.fetch_add(1, Ordering::Relaxed);
-                self.ctl.panics.fetch_add(1, Ordering::Relaxed);
-                w.out.fail_unfilled(
-                    0,
-                    &PointError::internal(
-                        "worker thread died mid-chunk; shard supervisor will restart it",
-                    ),
-                );
             }
             self.deposit(shared, start, &mut w.out);
             if killed {
@@ -213,6 +205,42 @@ impl Job {
             shared.done.notify_all();
         }
     }
+}
+
+/// Evaluates points `range` into `w.out` behind a chunk-level
+/// `catch_unwind`: the one place a crash outside the per-point guard
+/// (under `fault-injection`, an injected worker kill) becomes `internal`
+/// errors in the chunk's unfinished slots, counted in `ctl.panics` and
+/// `ctl.crashes`. Returns `true` when the chunk crashed; the caller
+/// decides whether its thread survives.
+fn run_chunk(
+    w: &mut ChunkEval<'_>,
+    points: &PointColumns,
+    range: std::ops::Range<usize>,
+    output: &BatchOutput,
+    ctl: &BatchCtl,
+) -> bool {
+    w.out.reset(range.len());
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(feature = "fault-injection")]
+        if crate::faults::fault_kills_worker(ctl.shard, range.start) {
+            panic!(
+                "injected fault: worker killed at chunk starting {}",
+                range.start
+            );
+        }
+        w.run(points, range, output, ctl);
+    }));
+    let crashed = run.is_err();
+    if crashed {
+        ctl.panics.fetch_add(1, Ordering::Relaxed);
+        ctl.crashes.fetch_add(1, Ordering::Relaxed);
+        w.out.fail_unfilled(
+            0,
+            &PointError::internal("chunk evaluation crashed outside the per-point guard"),
+        );
+    }
+    crashed
 }
 
 /// State shared between the pool handle and its worker threads.
@@ -245,12 +273,24 @@ pub struct WorkerPool {
     config: PoolConfig,
     supervisor: Mutex<Supervisor>,
     restarts: AtomicU64,
+    /// Jobs queued to the worker threads.
+    handoffs: Arc<Counter>,
 }
 
 impl WorkerPool {
     /// A pool of `config.workers` threads (at least 1) serving `shard`.
     /// Unsharded users pass shard 0.
     pub fn new(shard: usize, config: PoolConfig) -> Self {
+        Self::with_handoff_counter(shard, config, Arc::default())
+    }
+
+    /// [`WorkerPool::new`], counting hand-offs on `handoffs` (a shard
+    /// passes its registered `shard{i}_pool_handoffs_total`).
+    pub(crate) fn with_handoff_counter(
+        shard: usize,
+        config: PoolConfig,
+        handoffs: Arc<Counter>,
+    ) -> Self {
         let config = PoolConfig {
             workers: config.workers.max(1),
             ..config
@@ -275,6 +315,7 @@ impl WorkerPool {
                 healthy_since: None,
             }),
             restarts: AtomicU64::new(0),
+            handoffs,
         };
         {
             let mut sup = lock(&pool.supervisor);
@@ -303,6 +344,13 @@ impl WorkerPool {
     /// Worker threads that died (panicked outside the per-point guard).
     pub fn deaths(&self) -> u64 {
         self.shared.deaths.load(Ordering::Relaxed)
+    }
+
+    /// Jobs handed to the worker threads through the queue: one per job
+    /// of two or more points. A one-point job runs on the submitting
+    /// thread and is not counted.
+    pub fn handoffs(&self) -> u64 {
+        self.handoffs.get()
     }
 
     fn spawn_worker(&self, sup: &mut Supervisor) {
@@ -366,11 +414,12 @@ impl WorkerPool {
             .as_millis() as u64
     }
 
-    /// Evaluates `points` against `model` on the pool, returning results
-    /// in input order. `max_workers` caps how many pool workers
-    /// co-evaluate this job (`None` → all); the submitting thread never
-    /// evaluates unless the whole pool is dead, in which case it drains
-    /// the job itself so the request still completes.
+    /// Evaluates `points` against `model`, returning results in input
+    /// order. A one-point job runs on the calling thread. A larger job is
+    /// queued to the pool, and `max_workers` caps how many pool workers
+    /// co-evaluate it (`None` → all); the submitting thread then only
+    /// waits, unless the whole pool is dead, in which case it drains the
+    /// job itself so the request still completes.
     ///
     /// # Errors
     ///
@@ -391,6 +440,16 @@ impl WorkerPool {
             return Ok(BatchResults::new(&output, cols, 0));
         }
         self.supervise();
+        let ctl = BatchCtl::new(deadline, self.shared.shard);
+        if n == 1 {
+            // The chunk buffer of a one-point job is already the job's
+            // whole result in its final layout.
+            let mut w = ChunkEval::new(&model, &output);
+            run_chunk(&mut w, &points, 0..1, &output, &ctl);
+            let mut results = w.out;
+            results.finish(&ctl);
+            return Ok(results);
+        }
         let max_workers = max_workers
             .unwrap_or(usize::MAX)
             .clamp(1, self.config.workers);
@@ -400,7 +459,7 @@ impl WorkerPool {
             model,
             points,
             output,
-            ctl: BatchCtl::new(deadline, self.shared.shard),
+            ctl,
             chunk,
             n_chunks: n.div_ceil(chunk),
             max_workers,
@@ -415,6 +474,7 @@ impl WorkerPool {
             drop(q);
             self.shared.work.notify_all();
         }
+        self.handoffs.inc();
         // Wait for completion; if the whole pool dies, drain what's left
         // on this thread. Dying workers complete their current chunk's
         // accounting before dropping `alive`, so alive == 0 means every
@@ -441,15 +501,14 @@ impl WorkerPool {
     }
 
     /// Serial fallback when no worker is alive: the submitting thread
-    /// claims the remaining chunks through the same frontier. Injected
-    /// worker-kill faults are not applied here — this is the recovery
-    /// path that guarantees the request completes.
+    /// claims the remaining chunks through the same frontier. A chunk
+    /// that crashes here becomes `internal` errors like anywhere else,
+    /// and the submitting thread carries on, so the request completes.
     fn drain(&self, job: &Arc<Job>) {
         let mut w = ChunkEval::new(&job.model, &job.output);
         while let Some(range) = job.claim() {
             let start = range.start;
-            w.out.reset(range.len());
-            w.run(&job.points, range, &job.output, &job.ctl);
+            run_chunk(&mut w, &job.points, range, &job.output, &job.ctl);
             job.deposit(&self.shared, start, &mut w.out);
         }
     }
@@ -519,7 +578,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{PointResult, PointValue};
+    use crate::batch::{PointResult, PointValue, RomSummary};
     use awesym_circuit::generators::fig1_rc;
     use awesym_partition::SymbolBinding;
 
@@ -685,6 +744,85 @@ mod tests {
         for r in &points_of(&out) {
             assert_eq!(r.as_ref().unwrap_err().code, "deadline_exceeded");
         }
+    }
+
+    #[test]
+    fn one_point_jobs_match_direct_model_calls_without_a_handoff() {
+        let pool = small_pool(2);
+        let m = model2();
+        let times = vec![0.0, 1e-6, 1e-5];
+        for p in rows(3) {
+            let pts = Arc::new(PointColumns::from_rows(std::slice::from_ref(&p), 2));
+            let (rom, degraded) = m.rom_degraded_from_moments(&m.eval_moments(&p)).unwrap();
+            let summary = RomSummary {
+                poles_re: rom.poles().iter().map(|z| z.re).collect(),
+                poles_im: rom.poles().iter().map(|z| z.im).collect(),
+                residues_re: rom.residues().iter().map(|z| z.re).collect(),
+                residues_im: rom.residues().iter().map(|z| z.im).collect(),
+                dc_gain: rom.dc_gain(),
+                stable: rom.is_stable(),
+                delay_50: rom.delay_50(),
+                degraded: degraded.clone(),
+            };
+            let cases = [
+                (
+                    BatchOutput::Moments,
+                    PointValue::Moments(m.eval_moments(&p)),
+                ),
+                (BatchOutput::DcGain, PointValue::DcGain(m.dc_gain(&p))),
+                (BatchOutput::Rom, PointValue::Rom(summary)),
+                (
+                    BatchOutput::Step {
+                        times: times.clone(),
+                    },
+                    PointValue::Step {
+                        samples: m.step_response(&p, &times).unwrap(),
+                        degraded,
+                    },
+                ),
+                (
+                    BatchOutput::Delays,
+                    PointValue::Delays(m.delay_estimates(&p).unwrap().into()),
+                ),
+            ];
+            for (output, want) in cases {
+                let out = pool
+                    .run_batch(Arc::clone(&m), Arc::clone(&pts), output.clone(), None, None)
+                    .unwrap();
+                assert_eq!(points_of(&out), [Ok(want)], "{output:?}");
+                assert_eq!((out.panics_caught, out.chunk_crashes), (0, 0));
+            }
+        }
+        assert_eq!(pool.handoffs(), 0, "one-point jobs never reach the queue");
+        pool.run_batch(m, grid(2), BatchOutput::Moments, None, None)
+            .unwrap();
+        assert_eq!(pool.handoffs(), 1, "a two-point job is queued");
+    }
+
+    #[test]
+    fn one_point_job_past_its_deadline_answers_deadline_exceeded() {
+        let pool = small_pool(2);
+        let past = Instant::now() - Duration::from_millis(1);
+        let out = pool
+            .run_batch(model2(), grid(1), BatchOutput::Rom, Some(past), None)
+            .unwrap();
+        assert!(out.deadline_exceeded);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.error(0).unwrap().code, "deadline_exceeded");
+        assert_eq!(pool.handoffs(), 0);
+    }
+
+    #[test]
+    fn one_point_job_of_wrong_arity_answers_bad_request() {
+        let pool = small_pool(2);
+        let pts = Arc::new(PointColumns::from_rows(&[vec![1e-9]], 2));
+        let out = pool
+            .run_batch(model2(), pts, BatchOutput::Moments, None, None)
+            .unwrap();
+        let e = out.error(0).unwrap();
+        assert_eq!(e.code, "bad_request");
+        assert!(e.message.contains("2 symbols"), "{e}");
+        assert_eq!(pool.handoffs(), 0);
     }
 
     #[test]

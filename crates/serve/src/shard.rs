@@ -8,7 +8,7 @@
 //!   forget the fleet's working set;
 //! - a **persistent worker pool** ([`crate::WorkerPool`]) with
 //!   supervised restart;
-//! - a **circuit breaker** ([`CircuitBreaker`]): repeated worker
+//! - a **circuit breaker** ([`CircuitBreaker`]): repeated chunk
 //!   crashes flip the shard to `open`, where requests are refused
 //!   immediately with `unavailable` + `retry_after_ms` instead of
 //!   feeding a crash loop; after a cooldown one probe request
@@ -204,7 +204,8 @@ impl TieredRegistry {
 /// long it stays open before probing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Consecutive failed jobs (worker deaths) that trip the breaker.
+    /// Consecutive failed jobs (jobs with a crashed chunk) that trip the
+    /// breaker.
     pub threshold: u32,
     /// First open-state cooldown; doubles per consecutive re-open.
     pub cooldown: Duration,
@@ -240,7 +241,7 @@ struct BreakerState {
     cooldown: Duration,
 }
 
-/// Per-shard circuit breaker over *worker-crash* failures (per-point
+/// Per-shard circuit breaker over *chunk-crash* failures (per-point
 /// errors are already handled gracefully and do not count). States:
 /// closed → open (after `threshold` consecutive crash-jobs) → half-open
 /// (after the cooldown; one probe allowed) → closed on probe success or
@@ -301,7 +302,8 @@ impl CircuitBreaker {
         s.phase = BreakerPhase::Closed;
     }
 
-    /// Reports an admitted request during which pool workers died.
+    /// Reports an admitted request with a chunk that crashed outside the
+    /// per-point guard.
     pub fn record_failure(&self) {
         let mut s = lock(&self.state);
         match s.phase {
@@ -396,6 +398,8 @@ pub(crate) struct ShardMetrics {
     pub(crate) restarts: Arc<Counter>,
     pub(crate) worker_deaths: Arc<Counter>,
     pub(crate) breaker_opened: Arc<Counter>,
+    /// Jobs the shard's pool queued to its threads (owned by the pool).
+    pool_handoffs: Arc<Counter>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) stages: [Arc<Histogram>; 5],
 }
@@ -417,6 +421,7 @@ impl ShardMetrics {
             restarts: c("worker_restarts_total"),
             worker_deaths: c("worker_deaths_total"),
             breaker_opened: c("breaker_opened_total"),
+            pool_handoffs: c("pool_handoffs_total"),
             latency_us: registry.histogram(
                 &format!("shard{shard}_request_latency_us"),
                 &crate::stats::BUCKET_EDGES_US,
@@ -443,6 +448,9 @@ pub struct ShardHealth {
     pub worker_deaths: u64,
     /// Times the breaker opened.
     pub breaker_opened: u64,
+    /// Jobs the pool queued to its worker threads; one-point jobs run on
+    /// the submitting thread and are not counted.
+    pub pool_handoffs: u64,
     /// Jobs queued or running right now.
     pub queue_depth: u64,
     /// Draining for shutdown?
@@ -467,22 +475,24 @@ pub struct Shard {
 impl Shard {
     /// Builds shard `id`, registering its metrics on `registry`.
     pub fn new(id: usize, config: ShardConfig, registry: &Registry) -> Self {
+        let metrics = ShardMetrics::new(registry, id);
         Shard {
             id,
             config,
             registry: TieredRegistry::new(config.warm_capacity, config.cold_capacity),
-            pool: WorkerPool::new(
+            pool: WorkerPool::with_handoff_counter(
                 id,
                 PoolConfig {
                     workers: config.workers,
                     restart_backoff: config.restart_backoff,
                     max_restart_backoff: config.max_restart_backoff,
                 },
+                Arc::clone(&metrics.pool_handoffs),
             ),
             breaker: CircuitBreaker::new(config.breaker),
             queue_depth: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            metrics: ShardMetrics::new(registry, id),
+            metrics,
         }
     }
 
@@ -574,8 +584,9 @@ impl Shard {
     }
 
     /// Evaluates a columnar batch on this shard's pool, with admission
-    /// control and breaker accounting. The model must already be resolved
-    /// (the caller counts lookup time separately).
+    /// control and breaker accounting: a job with a crashed chunk is a
+    /// breaker failure, any other a success. The model must already be
+    /// resolved (the caller counts lookup time separately).
     pub fn evaluate_columns(
         &self,
         model: Arc<CompiledModel>,
@@ -600,6 +611,8 @@ impl Shard {
         }
         if deaths > 0 {
             self.metrics.worker_deaths.add(deaths);
+        }
+        if outcome.chunk_crashes > 0 {
             let opened_before = self.breaker.opened_total();
             self.breaker.record_failure();
             if self.breaker.opened_total() > opened_before {
@@ -631,6 +644,7 @@ impl Shard {
             restarts: self.pool.restarts(),
             worker_deaths: self.pool.deaths(),
             breaker_opened: self.breaker.opened_total(),
+            pool_handoffs: self.pool.handoffs(),
             queue_depth: self.queue_depth() as u64,
             draining: self.is_draining(),
             models: self.registry.len() as u64,

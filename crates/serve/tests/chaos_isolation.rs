@@ -369,7 +369,7 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         ..FaultPlan::default()
     });
     // Two consecutive crash-jobs trip the threshold-2 breaker. Each job
-    // still completes (drained by the submitter), but its worker deaths
+    // still completes (drained by the submitter), but its crashed chunks
     // count as breaker failures.
     let opened = quiet_panics(|| {
         for i in 0..10 {

@@ -435,3 +435,123 @@ fn corrupted_artifacts_are_rejected_via_helpers() {
         ));
     }
 }
+
+fn shard0_health(server: &Server) -> Content {
+    parse(server, r#"{"cmd":"health"}"#)
+        .get("shards")
+        .and_then(Content::as_seq)
+        .and_then(|s| s.first())
+        .cloned()
+        .expect("health has shard 0")
+}
+
+fn health_u64(row: &Content, key: &str) -> u64 {
+    row.get(key).and_then(Content::as_u64).unwrap()
+}
+
+const EVAL: &str = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#;
+
+/// A single-point `eval` runs on the connection thread, not on a pool
+/// worker. An injected worker kill there answers `internal` like a dying
+/// worker's chunk does and charges the breaker through the job's crash
+/// count, but no thread dies: the pool stays whole and nothing restarts.
+#[test]
+fn worker_kill_on_a_single_point_eval_trips_the_breaker_without_killing_a_thread() {
+    let _guard = plan_guard();
+    let server = Server::with_config(ServerConfig {
+        shard_workers: 2,
+        ..ServerConfig::default()
+    });
+    assert!(ok_of(&parse(&server, &compile_line("m", 2))));
+    let breaker = awesym_serve::BreakerConfig::default();
+
+    faults::install(FaultPlan {
+        seed: 0x5110,
+        worker_kill_rate_pct: 100,
+        target_shard: Some(0),
+        ..FaultPlan::default()
+    });
+    let (crashed, refused) = quiet_panics(|| {
+        let crashed: Vec<Content> = (0..breaker.threshold)
+            .map(|_| parse(&server, EVAL))
+            .collect();
+        (crashed, parse(&server, EVAL))
+    });
+    faults::clear();
+
+    for (i, c) in crashed.iter().enumerate() {
+        assert!(!ok_of(c), "eval {i}: {c:?}");
+        assert_eq!(c.get("code").and_then(Content::as_str), Some("internal"));
+    }
+    assert_eq!(
+        refused.get("code").and_then(Content::as_str),
+        Some("unavailable"),
+        "{refused:?}"
+    );
+    assert!(
+        refused
+            .get("error")
+            .and_then(Content::as_str)
+            .is_some_and(|e| e.contains("circuit breaker open")),
+        "{refused:?}"
+    );
+    assert!(refused.get("retry_after_ms").and_then(Content::as_u64) >= Some(1));
+    let h = shard0_health(&server);
+    assert_eq!(h.get("breaker").and_then(Content::as_str), Some("open"));
+    assert_eq!(health_u64(&h, "alive"), health_u64(&h, "workers"), "{h:?}");
+    assert_eq!(health_u64(&h, "restarts"), 0, "{h:?}");
+    assert_eq!(health_u64(&h, "worker_deaths"), 0, "{h:?}");
+
+    // Plan cleared and cooldown over: the half-open probe succeeds.
+    std::thread::sleep(breaker.cooldown);
+    let mut recovered = None;
+    for _ in 0..50 {
+        let c = parse(&server, EVAL);
+        if ok_of(&c) {
+            recovered = Some(c);
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(recovered.is_some(), "breaker never recovered");
+    let h = shard0_health(&server);
+    assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
+}
+
+/// A per-point panic is caught by the per-point guard on the caller path
+/// too: `internal` answers, and no breaker failure.
+#[test]
+fn per_point_panics_on_single_point_evals_leave_the_breaker_closed() {
+    let _guard = plan_guard();
+    let server = Server::with_config(ServerConfig {
+        shard_workers: 2,
+        ..ServerConfig::default()
+    });
+    assert!(ok_of(&parse(&server, &compile_line("m", 2))));
+    faults::install(FaultPlan {
+        seed: 3,
+        panic_rate_pct: 100,
+        target_shard: Some(0),
+        ..FaultPlan::default()
+    });
+    let answers: Vec<Content> = quiet_panics(|| (0..20).map(|_| parse(&server, EVAL)).collect());
+    faults::clear();
+
+    for (i, c) in answers.iter().enumerate() {
+        assert_eq!(
+            c.get("code").and_then(Content::as_str),
+            Some("internal"),
+            "eval {i}: {c:?}"
+        );
+        assert!(
+            c.get("error")
+                .and_then(Content::as_str)
+                .is_some_and(|e| e.contains("panicked")),
+            "eval {i}: {c:?}"
+        );
+    }
+    let h = shard0_health(&server);
+    assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
+    assert_eq!(health_u64(&h, "worker_deaths"), 0, "{h:?}");
+    assert!(ok_of(&parse(&server, EVAL)));
+}
