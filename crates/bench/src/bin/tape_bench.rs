@@ -211,16 +211,14 @@ fn make_points(model: &CompiledModel, n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The pre-optimizer single-point path: the unoptimized tape driven
-/// through the old caller-managed-scratch convention, exactly as the
-/// serving layer evaluated points before this pipeline existed.
-#[allow(deprecated)]
+/// The pre-optimizer single-point path: the unoptimized tape evaluated
+/// one point at a time, with a fresh evaluator (and its scratch) built
+/// for every point.
 fn time_pre_pr(raw: &CompiledModel, points: &[Vec<f64>], reps: usize) -> f64 {
-    let mut scratch = vec![0.0; raw.scratch_len()];
     let mut out = vec![0.0; 2 * raw.order()];
     time_min(reps, || {
         for p in points {
-            raw.eval_moments_into(p, &mut scratch, &mut out);
+            raw.evaluator().eval_into(p, &mut out);
         }
         out[0]
     })

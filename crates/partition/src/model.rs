@@ -413,29 +413,6 @@ impl CompiledModel {
         self.evaluator().eval(vals)
     }
 
-    /// Scratch length for the deprecated
-    /// [`CompiledModel::eval_moments_into`]; [`Evaluator`] owns its
-    /// scratch.
-    #[deprecated(since = "0.2.0", note = "use `evaluator()`; it owns its scratch")]
-    pub fn scratch_len(&self) -> usize {
-        self.fun.tape().n_regs()
-    }
-
-    /// Zero-allocation moment evaluation: `out` must hold `2q` values,
-    /// `scratch` at least the deprecated [`CompiledModel::scratch_len`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched slice lengths.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `evaluator()` and `Evaluator::eval_into(vals, out)`"
-    )]
-    pub fn eval_moments_into(&self, vals: &[f64], scratch: &mut [f64], out: &mut [f64]) {
-        let _ = scratch;
-        self.evaluator().eval_into(vals, out);
-    }
-
     /// Full reduced-order model at the given symbol values (the final AWE
     /// approximation: tape replay + `q×q` Padé). Falls back to lower
     /// orders / residue refits when the exact order is unstable, matching
@@ -728,14 +705,6 @@ mod tests {
         ev.eval_into(&vals, &mut out);
         assert_eq!(m1, out);
         assert_eq!(m1.len(), 4);
-        // The deprecated wrapper still answers identically.
-        #[allow(deprecated)]
-        {
-            let mut scratch = vec![0.0; model.scratch_len()];
-            let mut legacy = vec![0.0; 4];
-            model.eval_moments_into(&vals, &mut scratch, &mut legacy);
-            assert_eq!(m1, legacy);
-        }
         // Batch agrees with per-point, tail rows included.
         let points = vec![vec![2e-9, 750.0], vec![1e-9, 2e3], vec![3e-9, 500.0]];
         let mut batch = vec![0.0; points.len() * 4];

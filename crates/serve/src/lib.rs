@@ -18,8 +18,8 @@
 //!   threads spawned once per shard, parked on a job queue, supervised
 //!   and restarted with capped backoff when they die;
 //! - [`shard`]: the crash-isolation layer — [`shard_of`] name placement,
-//!   the warm/cold [`TieredRegistry`], the per-shard [`CircuitBreaker`],
-//!   and the [`Shard`] supervisor tying them together;
+//!   the per-shard [`CircuitBreaker`], and the [`Shard`] supervisor tying
+//!   one registry, pool and breaker together;
 //! - [`server`]: the newline-delimited-JSON [`Server`] engine behind
 //!   `awesym serve`, with request/latency/throughput [`stats`] and the
 //!   `health`/`drain` operational commands.
@@ -70,6 +70,6 @@ pub use server::{
 };
 pub use shard::{
     adaptive_retry_after_ms, shard_of, BreakerConfig, CircuitBreaker, Shard, ShardConfig,
-    ShardHealth, TieredRegistry, TieredStats,
+    ShardHealth,
 };
 pub use stats::{ServerStats, Stage, StageSnapshot, StatsSnapshot, STAGES};

@@ -29,8 +29,9 @@
 //! - **supervised restart** — each submission first runs a cheap
 //!   supervision pass: dead workers are respawned, subject to a capped
 //!   exponential backoff so a crash-looping model cannot burn CPU on
-//!   futile restarts. Restart and death counts are exposed for health
-//!   reporting; both count threads only.
+//!   futile restarts. The pool counts its restarts, deaths and
+//!   hand-offs itself, on counters a shard registers as its metrics
+//!   (`PoolCounters`); restarts and deaths count threads only.
 //!
 //! Jobs are columnar end to end: workers read the request's
 //! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
@@ -49,7 +50,7 @@ use awesym_obs::Counter;
 use awesym_partition::CompiledModel;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -179,9 +180,9 @@ impl Job {
             let killed = run_chunk(&mut w, &self.points, range, &self.output, &self.ctl);
             if killed {
                 // The worker is about to die. Counting the death before
-                // the deposit that may complete the job puts it inside
-                // the shard's `worker_deaths` reading for this job.
-                shared.deaths.fetch_add(1, Ordering::Relaxed);
+                // the deposit that may complete the job means a submitter
+                // that sees its job done also sees the death.
+                shared.counters.deaths.inc();
             }
             self.deposit(shared, start, &mut w.out);
             if killed {
@@ -243,6 +244,20 @@ fn run_chunk(
     crashed
 }
 
+/// The pool's event counters. A shard passes its registered
+/// `shard{i}_pool_handoffs_total`, `shard{i}_worker_restarts_total` and
+/// `shard{i}_worker_deaths_total`, so each event is counted once, where
+/// it happens.
+#[derive(Default)]
+pub(crate) struct PoolCounters {
+    /// Jobs queued to the worker threads.
+    pub(crate) handoffs: Arc<Counter>,
+    /// Workers respawned by supervision.
+    pub(crate) restarts: Arc<Counter>,
+    /// Worker threads that died.
+    pub(crate) deaths: Arc<Counter>,
+}
+
 /// State shared between the pool handle and its worker threads.
 struct Shared {
     queue: Mutex<VecDeque<Arc<Job>>>,
@@ -251,7 +266,7 @@ struct Shared {
     /// Submitters park here for job completion (paired with `queue`).
     done: Condvar,
     alive: AtomicUsize,
-    deaths: AtomicU64,
+    counters: PoolCounters,
     shutdown: AtomicBool,
     shard: usize,
 }
@@ -272,25 +287,17 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     config: PoolConfig,
     supervisor: Mutex<Supervisor>,
-    restarts: AtomicU64,
-    /// Jobs queued to the worker threads.
-    handoffs: Arc<Counter>,
 }
 
 impl WorkerPool {
     /// A pool of `config.workers` threads (at least 1) serving `shard`.
     /// Unsharded users pass shard 0.
     pub fn new(shard: usize, config: PoolConfig) -> Self {
-        Self::with_handoff_counter(shard, config, Arc::default())
+        Self::with_counters(shard, config, PoolCounters::default())
     }
 
-    /// [`WorkerPool::new`], counting hand-offs on `handoffs` (a shard
-    /// passes its registered `shard{i}_pool_handoffs_total`).
-    pub(crate) fn with_handoff_counter(
-        shard: usize,
-        config: PoolConfig,
-        handoffs: Arc<Counter>,
-    ) -> Self {
+    /// [`WorkerPool::new`], counting its events on `counters`.
+    pub(crate) fn with_counters(shard: usize, config: PoolConfig, counters: PoolCounters) -> Self {
         let config = PoolConfig {
             workers: config.workers.max(1),
             ..config
@@ -300,7 +307,7 @@ impl WorkerPool {
             work: Condvar::new(),
             done: Condvar::new(),
             alive: AtomicUsize::new(0),
-            deaths: AtomicU64::new(0),
+            counters,
             shutdown: AtomicBool::new(false),
             shard,
         });
@@ -314,8 +321,6 @@ impl WorkerPool {
                 not_before: Instant::now(),
                 healthy_since: None,
             }),
-            restarts: AtomicU64::new(0),
-            handoffs,
         };
         {
             let mut sup = lock(&pool.supervisor);
@@ -338,19 +343,19 @@ impl WorkerPool {
 
     /// Workers respawned by supervision (initial spawns not counted).
     pub fn restarts(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
+        self.shared.counters.restarts.get()
     }
 
     /// Worker threads that died (panicked outside the per-point guard).
     pub fn deaths(&self) -> u64 {
-        self.shared.deaths.load(Ordering::Relaxed)
+        self.shared.counters.deaths.get()
     }
 
     /// Jobs handed to the worker threads through the queue: one per job
     /// of two or more points. A one-point job runs on the submitting
     /// thread and is not counted.
     pub fn handoffs(&self) -> u64 {
-        self.handoffs.get()
+        self.shared.counters.handoffs.get()
     }
 
     fn spawn_worker(&self, sup: &mut Supervisor) {
@@ -398,20 +403,10 @@ impl WorkerPool {
         for _ in 0..missing {
             self.spawn_worker(&mut sup);
         }
-        self.restarts.fetch_add(missing as u64, Ordering::Relaxed);
+        self.shared.counters.restarts.add(missing as u64);
         sup.not_before = now + sup.backoff;
         sup.backoff = (sup.backoff * 2).min(self.config.max_restart_backoff);
         missing
-    }
-
-    /// Milliseconds until the supervisor will next agree to restart
-    /// workers (0 when not backing off) — the shard layer's
-    /// `retry_after` source when the pool is down.
-    pub fn backoff_remaining_ms(&self) -> u64 {
-        let sup = lock(&self.supervisor);
-        sup.not_before
-            .saturating_duration_since(Instant::now())
-            .as_millis() as u64
     }
 
     /// Evaluates `points` against `model`, returning results in input
@@ -474,7 +469,7 @@ impl WorkerPool {
             drop(q);
             self.shared.work.notify_all();
         }
-        self.handoffs.inc();
+        self.shared.counters.handoffs.inc();
         // Wait for completion; if the whole pool dies, drain what's left
         // on this thread. Dying workers complete their current chunk's
         // accounting before dropping `alive`, so alive == 0 means every

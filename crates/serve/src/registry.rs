@@ -67,29 +67,13 @@ impl ModelRegistry {
     ///
     /// Panics if the lock was poisoned by a panicking writer.
     pub fn insert(&self, name: &str, model: CompiledModel) -> Option<String> {
-        self.insert_arc(name, Arc::new(model)).map(|(name, _)| name)
-    }
-
-    /// As [`ModelRegistry::insert`], but takes an already-shared model
-    /// and returns the evicted *entry* (name and model) instead of just
-    /// the name — the hook the warm/cold tier uses to demote an evicted
-    /// model instead of dropping it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock was poisoned by a panicking writer.
-    pub fn insert_arc(
-        &self,
-        name: &str,
-        model: Arc<CompiledModel>,
-    ) -> Option<(String, Arc<CompiledModel>)> {
         let mut g = self.inner.write().expect("registry lock poisoned");
         g.tick += 1;
         let tick = g.tick;
         g.entries.insert(
             name.to_string(),
             Entry {
-                model,
+                model: Arc::new(model),
                 last_used: tick,
             },
         );
@@ -101,25 +85,13 @@ impl ModelRegistry {
             .iter()
             .min_by_key(|(_, e)| e.last_used)
             .map(|(k, _)| k.clone())?;
-        let entry = g.entries.remove(&victim)?;
+        let evicted = g.entries.remove(&victim);
+        // Free the evicted model (if no request still holds it) after
+        // the lock, not under it.
+        drop(g);
+        drop(evicted);
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        Some((victim, entry.model))
-    }
-
-    /// Removes and returns a model by name, without touching the
-    /// hit/miss counters — the promotion path between tiers (the tier
-    /// wrapper does its own accounting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock was poisoned by a panicking writer.
-    pub fn take(&self, name: &str) -> Option<Arc<CompiledModel>> {
-        self.inner
-            .write()
-            .expect("registry lock poisoned")
-            .entries
-            .remove(name)
-            .map(|e| e.model)
+        Some(victim)
     }
 
     /// Looks up a model, refreshing its recency. Counts a hit or a miss.
@@ -251,24 +223,6 @@ mod tests {
         reg.insert("d", tiny_model());
         reg.insert("e", tiny_model());
         assert!(held.op_count() > 0);
-    }
-
-    #[test]
-    fn insert_arc_returns_the_demoted_entry_and_take_skips_counters() {
-        let reg = ModelRegistry::new(1);
-        reg.insert("a", tiny_model());
-        let held = reg.get("a").unwrap();
-        let (victim, model) = reg.insert_arc("b", Arc::new(tiny_model())).unwrap();
-        assert_eq!(victim, "a");
-        // The evicted Arc is the same allocation the lookup handed out.
-        assert!(Arc::ptr_eq(&held, &model));
-        let taken = reg.take("b").unwrap();
-        assert!(taken.op_count() > 0);
-        assert!(reg.is_empty());
-        assert!(reg.take("b").is_none());
-        // take() counted neither hits nor misses.
-        let s = reg.stats();
-        assert_eq!((s.hits, s.misses), (1, 0));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! Model state and evaluation are **sharded** (see `docs/serving.md`):
 //! the model name hashes to one of [`ServerConfig::shards`] shards
-//! ([`crate::shard_of`]), each owning a tiered registry, a persistent
+//! ([`crate::shard_of`]), each owning a model registry, a persistent
 //! supervised worker pool, and a circuit breaker — so a crash-looping
 //! model degrades *its* shard to `unavailable` while every other shard
 //! keeps serving.
@@ -60,7 +60,9 @@ pub const DEFAULT_MAX_BATCH_POINTS: usize = 1 << 20;
 /// Operational limits and fault-tolerance knobs for a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Registry capacity (models held before LRU eviction).
+    /// Registry capacity. Each shard keeps up to `5 × capacity` models
+    /// (2 at capacity 0) before evicting the least recently used; the
+    /// default of 16 keeps 80 per shard.
     pub capacity: usize,
     /// Largest accepted `batch` request, in points.
     pub max_batch_points: usize,
@@ -85,7 +87,7 @@ pub struct ServerConfig {
     /// requests during [`Server::serve_with_stats`]; `0` disables.
     pub stats_every: u64,
     /// Shards the model fleet is split across (min 1). Each shard owns a
-    /// tiered registry, a persistent worker pool, and a circuit breaker;
+    /// model registry, a persistent worker pool, and a circuit breaker;
     /// models are placed by [`crate::shard_of`] over the model name.
     pub shards: usize,
     /// Worker threads per shard pool; `0` picks the parallelism default.
@@ -375,11 +377,11 @@ impl Server {
         tracer.set_enabled(config.observe);
         let stats = ServerStats::new();
         let shard_config = ShardConfig {
-            warm_capacity: config.capacity,
-            // The cold tier is cheap (no worker state, just parked
-            // models), so give demoted models room before they are truly
-            // forgotten.
-            cold_capacity: (config.capacity * 4).max(1),
+            // 5 × capacity models per shard (2 at capacity 0).
+            capacity: config
+                .capacity
+                .max(1)
+                .saturating_add(config.capacity.saturating_mul(4).max(1)),
             workers: if config.shard_workers == 0 {
                 crate::batch::default_workers()
             } else {
@@ -406,12 +408,12 @@ impl Server {
         &self.config
     }
 
-    /// Shard 0's warm-tier registry. For the default single-shard
-    /// configuration this is *the* registry (backward compatible); on a
-    /// sharded server prefer [`Server::insert_model`] /
-    /// [`Server::shard_for`], which route by name.
+    /// Shard 0's registry. For the default single-shard configuration
+    /// this is *the* registry; on a sharded server prefer
+    /// [`Server::insert_model`] / [`Server::shard_for`], which route by
+    /// name.
     pub fn registry(&self) -> &ModelRegistry {
-        self.shards[0].registry().warm()
+        self.shards[0].registry()
     }
 
     /// Every shard, in index order.
@@ -425,16 +427,12 @@ impl Server {
     }
 
     /// Registers a model on the shard that owns its name. Returns the
-    /// name of a model that fell out of the owning shard's cold tier (was
-    /// truly forgotten), if any.
+    /// name of the model the owning shard evicted to make room, if any.
     pub fn insert_model(&self, name: &str, model: CompiledModel) -> Option<String> {
         self.shard_for(name).registry().insert(name, model)
     }
 
-    /// Registry counters aggregated across every shard's two tiers:
-    /// cold-tier hits (promotions) count as hits, warm misses that were
-    /// satisfied by the cold tier do not count as misses, and only
-    /// cold-tier evictions (models truly forgotten) count as evictions.
+    /// Registry counters summed over every shard.
     pub fn registry_stats(&self) -> RegistryStats {
         let mut agg = RegistryStats {
             hits: 0,
@@ -443,11 +441,11 @@ impl Server {
             resident: 0,
         };
         for shard in &self.shards {
-            let t = shard.registry().stats();
-            agg.hits += t.warm.hits + t.promotions;
-            agg.misses += t.warm.misses.saturating_sub(t.promotions);
-            agg.evictions += t.cold.evictions;
-            agg.resident += t.warm.resident + t.cold.resident;
+            let s = shard.registry().stats();
+            agg.hits += s.hits;
+            agg.misses += s.misses;
+            agg.evictions += s.evictions;
+            agg.resident += s.resident;
         }
         agg
     }

@@ -19,9 +19,11 @@
 //!   circuit breaker to `open` (typed `unavailable` + `retry_after_ms`)
 //!   and the shard recovers to `closed` once the storm stops.
 
+use awesym_obs::MetricValue;
 use awesym_serve::faults::{self, FaultPlan};
 use awesym_serve::{
     shard_of, BatchOutput, BreakerConfig, ServeError, Server, ServerConfig, Shard, ShardConfig,
+    ShardHealth,
 };
 use serde::Content;
 use std::sync::{Arc, Mutex};
@@ -102,6 +104,28 @@ fn health_row(server: &Server, shard: usize) -> Content {
         .find(|s| s.get("shard").and_then(Content::as_u64) == Some(shard as u64))
         .cloned()
         .expect("shard row present")
+}
+
+/// Each of the shard's registered counters equals the `health` field it
+/// backs.
+fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
+    let counter = |name: &str| {
+        let key = format!("shard{}_{name}", h.shard);
+        match obs.snapshot().into_iter().find(|(n, _)| *n == key) {
+            Some((_, MetricValue::Counter(v))) => v,
+            other => panic!("{key}: {other:?}"),
+        }
+    };
+    assert_eq!(
+        [
+            "worker_restarts_total",
+            "worker_deaths_total",
+            "breaker_opened_total"
+        ]
+        .map(counter),
+        [h.restarts, h.worker_deaths, h.breaker_opened],
+        "{h:?}"
+    );
 }
 
 fn sharded_server() -> (Server, String, String) {
@@ -307,6 +331,9 @@ fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
     let v = parse(&server, &victim_req);
     assert!(ok_of(&v), "{v:?}");
     assert_eq!(v.get("ok_count").and_then(Content::as_u64), Some(300));
+    for shard in server.shards() {
+        assert_counters_match_health(server.stats().registry(), &shard.health());
+    }
 }
 
 /// A sustained crash loop trips the victim shard's circuit breaker:
@@ -416,4 +443,5 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
     assert!(closed, "breaker never recovered after the storm");
     assert_eq!(shard.breaker().phase_name(), "closed");
     assert!(shard.health().restarts > 0);
+    assert_counters_match_health(&obs, &shard.health());
 }

@@ -5,11 +5,11 @@
 use awesym_circuit::generators::fig1_rc;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::{
-    BatchOutput, ModelRegistry, PointColumns, PointResult, PointValue, PoolConfig, TieredRegistry,
-    WorkerPool,
+    BatchOutput, ModelRegistry, PointColumns, PointResult, PointValue, PoolConfig, Server,
+    ServerConfig, WorkerPool,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn build_model() -> CompiledModel {
     let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
@@ -183,55 +183,57 @@ fn lru_eviction_racing_lookups_keeps_arcs_valid_and_counters_consistent() {
     assert_eq!(registry.len(), 2);
 }
 
-/// The same race through the shard-facing two-tier registry: warm
-/// evictions demote into the cold tier and cold hits promote back, all
-/// while readers evaluate whatever `Arc` they catch mid-migration.
+/// A resident model is never `not_found`: with `capacity: 1` both models
+/// fit on the shard, so however the lookups interleave, every `eval`
+/// finds its model. A lookup that took a model out of the registry, even
+/// for a moment, would let a concurrent lookup miss it.
 #[test]
-fn tiered_eviction_racing_lookups_stays_consistent() {
-    const CHURNS: usize = 200;
-    let names = ["t0", "t1", "t2", "t3", "t4", "t5"];
-    let tiered = TieredRegistry::new(2, 2);
-    let expected = build_model().eval_moments(&point(0, 0));
-    let stop = AtomicBool::new(false);
+fn resident_models_never_answer_not_found_under_concurrent_lookups() {
+    const THREADS: usize = 3;
+    const EVALS: usize = 20_000;
+    let server = Server::with_config(ServerConfig {
+        capacity: 1,
+        ..ServerConfig::default()
+    });
+    let names = ["a", "b"];
+    for name in names {
+        assert_eq!(server.insert_model(name, build_model()), None);
+    }
+    let lines = names.map(|n| format!(r#"{{"cmd":"eval","model":"{n}","values":[1e-9,1e3]}}"#));
+    let start = Barrier::new(THREADS);
 
-    std::thread::scope(|s| {
-        let writer = s.spawn(|| {
-            for i in 0..CHURNS {
-                tiered.insert(names[i % names.len()], build_model());
-            }
-        });
-        let readers: Vec<_> = (0..3)
-            .map(|r| {
-                let tiered = &tiered;
-                let stop = &stop;
-                let expected = &expected;
+    let failures: Vec<(usize, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (server, lines, start) = (&server, &lines, &start);
                 s.spawn(move || {
-                    let mut i = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        if let Some(m) = tiered.get(names[(r + i) % names.len()]) {
-                            assert_eq!(&m.eval_moments(&point(0, 0)), expected);
+                    start.wait();
+                    let mut failed = (0usize, String::new());
+                    for i in 0..EVALS {
+                        let resp = server.handle_line(&lines[(t + i) % 2]).unwrap();
+                        if !resp.text().starts_with(r#"{"ok":true"#) {
+                            if failed.0 == 0 {
+                                failed.1 = resp.text().to_string();
+                            }
+                            failed.0 += 1;
                         }
-                        i += 1;
                     }
+                    failed
                 })
             })
             .collect();
-        writer.join().unwrap();
-        stop.store(true, Ordering::Relaxed);
-        for h in readers {
-            h.join().unwrap();
-        }
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let stats = tiered.stats();
-    assert!(stats.demotions > 0, "warm churn must demote into cold");
-    assert!(
-        stats.warm.resident + stats.cold.resident <= 4,
-        "tier capacities hold: {} warm + {} cold",
-        stats.warm.resident,
-        stats.cold.resident
+    let failed: usize = failures.iter().map(|f| f.0).sum();
+    let first = failures.iter().find(|f| f.0 > 0).map(|f| f.1.as_str());
+    assert_eq!(
+        failed,
+        0,
+        "{failed} of {} evals failed; first: {first:?}",
+        THREADS * EVALS
     );
-    assert!(tiered.len() <= 4);
+    assert_eq!(server.registry_stats().resident, 2);
 }
 
 #[test]

@@ -14,17 +14,20 @@
 //!   `deadline_exceeded` and does not block the next request;
 //! - past the in-flight budget, requests are shed with `overloaded` and a
 //!   `retry_after_ms` hint;
-//! - an unstable Padé fit degrades to a lower order and says so.
+//! - an unstable Padé fit degrades to a lower order and says so;
+//! - each shard counter equals the `health` field it backs, even when
+//!   two jobs race to restart killed workers.
 
 use awesym_circuit::generators::fig1_rc;
+use awesym_obs::MetricValue;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::faults::{self, Fault, FaultPlan};
 use awesym_serve::{
     BatchOutput, PointColumns, PointResult, PointValue, PoolConfig, Server, ServerConfig,
-    WorkerPool,
+    ShardHealth, WorkerPool,
 };
 use serde::Content;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 /// The fault plan is process-global state, so tests touching it must not
@@ -554,4 +557,83 @@ fn per_point_panics_on_single_point_evals_leave_the_breaker_closed() {
     assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
     assert_eq!(health_u64(&h, "worker_deaths"), 0, "{h:?}");
     assert!(ok_of(&parse(&server, EVAL)));
+}
+
+/// Each of the shard's registered counters equals the `health` field it
+/// backs.
+fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
+    let counter = |name: &str| {
+        let key = format!("shard{}_{name}", h.shard);
+        match obs.snapshot().into_iter().find(|(n, _)| *n == key) {
+            Some((_, MetricValue::Counter(v))) => v,
+            other => panic!("{key}: {other:?}"),
+        }
+    };
+    assert_eq!(
+        [
+            "worker_restarts_total",
+            "worker_deaths_total",
+            "breaker_opened_total"
+        ]
+        .map(counter),
+        [h.restarts, h.worker_deaths, h.breaker_opened],
+        "{h:?}"
+    );
+}
+
+/// Two jobs start together on a shard whose two workers were just
+/// killed, so both race to restart them. Whatever the interleaving, each
+/// shard counter equals the `health` field it backs: the pool and the
+/// breaker count their events once, on the counters `health` reads.
+#[test]
+fn shard_counters_equal_the_health_row_when_two_jobs_race_a_restart() {
+    let _guard = plan_guard();
+    // More chunks than workers, so both workers claim one and die.
+    let kill_points = Arc::new(grid(4 * 4096));
+    let job_points = Arc::new(grid(300));
+    for trial in 0..50u64 {
+        let server = Server::with_config(ServerConfig {
+            shard_workers: 2,
+            ..ServerConfig::default()
+        });
+        server.insert_model("m", model2());
+        let shard = &server.shards()[0];
+        let model = shard.registry().get("m").unwrap();
+        let run = |points: &Arc<Vec<Vec<f64>>>| {
+            shard
+                .evaluate(
+                    Arc::clone(&model),
+                    Arc::clone(points),
+                    BatchOutput::Moments,
+                    None,
+                    None,
+                )
+                .unwrap()
+        };
+
+        faults::install(FaultPlan {
+            seed: trial,
+            worker_kill_rate_pct: 100,
+            target_shard: Some(0),
+            ..FaultPlan::default()
+        });
+        quiet_panics(|| run(&kill_points));
+        faults::clear();
+        assert_eq!(shard.pool().alive(), 0, "trial {trial}");
+
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    barrier.wait();
+                    let out = run(&job_points);
+                    assert_eq!(out.ok_count(), out.len(), "trial {trial}");
+                });
+            }
+        });
+
+        let h = shard.health();
+        assert_eq!(h.restarts, 2, "trial {trial}: {h:?}");
+        assert_counters_match_health(server.stats().registry(), &h);
+    }
 }

@@ -1,7 +1,6 @@
 //! The unified evaluation surface for compiled tapes.
 //!
-//! [`Evaluator`] owns its scratch register file (the old API threaded
-//! `scratch_len`/`regs` through every call site) and routes batches
+//! [`Evaluator`] owns its scratch register file and routes batches
 //! through the vectorized lane backend ([`crate::lanes`]): full blocks of
 //! `width × LANE_TILE` points replay a pre-lowered arithmetic stream
 //! (const/sym loads hoisted out, operands pre-resolved) with

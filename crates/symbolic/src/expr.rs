@@ -531,29 +531,6 @@ impl CompiledFn {
         self.tape.replay(vals, &mut regs);
         self.outputs.iter().map(|&r| regs[r as usize]).collect()
     }
-
-    /// Evaluates into caller-provided scratch space.
-    ///
-    /// # Panics
-    ///
-    /// Panics when slice lengths do not match the compiled shapes.
-    #[deprecated(since = "0.2.0", note = "use `evaluator()` and `Evaluator::eval_into`")]
-    pub fn eval_into(&self, vals: &[f64], regs: &mut [f64], out: &mut [f64]) {
-        assert_eq!(vals.len(), self.n_syms, "value vector length mismatch");
-        assert!(regs.len() >= self.tape.n_regs(), "scratch too small");
-        assert_eq!(out.len(), self.outputs.len(), "output slice mismatch");
-        self.tape.replay(vals, regs);
-        for (o, &r) in out.iter_mut().zip(self.outputs.iter()) {
-            *o = regs[r as usize];
-        }
-    }
-
-    /// Required scratch length for the deprecated
-    /// [`CompiledFn::eval_into`]; [`Evaluator`] manages this internally.
-    #[deprecated(since = "0.2.0", note = "use `evaluator()`; it owns its scratch")]
-    pub fn scratch_len(&self) -> usize {
-        self.tape.n_regs()
-    }
 }
 
 // Hand-written serde: `raw_ops` and `opt_level` are absent from
@@ -732,14 +709,6 @@ mod tests {
         let x = g.sym(0);
         let e = g.mul(x, x);
         let f = g.compile(&[e]);
-        #[allow(deprecated)]
-        {
-            let mut regs = vec![0.0; f.scratch_len()];
-            let mut out = vec![0.0; 1];
-            f.eval_into(&[3.0], &mut regs, &mut out);
-            assert_eq!(out[0], 9.0);
-        }
-        // The replacement path.
         let ev = f.evaluator();
         let mut out = vec![0.0; 1];
         ev.eval_into(&[3.0], &mut out);

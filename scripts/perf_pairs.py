@@ -17,9 +17,18 @@ the change first when i is odd. A run that exits non-zero or reports
 For every end-to-end metric in BENCHMARK.json it prints each side's
 median and quartiles (Python's `statistics.quantiles(n=4)`), the number
 of pairs the change won (ties count for neither), the parent's quartile
-distance, and the parent runs' spread, (max - min) / median. When that
-spread exceeds the metric's `bound`, the metric is `unresolved`: the
-parent alone moves more than the bound between runs.
+distance, the parent runs' spread, (max - min) / median, and a verdict:
+
+- `worse`: the change median is worse than the parent median by more
+  than the metric's `bound` (a fraction of the parent median);
+- `unresolved`: the parent spread exceeds the `bound`, so the parent
+  alone moves more than the bound between runs, and not every change run
+  beats every parent run.
+
+It also flags a failed share (failed / attempted) that is higher on the
+change side than on the parent side. The script exits with code 3 when
+any metric is `worse` or the failed share rose, and 0 otherwise; an
+`unresolved` metric alone does not change the exit code.
 """
 
 import argparse
@@ -82,14 +91,20 @@ def quartiles(vals):
 
 def report(metrics, runs):
     """Prints one row per end-to-end metric; `runs` holds one
-    (parent, change) result pair per pair run."""
+    (parent, change) result pair per pair run. Returns True when a metric
+    is `worse` or the change's failed share is higher."""
     n = len(runs)
     print(f"\n{n} pairs")
+    shares = []
     for side in (0, 1):
         attempted = sum(r[side]["attempted"] for r in runs)
         failed = sum(r[side]["failed"] for r in runs)
+        shares.append(failed / attempted if attempted else 0.0)
         name = ("parent", "change")[side]
         print(f"  {name}: {failed} failed of {attempted} attempted")
+    regressed = shares[1] > shares[0]
+    if regressed:
+        print(f"  failed share rose: {shares[0]:.3%} -> {shares[1]:.3%}")
     head = (
         f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34}"
         f" {'change/parent':>13} {'won':>6} {'parent iqr':>11} {'spread':>7} {'bound':>6}"
@@ -104,13 +119,18 @@ def report(metrics, runs):
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
         spread = (max(parent) - min(parent)) / pmed if pmed else float("inf")
-        verdict = "unresolved" if spread > m["bound"] else ""
+        bound = m["bound"]
+        worse = (cmed > pmed * (1 + bound)) if lower else (cmed < pmed * (1 - bound))
+        all_won = max(change) < min(parent) if lower else min(change) > max(parent)
+        flags = ["worse"] * worse + ["unresolved"] * (spread > bound and not all_won)
+        regressed |= worse
         print(
             f"{name:<14} {f'{pmed:.6g} [{pq1:.6g}, {pq3:.6g}]':<34}"
             f" {f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':<34}"
             f" {cmed / pmed if pmed else float('inf'):>13.4f} {f'{won}/{n}':>6}"
-            f" {pq3 - pq1:>11.4g} {spread:>7.1%} {m['bound']:>6.0%} {verdict}"
+            f" {pq3 - pq1:>11.4g} {spread:>7.1%} {bound:>6.0%} {', '.join(flags)}"
         )
+    return regressed
 
 
 def main():
@@ -158,7 +178,8 @@ def main():
                 )
             runs.append((pair["parent"], pair["change"]))
         print(f"\n{args.workload}, seed {args.seed}, {args.seconds} s runs")
-        report(metrics, runs)
+        if report(metrics, runs):
+            return 3
     except RuntimeError as e:
         print(f"perf_pairs: {e}", file=sys.stderr)
         return 1
