@@ -16,7 +16,7 @@
 //! Tracked metrics:
 //!
 //! - `BENCH_tape.json`: per-case `batch_points_per_sec`, plus the lane
-//!   kernel's best-width `lanes_best_points_per_sec` per `simd` case;
+//!   kernel's `lanes_best_points_per_sec` per `simd` case;
 //! - `BENCH_serve.json`: per-case `single_points_per_sec` and the best
 //!   batch `points_per_sec` across worker counts;
 //! - `BENCH_timing.json`: per-worker-count `samples_per_sec`;
@@ -44,8 +44,8 @@
 //!
 //! The fresh `BENCH_tape.json` carries a structural check of its own:
 //! the `simd` section must pass its self-reported gates (lane outputs
-//! bit-identical to the scalar SoA reference at widths 4 and 8), and the
-//! gated (op-heaviest) case's best lane speedup must reach the
+//! bit-identical to the scalar SoA reference), and the gated
+//! (op-heaviest) case's lane speedup must reach the
 //! `min_simd_speedup` floor the report declares (≥ 1.5x) — the lane
 //! kernel must stay meaningfully faster than the scalar-in-registers
 //! reference it replaced. Host-relative, so enforced on the fresh run.
@@ -137,9 +137,6 @@ fn tape_metrics(report: &Content, file: &str) -> Result<Vec<Metric>, String> {
     {
         for case in simd_cases {
             let name = case_name(case);
-            // Best-width throughput: tracking one fixed width trips the
-            // drift gate on jitter whenever the host's 4/8 preference
-            // flips between runs.
             let label = format!("{file} :: {name} :: lanes_best_points_per_sec");
             out.push(Metric {
                 points_per_sec: need_f64(case, "lanes_best_points_per_sec", &label)?,
@@ -151,11 +148,10 @@ fn tape_metrics(report: &Content, file: &str) -> Result<Vec<Metric>, String> {
 }
 
 /// Structural checks on the fresh tape report's `simd` section: the
-/// section's own pass flag (lane/SoA bit-parity at widths 4 and 8 plus
-/// the speedup gate as evaluated by `tape_bench`) and, independently,
-/// the gated case's best lane speedup against the floor the report
-/// declares. Host-relative, so never compared against a baseline.
-/// Returns failure lines.
+/// section's own pass flag (lane/SoA bit-parity plus the speedup gate
+/// as evaluated by `tape_bench`) and, independently, the gated case's
+/// lane speedup against the floor the report declares. Host-relative,
+/// so never compared against a baseline. Returns failure lines.
 fn simd_checks(report: &Content, file: &str) -> Result<Vec<String>, String> {
     let simd = report
         .get("simd")
@@ -183,22 +179,16 @@ fn simd_checks(report: &Content, file: &str) -> Result<Vec<String>, String> {
     for case in cases {
         let name = case_name(case);
         let label = format!("{file} :: {name}");
-        let s4 = need_f64(case, "speedup_lanes4", &label)?;
-        let s8 = need_f64(case, "speedup_lanes8", &label)?;
+        let speedup = need_f64(case, "speedup_lanes", &label)?;
         if case.get("gated").and_then(Content::as_bool) == Some(true) {
             gated_seen = true;
-            // The floor applies to the kernel's best width: which of 4/8
-            // wins flips with the host's vector unit (two fused AVX2 ops
-            // vs one AVX-512 op), and both widths serve the same
-            // bit-identical results.
-            let best = s4.max(s8);
             println!(
-                "      {file}: lane kernel {best:.2}x the SoA reference on {name} \
-                 (floor {floor:.1}x; lanes4 {s4:.2}x, lanes8 {s8:.2}x)"
+                "      {file}: lane kernel {speedup:.2}x the SoA reference on {name} \
+                 (floor {floor:.1}x)"
             );
-            if best < floor {
+            if speedup < floor {
                 failures.push(format!(
-                    "{file}: best lane speedup {best:.2}x on {name} below the {floor:.1}x \
+                    "{file}: lane speedup {speedup:.2}x on {name} below the {floor:.1}x \
                      floor over the scalar SoA reference"
                 ));
             }

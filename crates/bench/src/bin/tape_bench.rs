@@ -7,9 +7,8 @@
 //! fails: ≥ 20 % op-count reduction, optimized/unoptimized agreement to
 //! 1e-12 relative, batch throughput ≥ 1.3× the pre-optimizer
 //! single-point path, and — on the op-heaviest case — the lane kernel
-//! at its best width ≥ 1.5× over the scalar SoA reference
-//! (`eval_batch_soa_ref`), with lane outputs asserted bit-identical to
-//! the reference at both widths.
+//! ≥ 1.5× over the scalar SoA reference (`eval_batch_soa_ref`), with
+//! lane outputs asserted bit-identical to the reference.
 //!
 //! ```sh
 //! cargo run --release -p awesym-bench --bin tape_bench [-- --smoke]
@@ -122,20 +121,16 @@ struct SimdResult {
     /// Whether this case carries the ≥ 1.5x gate (the op-heaviest one).
     gated: bool,
     soa_ns: f64,
-    lanes4_ns: f64,
-    lanes8_ns: f64,
-    speedup4: f64,
-    speedup8: f64,
+    lanes_ns: f64,
+    speedup: f64,
     pass: bool,
     failures: Vec<String>,
 }
 
-/// Times the scalar SoA reference against the lane kernel at widths 4
-/// and 8 and asserts the lane outputs bit-identical
-/// to the reference. The ≥ [`MIN_SIMD_SPEEDUP`] floor applies to the
-/// faster of the two widths on the gated case only.
+/// Times the scalar SoA reference against the lane kernel and asserts
+/// the lane outputs bit-identical to the reference. The
+/// ≥ [`MIN_SIMD_SPEEDUP`] floor applies on the gated case only.
 fn run_simd_case(case: &Case, n_points: usize, reps: usize, gated: bool) -> SimdResult {
-    use awesym_symbolic::LaneWidth;
     let pts = make_points(&case.opt, n_points);
     let n = pts.len() as f64;
     let ev = case.opt.evaluator();
@@ -151,35 +146,25 @@ fn run_simd_case(case: &Case, n_points: usize, reps: usize, gated: bool) -> Simd
     }) / n;
     let reference = flat.clone();
 
+    let t_lanes = time_min(reps, || {
+        ev.eval_batch(&pts, &mut flat);
+        flat[0]
+    }) / n;
     let mut failures = Vec::new();
-    let mut time_width = |width: LaneWidth| {
-        let t = time_min(reps, || {
-            ev.eval_batch_lanes(&pts, &mut flat, width)
-                .expect("lane shapes");
-            flat[0]
-        }) / n;
-        let diverged = flat
-            .iter()
-            .zip(&reference)
-            .filter(|(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        if diverged > 0 {
-            failures.push(format!(
-                "lane width {width} diverged from the SoA reference in {diverged} output slots"
-            ));
-        }
-        t
-    };
-    let t4 = time_width(LaneWidth::W4);
-    let t8 = time_width(LaneWidth::W8);
-    let (speedup4, speedup8) = (t_soa / t4, t_soa / t8);
-    // The floor applies to the kernel's best width: which of 4/8 wins
-    // flips with the host's vector unit, and both serve bit-identical
-    // results.
-    if gated && speedup4.max(speedup8) < MIN_SIMD_SPEEDUP {
+    let diverged = flat
+        .iter()
+        .zip(&reference)
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    if diverged > 0 {
         failures.push(format!(
-            "best lane speedup {:.2}x < {MIN_SIMD_SPEEDUP}x over the SoA reference",
-            speedup4.max(speedup8)
+            "lane kernel diverged from the SoA reference in {diverged} output slots"
+        ));
+    }
+    let speedup = t_soa / t_lanes;
+    if gated && speedup < MIN_SIMD_SPEEDUP {
+        failures.push(format!(
+            "lane speedup {speedup:.2}x < {MIN_SIMD_SPEEDUP}x over the SoA reference"
         ));
     }
     SimdResult {
@@ -187,10 +172,8 @@ fn run_simd_case(case: &Case, n_points: usize, reps: usize, gated: bool) -> Simd
         opt_ops: case.opt.op_count(),
         gated,
         soa_ns: t_soa * 1e9,
-        lanes4_ns: t4 * 1e9,
-        lanes8_ns: t8 * 1e9,
-        speedup4,
-        speedup8,
+        lanes_ns: t_lanes * 1e9,
+        speedup,
         pass: failures.is_empty(),
         failures,
     }
@@ -325,7 +308,7 @@ fn simd_json(simd: &[SimdResult]) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(
         s,
-        "    \"gates\": {{\"min_simd_speedup\": {MIN_SIMD_SPEEDUP}, \"reference\": \"eval_batch_soa_ref\", \"gated_width\": \"best\"}},"
+        "    \"gates\": {{\"min_simd_speedup\": {MIN_SIMD_SPEEDUP}, \"reference\": \"eval_batch_soa_ref\"}},"
     );
     let _ = writeln!(s, "    \"pass\": {},", simd.iter().all(|r| r.pass));
     s.push_str("    \"cases\": [\n");
@@ -335,23 +318,15 @@ fn simd_json(simd: &[SimdResult]) -> String {
         let _ = writeln!(s, "        \"ops\": {},", r.opt_ops);
         let _ = writeln!(s, "        \"gated\": {},", r.gated);
         let _ = writeln!(s, "        \"soa_ns_per_point\": {:.1},", r.soa_ns);
-        let _ = writeln!(s, "        \"lanes4_ns_per_point\": {:.1},", r.lanes4_ns);
-        let _ = writeln!(s, "        \"lanes8_ns_per_point\": {:.1},", r.lanes8_ns);
-        let _ = writeln!(
-            s,
-            "        \"lanes8_points_per_sec\": {:e},",
-            1e9 / r.lanes8_ns
-        );
-        // The drift-tracked metric: the faster width. Tracking one fixed
-        // width trips the 15 % gate on jitter whenever the host's 4/8
-        // preference flips between runs.
+        let _ = writeln!(s, "        \"lanes_ns_per_point\": {:.1},", r.lanes_ns);
+        // The drift-tracked metric; its name predates the single block
+        // size, and the committed baseline carries it.
         let _ = writeln!(
             s,
             "        \"lanes_best_points_per_sec\": {:e},",
-            1e9 / r.lanes8_ns.min(r.lanes4_ns)
+            1e9 / r.lanes_ns
         );
-        let _ = writeln!(s, "        \"speedup_lanes4\": {:.3},", r.speedup4);
-        let _ = writeln!(s, "        \"speedup_lanes8\": {:.3},", r.speedup8);
+        let _ = writeln!(s, "        \"speedup_lanes\": {:.3},", r.speedup);
         let _ = writeln!(s, "        \"pass\": {}", r.pass);
         let comma = if i + 1 < simd.len() { "," } else { "" };
         let _ = writeln!(s, "      }}{comma}");
@@ -459,19 +434,17 @@ fn main() {
     }
 
     println!(
-        "\n{:<32} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "simd", "ops", "soa ns", "l4 ns", "l8 ns", "l4 spd", "l8 spd"
+        "\n{:<32} {:>8} {:>10} {:>10} {:>9}",
+        "simd", "ops", "soa ns", "lanes ns", "speedup"
     );
     for r in &simd {
         println!(
-            "{:<32} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>8.2}x {:>8.2}x{}",
+            "{:<32} {:>8} {:>10.1} {:>10.1} {:>8.2}x{}",
             r.name,
             r.opt_ops,
             r.soa_ns,
-            r.lanes4_ns,
-            r.lanes8_ns,
-            r.speedup4,
-            r.speedup8,
+            r.lanes_ns,
+            r.speedup,
             if r.gated { "  [gated]" } else { "" }
         );
         for f in &r.failures {

@@ -529,10 +529,6 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
         shard_workers: o.shard_workers.unwrap_or(defaults.shard_workers),
         ..defaults
     });
-    // Read the lane-width env knob now, on the main thread: a malformed
-    // `AWESYM_LANES` warns on stderr, and deferring that to the first
-    // batch would emit it from a worker thread mid-request.
-    let _ = awesym_symbolic::configured_lane_width();
     if let Some(addr) = &o.listen {
         // Socket front end: same engine, TCP transport (docs/networking.md).
         let net_defaults = awesym_net::NetConfig::default();
@@ -565,8 +561,8 @@ fn cmd_serve(args: &[&str]) -> Result<String, String> {
     // Periodic stats go to stderr: stdout is the NDJSON response stream
     // and must stay strictly request/response. Pass stderr *unlocked* —
     // holding its lock for the whole serve loop would deadlock any
-    // worker-thread write to stderr (panic-hook output, env warnings)
-    // against the blocked submitter.
+    // worker-thread write to stderr (panic-hook output) against the
+    // blocked submitter.
     server
         .serve_with_stats(stdin.lock(), stdout.lock(), std::io::stderr())
         .map_err(|e| format!("serve transport error: {e}"))?;

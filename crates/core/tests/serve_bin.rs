@@ -1,13 +1,13 @@
-//! End-to-end tests of the built `awesym` binary's serve loop under the
-//! lane-width env knob.
+//! End-to-end test of the built `awesym` binary's serve loop.
 //!
 //! Regression context: the serve CLI used to pass `stderr().lock()` as
 //! the stats sink, holding the stderr lock for the whole serve loop. Any
-//! worker-thread write to stderr — the malformed-`AWESYM_LANES` warning,
-//! panic-hook output — then deadlocked against the blocked submitter:
-//! the first batch request never answered. These tests drive the real
-//! binary over pipes so that process-level wiring stays covered.
+//! worker-thread write to stderr — such as panic-hook output — then
+//! deadlocked against the blocked submitter: the first batch request
+//! never answered. This test drives the real binary over pipes, with the
+//! stderr stats sink live, so that process-level wiring stays covered.
 
+use awesym_serve::{Server, ServerConfig};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex};
 const NETLIST: &str =
     "* rc divider\nVIN in 0 1\nR1 in 1 1k\nC1 1 0 1n\nR2 1 out 2k\nC2 out 0 1n\n.end\n";
 
-/// A canned session: load, one 77-point batch (crosses lane-block
-/// boundaries at every width), shutdown.
+/// A canned session: load, one 77-point batch (two lane blocks and a
+/// scalar tail), shutdown.
 fn session(model_path: &str) -> String {
     let points: Vec<String> = (0..77)
         .map(|i| format!("[{:e}]", 1e-9 * (0.5 + 0.07 * i as f64)))
@@ -30,19 +30,17 @@ fn session(model_path: &str) -> String {
     )
 }
 
-/// Runs `awesym serve` with the given env pairs, feeding `input` on
-/// stdin. A watchdog kills the child if it has not exited within 60 s,
-/// so a serve-loop deadlock fails the test instead of hanging CI.
-fn run_serve(input: &str, envs: &[(&str, &str)]) -> (String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_awesym"));
-    cmd.arg("serve")
+/// Runs `awesym serve --stats-every 1`, feeding `input` on stdin. A
+/// watchdog kills the child if it has not exited within 60 s, so a
+/// serve-loop deadlock fails the test instead of hanging CI.
+fn run_serve(input: &str) -> (String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_awesym"))
+        .args(["serve", "--stats-every", "1"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().expect("spawn awesym serve");
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn awesym serve");
     child
         .stdin
         .take()
@@ -96,7 +94,7 @@ fn strip_timing(stdout: &str) -> String {
 }
 
 #[test]
-fn serve_answers_batches_at_every_lane_width_and_on_malformed_env() {
+fn serve_binary_matches_in_process_server() {
     let dir = std::env::temp_dir().join(format!("awesym-serve-bin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let netlist = dir.join("rc.sp");
@@ -114,31 +112,30 @@ fn serve_answers_batches_at_every_lane_width_and_on_malformed_env() {
     assert!(status.success(), "model build failed: {status}");
 
     let input = session(model.to_str().expect("utf8 path"));
-    let (ref_out, _) = run_serve(&input, &[("AWESYM_LANES", "8")]);
-    assert_eq!(ref_out.lines().count(), 3, "load/batch/shutdown responses");
-    assert!(
-        ref_out.lines().all(|l| l.contains("\"ok\":true")),
-        "{ref_out}"
+    let (out, err) = run_serve(&input);
+    assert_eq!(out.lines().count(), 3, "load/batch/shutdown responses");
+    assert!(out.lines().all(|l| l.contains("\"ok\":true")), "{out}");
+    // The stats sink was live: one stats line per answered request.
+    assert_eq!(
+        err.lines()
+            .filter(|l| l.starts_with("{\"stats\":true"))
+            .count(),
+        3,
+        "stderr:\n{err}"
     );
-    let reference = strip_timing(&ref_out);
 
-    // Widths 1 and 4 must be byte-identical to width 8 (docs/tape.md §7),
-    // and a malformed value must fall back to the default width with a
-    // startup warning — not deadlock the first batch from a worker
-    // thread.
-    for (lanes, expect_warning) in [("1", false), ("4", false), ("bogus", true)] {
-        let (out, err) = run_serve(&input, &[("AWESYM_LANES", lanes)]);
-        assert_eq!(
-            strip_timing(&out),
-            reference,
-            "AWESYM_LANES={lanes} diverged from the width-8 run"
-        );
-        assert_eq!(
-            err.contains("ignoring unrecognized AWESYM_LANES"),
-            expect_warning,
-            "AWESYM_LANES={lanes} stderr:\n{err}"
-        );
-    }
+    // The same session through an in-process server answers the same
+    // bytes, timing fields aside.
+    let server = Server::with_config(ServerConfig {
+        stats_every: 1,
+        ..ServerConfig::default()
+    });
+    let mut reference = Vec::new();
+    server
+        .serve_with_stats(input.as_bytes(), &mut reference, std::io::sink())
+        .expect("in-process serve");
+    let reference = String::from_utf8(reference).expect("NDJSON is UTF-8");
+    assert_eq!(strip_timing(&out), strip_timing(&reference));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -385,6 +385,57 @@ impl CompiledModel {
         Ok(())
     }
 
+    /// Checks every width baked into the model against its tape: the
+    /// symbol names, the nominal point, and the Taylor tail's nominal
+    /// point and Jacobian rows must each hold one entry per tape symbol,
+    /// and the tape outputs plus the tail rows must be the `2q` moments.
+    /// Evaluation asserts these, so a model deserialized from a tampered
+    /// artifact that breaks one would load and then fail every request;
+    /// loaders call this to reject it up front.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatch found.
+    pub fn validate_shapes(&self) -> Result<(), String> {
+        let n = self.fun.n_syms();
+        let width = |got: usize, what: &str| {
+            if got == n {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} has {got} entries, the tape takes {n} symbols"
+                ))
+            }
+        };
+        width(self.symbols.len(), "symbol list")?;
+        width(self.nominal.len(), "nominal point")?;
+        let mut moments = self.fun.n_outputs();
+        if let Some(t) = &self.taylor {
+            width(t.nominal.len(), "taylor nominal point")?;
+            for row in &t.jac {
+                width(row.len(), "taylor jacobian row")?;
+            }
+            if t.k_start != moments || t.jac.len() != t.base.len() {
+                return Err(format!(
+                    "taylor tail starts at moment {} with {} rows and {} jacobian rows, \
+                     after {moments} tape moments",
+                    t.k_start,
+                    t.base.len(),
+                    t.jac.len()
+                ));
+            }
+            moments += t.base.len();
+        }
+        if moments != 2 * self.order {
+            return Err(format!(
+                "model carries {moments} moments, order {} needs {}",
+                self.order,
+                2 * self.order
+            ));
+        }
+        Ok(())
+    }
+
     /// An [`Evaluator`] over this model's tape (and Taylor tail, when the
     /// model is partial-Padé) — the preferred evaluation API. Each call
     /// builds a fresh evaluator with its own scratch; create one per
@@ -800,6 +851,40 @@ mod tests {
         let bad: CompiledModel = serde_json::from_str(&corrupt).unwrap();
         let e = bad.validate_numerics().unwrap_err();
         assert!(e.contains("non-finite"), "{e}");
+    }
+
+    #[test]
+    fn validate_shapes_rejects_widths_that_disagree_with_the_tape() {
+        // A partial-Padé model (one symbol, Taylor tail) round-tripped
+        // through JSON with one width edited at a time.
+        let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
+        let c = &w.circuit;
+        let bindings = [SymbolBinding::capacitance(
+            "c1",
+            vec![c.find("C1").unwrap()],
+        )];
+        let partial = CompiledModel::build_with_options(
+            c,
+            w.input,
+            w.output,
+            &bindings,
+            ModelOptions::order(2).with_symbolic_moments(2),
+        )
+        .unwrap();
+        partial.validate_shapes().unwrap();
+        let json = serde_json::to_string(&partial).unwrap();
+        let tail = json.find("\"taylor\":").expect("partial model has a tail");
+        for field in ["\"nominal\":[", "\"jac\":[["] {
+            let at = tail + json[tail..].find(field).unwrap() + field.len();
+            let wider = format!("{}0.5,{}", &json[..at], &json[at..]);
+            let bad: CompiledModel = serde_json::from_str(&wider).unwrap();
+            let e = bad.validate_shapes().unwrap_err();
+            assert!(e.contains("taylor"), "{field}: {e}");
+        }
+        let deeper = json.replacen("\"order\":2", "\"order\":3", 1);
+        let bad: CompiledModel = serde_json::from_str(&deeper).unwrap();
+        let e = bad.validate_shapes().unwrap_err();
+        assert!(e.contains("order 3 needs 6"), "{e}");
     }
 
     #[test]

@@ -249,8 +249,10 @@ fn to_artifact_string_legacy(model: &CompiledModel) -> Result<String, ServeError
 ///
 /// # Errors
 ///
-/// [`ServeError::BadFormat`] for malformed JSON or a missing/wrong format
-/// tag, [`ServeError::VersionMismatch`] for any *major* version other
+/// [`ServeError::BadFormat`] for malformed JSON, a missing/wrong format
+/// tag, or a model whose tape, symbol list, nominal point and Taylor tail
+/// disagree on their widths; [`ServeError::VersionMismatch`] for any
+/// *major* version other
 /// than [`FORMAT_VERSION`] (a missing or newer `minor` is accepted),
 /// [`ServeError::ChecksumMismatch`] when the payload bytes do not hash to
 /// the recorded checksum, [`ServeError::ArtifactNumeric`] when the parsed
@@ -338,12 +340,16 @@ pub fn from_artifact_str(text: &str) -> Result<CompiledModel, ServeError> {
     validate_model(model)
 }
 
-/// Numeric health gate for freshly loaded models: JSON cannot express
-/// NaN/Inf, so our writer emits `null` and the reader maps it back to
-/// NaN — meaning a corrupted-but-checksummed (or hand-edited) artifact
-/// can carry non-finite coefficients that would silently poison every
-/// evaluation. Reject it at load time instead.
+/// Shape and numeric health gate for freshly loaded models. A hand-edited
+/// (or corrupted-but-checksummed) artifact can carry widths that disagree
+/// with its tape, which evaluation asserts, or non-finite coefficients —
+/// JSON cannot express NaN/Inf, so our writer emits `null` and the reader
+/// maps it back to NaN — that would silently poison every evaluation.
+/// Reject both at load time instead.
 fn validate_model(model: CompiledModel) -> Result<CompiledModel, ServeError> {
+    model
+        .validate_shapes()
+        .map_err(|what| ServeError::BadFormat { what })?;
     model
         .validate_numerics()
         .map_err(|what| ServeError::ArtifactNumeric { what })?;

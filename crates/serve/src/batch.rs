@@ -14,9 +14,8 @@
 //! a per-point [`PointError`] instead of aborting the batch. Moment-only
 //! batches take the vectorized lane kernel straight off the request
 //! columns — one hoisted-load tape replay per block of
-//! `AWESYM_LANES × LANE_TILE` points (32 at the default width; see
-//! `docs/tape.md` §7) instead of a walk per point, bit-identical to the
-//! per-point path.
+//! [`awesym_symbolic::MAX_BLOCK_POINTS`] points (see `docs/tape.md` §7)
+//! instead of a walk per point, bit-identical to the per-point path.
 //!
 //! This module is also the process's blast shield:
 //!
@@ -41,10 +40,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Points evaluated between deadline checks (and per batch-kernel
-/// sub-block). Equal to `awesym_symbolic::MAX_BLOCK_POINTS`, so one
-/// deadline-checked stride is exactly one full lane block at the default
-/// width — the check never forces the kernel into a scalar tail.
-const CHECK_STRIDE: usize = 32;
+/// sub-block): one full lane block, so the check never forces the kernel
+/// into a scalar tail.
+const CHECK_STRIDE: usize = awesym_symbolic::MAX_BLOCK_POINTS;
 
 /// What to compute for each point of a batch.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,9 +1,8 @@
-//! Pluggable response encoders: NDJSON (default) and the binary-v1
-//! batch frame.
+//! Response encoding: NDJSON (default) and the binary-v1 batch frame.
 //!
-//! Every byte the server emits — response lines, batch results, periodic
-//! stats — goes through an [`Encoder`], writing into a caller-supplied
-//! reusable `Vec<u8>` instead of allocating fresh `String`s. Floats take
+//! Every response the server emits goes through [`encode_response`],
+//! writing into a caller-supplied reusable `Vec<u8>` instead of
+//! allocating fresh `String`s. Floats take
 //! the shortest-round-trip path (the vendored `ryu` formatter behind
 //! [`serde_json::write_f64`]). Batch results are written straight from
 //! the columnar [`BatchResults`] buffers: NDJSON streams each point out
@@ -16,7 +15,7 @@
 //! responses with a fixed per-point width — see `docs/wire-format.md`
 //! for the full negotiation rules and frame layout.
 //!
-//! Encoding time counts against the request deadline: both encoders
+//! Encoding time counts against the request deadline: both encodings
 //! check the deadline every [`DEADLINE_CHECK_STRIDE`] points while
 //! streaming a batch body and abort with a typed `deadline_exceeded`
 //! error when it trips mid-encode.
@@ -82,8 +81,8 @@ pub fn negotiate(req: &Content) -> Result<WireEncoding, ServeError> {
 }
 
 /// A `batch` response ready to encode: the head fields that precede
-/// `"results"` in the NDJSON form, plus the columnar results the encoder
-/// writes directly.
+/// `"results"` in the NDJSON form, plus the columnar results
+/// [`encode_response`] writes directly.
 pub struct BatchBody {
     /// Fields preceding `results` (`ok`, `id`, `count`, `ok_count`, …).
     pub head: Vec<(&'static str, Content)>,
@@ -99,14 +98,14 @@ pub struct BatchBody {
     /// Evaluation wall time in nanoseconds (binary frame header field).
     pub elapsed_ns: u64,
     /// True when evaluation already ran out of deadline — per-point
-    /// errors say so and the encoder must not cut the body again.
+    /// errors say so and encoding must not cut the body again.
     pub deadline_exceeded: bool,
     /// The request deadline (absolute instant plus the millisecond figure
     /// for error reporting); encoding checks it cooperatively.
     pub deadline: Option<(Instant, u64)>,
 }
 
-/// What an encoder is asked to write.
+/// What [`encode_response`] is asked to write.
 pub enum ResponseBody {
     /// A generic response: an ordered field list (already `Content`).
     Fields(Vec<(&'static str, Content)>),
@@ -122,42 +121,42 @@ pub enum ResponseBody {
     },
 }
 
-/// A response encoder writing into a reusable growable buffer.
+/// Appends one encoded response to `out`, without a trailing newline —
+/// framing (newline for NDJSON, self-delimiting header for binary) is the
+/// transport loop's concern.
 ///
-/// Implementations append exactly one response per
-/// [`Encoder::encode_response`] call and never write a trailing
-/// newline — framing (newline for NDJSON, self-delimiting header for
-/// binary) is the transport loop's concern.
-pub trait Encoder: Sync {
-    /// Which wire encoding this encoder produces for batch bodies.
-    fn encoding(&self) -> WireEncoding;
-
-    /// Appends one encoded response to `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DeadlineExceeded`] when the body's deadline trips
-    /// mid-encode; the caller discards the partial output and reports
-    /// the typed error instead.
-    fn encode_response(&self, body: &ResponseBody, out: &mut Vec<u8>) -> Result<(), ServeError>;
-
-    /// Appends one encoded stats object to `out`. Stats are diagnostic
-    /// metadata, not bulk floats, so both built-in encoders emit NDJSON.
-    fn encode_stats(&self, stats: &Content, out: &mut Vec<u8>) {
-        write_value(stats, out);
-    }
-}
-
-/// Statics so the server can hand out `&'static dyn Encoder` without
-/// allocation.
-static NDJSON: NdjsonEncoder = NdjsonEncoder;
-static BINARY: BinaryEncoder = BinaryEncoder;
-
-/// The encoder for a negotiated wire encoding.
-pub fn encoder_for(encoding: WireEncoding) -> &'static dyn Encoder {
-    match encoding {
-        WireEncoding::Ndjson => &NDJSON,
-        WireEncoding::BinaryV1 => &BINARY,
+/// Only a batch body takes the negotiated `encoding`; every other
+/// response, including every error, is one NDJSON object, so failures
+/// stay human-readable even on a binary-negotiated stream.
+///
+/// # Errors
+///
+/// [`ServeError::DeadlineExceeded`] when a batch body's deadline trips
+/// mid-encode; the caller discards the partial output and reports the
+/// typed error instead. [`ServeError::Internal`] when a batch does not
+/// fit the binary-v1 frame's `u32` counts.
+pub fn encode_response(
+    encoding: WireEncoding,
+    body: &ResponseBody,
+    out: &mut Vec<u8>,
+) -> Result<(), ServeError> {
+    match body {
+        ResponseBody::Fields(fields) => {
+            write_fields(fields, out);
+            Ok(())
+        }
+        ResponseBody::Point { head, result } => {
+            out.push(b'{');
+            write_field_list(head, out);
+            out.extend_from_slice(b",\"result\":");
+            write_result(result, 0, out);
+            out.push(b'}');
+            Ok(())
+        }
+        ResponseBody::Batch(b) => match encoding {
+            WireEncoding::Ndjson => write_ndjson_batch(b, out),
+            WireEncoding::BinaryV1 => write_binary_batch(b, out),
+        },
     }
 }
 
@@ -297,56 +296,23 @@ pub fn write_result(r: &BatchResults, i: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// The default encoder: one JSON object per response, floats via the
-/// shortest-round-trip formatter, batch results streamed point by point.
-pub struct NdjsonEncoder;
-
-impl Encoder for NdjsonEncoder {
-    fn encoding(&self) -> WireEncoding {
-        WireEncoding::Ndjson
-    }
-
-    fn encode_response(&self, body: &ResponseBody, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        match body {
-            ResponseBody::Fields(fields) => {
-                write_fields(fields, out);
-                Ok(())
-            }
-            ResponseBody::Point { head, result } => {
-                write_point_response(head, result, out);
-                Ok(())
-            }
-            ResponseBody::Batch(b) => {
-                out.push(b'{');
-                write_field_list(&b.head, out);
-                out.extend_from_slice(b",\"results\":[");
-                for i in 0..b.results.len() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    if i % DEADLINE_CHECK_STRIDE == 0 && i > 0 {
-                        check_encode_deadline(b)?;
-                    }
-                    write_result(&b.results, i, out);
-                }
-                out.extend_from_slice(b"]}");
-                Ok(())
-            }
-        }
-    }
-}
-
-/// The `eval` response object: head fields, then `"result"`.
-fn write_point_response(
-    head: &[(&'static str, Content)],
-    result: &BatchResults,
-    out: &mut Vec<u8>,
-) {
+/// The NDJSON batch object: head fields, then `"results"` streamed point
+/// by point.
+fn write_ndjson_batch(b: &BatchBody, out: &mut Vec<u8>) -> Result<(), ServeError> {
     out.push(b'{');
-    write_field_list(head, out);
-    out.extend_from_slice(b",\"result\":");
-    write_result(result, 0, out);
-    out.push(b'}');
+    write_field_list(&b.head, out);
+    out.extend_from_slice(b",\"results\":[");
+    for i in 0..b.results.len() {
+        if i > 0 {
+            out.push(b',');
+        }
+        if i % DEADLINE_CHECK_STRIDE == 0 && i > 0 {
+            check_encode_deadline(b)?;
+        }
+        write_result(&b.results, i, out);
+    }
+    out.extend_from_slice(b"]}");
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -366,86 +332,64 @@ pub const FLAG_HAS_ID: u16 = 2;
 /// Fixed header length in bytes (magic through `elapsed_ns`).
 pub const BINARY_HEADER_LEN: usize = 28;
 
-/// The binary-v1 encoder: a self-delimiting little-endian frame for
-/// batch responses. Non-batch responses (including every error) fall
-/// back to the NDJSON object so failures stay human-readable even on a
-/// binary-negotiated stream.
-pub struct BinaryEncoder;
-
-impl Encoder for BinaryEncoder {
-    fn encoding(&self) -> WireEncoding {
-        WireEncoding::BinaryV1
+/// The binary-v1 batch frame: self-delimiting and little-endian.
+fn write_binary_batch(b: &BatchBody, out: &mut Vec<u8>) -> Result<(), ServeError> {
+    let r = &b.results;
+    let count = u32::try_from(r.len()).map_err(|_| ServeError::Internal {
+        what: "batch too large for binary-v1 frame".into(),
+    })?;
+    let cols = u32::try_from(r.cols()).map_err(|_| ServeError::Internal {
+        what: "point width too large for binary-v1 frame".into(),
+    })?;
+    let mut flags = if b.deadline_exceeded {
+        FLAG_DEADLINE_EXCEEDED
+    } else {
+        0
+    };
+    if b.id.is_some() {
+        flags |= FLAG_HAS_ID;
     }
-
-    fn encode_response(&self, body: &ResponseBody, out: &mut Vec<u8>) -> Result<(), ServeError> {
-        let b = match body {
-            ResponseBody::Fields(fields) => {
-                write_fields(fields, out);
-                return Ok(());
-            }
-            ResponseBody::Point { head, result } => {
-                write_point_response(head, result, out);
-                return Ok(());
-            }
-            ResponseBody::Batch(b) => b,
+    let start = out.len();
+    out.reserve(BINARY_HEADER_LEN + r.len() + 8 * r.values().len());
+    out.extend_from_slice(&BINARY_MAGIC);
+    out.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+    out.extend_from_slice(&flags.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&cols.to_le_bytes());
+    out.extend_from_slice(&u32::try_from(b.ok_count).unwrap_or(u32::MAX).to_le_bytes());
+    out.extend_from_slice(&b.elapsed_ns.to_le_bytes());
+    if let Some(id) = &b.id {
+        // Length-prefixed id JSON, written in place and its length
+        // patched in after.
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        write_value(id, out);
+        let Ok(id_len) = u32::try_from(out.len() - len_at - 4) else {
+            out.truncate(start);
+            return Err(ServeError::Internal {
+                what: "request id too large for binary-v1 frame".into(),
+            });
         };
-        let r = &b.results;
-        let count = u32::try_from(r.len()).map_err(|_| ServeError::Internal {
-            what: "batch too large for binary-v1 frame".into(),
-        })?;
-        let cols = u32::try_from(r.cols()).map_err(|_| ServeError::Internal {
-            what: "point width too large for binary-v1 frame".into(),
-        })?;
-        let mut flags = if b.deadline_exceeded {
-            FLAG_DEADLINE_EXCEEDED
-        } else {
-            0
-        };
-        if b.id.is_some() {
-            flags |= FLAG_HAS_ID;
-        }
-        let start = out.len();
-        out.reserve(BINARY_HEADER_LEN + r.len() + 8 * r.values().len());
-        out.extend_from_slice(&BINARY_MAGIC);
-        out.extend_from_slice(&BINARY_VERSION.to_le_bytes());
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&count.to_le_bytes());
-        out.extend_from_slice(&cols.to_le_bytes());
-        out.extend_from_slice(&u32::try_from(b.ok_count).unwrap_or(u32::MAX).to_le_bytes());
-        out.extend_from_slice(&b.elapsed_ns.to_le_bytes());
-        if let Some(id) = &b.id {
-            // Length-prefixed id JSON, written in place and its length
-            // patched in after.
-            let len_at = out.len();
-            out.extend_from_slice(&[0; 4]);
-            write_value(id, out);
-            let Ok(id_len) = u32::try_from(out.len() - len_at - 4) else {
-                out.truncate(start);
-                return Err(ServeError::Internal {
-                    what: "request id too large for binary-v1 frame".into(),
-                });
-            };
-            out[len_at..len_at + 4].copy_from_slice(&id_len.to_le_bytes());
-        }
-        out.extend_from_slice(r.status());
-        // Columnar payload: the result buffer is already column-major
-        // with NaN in failed points, so this is one copy, cut into
-        // deadline-checked strides.
-        let at = out.len();
-        out.resize(at + 8 * r.values().len(), 0);
-        let strides = out[at..]
-            .chunks_mut(8 * DEADLINE_CHECK_STRIDE)
-            .zip(r.values().chunks(DEADLINE_CHECK_STRIDE));
-        for (i, (dst, vals)) in strides.enumerate() {
-            if i > 0 {
-                check_encode_deadline(b)?;
-            }
-            for (d, v) in dst.chunks_exact_mut(8).zip(vals) {
-                d.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        Ok(())
+        out[len_at..len_at + 4].copy_from_slice(&id_len.to_le_bytes());
     }
+    out.extend_from_slice(r.status());
+    // Columnar payload: the result buffer is already column-major
+    // with NaN in failed points, so this is one copy, cut into
+    // deadline-checked strides.
+    let at = out.len();
+    out.resize(at + 8 * r.values().len(), 0);
+    let strides = out[at..]
+        .chunks_mut(8 * DEADLINE_CHECK_STRIDE)
+        .zip(r.values().chunks(DEADLINE_CHECK_STRIDE));
+    for (i, (dst, vals)) in strides.enumerate() {
+        if i > 0 {
+            check_encode_deadline(b)?;
+        }
+        for (d, v) in dst.chunks_exact_mut(8).zip(vals) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+    Ok(())
 }
 
 /// Why a binary-v1 frame failed to decode. Mirrors the artifact
@@ -735,9 +679,12 @@ mod tests {
             ("n", Content::I64(-3)),
         ];
         let mut out = Vec::new();
-        NdjsonEncoder
-            .encode_response(&ResponseBody::Fields(fields.clone()), &mut out)
-            .unwrap();
+        encode_response(
+            WireEncoding::Ndjson,
+            &ResponseBody::Fields(fields.clone()),
+            &mut out,
+        )
+        .unwrap();
         let tree = Content::Map(
             fields
                 .into_iter()
@@ -828,9 +775,7 @@ mod tests {
     fn binary_round_trips_bit_exactly() {
         let b = moments_batch(53);
         let mut out = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
         let frame = decode_frame(&out).unwrap();
         assert_eq!(frame.count, 53);
         assert_eq!(frame.cols, 4);
@@ -876,9 +821,7 @@ mod tests {
             deadline: None,
         };
         let mut out = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
         let mut want = Vec::new();
         want.extend_from_slice(b"AWSB");
         want.extend_from_slice(&1u16.to_le_bytes()); // version
@@ -899,9 +842,12 @@ mod tests {
     fn id_section_round_trips_and_absent_id_keeps_legacy_layout() {
         // No id: the flag stays clear and the decoded id is None.
         let mut plain = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Batch(moments_batch(5)), &mut plain)
-            .unwrap();
+        encode_response(
+            WireEncoding::BinaryV1,
+            &ResponseBody::Batch(moments_batch(5)),
+            &mut plain,
+        )
+        .unwrap();
         assert_eq!(le_u16(&plain, 6) & FLAG_HAS_ID, 0);
         assert_eq!(decode_frame(&plain).unwrap().id, None);
 
@@ -915,9 +861,7 @@ mod tests {
             let mut b = moments_batch(5);
             b.id = Some(want.clone());
             let mut out = Vec::new();
-            BinaryEncoder
-                .encode_response(&ResponseBody::Batch(b), &mut out)
-                .unwrap();
+            encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
             assert_ne!(le_u16(&out, 6) & FLAG_HAS_ID, 0);
             let frame = decode_frame(&out).unwrap();
             // Compare as JSON text: the parser may pick a different
@@ -954,9 +898,7 @@ mod tests {
         let mut b = moments_batch(3);
         b.id = Some(Content::Str("corr-9".into()));
         let mut out = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
         // Truncating inside the id length prefix or the id bytes reports
         // Truncated, never a panic.
         for cut in [BINARY_HEADER_LEN + 2, BINARY_HEADER_LEN + 5] {
@@ -979,9 +921,12 @@ mod tests {
     #[test]
     fn corrupted_frames_are_rejected_with_typed_reasons() {
         let mut out = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Batch(moments_batch(9)), &mut out)
-            .unwrap();
+        encode_response(
+            WireEncoding::BinaryV1,
+            &ResponseBody::Batch(moments_batch(9)),
+            &mut out,
+        )
+        .unwrap();
         // Every truncation point fails (sampled densely near the header).
         for cut in (0..out.len()).step_by(7).chain([out.len() - 1]) {
             assert!(
@@ -1049,18 +994,16 @@ mod tests {
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
         let mut out = Vec::new();
-        let err = NdjsonEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap_err();
+        let err =
+            encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).unwrap_err();
         assert_eq!(err.code(), ErrorCode::DeadlineExceeded);
         assert!(err.to_string().contains("7 ms"), "{err}");
 
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
         let mut out = Vec::new();
-        let err = BinaryEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap_err();
+        let err =
+            encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap_err();
         assert_eq!(err.code(), ErrorCode::DeadlineExceeded);
 
         // When evaluation already reported the deadline, the response IS
@@ -1069,24 +1012,18 @@ mod tests {
         b.deadline = Some((past, 7));
         b.deadline_exceeded = true;
         let mut out = Vec::new();
-        NdjsonEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap();
+        encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).unwrap();
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
         b.deadline_exceeded = true;
         let mut out = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
         decode_frame(&out).unwrap();
         // A generous deadline encodes fine.
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((Instant::now() + Duration::from_secs(3600), 3_600_000));
         let mut out = Vec::new();
-        NdjsonEncoder
-            .encode_response(&ResponseBody::Batch(b), &mut out)
-            .unwrap();
+        encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).unwrap();
     }
 
     #[test]
@@ -1097,25 +1034,15 @@ mod tests {
             ("code", Content::Str("bad_request".into())),
         ];
         let mut bin = Vec::new();
-        BinaryEncoder
-            .encode_response(&ResponseBody::Fields(fields.clone()), &mut bin)
-            .unwrap();
+        encode_response(
+            WireEncoding::BinaryV1,
+            &ResponseBody::Fields(fields.clone()),
+            &mut bin,
+        )
+        .unwrap();
         let mut nd = Vec::new();
-        NdjsonEncoder
-            .encode_response(&ResponseBody::Fields(fields), &mut nd)
-            .unwrap();
+        encode_response(WireEncoding::Ndjson, &ResponseBody::Fields(fields), &mut nd).unwrap();
         assert_eq!(bin, nd, "errors are NDJSON on both encoders");
         assert!(bin.starts_with(b"{"));
-    }
-
-    #[test]
-    fn stats_encode_as_ndjson_on_both() {
-        let stats: Content = serde_json::from_str(r#"{"stats":true,"requests":3}"#).unwrap();
-        let mut a = Vec::new();
-        NdjsonEncoder.encode_stats(&stats, &mut a);
-        let mut b = Vec::new();
-        BinaryEncoder.encode_stats(&stats, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(serde_json::from_slice::<Content>(&a).unwrap(), stats);
     }
 }

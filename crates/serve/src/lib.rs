@@ -59,9 +59,7 @@ pub use artifact::{
 pub use awesym_partition::Degradation;
 pub use batch::{BatchOutput, DelaySummary, PointResult, PointValue, RomSummary};
 pub use columns::{BatchResults, FrameRequest, PointColumns, MAX_RESULT_VALUES};
-pub use encode::{
-    decode_frame, BinaryEncoder, DecodedFrame, Encoder, FrameError, NdjsonEncoder, WireEncoding,
-};
+pub use encode::{decode_frame, DecodedFrame, FrameError, WireEncoding};
 pub use error::{ErrorCode, PointError, ServeError};
 pub use pool::{PoolConfig, WorkerPool};
 pub use registry::{ModelRegistry, RegistryStats};

@@ -85,10 +85,10 @@ const MAX_CHUNK_FLOOR: usize = 4_096;
 /// [`MAX_CHUNK_FLOOR`] points) — so small tapes produce fewer, larger
 /// chunks instead of paying fixed per-chunk overhead 4× per worker.
 ///
-/// The result is rounded up to the lane kernel's widest block
+/// The result is rounded up to the lane kernel's block
 /// ([`awesym_symbolic::MAX_BLOCK_POINTS`]) so every chunk but the batch's
-/// last feeds `eval_batch` whole vector blocks; a misaligned grain would
-/// make *every* chunk pay a scalar tail for its trailing points.
+/// last feeds the kernel whole blocks; a misaligned grain would make
+/// *every* chunk pay a scalar tail for its trailing points.
 pub(crate) fn chunk_size(n: usize, max_workers: usize, op_count: usize) -> usize {
     let floor = (TARGET_CHUNK_OPS / op_count.max(1))
         .clamp(MIN_CHUNK, MAX_CHUNK_FLOOR)

@@ -5,7 +5,8 @@
 use awesym_circuit::generators::{fig1_rc, rc_ladder, rc_tree, Workload};
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::{
-    from_artifact_str, load_artifact, load_model_file, save_artifact, ServeError, FORMAT_VERSION,
+    from_artifact_str, load_artifact, load_model_file, save_artifact, ErrorCode, ServeError,
+    Server, FORMAT_VERSION,
 };
 
 /// Minimal self-cleaning temp dir (avoids a dev-dependency).
@@ -192,6 +193,68 @@ fn non_finite_payload_values_are_rejected_with_typed_error() {
         load_model_file(&raw),
         Err(ServeError::ArtifactNumeric { .. })
     ));
+}
+
+/// Wraps a model payload in a legacy (minor-1) envelope with a correct
+/// checksum, so only the loader's model checks stand between a
+/// hand-edited payload and the registry.
+fn artifact_with_payload(payload: &str) -> String {
+    let envelope = serde::Content::Map(vec![
+        ("format".into(), serde::Content::Str("awesym-model".into())),
+        ("version".into(), serde::Content::U64(1)),
+        ("minor".into(), serde::Content::U64(1)),
+        (
+            "checksum".into(),
+            serde::Content::Str(awesym_serve::checksum(payload)),
+        ),
+        ("payload".into(), serde::Content::Str(payload.into())),
+    ]);
+    serde_json::to_string(&envelope).unwrap()
+}
+
+/// Hand-edited models that parse and checksum cleanly but would fail
+/// every evaluation: an operand register past the register file, a
+/// symbol index past the tape's symbol count, and a third symbol name on
+/// a two-symbol tape. Each is refused at load as `bad_artifact`, by the
+/// artifact parser and by the server's `load` alike.
+#[test]
+fn tampered_tapes_and_symbol_lists_are_refused_at_load() {
+    let payload = serde_json::to_string(&fig1_model()).unwrap();
+    let mul = r#"{"Mul":["#;
+    let at = payload.find(mul).expect("fig1 tape has a Mul") + mul.len();
+    let comma = at + payload[at..].find(',').unwrap();
+    let close = comma + payload[comma..].find(']').unwrap();
+    let bad_register = format!("{}999999{}", &payload[..=comma], &payload[close..]);
+    assert!(payload.contains(r#"{"Sym":1}"#));
+    let bad_symbol = payload.replacen(r#"{"Sym":1}"#, r#"{"Sym":7}"#, 1);
+    let names = r#""names":["c1","r2"]"#;
+    assert!(payload.contains(names));
+    let extra_name = payload.replacen(names, r#""names":["c1","r2","r9"]"#, 1);
+
+    let dir = TempDirLite::new("awesym_artifact_tampered");
+    let server = Server::default();
+    for (what, bad) in [
+        ("operand register", bad_register),
+        ("symbol index", bad_symbol),
+        ("symbol names", extra_name),
+    ] {
+        let text = artifact_with_payload(&bad);
+        match from_artifact_str(&text) {
+            Err(e) => assert_eq!(e.code(), ErrorCode::BadArtifact, "{what}: {e}"),
+            Ok(_) => panic!("{what}: tampered model loaded"),
+        }
+        let path = dir.path().join("tampered.awesym");
+        std::fs::write(&path, &text).unwrap();
+        let line = format!(r#"{{"cmd":"load","name":"m","path":"{}"}}"#, path.display());
+        let resp = server.handle_line(&line).expect("load answers");
+        assert!(
+            resp.text().contains(r#""code":"bad_artifact""#),
+            "{what}: {}",
+            resp.text()
+        );
+    }
+    // The untouched payload loads through the same envelope.
+    from_artifact_str(&artifact_with_payload(&payload)).unwrap();
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-/// Formats through the exact code path `NdjsonEncoder` uses and parses
+/// Formats through the exact code path NDJSON encoding uses and parses
 /// back with the standard library.
 fn json_round_trip(v: f64) -> f64 {
     let mut out = Vec::new();

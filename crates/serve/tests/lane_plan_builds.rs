@@ -11,7 +11,7 @@ use awesym_obs::Registry;
 use awesym_partition::CompiledModel;
 use awesym_serve::resolve::resolve_symbol_specs;
 use awesym_serve::{BatchOutput, PointColumns, Shard, ShardConfig};
-use awesym_symbolic::{configured_lane_width, profile, LaneWidth};
+use awesym_symbolic::profile;
 use std::sync::Arc;
 
 const BATCHES: usize = 1000;
@@ -60,8 +60,5 @@ fn one_lane_plan_for_a_thousand_served_batches() {
         assert_eq!(out.ok_count(), POINTS);
     }
 
-    // At lane width 1 the batch path never runs the lane kernel, so no
-    // plan is built at all.
-    let want = u64::from(configured_lane_width() != LaneWidth::Scalar);
-    assert_eq!(profile::snapshot().lane_plan_builds - before, want);
+    assert_eq!(profile::snapshot().lane_plan_builds - before, 1);
 }

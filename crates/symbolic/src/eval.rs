@@ -2,33 +2,31 @@
 //!
 //! [`Evaluator`] owns its scratch register file and routes batches
 //! through the vectorized lane backend ([`crate::lanes`]): full blocks of
-//! `width × LANE_TILE` points replay a pre-lowered arithmetic stream
+//! [`MAX_BLOCK_POINTS`](crate::MAX_BLOCK_POINTS) points replay a pre-lowered arithmetic stream
 //! (const/sym loads hoisted out, operands pre-resolved) with
 //! double-buffered input columns, and the remainder falls back to the
-//! per-point path. Lane width is env-selected (`AWESYM_LANES` ∈ {1,4,8});
-//! results are bit-identical to [`Evaluator::eval_into`] at every width.
-//! The lane plan itself belongs to the [`CompiledFn`], so every evaluator
-//! of a function shares one. The pre-lane SoA kernel survives as
-//! [`Evaluator::eval_batch_soa_ref`], the baseline the `simd` bench
-//! section measures speedups against.
+//! per-point path. Results are bit-identical to
+//! [`Evaluator::eval_into`]. The lane plan itself belongs to the
+//! [`CompiledFn`], so every evaluator of a function shares one. The
+//! pre-lane SoA kernel survives as [`Evaluator::eval_batch_soa_ref`], the
+//! baseline the `simd` bench section measures speedups against.
 
-use crate::lanes::{configured_lane_width, LanePlan, LaneWidth, Phase};
+use crate::lanes::{LanePlan, Phase, B};
 use crate::{profile, CompiledFn};
 use std::cell::RefCell;
 use std::fmt;
 use std::time::Instant;
 
 /// Points per SoA block in [`Evaluator::eval_batch_soa_ref`], the scalar
-/// reference kernel. The lane backend's block sizes are
-/// [`crate::lanes::LaneWidth::points_per_block`] (up to
-/// [`crate::MAX_BLOCK_POINTS`]).
-pub const LANES: usize = 8;
+/// reference kernel.
+const LANES: usize = 8;
 
 /// A batch input whose shape does not match the compiled function —
 /// either a point with the wrong symbol count or an output slice of the
 /// wrong length. Returned by [`Evaluator::eval_columns`] and
-/// [`Evaluator::eval_batch_lanes`] so callers can turn shape bugs into
-/// per-request errors instead of panics.
+/// [`Evaluator::eval_batch_soa_ref`] so callers can turn shape bugs into
+/// per-request errors instead of panics; [`Evaluator::eval_batch`]
+/// panics with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchShapeError {
     /// Point `index` carried `got` values; the function takes `expected`.
@@ -168,19 +166,17 @@ pub struct Evaluator<'m> {
 /// call that needs it.
 #[derive(Debug, Default)]
 struct LaneFile {
+    /// Empty before the first lane call.
     backing: Vec<f64>,
     /// Start of the 64-byte-aligned register file inside `backing`.
     off: usize,
-    /// Block size the const pool is splatted for; 0 before the first
-    /// lane call.
-    block: usize,
     point: Vec<f64>,
     row: Vec<f64>,
 }
 
 impl LaneFile {
-    /// The register file for `B`-point blocks of `plan`, allocated and
-    /// const-splatted on first use (or when the block size changes).
+    /// The register file for `plan`, allocated and const-splatted on
+    /// first use.
     ///
     /// The file is 64-byte aligned. `Vec<f64>` only guarantees 8-byte
     /// alignment, and when the base lands mid-cache-line every tile
@@ -191,16 +187,15 @@ impl LaneFile {
     /// element (offset 0 if the implementation ever declines to compute
     /// one). Replay writes only runtime-register slots, so the const pool
     /// stays valid across calls.
-    fn regs<const B: usize>(&mut self, plan: &LanePlan) -> &mut [f64] {
+    fn regs(&mut self, plan: &LanePlan) -> &mut [f64] {
         let n_slots = plan.n_slots() * B;
-        if self.block != B {
+        if self.backing.is_empty() {
             self.backing = vec![0.0; n_slots + 8];
             self.off = match self.backing.as_ptr().align_offset(64) {
                 o if o <= 8 => o,
                 _ => 0,
             };
-            plan.init_consts::<B>(&mut self.backing[self.off..self.off + n_slots]);
-            self.block = B;
+            plan.init_consts(&mut self.backing[self.off..self.off + n_slots]);
         }
         &mut self.backing[self.off..self.off + n_slots]
     }
@@ -241,6 +236,16 @@ impl<'m> Evaluator<'m> {
         // Sampled profiling hook (see `profile`): steady-state cost is one
         // relaxed atomic increment; admitted calls pay two clock reads.
         let t0 = profile::SAMPLER.sample().then(Instant::now);
+        self.replay_point(vals, out);
+        if let Some(t0) = t0 {
+            profile::record(self.fun.tape(), 1, t0.elapsed());
+        }
+    }
+
+    /// The per-point replay behind [`Evaluator::eval_into`], without the
+    /// sampler tick: batch calls run their scalar tails through it, so one
+    /// batch call is one tick. Shapes are the caller's to check.
+    fn replay_point(&self, vals: &[f64], out: &mut [f64]) {
         let mut regs = self.scratch.borrow_mut();
         self.fun.tape().replay(vals, &mut regs);
         let k = self.fun.n_outputs();
@@ -251,9 +256,6 @@ impl<'m> Evaluator<'m> {
             for (i, o) in out[k..].iter_mut().enumerate() {
                 *o = t.eval_row(i, vals);
             }
-        }
-        if let Some(t0) = t0 {
-            profile::record(self.fun.tape(), 1, t0.elapsed());
         }
     }
 
@@ -267,12 +269,10 @@ impl<'m> Evaluator<'m> {
     /// Evaluates a batch of points into row-major `out`
     /// (`points.len() × self.n_outputs()`).
     ///
-    /// Full blocks of `lane width × LANE_TILE` points run through the
-    /// vectorized lane kernel (width from `AWESYM_LANES`, default 8 →
-    /// 32-point blocks); the remainder falls back to the single-point
-    /// path. Results are bit-identical to per-point
-    /// [`Evaluator::eval_into`] at every lane width — see `docs/tape.md`
-    /// §7.
+    /// Full blocks of [`MAX_BLOCK_POINTS`](crate::MAX_BLOCK_POINTS) points run through the
+    /// vectorized lane kernel; the remainder falls back to the
+    /// single-point path. Results are bit-identical to per-point
+    /// [`Evaluator::eval_into`] — see `docs/tape.md` §7.
     ///
     /// # Panics
     ///
@@ -280,54 +280,26 @@ impl<'m> Evaluator<'m> {
     /// `points.len() * self.n_outputs()` long. Column-major callers that
     /// want a typed error use [`Evaluator::eval_columns`].
     pub fn eval_batch(&self, points: &[Vec<f64>], out: &mut [f64]) {
-        if let Err(e) = self.eval_batch_lanes(points, out, configured_lane_width()) {
+        if let Err(e) = self.check_shapes(points, out) {
             // A shape mismatch here is a caller bug; panic in every build
             // profile rather than read stale registers.
             panic!("eval_batch shape error: {e}");
         }
-    }
-
-    /// The batch path at an explicit lane width, ignoring the
-    /// process-wide `AWESYM_LANES` setting. This is what the parity tests
-    /// and `tape_bench`'s `simd` section call to compare widths inside
-    /// one process; [`Evaluator::eval_batch`] is this at the configured
-    /// width.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchShapeError::PointArity`] for the first point whose length is
-    /// not `self.n_inputs()`; [`BatchShapeError::OutputLen`] when `out` is
-    /// not `points.len() * self.n_outputs()` long. Nothing is evaluated
-    /// and `out` is untouched on error, so stale registers can never
-    /// masquerade as results.
-    pub fn eval_batch_lanes(
-        &self,
-        points: &[Vec<f64>],
-        out: &mut [f64],
-        width: LaneWidth,
-    ) -> Result<(), BatchShapeError> {
-        self.check_shapes(points, out)?;
         // Sampled profiling: the whole batch counts as one call, so the
         // per-op tally is one tape walk scaled by the point count.
         let t0 = profile::SAMPLER.sample().then(Instant::now);
         let n_out = self.n_outputs();
-        let full = match width {
-            LaneWidth::Scalar => 0,
-            LaneWidth::W4 => self.eval_rows::<16>(points, out),
-            LaneWidth::W8 => self.eval_rows::<32>(points, out),
-        };
-        // Scalar tail: remainder points (or the whole batch at width 1)
-        // take the per-point path, which is bit-identical.
+        let full = self.eval_rows(points, out);
+        // Scalar tail: the per-point replay, bit-identical and unsampled.
         for (p, row) in points[full..]
             .iter()
             .zip(out[full * n_out..].chunks_exact_mut(n_out))
         {
-            self.eval_into(p, row);
+            self.replay_point(p, row);
         }
         if let Some(t0) = t0 {
             profile::record(self.fun.tape(), points.len(), t0.elapsed());
         }
-        Ok(())
     }
 
     /// Evaluates `count` points held column-major — symbol `s` of point
@@ -338,10 +310,9 @@ impl<'m> Evaluator<'m> {
     /// first point of each deadline stride.
     ///
     /// Runs the same lane kernel and block driver as
-    /// [`Evaluator::eval_batch`] at the configured width, so results are
-    /// bit-identical to per-point [`Evaluator::eval_into`]. The register
-    /// file and const pool are built on the first call and reused by
-    /// later ones.
+    /// [`Evaluator::eval_batch`], so results are bit-identical to
+    /// per-point [`Evaluator::eval_into`]. The register file and const
+    /// pool are built on the first call and reused by later ones.
     ///
     /// # Errors
     ///
@@ -377,11 +348,7 @@ impl<'m> Evaluator<'m> {
             });
         }
         let t0 = profile::SAMPLER.sample().then(Instant::now);
-        let full = match configured_lane_width() {
-            LaneWidth::Scalar => 0,
-            LaneWidth::W4 => self.eval_cols::<16>(input, in_stride, count, out, out_stride),
-            LaneWidth::W8 => self.eval_cols::<32>(input, in_stride, count, out, out_stride),
-        };
+        let full = self.eval_cols(input, in_stride, count, out, out_stride);
         if full < count {
             let mut file = self.lanes.borrow_mut();
             let LaneFile { point, row, .. } = &mut *file;
@@ -391,7 +358,7 @@ impl<'m> Evaluator<'m> {
                 for (s, x) in point.iter_mut().enumerate() {
                     *x = input[s * in_stride + i];
                 }
-                self.eval_into(point, row);
+                self.replay_point(point, row);
                 for (k, &v) in row.iter().enumerate() {
                     out[k * out_stride + i] = v;
                 }
@@ -403,16 +370,19 @@ impl<'m> Evaluator<'m> {
         Ok(())
     }
 
-    /// The pre-lane blocked SoA kernel ([`LANES`]-point blocks, const and
-    /// sym loads replayed every block). Kept as the measured baseline for
-    /// the `simd` section of `tape_bench` — the ≥1.5x gate in
-    /// `bench_gate` compares the lane kernel against this — and as an
-    /// independent reference implementation in parity tests. Production
-    /// callers want [`Evaluator::eval_batch`].
+    /// The pre-lane blocked SoA kernel (8-point blocks, const and sym
+    /// loads replayed every block). Kept as the measured baseline for the
+    /// `simd` section of `tape_bench` — the ≥1.5x gate in `bench_gate`
+    /// compares the lane kernel against this — and as an independent
+    /// reference implementation in parity tests. It is not profiled.
+    /// Production callers want [`Evaluator::eval_batch`].
     ///
     /// # Errors
     ///
-    /// Shape errors as for [`Evaluator::eval_batch_lanes`].
+    /// [`BatchShapeError::PointArity`] for the first point whose length is
+    /// not `self.n_inputs()`; [`BatchShapeError::OutputLen`] when `out` is
+    /// not `points.len() * self.n_outputs()` long. Nothing is evaluated
+    /// and `out` is untouched on error.
     pub fn eval_batch_soa_ref(
         &self,
         points: &[Vec<f64>],
@@ -451,7 +421,7 @@ impl<'m> Evaluator<'m> {
             .iter()
             .zip(out[full * n_out..].chunks_exact_mut(n_out))
         {
-            self.eval_into(p, row);
+            self.replay_point(p, row);
         }
         Ok(())
     }
@@ -481,12 +451,12 @@ impl<'m> Evaluator<'m> {
     /// Its register file lives for one call: row-major callers hand the
     /// kernel whole batches, so a kept file would only add resident
     /// memory.
-    fn eval_rows<const B: usize>(&self, points: &[Vec<f64>], out: &mut [f64]) -> usize {
+    fn eval_rows(&self, points: &[Vec<f64>], out: &mut [f64]) -> usize {
         let n_out = self.n_outputs();
-        self.eval_blocks::<B>(
+        self.eval_blocks(
             &mut LaneFile::default(),
             points.len(),
-            |plan, phase, p0, regs| plan.load_inputs::<B>(phase, &points[p0..p0 + B], regs),
+            |plan, phase, p0, regs| plan.load_inputs(phase, &points[p0..p0 + B], regs),
             |p0, k, tile| {
                 for (l, &v) in tile.iter().enumerate() {
                     out[(p0 + l) * n_out + k] = v;
@@ -497,7 +467,7 @@ impl<'m> Evaluator<'m> {
 
     /// Column-major front of the block driver: each symbol's block is one
     /// contiguous copy in, each output's block one contiguous copy out.
-    fn eval_cols<const B: usize>(
+    fn eval_cols(
         &self,
         input: &[f64],
         in_stride: usize,
@@ -505,7 +475,7 @@ impl<'m> Evaluator<'m> {
         out: &mut [f64],
         out_stride: usize,
     ) -> usize {
-        self.eval_blocks::<B>(
+        self.eval_blocks(
             &mut self.lanes.borrow_mut(),
             count,
             |plan, phase, p0, regs| {
@@ -518,9 +488,9 @@ impl<'m> Evaluator<'m> {
         )
     }
 
-    /// The block driver: runs all full `B`-point blocks of an `n`-point
-    /// batch through the lane kernel, in `file`'s register file, and
-    /// returns how many points were covered (a multiple of `B`; the
+    /// The block driver: runs all full blocks of an `n`-point batch
+    /// through the lane kernel, in `file`'s register file, and returns how
+    /// many points were covered (a multiple of [`MAX_BLOCK_POINTS`](crate::MAX_BLOCK_POINTS); the
     /// caller owns the scalar tail).
     /// `load(plan, phase, p0, regs)` fills `phase`'s input region with
     /// block `p0`; `store(p0, k, tile)` receives output `k` of the block
@@ -532,7 +502,7 @@ impl<'m> Evaluator<'m> {
     /// of serializing after it (runtime registers are phase-shared — only
     /// the input regions ping/pong — which is safe because loads touch
     /// nothing but the inactive input region).
-    fn eval_blocks<const B: usize>(
+    fn eval_blocks(
         &self,
         file: &mut LaneFile,
         n: usize,
@@ -545,14 +515,14 @@ impl<'m> Evaluator<'m> {
         }
         let plan = self.fun.lane_plan();
         let k_tape = self.fun.n_outputs();
-        let regs = file.regs::<B>(plan);
+        let regs = file.regs(plan);
         let mut phase = Phase::Ping;
         load(plan, phase, 0, regs);
         for p0 in (0..full).step_by(B) {
             if p0 + B < full {
                 load(plan, phase.other(), p0 + B, regs);
             }
-            plan.replay::<B>(phase, regs);
+            plan.replay(phase, regs);
             for (k, &slot) in plan.outputs(phase).iter().enumerate() {
                 let o = slot as usize * B;
                 store(p0, k, (&regs[o..o + B]).try_into().expect("B-lane tile"));
@@ -669,8 +639,7 @@ mod tests {
     fn eval_batch_bit_identical_to_single_point() {
         let f = demo_fn();
         let ev = f.evaluator();
-        // 71 points: two full 32-point lane blocks + a 7-point remainder
-        // at the default width (four blocks + 7 at width 4).
+        // 71 points: two full 32-point lane blocks + a 7-point remainder.
         let points = demo_points(71);
         let n_out = ev.n_outputs();
         let mut batch = vec![0.0; points.len() * n_out];
@@ -683,28 +652,28 @@ mod tests {
 
     #[test]
     fn all_lane_widths_bit_identical() {
+        // Lane kernel vs per-point `eval_into` vs the SoA reference, over
+        // two full blocks and a 13-point tail.
         let f = demo_fn();
         let ev = f.evaluator();
         let points = demo_points(77);
         let n_out = ev.n_outputs();
-        let mut scalar = vec![0.0; points.len() * n_out];
-        ev.eval_batch_lanes(&points, &mut scalar, LaneWidth::Scalar)
-            .unwrap();
+        let mut got = vec![0.0; points.len() * n_out];
+        ev.eval_batch(&points, &mut got);
         let mut soa = vec![0.0; points.len() * n_out];
         ev.eval_batch_soa_ref(&points, &mut soa).unwrap();
-        for width in [LaneWidth::W4, LaneWidth::W8] {
-            let mut got = vec![0.0; points.len() * n_out];
-            ev.eval_batch_lanes(&points, &mut got, width).unwrap();
-            for (i, (&g, (&s, &r))) in got.iter().zip(scalar.iter().zip(&soa)).enumerate() {
+        for (i, p) in points.iter().enumerate() {
+            for (k, s) in ev.eval(p).iter().enumerate() {
+                let slot = i * n_out + k;
                 assert_eq!(
-                    g.to_bits(),
+                    got[slot].to_bits(),
                     s.to_bits(),
-                    "width {width} vs scalar, slot {i}"
+                    "lane vs per-point, slot {slot}"
                 );
                 assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "width {width} vs soa ref, slot {i}"
+                    got[slot].to_bits(),
+                    soa[slot].to_bits(),
+                    "lane vs soa ref, slot {slot}"
                 );
             }
         }
@@ -803,15 +772,14 @@ mod tests {
         let f = demo_fn();
         let ev = f.evaluator();
         let n_out = ev.n_outputs();
-        let width = configured_lane_width();
         let good = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
         let mut out = vec![0.0; good.len() * n_out];
-        ev.eval_batch_lanes(&good, &mut out, width).unwrap();
+        ev.eval_batch_soa_ref(&good, &mut out).unwrap();
 
         // A short point is named by index, and out is untouched.
         let bad = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0]];
         let mut scratch = vec![-7.0; bad.len() * n_out];
-        let e = ev.eval_batch_lanes(&bad, &mut scratch, width).unwrap_err();
+        let e = ev.eval_batch_soa_ref(&bad, &mut scratch).unwrap_err();
         assert_eq!(
             e,
             BatchShapeError::PointArity {
@@ -825,11 +793,40 @@ mod tests {
 
         // Wrong output length is its own variant.
         let mut short = vec![0.0; 1];
-        let e = ev.eval_batch_lanes(&good, &mut short, width).unwrap_err();
+        let e = ev.eval_batch_soa_ref(&good, &mut short).unwrap_err();
         assert!(
             matches!(e, BatchShapeError::OutputLen { got: 1, .. }),
             "{e}"
         );
+
+        // The column-major entry names short input and output columns,
+        // and evaluates nothing on error.
+        let cols = [1.0, 4.0, 2.0, 5.0, 3.0, 6.0];
+        let mut out = vec![-7.0; good.len() * n_out];
+        let e = ev.eval_columns(&cols[..5], 2, 2, &mut out, 2).unwrap_err();
+        assert_eq!(
+            e,
+            BatchShapeError::InputLen {
+                got: 5,
+                expected: 6
+            }
+        );
+        assert!(e.to_string().contains("input columns hold 5"), "{e}");
+        let e = ev.eval_columns(&cols, 2, 2, &mut out[..7], 2).unwrap_err();
+        assert_eq!(
+            e,
+            BatchShapeError::OutputLen {
+                got: 7,
+                expected: 8
+            }
+        );
+        assert!(out.iter().all(|&x| x == -7.0));
+        ev.eval_columns(&cols, 2, 2, &mut out, 2).unwrap();
+        for (i, p) in good.iter().enumerate() {
+            for (k, w) in ev.eval(p).iter().enumerate() {
+                assert_eq!(out[k * 2 + i].to_bits(), w.to_bits(), "point {i} out {k}");
+            }
+        }
     }
 
     #[test]

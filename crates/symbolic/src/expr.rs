@@ -440,8 +440,30 @@ impl serde::Deserialize for Tape {
             Some(v) => serde::Deserialize::from_content(v)?,
             None => ops.len() as u32,
         };
-        if dst.iter().any(|&d| d >= n_regs.max(1)) && !ops.is_empty() {
+        // The compiler allocates at most one register per op; a larger
+        // claim would size every evaluator's register file from the file.
+        if n_regs as usize > ops.len() {
+            return Err(serde::Error::custom(format!(
+                "tape claims {n_regs} registers for {} ops",
+                ops.len()
+            )));
+        }
+        if dst.iter().any(|&d| d >= n_regs) {
             return Err(serde::Error::custom("tape dst out of register range"));
+        }
+        let reg = |r: u32| r < n_regs;
+        let operands_in_range = |op: &TapeOp| match *op {
+            TapeOp::Const(_) | TapeOp::Sym(_) => true,
+            TapeOp::Neg(a) | TapeOp::Sqrt(a) => reg(a),
+            TapeOp::Add(a, b) | TapeOp::Sub(a, b) | TapeOp::Mul(a, b) | TapeOp::Div(a, b) => {
+                reg(a) && reg(b)
+            }
+            TapeOp::MulAdd(a, b, c) => reg(a) && reg(b) && reg(c),
+        };
+        if let Some(i) = ops.iter().position(|op| !operands_in_range(op)) {
+            return Err(serde::Error::custom(format!(
+                "tape op {i} reads a register out of range ({n_regs} registers)"
+            )));
         }
         Ok(Tape { ops, dst, n_regs })
     }
@@ -555,12 +577,14 @@ impl serde::Deserialize for CompiledFn {
         let tape: Tape = serde::de_field(m, "tape")?;
         let outputs: Vec<u32> = serde::de_field(m, "outputs")?;
         let n_syms: usize = serde::de_field(m, "n_syms")?;
-        if outputs
-            .iter()
-            .any(|&r| (r as usize) >= tape.n_regs().max(1))
-            && !tape.is_empty()
-        {
+        if outputs.iter().any(|&r| (r as usize) >= tape.n_regs()) {
             return Err(serde::Error::custom("output register out of range"));
+        }
+        let sym_in_range = |op: &TapeOp| !matches!(*op, TapeOp::Sym(s) if s as usize >= n_syms);
+        if let Some(i) = tape.ops().iter().position(|op| !sym_in_range(op)) {
+            return Err(serde::Error::custom(format!(
+                "tape op {i} reads a symbol out of range ({n_syms} symbols)"
+            )));
         }
         let raw_ops: usize = match c.get("raw_ops") {
             Some(v) => serde::Deserialize::from_content(v)?,
@@ -739,6 +763,37 @@ mod tests {
         assert_eq!(f.op_count(), 3);
         assert_eq!(f.raw_op_count(), 3);
         assert_eq!(f.opt_level(), OptLevel::None);
+    }
+
+    #[test]
+    fn serde_rejects_out_of_range_registers_and_symbols() {
+        // Each payload would load and then panic on every evaluation, or
+        // (the last) size every evaluator's register file from the file.
+        for (payload, why) in [
+            (
+                r#"{"tape":{"ops":[{"Sym":0},{"Mul":[0,9]}],"dst":[0,1],"n_regs":2},"outputs":[1],"n_syms":1}"#,
+                "register out of range",
+            ),
+            (
+                r#"{"tape":{"ops":[{"Sym":1}],"dst":[0],"n_regs":1},"outputs":[0],"n_syms":1}"#,
+                "symbol out of range",
+            ),
+            (
+                r#"{"tape":{"ops":[{"Const":1.0}],"dst":[0],"n_regs":0},"outputs":[0],"n_syms":0}"#,
+                "dst out of register range",
+            ),
+            (
+                r#"{"tape":{"ops":[],"dst":[],"n_regs":0},"outputs":[0],"n_syms":0}"#,
+                "output register out of range",
+            ),
+            (
+                r#"{"tape":{"ops":[{"Sym":0}],"dst":[0],"n_regs":4000000000},"outputs":[0],"n_syms":1}"#,
+                "registers for 1 ops",
+            ),
+        ] {
+            let e = serde_json::from_str::<CompiledFn>(payload).unwrap_err();
+            assert!(e.to_string().contains(why), "{payload}: {e}");
+        }
     }
 
     #[test]

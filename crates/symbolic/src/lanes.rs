@@ -2,12 +2,12 @@
 //!
 //! The batch entry points of [`Evaluator`](crate::Evaluator) lower an
 //! optimized tape into a `LanePlan` — a dense arithmetic instruction
-//! stream over a *slotted* lane register file — and replays it over blocks
-//! of `W × LANE_TILE` points, where `W` is the SIMD lane width (4 or 8
-//! `f64`s, chosen so LLVM autovectorizes the fixed-size inner loops to
-//! SSE/AVX/NEON without any nightly `std::simd` dependency) and
-//! [`LANE_TILE`] is the register-tiling factor that amortizes instruction
-//! dispatch across several vector registers per tape op.
+//! stream over a *slotted* lane register file — and replay it over blocks
+//! of [`MAX_BLOCK_POINTS`] points. Each slot is one block's worth of
+//! contiguous `f64` lanes, and every instruction is a fixed-size array
+//! map that LLVM autovectorizes to SSE/AVX/NEON without any nightly
+//! `std::simd` dependency; a block spans several vector registers, so
+//! each dispatched instruction's cost is shared by all of them.
 //!
 //! ## What the plan precomputes
 //!
@@ -40,11 +40,10 @@
 //! Every tape op is evaluated **elementwise** — lane `l` of a block only
 //! ever combines lane `l` of its operands, there are no cross-lane
 //! reductions, and `MulAdd` keeps the scalar replay's intermediate
-//! rounding — so lane width and tiling never change results: the kernel
-//! is bit-identical to per-point
-//! [`Evaluator::eval_into`](crate::Evaluator::eval_into) at every width,
-//! including the scalar tail. The CI `simd-parity` job pins this at widths
-//! 1/4/8.
+//! rounding — so block grouping never changes results: the kernel is
+//! bit-identical to per-point
+//! [`Evaluator::eval_into`](crate::Evaluator::eval_into), and so is the
+//! scalar tail. The `lane_parity` suite pins this in debug and release.
 //!
 //! ## One plan per compiled function
 //!
@@ -58,82 +57,16 @@ use crate::{profile, Tape, TapeOp};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// Register-tiling factor: lane blocks per tape-op dispatch. One
-/// dispatched instruction covers `width × LANE_TILE` points, so the
-/// `match` on the op kind (and the operand slot loads' address
-/// arithmetic) is amortized over several vector registers.
-pub const LANE_TILE: usize = 4;
+/// Points per lane-kernel block. One dispatched instruction (the `match`
+/// on the op kind and the operand slot loads' address arithmetic) covers
+/// the whole block, several vector registers wide.
+/// Callers that split batches into independently-evaluated chunks (the
+/// serve worker pool and its deadline strides) align to this so only the
+/// final chunk pays a scalar tail.
+pub const MAX_BLOCK_POINTS: usize = 32;
 
-/// The widest block any lane width produces (`8 × LANE_TILE`). Callers
-/// that split batches into independently-evaluated chunks (the serve
-/// worker pool) align chunk sizes to this so only the final chunk pays a
-/// scalar tail.
-pub const MAX_BLOCK_POINTS: usize = 8 * LANE_TILE;
-
-/// SIMD lane width the batch kernel runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneWidth {
-    /// No lane kernel: the batch path degenerates to per-point
-    /// `eval_into` (the width-1 leg of the CI parity matrix).
-    Scalar,
-    /// 4 × `f64` lanes (one AVX2 register, two NEON registers).
-    W4,
-    /// 8 × `f64` lanes (one AVX-512 register, two AVX2). The default.
-    W8,
-}
-
-impl LaneWidth {
-    /// Lanes per vector tile.
-    pub fn width(self) -> usize {
-        match self {
-            LaneWidth::Scalar => 1,
-            LaneWidth::W4 => 4,
-            LaneWidth::W8 => 8,
-        }
-    }
-
-    /// Points per full kernel block (`width × LANE_TILE`; 1 for scalar).
-    pub fn points_per_block(self) -> usize {
-        match self {
-            LaneWidth::Scalar => 1,
-            LaneWidth::W4 => 4 * LANE_TILE,
-            LaneWidth::W8 => 8 * LANE_TILE,
-        }
-    }
-
-    /// Parses an `AWESYM_LANES` value: `"1"`, `"4"`, or `"8"`. `None`
-    /// (unset) and any unrecognized value select the default
-    /// ([`LaneWidth::W8`]); unrecognized values additionally warn on
-    /// stderr so a typo in a CI matrix cannot silently pass as a
-    /// different width.
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        match value {
-            None => LaneWidth::W8,
-            Some("1") => LaneWidth::Scalar,
-            Some("4") => LaneWidth::W4,
-            Some("8") => LaneWidth::W8,
-            Some(other) => {
-                eprintln!(
-                    "awesym-symbolic: ignoring unrecognized AWESYM_LANES='{other}' \
-                     (expected 1, 4, or 8); using the default lane width 8"
-                );
-                LaneWidth::W8
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.width())
-    }
-}
-
-/// Process-wide lane width, read once from `AWESYM_LANES`.
-pub fn configured_lane_width() -> LaneWidth {
-    static WIDTH: std::sync::OnceLock<LaneWidth> = std::sync::OnceLock::new();
-    *WIDTH.get_or_init(|| LaneWidth::from_env_value(std::env::var("AWESYM_LANES").ok().as_deref()))
-}
+/// Lanes per register-file slot: one block.
+pub(crate) const B: usize = MAX_BLOCK_POINTS;
 
 /// Which input region the current block reads from (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,9 +170,10 @@ impl std::fmt::Debug for PlanCell {
 /// variant per input phase), the const pool, and the resolved output
 /// slots.
 ///
-/// Slot layout of the lane register file (each slot is `B` contiguous
-/// `f64` lanes): `[0, n_regs)` runtime registers, then the const pool,
-/// then the ping input region (`n_syms` slots), then the pong region.
+/// Slot layout of the lane register file (each slot is one block of
+/// contiguous `f64` lanes): `[0, n_regs)` runtime registers, then the
+/// const pool, then the ping input region (`n_syms` slots), then the
+/// pong region.
 #[derive(Debug, Clone)]
 pub(crate) struct LanePlan {
     insns_ping: Vec<LaneInsn>,
@@ -368,7 +302,7 @@ impl LanePlan {
     }
 
     /// Splats the const pool into `regs`. Once per batch.
-    pub(crate) fn init_consts<const B: usize>(&self, regs: &mut [f64]) {
+    pub(crate) fn init_consts(&self, regs: &mut [f64]) {
         for (i, &c) in self.consts.iter().enumerate() {
             let o = (self.n_regs + i) * B;
             regs[o..o + B].fill(c);
@@ -387,15 +321,10 @@ impl LanePlan {
         base..base + self.n_syms
     }
 
-    /// Transposes a full block of `B` point rows into `phase`'s input
+    /// Transposes a full block of point rows into `phase`'s input
     /// region (column-major: symbol `s`, lane `l` at `in_base + s` slot,
     /// offset `l`).
-    pub(crate) fn load_inputs<const B: usize>(
-        &self,
-        phase: Phase,
-        points: &[Vec<f64>],
-        regs: &mut [f64],
-    ) {
+    pub(crate) fn load_inputs(&self, phase: Phase, points: &[Vec<f64>], regs: &mut [f64]) {
         debug_assert_eq!(points.len(), B);
         let base = self.input_slots(phase).start;
         for (l, p) in points.iter().enumerate() {
@@ -413,55 +342,54 @@ impl LanePlan {
         }
     }
 
-    /// Replays the arithmetic stream over one block of `B` points. Each
-    /// instruction loads its operand slots into `[f64; B]` tiles and
-    /// writes its destination tile back — straight-line, bounds-check-free
-    /// maps over fixed-size arrays that LLVM lowers to `B / width`-many
-    /// vector ops per tile.
-    pub(crate) fn replay<const B: usize>(&self, phase: Phase, regs: &mut [f64]) {
+    /// Replays the arithmetic stream over one block. Each instruction
+    /// loads its operand slots into block-wide tiles and writes its
+    /// destination tile back — straight-line, bounds-check-free maps over
+    /// fixed-size arrays that LLVM lowers to a few vector ops per tile.
+    pub(crate) fn replay(&self, phase: Phase, regs: &mut [f64]) {
         let insns = match phase {
             Phase::Ping => &self.insns_ping,
             Phase::Pong => &self.insns_pong,
         };
         #[inline(always)]
-        fn tile<const B: usize>(regs: &[f64], slot: u32) -> [f64; B] {
+        fn tile(regs: &[f64], slot: u32) -> [f64; B] {
             let o = slot as usize * B;
             regs[o..o + B].try_into().unwrap()
         }
         for insn in insns {
             let dv: [f64; B] = match insn.op {
                 LaneOp::Add => {
-                    let a = tile::<B>(regs, insn.a);
-                    let b = tile::<B>(regs, insn.b);
+                    let a = tile(regs, insn.a);
+                    let b = tile(regs, insn.b);
                     std::array::from_fn(|l| a[l] + b[l])
                 }
                 LaneOp::Sub => {
-                    let a = tile::<B>(regs, insn.a);
-                    let b = tile::<B>(regs, insn.b);
+                    let a = tile(regs, insn.a);
+                    let b = tile(regs, insn.b);
                     std::array::from_fn(|l| a[l] - b[l])
                 }
                 LaneOp::Mul => {
-                    let a = tile::<B>(regs, insn.a);
-                    let b = tile::<B>(regs, insn.b);
+                    let a = tile(regs, insn.a);
+                    let b = tile(regs, insn.b);
                     std::array::from_fn(|l| a[l] * b[l])
                 }
                 LaneOp::Div => {
-                    let a = tile::<B>(regs, insn.a);
-                    let b = tile::<B>(regs, insn.b);
+                    let a = tile(regs, insn.a);
+                    let b = tile(regs, insn.b);
                     std::array::from_fn(|l| a[l] / b[l])
                 }
                 LaneOp::Neg => {
-                    let a = tile::<B>(regs, insn.a);
+                    let a = tile(regs, insn.a);
                     std::array::from_fn(|l| -a[l])
                 }
                 LaneOp::Sqrt => {
-                    let a = tile::<B>(regs, insn.a);
+                    let a = tile(regs, insn.a);
                     std::array::from_fn(|l| a[l].sqrt())
                 }
                 LaneOp::MulAdd => {
-                    let a = tile::<B>(regs, insn.a);
-                    let b = tile::<B>(regs, insn.b);
-                    let c = tile::<B>(regs, insn.c);
+                    let a = tile(regs, insn.a);
+                    let b = tile(regs, insn.b);
+                    let c = tile(regs, insn.c);
                     // Same `a*b + c` rounding as the scalar replay, so
                     // batch results are bit-identical.
                     std::array::from_fn(|l| a[l] * b[l] + c[l])
@@ -477,27 +405,6 @@ impl LanePlan {
 mod tests {
     use super::*;
     use crate::ExprGraph;
-
-    #[test]
-    fn width_accessors() {
-        assert_eq!(LaneWidth::Scalar.width(), 1);
-        assert_eq!(LaneWidth::W4.width(), 4);
-        assert_eq!(LaneWidth::W8.width(), 8);
-        assert_eq!(LaneWidth::Scalar.points_per_block(), 1);
-        assert_eq!(LaneWidth::W4.points_per_block(), 4 * LANE_TILE);
-        assert_eq!(LaneWidth::W8.points_per_block(), MAX_BLOCK_POINTS);
-        assert_eq!(LaneWidth::W4.to_string(), "4");
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert_eq!(LaneWidth::from_env_value(None), LaneWidth::W8);
-        assert_eq!(LaneWidth::from_env_value(Some("1")), LaneWidth::Scalar);
-        assert_eq!(LaneWidth::from_env_value(Some("4")), LaneWidth::W4);
-        assert_eq!(LaneWidth::from_env_value(Some("8")), LaneWidth::W8);
-        // Unrecognized values warn and fall back to the default.
-        assert_eq!(LaneWidth::from_env_value(Some("16")), LaneWidth::W8);
-    }
 
     #[test]
     fn plan_hoists_const_and_sym_loads() {
@@ -546,7 +453,6 @@ mod tests {
 
     #[test]
     fn replay_matches_scalar_semantics() {
-        const B: usize = 8;
         let mut g = ExprGraph::new(2);
         let x = g.sym(0);
         let y = g.sym(1);
@@ -563,9 +469,9 @@ mod tests {
             .collect();
         let plan = LanePlan::new(f.tape(), f.output_regs(), f.n_syms());
         let mut regs = vec![0.0; plan.n_slots() * B];
-        plan.init_consts::<B>(&mut regs);
-        plan.load_inputs::<B>(Phase::Pong, &points, &mut regs);
-        plan.replay::<B>(Phase::Pong, &mut regs);
+        plan.init_consts(&mut regs);
+        plan.load_inputs(Phase::Pong, &points, &mut regs);
+        plan.replay(Phase::Pong, &mut regs);
         let outs = plan.outputs(Phase::Pong);
         for (l, p) in points.iter().enumerate() {
             let want = ev.eval(p);

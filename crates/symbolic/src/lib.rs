@@ -23,8 +23,8 @@
 //!   that [`ExprGraph::compile`] runs by default;
 //! - [`Evaluator`] — the unified evaluation surface: owned scratch,
 //!   single-point `eval_into`, and a vectorized `eval_batch` kernel
-//!   (see [`lanes`]: env-selected 4/8-wide f64 lanes with register
-//!   tiling, hoisted const/sym loads, and a bit-identical scalar tail).
+//!   (see [`lanes`]: 32-point blocks of f64 lanes with register tiling,
+//!   hoisted const/sym loads, and a bit-identical scalar tail).
 //!
 //! # Example
 //!
@@ -53,9 +53,9 @@ mod ratio;
 mod smat;
 mod symbols;
 
-pub use eval::{AffineTail, BatchShapeError, Evaluator, LANES};
+pub use eval::{AffineTail, BatchShapeError, Evaluator};
 pub use expr::{CompiledFn, ExprGraph, ExprId, Tape, TapeOp};
-pub use lanes::{configured_lane_width, LaneWidth, LANE_TILE, MAX_BLOCK_POINTS};
+pub use lanes::MAX_BLOCK_POINTS;
 pub use mpoly::MPoly;
 pub use opt::{CompileOptions, OptLevel};
 pub use ratio::Ratio;

@@ -1,16 +1,15 @@
-//! Scalar-tail boundary and lane-width parity gates for the vectorized
-//! batch kernel (`crate::lanes`).
+//! Scalar-tail boundary parity gates for the vectorized batch kernel
+//! (`crate::lanes`).
 //!
-//! The contract under test (docs/tape.md §7): at any lane width, batch
-//! evaluation is **bit-identical** to per-point
-//! `eval_into` — including the scalar tail, the empty batch, and outputs
-//! whose reaching definition is a hoisted const/sym load. The CI
-//! `simd-parity` job additionally runs this whole suite with
-//! `AWESYM_LANES` pinned to 1, 4, and 8 so the *configured* dispatch path
-//! is exercised at every width, not just the explicit-width API.
+//! The contract under test (docs/tape.md §7): batch evaluation is
+//! **bit-identical** to per-point `eval_into` — including the scalar
+//! tail, the empty batch, and outputs whose reaching definition is a
+//! hoisted const/sym load. CI runs this suite in debug and in release,
+//! where LLVM vectorizes the kernel.
 
 use awesym_symbolic::{
-    AffineTail, CompileOptions, CompiledFn, ExprGraph, ExprId, LaneWidth, OptLevel, TapeOp,
+    AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, ExprId, OptLevel, TapeOp,
+    MAX_BLOCK_POINTS,
 };
 use proptest::prelude::*;
 
@@ -45,12 +44,22 @@ fn points_for(f: &CompiledFn, n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Asserts batch output at `width` is bit-identical to per-point
-/// `eval_into` for every boundary batch size around `k` blocks.
-fn assert_boundary_parity(f: &CompiledFn, width: LaneWidth) {
+/// Per-point `eval_into` over `points`, row-major.
+fn per_point(ev: &Evaluator<'_>, points: &[Vec<f64>]) -> Vec<f64> {
+    let n_out = ev.n_outputs();
+    let mut out = vec![0.0; points.len() * n_out];
+    for (p, row) in points.iter().zip(out.chunks_exact_mut(n_out)) {
+        ev.eval_into(p, row);
+    }
+    out
+}
+
+/// Asserts batch output is bit-identical to per-point `eval_into` for
+/// every boundary batch size around `k` blocks.
+fn assert_boundary_parity(f: &CompiledFn) {
     let ev = f.evaluator();
     let n_out = ev.n_outputs();
-    let block = width.points_per_block();
+    let block = MAX_BLOCK_POINTS;
     let mut sizes = vec![0];
     for k in 1..=3 {
         sizes.extend([k * block - 1, k * block, k * block + 1]);
@@ -58,20 +67,14 @@ fn assert_boundary_parity(f: &CompiledFn, width: LaneWidth) {
     for n in sizes {
         let pts = points_for(f, n);
         let mut batch = vec![0.0; n * n_out];
-        ev.eval_batch_lanes(&pts, &mut batch, width).unwrap();
-        for (i, p) in pts.iter().enumerate() {
-            let single = ev.eval(p);
-            for (j, (&b, &s)) in batch[i * n_out..(i + 1) * n_out]
-                .iter()
-                .zip(&single)
-                .enumerate()
-            {
-                assert_eq!(
-                    b.to_bits(),
-                    s.to_bits(),
-                    "width {width}, batch size {n}, point {i}, output {j}: {b} != {s}"
-                );
-            }
+        ev.eval_batch(&pts, &mut batch);
+        for (slot, (&b, &s)) in batch.iter().zip(&per_point(&ev, &pts)).enumerate() {
+            let (i, j) = (slot / n_out, slot % n_out);
+            assert_eq!(
+                b.to_bits(),
+                s.to_bits(),
+                "batch size {n}, point {i}, output {j}: {b} != {s}"
+            );
         }
     }
 }
@@ -86,9 +89,7 @@ fn scalar_tail_boundaries_bit_identical_fused_tape() {
             .any(|op| matches!(op, TapeOp::MulAdd(..))),
         "Full opt should produce MulAdd ops for this workload"
     );
-    for width in [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8] {
-        assert_boundary_parity(&f, width);
-    }
+    assert_boundary_parity(&f);
 }
 
 #[test]
@@ -101,20 +102,16 @@ fn scalar_tail_boundaries_bit_identical_fusion_free_tape() {
             .any(|op| matches!(op, TapeOp::MulAdd(..))),
         "Basic opt must not fuse"
     );
-    for width in [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8] {
-        assert_boundary_parity(&f, width);
-    }
+    assert_boundary_parity(&f);
 }
 
 #[test]
 fn empty_batch_is_a_no_op_at_every_width() {
     let f = mixed_fn(OptLevel::Full);
     let ev = f.evaluator();
-    for width in [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8] {
-        let mut out: Vec<f64> = Vec::new();
-        ev.eval_batch_lanes(&[], &mut out, width).unwrap();
-        assert!(out.is_empty());
-    }
+    let mut out: Vec<f64> = Vec::new();
+    ev.eval_batch(&[], &mut out);
+    assert!(out.is_empty());
 }
 
 #[test]
@@ -131,34 +128,33 @@ fn affine_tail_parity_across_widths_and_boundaries() {
     );
     let ev = f.evaluator_with_tail(tail);
     let n_out = ev.n_outputs();
-    for width in [LaneWidth::W4, LaneWidth::W8] {
-        let block = width.points_per_block();
-        for n in [block - 1, block, block + 1] {
-            let pts: Vec<Vec<f64>> = (0..n)
-                .map(|i| vec![0.5 + i as f64, 1.5 - 0.25 * i as f64])
-                .collect();
-            let mut batch = vec![0.0; n * n_out];
-            ev.eval_batch_lanes(&pts, &mut batch, width).unwrap();
-            for (i, p) in pts.iter().enumerate() {
-                let single = ev.eval(p);
-                assert_eq!(
-                    batch[i * n_out..(i + 1) * n_out]
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
-                    single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "width {width}, size {n}, point {i}"
-                );
-            }
+    let block = MAX_BLOCK_POINTS;
+    for n in [block - 1, block, block + 1] {
+        let pts: Vec<Vec<f64>> = (0..n)
+            .map(|i| vec![0.5 + i as f64, 1.5 - 0.25 * i as f64])
+            .collect();
+        let mut batch = vec![0.0; n * n_out];
+        ev.eval_batch(&pts, &mut batch);
+        for (i, p) in pts.iter().enumerate() {
+            let single = ev.eval(p);
+            assert_eq!(
+                batch[i * n_out..(i + 1) * n_out]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "size {n}, point {i}"
+            );
         }
     }
 }
 
 proptest! {
-    // Lane-width choice never changes healthy-point outputs on
-    // fusion-free tapes: Scalar, W4, and W8 agree bitwise on random
-    // batch sizes and inputs (all ops are elementwise, so grouping is
-    // irrelevant — this pins that no cross-lane op sneaks in).
+    // Block grouping never changes healthy-point outputs on fusion-free
+    // tapes: the lane kernel and per-point `eval_into` agree bitwise on
+    // random batch sizes and inputs (all ops are elementwise, so
+    // grouping is irrelevant — this pins that no cross-lane op sneaks
+    // in).
     #[test]
     fn lane_width_invariant_on_fusion_free_tapes(
         n in 0usize..90,
@@ -175,14 +171,10 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mut scalar = vec![0.0; n * n_out];
-        ev.eval_batch_lanes(&pts, &mut scalar, LaneWidth::Scalar).unwrap();
-        for width in [LaneWidth::W4, LaneWidth::W8] {
-            let mut got = vec![0.0; n * n_out];
-            ev.eval_batch_lanes(&pts, &mut got, width).unwrap();
-            for (i, (&g, &s)) in got.iter().zip(&scalar).enumerate() {
-                prop_assert_eq!(g.to_bits(), s.to_bits(), "width {} slot {}", width, i);
-            }
+        let mut got = vec![0.0; n * n_out];
+        ev.eval_batch(&pts, &mut got);
+        for (i, (&g, &s)) in got.iter().zip(&per_point(&ev, &pts)).enumerate() {
+            prop_assert_eq!(g.to_bits(), s.to_bits(), "slot {}", i);
         }
     }
 }

@@ -52,14 +52,11 @@ step "fault_suite (deterministic fault injection, fixed seeds)" \
 step "net loopback suite (socket sessions under faults)" \
   cargo test -p awesym-net --features fault-injection -q
 
-# Lane-width parity: the evaluator suites must be bit-identical with the
-# batch kernel pinned to scalar, 4-wide, and 8-wide lanes (the CI
-# simd-parity job runs the same matrix; see docs/tape.md §7).
-step "simd parity (evaluator suites at AWESYM_LANES=1/4/8)" \
-  bash -c 'for lanes in 1 4 8; do
-    echo "    AWESYM_LANES=${lanes}"
-    AWESYM_LANES="${lanes}" cargo test -q -p awesym-symbolic -p awesym-timing
-  done'
+# Lane-kernel parity in release, where LLVM vectorizes the kernel: the
+# evaluator and timing suites assert it bit-identical to per-point
+# evaluation (the CI simd-parity job runs the same; see docs/tape.md §7).
+step "simd parity (evaluator and timing suites, release)" \
+  cargo test -q -p awesym-symbolic -p awesym-timing --release
 
 # --out keeps the smoke run's report away from the committed baseline in
 # results/, which only full bench runs may regenerate.
