@@ -57,7 +57,7 @@ fn drain_answers_inflight_then_closes_and_refuses_new_connections() {
         straggler.send_line("{\"cmd\":\"stats\"}");
         assert!(ok_of(&parse_line(&straggler.read_line())));
     }
-    json_straggler.send(straggler_line[..split].as_bytes());
+    json_straggler.send(&straggler_line.as_bytes()[..split]);
     frame_straggler.send(&frame_bytes[..10]);
     // Let both sessions buffer their half-sent request: pending bytes
     // are what keeps a session open across the drain.
@@ -97,7 +97,7 @@ fn drain_answers_inflight_then_closes_and_refuses_new_connections() {
     // refused shard-side with the typed `unavailable` + retry hint —
     // the same error byte the wire taxonomy pins — and the NDJSON
     // fallback applies to the binary request too.
-    json_straggler.send(straggler_line[split..].as_bytes());
+    json_straggler.send(&straggler_line.as_bytes()[split..]);
     json_straggler.send(b"\n");
     let refused = parse_line(&json_straggler.read_line());
     assert_eq!(

@@ -69,10 +69,10 @@ fn concurrent_sessions_under_panic_and_nan_storm_match_stdin_byte_for_byte() {
 fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
     let _guard = plan_guard();
     faults::clear();
-    // A two-worker pool and a batch spanning several chunks: every
-    // crash-job loses its whole pool mid-batch, so the submitter drains
-    // the tail and the worker deaths are reliably on the books before
-    // the job returns — each one a consecutive breaker failure.
+    // A two-worker shard and a batch spanning several chunks: every
+    // chunk of a crash-job crashes, on a pool thread or on the
+    // connection thread that claims what no helper took, so each job is
+    // a consecutive breaker failure.
     let h = Harness::start(
         Server::with_config(awesym_serve::ServerConfig {
             shard_workers: 2,

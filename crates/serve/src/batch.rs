@@ -2,14 +2,15 @@
 //!
 //! A compiled model's evaluation is a pure function of the symbol values
 //! (a flat tape replay plus a tiny Padé solve), so fanning a batch of
-//! points across threads is embarrassingly parallel: each
-//! [`crate::WorkerPool`] worker owns a private [`Evaluator`] (which
-//! carries its own scratch and lane register file; the lane plan is the
-//! model's, shared) and evaluates disjoint chunks of the request's
-//! column-major [`PointColumns`] into a chunk of [`BatchResults`], and the
-//! shared model is only read. A one-point batch (every `eval`) runs the
-//! same engine on the submitting thread instead, with no pool hand-off;
-//! batches of two or more points are unchanged. Results always come back
+//! points across threads is embarrassingly parallel: each thread working
+//! on a batch owns a private [`Evaluator`] (which carries its own scratch
+//! and lane register file; the lane plan is the model's, shared) and
+//! evaluates disjoint chunks of the request's column-major
+//! [`PointColumns`] into a chunk of [`BatchResults`], and the shared model
+//! is only read. The submitting thread is always one of those threads: it
+//! runs a one-chunk batch (every `eval`, every small batch) alone, and
+//! claims chunks of a larger one alongside the [`crate::WorkerPool`]
+//! threads it woke as helpers. Results always come back
 //! in input order, and a bad point (wrong arity, unstable ROM, …) yields
 //! a per-point [`PointError`] instead of aborting the batch. Moment-only
 //! batches take the vectorized lane kernel straight off the request
@@ -573,10 +574,33 @@ mod tests {
     #[test]
     fn worker_counts_agree() {
         let m = model2();
-        let pts = grid(37);
-        let base = evaluate(&m, &pts, &BatchOutput::Rom, Some(1));
-        for w in [2, 3, 8, 64] {
-            assert_eq!(evaluate(&m, &pts, &BatchOutput::Rom, Some(w)), base);
+        // 37 points are one chunk, which the calling thread runs alone;
+        // 4 × 4096 points are at least four, so pool threads help.
+        for n in [37, 4 * 4096] {
+            let input = Arc::new(PointColumns::from_rows(&grid(n), 2));
+            let mut base = None;
+            for w in [1, 2, 3, 8, 64] {
+                let pool = WorkerPool::new(
+                    0,
+                    PoolConfig {
+                        workers: w,
+                        ..PoolConfig::default()
+                    },
+                );
+                let out = pool
+                    .run_batch(
+                        Arc::clone(&m),
+                        Arc::clone(&input),
+                        BatchOutput::Rom,
+                        None,
+                        None,
+                    )
+                    .unwrap();
+                let got = points_of(&out);
+                assert_eq!(&got, base.get_or_insert_with(|| got.clone()), "workers={w}");
+                let helped = n > 37 && w > 1;
+                assert_eq!(pool.handoffs(), u64::from(helped), "n={n} workers={w}");
+            }
         }
     }
 

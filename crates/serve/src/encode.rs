@@ -656,15 +656,15 @@ mod tests {
 
     #[test]
     fn negotiation_rules() {
-        let none: Content = serde_json::from_str(r#"{"cmd":"batch"}"#).unwrap();
-        assert_eq!(negotiate(&none).unwrap(), WireEncoding::Ndjson);
-        let nd: Content = serde_json::from_str(r#"{"encoding":"ndjson"}"#).unwrap();
-        assert_eq!(negotiate(&nd).unwrap(), WireEncoding::Ndjson);
-        let bin: Content = serde_json::from_str(r#"{"encoding":"binary-v1"}"#).unwrap();
-        assert_eq!(negotiate(&bin).unwrap(), WireEncoding::BinaryV1);
+        let none: Content = serde_json::from_str(r#"{"cmd":"batch"}"#).expect("valid JSON");
+        assert_eq!(negotiate(&none).expect("negotiates"), WireEncoding::Ndjson);
+        let nd: Content = serde_json::from_str(r#"{"encoding":"ndjson"}"#).expect("valid JSON");
+        assert_eq!(negotiate(&nd).expect("negotiates"), WireEncoding::Ndjson);
+        let bin: Content = serde_json::from_str(r#"{"encoding":"binary-v1"}"#).expect("valid JSON");
+        assert_eq!(negotiate(&bin).expect("negotiates"), WireEncoding::BinaryV1);
         for bad in [r#"{"encoding":"binary-v2"}"#, r#"{"encoding":42}"#] {
-            let req: Content = serde_json::from_str(bad).unwrap();
-            let e = negotiate(&req).unwrap_err();
+            let req: Content = serde_json::from_str(bad).expect("valid JSON");
+            let e = negotiate(&req).expect_err(bad);
             assert_eq!(e.code(), ErrorCode::BadRequest, "{bad}");
             assert!(e.to_string().contains("ndjson|binary-v1"), "{e}");
         }
@@ -684,7 +684,7 @@ mod tests {
             &ResponseBody::Fields(fields.clone()),
             &mut out,
         )
-        .unwrap();
+        .expect("encodes");
         let tree = Content::Map(
             fields
                 .into_iter()
@@ -692,8 +692,8 @@ mod tests {
                 .collect(),
         );
         assert_eq!(
-            String::from_utf8(out).unwrap(),
-            serde_json::to_string(&tree).unwrap()
+            String::from_utf8(out).expect("UTF-8"),
+            serde_json::to_string(&tree).expect("serializes")
         );
     }
 
@@ -748,7 +748,7 @@ mod tests {
             let r = BatchResults::from_points(&output, cols, vec![Ok(v.clone())]);
             let mut streamed = Vec::new();
             write_result(&r, 0, &mut streamed);
-            let streamed = String::from_utf8(streamed).unwrap();
+            let streamed = String::from_utf8(streamed).expect("UTF-8");
             // The streamed form is valid JSON, and the same text the
             // parsed tree serializes back to.
             let tree: Content = serde_json::from_str(&streamed).expect("streamed value is JSON");
@@ -764,7 +764,7 @@ mod tests {
         );
         let mut err = Vec::new();
         write_result(&r, 0, &mut err);
-        let c: Content = serde_json::from_slice(&err).unwrap();
+        let c: Content = serde_json::from_slice(&err).expect("valid JSON");
         assert_eq!(
             c.get("code").and_then(Content::as_str),
             Some("numeric_unstable")
@@ -775,8 +775,9 @@ mod tests {
     fn binary_round_trips_bit_exactly() {
         let b = moments_batch(53);
         let mut out = Vec::new();
-        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
-        let frame = decode_frame(&out).unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
+            .expect("encodes");
+        let frame = decode_frame(&out).expect("well-formed frame");
         assert_eq!(frame.count, 53);
         assert_eq!(frame.cols, 4);
         assert!(!frame.deadline_exceeded);
@@ -821,7 +822,8 @@ mod tests {
             deadline: None,
         };
         let mut out = Vec::new();
-        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
+            .expect("encodes");
         let mut want = Vec::new();
         want.extend_from_slice(b"AWSB");
         want.extend_from_slice(&1u16.to_le_bytes()); // version
@@ -835,7 +837,11 @@ mod tests {
         want.extend_from_slice(&1.0f64.to_le_bytes());
         want.extend_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(out, want);
-        assert!(decode_frame(&out).unwrap().deadline_exceeded);
+        assert!(
+            decode_frame(&out)
+                .expect("well-formed frame")
+                .deadline_exceeded
+        );
     }
 
     #[test]
@@ -847,9 +853,9 @@ mod tests {
             &ResponseBody::Batch(moments_batch(5)),
             &mut plain,
         )
-        .unwrap();
+        .expect("encodes");
         assert_eq!(le_u16(&plain, 6) & FLAG_HAS_ID, 0);
-        assert_eq!(decode_frame(&plain).unwrap().id, None);
+        assert_eq!(decode_frame(&plain).expect("well-formed frame").id, None);
 
         // Ids of every envelope-legal JSON shape survive the frame.
         let ids = [
@@ -861,18 +867,22 @@ mod tests {
             let mut b = moments_batch(5);
             b.id = Some(want.clone());
             let mut out = Vec::new();
-            encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
+            encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
+                .expect("encodes");
             assert_ne!(le_u16(&out, 6) & FLAG_HAS_ID, 0);
-            let frame = decode_frame(&out).unwrap();
+            let frame = decode_frame(&out).expect("well-formed frame");
             // Compare as JSON text: the parser may pick a different
             // integer variant (I64 vs U64) for the same value.
             assert_eq!(
-                frame.id.as_ref().map(|v| serde_json::to_string(v).unwrap()),
-                Some(serde_json::to_string(&want).unwrap())
+                frame
+                    .id
+                    .as_ref()
+                    .map(|v| serde_json::to_string(v).expect("serializes")),
+                Some(serde_json::to_string(&want).expect("serializes"))
             );
             // The body decodes identically to the id-free frame
             // (bitwise — error points are NaN).
-            let plain_frame = decode_frame(&plain).unwrap();
+            let plain_frame = decode_frame(&plain).expect("well-formed frame");
             assert_eq!(frame.codes, plain_frame.codes);
             for (a, b) in frame
                 .columns
@@ -898,7 +908,8 @@ mod tests {
         let mut b = moments_batch(3);
         b.id = Some(Content::Str("corr-9".into()));
         let mut out = Vec::new();
-        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
+            .expect("encodes");
         // Truncating inside the id length prefix or the id bytes reports
         // Truncated, never a panic.
         for cut in [BINARY_HEADER_LEN + 2, BINARY_HEADER_LEN + 5] {
@@ -913,7 +924,7 @@ mod tests {
         assert_eq!(decode_frame(&bad), Err(FrameError::BadId));
         // The pristine frame still decodes.
         assert_eq!(
-            decode_frame(&out).unwrap().id,
+            decode_frame(&out).expect("well-formed frame").id,
             Some(Content::Str("corr-9".into()))
         );
     }
@@ -926,7 +937,7 @@ mod tests {
             &ResponseBody::Batch(moments_batch(9)),
             &mut out,
         )
-        .unwrap();
+        .expect("encodes");
         // Every truncation point fails (sampled densely near the header).
         for cut in (0..out.len()).step_by(7).chain([out.len() - 1]) {
             assert!(
@@ -959,7 +970,7 @@ mod tests {
             Err(FrameError::OkCountMismatch { .. })
         ));
         // The pristine frame still decodes.
-        decode_frame(&out).unwrap();
+        decode_frame(&out).expect("well-formed frame");
     }
 
     #[test]
@@ -994,16 +1005,16 @@ mod tests {
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
         let mut out = Vec::new();
-        let err =
-            encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).unwrap_err();
+        let err = encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out)
+            .expect_err("deadline trips mid-encode");
         assert_eq!(err.code(), ErrorCode::DeadlineExceeded);
         assert!(err.to_string().contains("7 ms"), "{err}");
 
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
         let mut out = Vec::new();
-        let err =
-            encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap_err();
+        let err = encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
+            .expect_err("deadline trips mid-encode");
         assert_eq!(err.code(), ErrorCode::DeadlineExceeded);
 
         // When evaluation already reported the deadline, the response IS
@@ -1012,18 +1023,19 @@ mod tests {
         b.deadline = Some((past, 7));
         b.deadline_exceeded = true;
         let mut out = Vec::new();
-        encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).unwrap();
+        encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).expect("encodes");
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
         b.deadline_exceeded = true;
         let mut out = Vec::new();
-        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out).unwrap();
-        decode_frame(&out).unwrap();
+        encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
+            .expect("encodes");
+        decode_frame(&out).expect("well-formed frame");
         // A generous deadline encodes fine.
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((Instant::now() + Duration::from_secs(3600), 3_600_000));
         let mut out = Vec::new();
-        encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).unwrap();
+        encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).expect("encodes");
     }
 
     #[test]
@@ -1039,9 +1051,10 @@ mod tests {
             &ResponseBody::Fields(fields.clone()),
             &mut bin,
         )
-        .unwrap();
+        .expect("encodes");
         let mut nd = Vec::new();
-        encode_response(WireEncoding::Ndjson, &ResponseBody::Fields(fields), &mut nd).unwrap();
+        encode_response(WireEncoding::Ndjson, &ResponseBody::Fields(fields), &mut nd)
+            .expect("encodes");
         assert_eq!(bin, nd, "errors are NDJSON on both encoders");
         assert!(bin.starts_with(b"{"));
     }

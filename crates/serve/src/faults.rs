@@ -59,6 +59,11 @@ pub struct FaultPlan {
     /// `catch_unwind`) — exercises the shard supervisor's restart path.
     /// Drawn independently of the per-point rates.
     pub worker_kill_rate_pct: u8,
+    /// How long the submitting thread waits before it claims chunks of a
+    /// job it published to pool threads. The woken pool threads then
+    /// claim first, so kill tests can count pool-thread deaths
+    /// deterministically. Zero (the default) never waits.
+    pub caller_hold: Duration,
 }
 
 static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
@@ -158,6 +163,25 @@ pub fn fault_kills_worker(shard: usize, chunk_start: usize) -> bool {
     }
 }
 
+/// Sleeps through the active plan's `caller_hold` when the plan applies
+/// to `shard`; called by a submitter that just published a job.
+pub(crate) fn hold_caller(shard: usize) {
+    let hold = match *PLAN.read().expect("fault plan lock poisoned") {
+        Some(plan) if plan.target_shard.is_none_or(|t| t == shard) => plan.caller_hold,
+        _ => return,
+    };
+    std::thread::sleep(hold);
+}
+
+/// Serializes this crate's own tests that install a plan: the plan is
+/// process-global, and unit tests run in parallel.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Flips one bit of one ASCII digit in `text` (chosen by `seed`), leaving
 /// it valid UTF-8 but corrupt — the minimal artifact corruption a
 /// checksum must catch.
@@ -200,6 +224,7 @@ mod tests {
         // aim it at a shard no other test evaluates on: an untargeted
         // plan would fault their batches too.
         const SHARD: usize = 7778;
+        let _guard = test_guard();
         install(FaultPlan {
             seed: 42,
             panic_rate_pct: 10,

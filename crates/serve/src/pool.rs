@@ -5,14 +5,17 @@
 //! workers increased (thread spawn + join cost swamped the
 //! sub-microsecond per-point work), so workers are spawned once, park on
 //! a condvar, and steal coarse chunks of whatever job is at the head of
-//! the queue via an atomic chunk frontier — a batch pays one mutex
-//! handoff instead of N thread spawns.
+//! the queue via an atomic chunk frontier.
 //!
-//! A job of exactly one point (every `eval`) skips even that handoff: it
-//! runs on the submitting thread through the same chunk engine the
-//! workers use, with no queue lock, no wake-up and no wait. Waking a
-//! parked worker and sleeping until it answers costs more than the point
-//! itself. Jobs of two or more points always go through the queue.
+//! The submitting thread is every job's first worker (caller-runs). A
+//! job of one chunk (every `eval`, every small batch) runs on it through
+//! the same chunk engine the pool threads use, with no queue lock, no
+//! wake-up and no wait. A larger job is published to the queue and wakes
+//! at most `workers − 1` parked pool threads as helpers, while the
+//! submitter claims chunks from the same frontier until it is empty and
+//! then sleeps only while a helper still holds a chunk. A parked thread
+//! takes microseconds to wake, and the submitter does not wait for that
+//! before work starts.
 //!
 //! The pool is also the shard supervisor's foundation:
 //!
@@ -21,17 +24,18 @@
 //!   with `internal` point errors and is counted on the job
 //!   ([`BatchResults::chunk_crashes`], which the shard's breaker reads)
 //!   before the chunk's accounting completes, so the submitter always
-//!   gets a full result vector. On a pool worker the crash also ends the
+//!   gets a full result vector. On a pool thread the crash also ends the
 //!   thread; on the submitting thread it does not;
-//! - **worker death is survivable** — if every worker dies mid-job, the
-//!   submitting thread notices (`alive == 0`) and drains the remaining
-//!   chunks itself, serially;
+//! - **worker death is survivable** — a helper deposits every chunk it
+//!   claims, even the one it dies on, and the submitter claims every
+//!   chunk no helper took, so a job completes even when every pool
+//!   thread is dead;
 //! - **supervised restart** — each submission first runs a cheap
 //!   supervision pass: dead workers are respawned, subject to a capped
 //!   exponential backoff so a crash-looping model cannot burn CPU on
 //!   futile restarts. The pool counts its restarts, deaths and
 //!   hand-offs itself, on counters a shard registers as its metrics
-//!   (`PoolCounters`); restarts and deaths count threads only.
+//!   (`PoolCounters`); restarts and deaths count pool threads only.
 //!
 //! Jobs are columnar end to end: workers read the request's
 //! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
@@ -108,7 +112,8 @@ const WAIT_SLICE: Duration = Duration::from_millis(100);
 /// Restart/backoff knobs for the pool's supervision pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads to keep alive.
+    /// Most threads evaluating one job, the submitting thread included;
+    /// the pool keeps this many threads alive.
     pub workers: usize,
     /// Backoff after the first restart burst; doubles per consecutive
     /// burst.
@@ -133,8 +138,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One queued batch: the inputs, an atomic chunk frontier workers claim
-/// from, and the result buffer they fill.
+/// One batch of two or more chunks: the inputs, an atomic chunk frontier
+/// the submitter and its helpers claim from, and the result buffer they
+/// fill.
 struct Job {
     model: Arc<CompiledModel>,
     points: Arc<PointColumns>,
@@ -143,11 +149,11 @@ struct Job {
     /// Points per chunk.
     chunk: usize,
     n_chunks: usize,
-    /// Most workers allowed to co-evaluate this job (the request's
-    /// `workers` field).
+    /// Most pool threads inside this job at once: the request's
+    /// `workers` less the submitting thread.
     max_workers: usize,
-    /// Workers currently inside this job. Only touched under the queue
-    /// lock (atomic purely for shared access through the `Arc`).
+    /// Pool threads currently inside this job. Only touched under the
+    /// queue lock (atomic purely for shared access through the `Arc`).
     entered: AtomicUsize,
     next_chunk: AtomicUsize,
     chunks_done: AtomicUsize,
@@ -156,7 +162,7 @@ struct Job {
 }
 
 impl Job {
-    /// Whether a worker scanning the queue should pick this job up:
+    /// Whether a pool thread scanning the queue should pick this job up:
     /// unclaimed chunks remain and the participation cap has room.
     /// Callers hold the queue lock.
     fn claimable(&self) -> bool {
@@ -170,19 +176,22 @@ impl Job {
         (c < self.n_chunks).then(|| c * self.chunk..((c + 1) * self.chunk).min(self.points.len()))
     }
 
-    /// Claims and evaluates chunks until the frontier is exhausted.
-    /// Returns `true` when an injected worker-kill fired and the calling
-    /// worker must die (this job's accounting is already safe by then).
-    fn work(&self, shared: &Shared) -> bool {
+    /// Claims and evaluates chunks until the frontier is exhausted. A
+    /// pool thread (`helper`) stops at an injected worker-kill and gets
+    /// `true`: it must die, and this job's accounting is already safe by
+    /// then. The submitting thread carries on past a crashed chunk.
+    fn work(&self, shared: &Shared, helper: bool) -> bool {
         let mut w = ChunkEval::new(&self.model, &self.output);
         while let Some(range) = self.claim() {
             let start = range.start;
-            let killed = run_chunk(&mut w, &self.points, range, &self.output, &self.ctl);
+            let killed = run_chunk(&mut w, &self.points, range, &self.output, &self.ctl) && helper;
             if killed {
-                // The worker is about to die. Counting the death before
+                // The thread is about to die. Counting the death before
                 // the deposit that may complete the job means a submitter
-                // that sees its job done also sees the death.
+                // that sees its job done also sees the death, in both
+                // counts.
                 shared.counters.deaths.inc();
+                shared.alive.fetch_sub(1, Ordering::Relaxed);
             }
             self.deposit(shared, start, &mut w.out);
             if killed {
@@ -250,7 +259,7 @@ fn run_chunk(
 /// it happens.
 #[derive(Default)]
 pub(crate) struct PoolCounters {
-    /// Jobs queued to the worker threads.
+    /// Jobs published to pool threads as helpers.
     pub(crate) handoffs: Arc<Counter>,
     /// Workers respawned by supervision.
     pub(crate) restarts: Arc<Counter>,
@@ -351,9 +360,9 @@ impl WorkerPool {
         self.shared.counters.deaths.get()
     }
 
-    /// Jobs handed to the worker threads through the queue: one per job
-    /// of two or more points. A one-point job runs on the submitting
-    /// thread and is not counted.
+    /// Jobs published to pool threads as helpers: one per job of two or
+    /// more chunks that may use two or more threads. Any other job runs
+    /// on the submitting thread alone and is not counted.
     pub fn handoffs(&self) -> u64 {
         self.shared.counters.handoffs.get()
     }
@@ -410,11 +419,12 @@ impl WorkerPool {
     }
 
     /// Evaluates `points` against `model`, returning results in input
-    /// order. A one-point job runs on the calling thread. A larger job is
-    /// queued to the pool, and `max_workers` caps how many pool workers
-    /// co-evaluate it (`None` → all); the submitting thread then only
-    /// waits, unless the whole pool is dead, in which case it drains the
-    /// job itself so the request still completes.
+    /// order. `max_workers` caps the threads evaluating this job, the
+    /// calling thread included (`None` → the pool's `workers`). The
+    /// calling thread runs a one-chunk job alone; a larger job is also
+    /// offered to `max_workers − 1` pool threads, and the calling thread
+    /// claims chunks alongside them, so the job completes even when no
+    /// pool thread is alive.
     ///
     /// # Errors
     ///
@@ -436,19 +446,19 @@ impl WorkerPool {
         }
         self.supervise();
         let ctl = BatchCtl::new(deadline, self.shared.shard);
-        if n == 1 {
-            // The chunk buffer of a one-point job is already the job's
-            // whole result in its final layout.
-            let mut w = ChunkEval::new(&model, &output);
-            run_chunk(&mut w, &points, 0..1, &output, &ctl);
-            let mut results = w.out;
-            results.finish(&ctl);
-            return Ok(results);
-        }
         let max_workers = max_workers
             .unwrap_or(usize::MAX)
             .clamp(1, self.config.workers);
         let chunk = chunk_size(n, max_workers, model.op_count());
+        if chunk == n {
+            // The chunk buffer of a one-chunk job is already the job's
+            // whole result in its final layout.
+            let mut w = ChunkEval::new(&model, &output);
+            run_chunk(&mut w, &points, 0..n, &output, &ctl);
+            let mut results = w.out;
+            results.finish(&ctl);
+            return Ok(results);
+        }
         let job = Arc::new(Job {
             results: Mutex::new(BatchResults::new(&output, cols, n)),
             model,
@@ -457,31 +467,26 @@ impl WorkerPool {
             ctl,
             chunk,
             n_chunks: n.div_ceil(chunk),
-            max_workers,
+            max_workers: max_workers - 1,
             entered: AtomicUsize::new(0),
             next_chunk: AtomicUsize::new(0),
             chunks_done: AtomicUsize::new(0),
             done: AtomicBool::new(false),
         });
-        {
-            let mut q = lock(&self.shared.queue);
-            q.push_back(Arc::clone(&job));
-            drop(q);
-            self.shared.work.notify_all();
+        if job.max_workers > 0 {
+            lock(&self.shared.queue).push_back(Arc::clone(&job));
+            for _ in 0..job.max_workers {
+                self.shared.work.notify_one();
+            }
+            self.shared.counters.handoffs.inc();
+            #[cfg(feature = "fault-injection")]
+            crate::faults::hold_caller(self.shared.shard);
         }
-        self.shared.counters.handoffs.inc();
-        // Wait for completion; if the whole pool dies, drain what's left
-        // on this thread. Dying workers complete their current chunk's
-        // accounting before dropping `alive`, so alive == 0 means every
-        // remaining chunk is unclaimed and safe to take.
+        job.work(&self.shared, false);
+        // The frontier is empty, and a helper deposits every chunk it
+        // claimed (a dying one too), so only those chunks are waited for.
         let mut q = lock(&self.shared.queue);
         while !job.done.load(Ordering::Acquire) {
-            if self.shared.alive.load(Ordering::Relaxed) == 0 {
-                drop(q);
-                self.drain(&job);
-                q = lock(&self.shared.queue);
-                continue;
-            }
             let (guard, _timeout) = self
                 .shared
                 .done
@@ -493,19 +498,6 @@ impl WorkerPool {
         let mut results = std::mem::take(&mut *lock(&job.results));
         results.finish(&job.ctl);
         Ok(results)
-    }
-
-    /// Serial fallback when no worker is alive: the submitting thread
-    /// claims the remaining chunks through the same frontier. A chunk
-    /// that crashes here becomes `internal` errors like anywhere else,
-    /// and the submitting thread carries on, so the request completes.
-    fn drain(&self, job: &Arc<Job>) {
-        let mut w = ChunkEval::new(&job.model, &job.output);
-        while let Some(range) = job.claim() {
-            let start = range.start;
-            run_chunk(&mut w, &job.points, range, &job.output, &job.ctl);
-            job.deposit(&self.shared, start, &mut w.out);
-        }
     }
 }
 
@@ -548,23 +540,14 @@ fn worker_loop(shared: &Shared) {
                 q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let killed = job.work(shared);
+        let killed = job.work(shared, true);
         {
-            let q = lock(&shared.queue);
+            let _q = lock(&shared.queue);
             job.entered.fetch_sub(1, Ordering::Relaxed);
-            if killed {
-                // Order matters: the job's chunks are already accounted
-                // for (work() deposits before returning), so dropping
-                // `alive` here can never strand a claimed chunk.
-                shared.alive.fetch_sub(1, Ordering::Relaxed);
-            }
-            drop(q);
-            // Leaving frees a participation slot (or signals death to
-            // waiting submitters); wake both sides to re-scan.
-            shared.work.notify_all();
-            shared.done.notify_all();
         }
         if killed {
+            // The dead helper's slot is free: a parked thread may take it.
+            shared.work.notify_one();
             return;
         }
     }
@@ -611,6 +594,28 @@ mod tests {
     /// Every point's outcome, in input order.
     fn points_of(r: &BatchResults) -> Vec<PointResult> {
         (0..r.len()).map(|i| r.point(i)).collect()
+    }
+
+    /// A job this long is at least four chunks at every worker count the
+    /// tests use, so pool threads join it as helpers.
+    const MULTI: usize = 4 * MAX_CHUNK_FLOOR;
+
+    /// How long a kill test's submitter lets the woken pool threads
+    /// claim chunks first ([`crate::faults::FaultPlan::caller_hold`]).
+    #[cfg(feature = "fault-injection")]
+    const HOLD: Duration = Duration::from_millis(50);
+
+    /// Runs `f` with panic output silenced. The default hook prints every
+    /// injected kill, and with `RUST_BACKTRACE=1` it symbolizes a
+    /// backtrace first, which can outlast [`HOLD`]. Callers hold the
+    /// plan lock, so no other kill test swaps the hook meanwhile.
+    #[cfg(feature = "fault-injection")]
+    fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = f();
+        std::panic::set_hook(hook);
+        out
     }
 
     fn small_pool(workers: usize) -> WorkerPool {
@@ -662,7 +667,7 @@ mod tests {
         ] {
             let c = chunk_size(n, w, ops);
             assert!(
-                c % MAX_BLOCK_POINTS == 0 || c == n,
+                c.is_multiple_of(MAX_BLOCK_POINTS) || c == n,
                 "chunk_size({n}, {w}, {ops}) = {c} is neither lane-aligned nor the whole batch"
             );
             assert!(c >= 1 && c <= n);
@@ -672,22 +677,34 @@ mod tests {
     #[test]
     fn pool_results_match_direct_evaluation_at_any_worker_count() {
         let m = model2();
-        let pts = grid(333);
-        let reference = reference(&m, pts.len());
-        for workers in [1, 2, 4, 8] {
-            let pool = small_pool(workers);
-            let out = pool
-                .run_batch(
-                    Arc::clone(&m),
-                    Arc::clone(&pts),
-                    BatchOutput::Moments,
-                    None,
-                    None,
-                )
-                .unwrap();
-            assert_eq!(points_of(&out), reference, "workers={workers}");
-            assert_eq!(out.panics_caught, 0);
-            assert!(!out.deadline_exceeded);
+        // 333 points are one chunk, which the calling thread runs alone;
+        // MULTI points are several, so pool threads help.
+        for n in [333, MULTI] {
+            let pts = grid(n);
+            let reference = reference(&m, n);
+            for workers in [1, 2, 4, 8] {
+                let chunks = n.div_ceil(chunk_size(n, workers, m.op_count()));
+                assert_eq!(chunks >= 4, n == MULTI, "n={n} workers={workers}");
+                let pool = small_pool(workers);
+                let out = pool
+                    .run_batch(
+                        Arc::clone(&m),
+                        Arc::clone(&pts),
+                        BatchOutput::Moments,
+                        None,
+                        None,
+                    )
+                    .unwrap();
+                assert_eq!(points_of(&out), reference, "n={n} workers={workers}");
+                assert_eq!(out.panics_caught, 0);
+                assert!(!out.deadline_exceeded);
+                let helped = n == MULTI && workers > 1;
+                assert_eq!(
+                    pool.handoffs(),
+                    u64::from(helped),
+                    "n={n} workers={workers}"
+                );
+            }
         }
     }
 
@@ -789,9 +806,9 @@ mod tests {
             }
         }
         assert_eq!(pool.handoffs(), 0, "one-point jobs never reach the queue");
-        pool.run_batch(m, grid(2), BatchOutput::Moments, None, None)
+        pool.run_batch(m, grid(MULTI), BatchOutput::Moments, None, None)
             .unwrap();
-        assert_eq!(pool.handoffs(), 1, "a two-point job is queued");
+        assert_eq!(pool.handoffs(), 1, "a multi-chunk job is published once");
     }
 
     #[test]
@@ -842,39 +859,44 @@ mod tests {
     fn concurrent_submitters_share_the_pool() {
         let pool = Arc::new(small_pool(4));
         let m = model2();
-        let pts = grid(256);
-        let reference = reference(&m, pts.len());
-        std::thread::scope(|s| {
-            for _ in 0..6 {
-                let pool = Arc::clone(&pool);
-                let m = Arc::clone(&m);
-                let pts = Arc::clone(&pts);
-                let reference = &reference;
-                s.spawn(move || {
-                    for _ in 0..5 {
-                        let out = pool
-                            .run_batch(
-                                Arc::clone(&m),
-                                Arc::clone(&pts),
-                                BatchOutput::Moments,
-                                None,
-                                None,
-                            )
-                            .unwrap();
-                        assert_eq!(&points_of(&out), reference);
-                    }
-                });
-            }
-        });
+        // 256 points are one chunk per submitter; MULTI points are
+        // published to the pool threads, 30 jobs in all.
+        for (n, handoffs) in [(256, 0), (MULTI, 30)] {
+            let pts = grid(n);
+            let reference = reference(&m, n);
+            std::thread::scope(|s| {
+                for _ in 0..6 {
+                    let pool = Arc::clone(&pool);
+                    let m = Arc::clone(&m);
+                    let pts = Arc::clone(&pts);
+                    let reference = &reference;
+                    s.spawn(move || {
+                        for _ in 0..5 {
+                            let out = pool
+                                .run_batch(
+                                    Arc::clone(&m),
+                                    Arc::clone(&pts),
+                                    BatchOutput::Moments,
+                                    None,
+                                    None,
+                                )
+                                .unwrap();
+                            assert_eq!(&points_of(&out), reference);
+                        }
+                    });
+                }
+            });
+            assert_eq!(pool.handoffs(), handoffs, "n={n}");
+        }
     }
 
     #[cfg(feature = "fault-injection")]
     #[test]
     fn killed_workers_never_hang_jobs_and_supervision_respawns() {
         use crate::faults::{self, FaultPlan};
-        // The fault plan is process-global and lib tests run in parallel,
-        // so target a shard id nothing else in this binary uses — other
-        // pools/shards (ids 0-3) see no injected faults.
+        // The fault plan is process-global: hold the crate's plan lock,
+        // and target a shard id no other pool in this binary uses.
+        let _guard = faults::test_guard();
         let pool = WorkerPool::new(
             7777,
             PoolConfig {
@@ -887,23 +909,28 @@ mod tests {
             seed: 5,
             worker_kill_rate_pct: 100,
             target_shard: Some(7777),
+            caller_hold: HOLD,
             ..FaultPlan::default()
         });
         let m = model2();
-        // More chunks than workers (op-count-aware sizing caps chunks at
-        // MAX_CHUNK_FLOOR points for this tiny tape): with chunks left
-        // over after every worker dies, the submitter must observe the
-        // dead pool — which happens-after the death accounting under the
-        // queue lock — and drain the tail, so `deaths`/`alive` below are
-        // deterministic rather than racing the final chunk's deposit.
-        let n = 4 * MAX_CHUNK_FLOOR;
-        let out = pool
-            .run_batch(Arc::clone(&m), grid(n), BatchOutput::Moments, None, None)
-            .unwrap();
+        // More chunks than pool threads: while the submitter holds off,
+        // each woken helper claims a chunk and dies, and each death frees
+        // a slot the next parked thread takes, so all three die before
+        // the submitter claims the rest (crashing on each, and carrying
+        // on).
+        let out = quiet_panics(|| {
+            pool.run_batch(
+                Arc::clone(&m),
+                grid(MULTI),
+                BatchOutput::Moments,
+                None,
+                None,
+            )
+            .unwrap()
+        });
         faults::clear();
-        // Every point answered: killed chunks as internal errors, the
-        // rest drained serially by the submitter after the pool died.
-        assert_eq!(points_of(&out).len(), n);
+        // Every point answered, as internal errors: every chunk crashed.
+        assert_eq!(points_of(&out).len(), MULTI);
         assert!(out.panics_caught > 0);
         assert!(pool.deaths() > 0);
         assert_eq!(pool.alive(), 0);
@@ -918,5 +945,139 @@ mod tests {
         assert_eq!(points_of(&out), reference);
         assert!(pool.restarts() >= 3, "restarts={}", pool.restarts());
         assert_eq!(pool.alive(), 3);
+    }
+
+    /// Supervision paces respawns with a backoff. Until it runs out, a
+    /// multi-chunk job finds no pool thread alive, and the calling thread
+    /// evaluates every chunk itself, bit-identical to a healthy pool.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn dead_pool_in_backoff_completes_jobs_on_the_calling_thread() {
+        use crate::faults::{self, FaultPlan};
+        const SHARD: usize = 7779;
+        let _guard = faults::test_guard();
+        let pool = WorkerPool::new(
+            SHARD,
+            PoolConfig {
+                workers: 2,
+                restart_backoff: Duration::from_secs(600),
+                max_restart_backoff: Duration::from_secs(600),
+            },
+        );
+        let m = model2();
+        let pts = grid(MULTI);
+        faults::install(FaultPlan {
+            seed: 5,
+            worker_kill_rate_pct: 100,
+            target_shard: Some(SHARD),
+            caller_hold: HOLD,
+            ..FaultPlan::default()
+        });
+        // The first job kills both threads. The second job's supervision
+        // pass respawns them, since a first burst is not paced, and arms
+        // the backoff; then that job kills them again.
+        quiet_panics(|| {
+            for _ in 0..2 {
+                pool.run_batch(
+                    Arc::clone(&m),
+                    Arc::clone(&pts),
+                    BatchOutput::Moments,
+                    None,
+                    None,
+                )
+                .unwrap();
+            }
+        });
+        faults::clear();
+        assert_eq!((pool.alive(), pool.deaths(), pool.restarts()), (0, 4, 2));
+
+        let out = pool
+            .run_batch(
+                Arc::clone(&m),
+                Arc::clone(&pts),
+                BatchOutput::Moments,
+                None,
+                None,
+            )
+            .unwrap();
+        assert_eq!((pool.alive(), pool.restarts(), pool.handoffs()), (0, 2, 3));
+        assert_eq!((out.panics_caught, out.chunk_crashes), (0, 0));
+        let healthy = small_pool(2)
+            .run_batch(m, pts, BatchOutput::Moments, None, None)
+            .unwrap();
+        let bits = |r: &BatchResults| r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&healthy));
+        assert_eq!(out.status(), healthy.status());
+        assert_eq!(out.ok_count(), MULTI);
+    }
+
+    /// An injected kill on a chunk the calling thread runs fails exactly
+    /// that chunk's points and counts one chunk crash. No pool thread
+    /// dies, and the calling thread answers its next job.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn kill_on_a_caller_run_chunk_fails_only_that_chunk() {
+        use crate::faults::{self, FaultPlan};
+        const SHARD: usize = 7780;
+        let _guard = faults::test_guard();
+        let pool = WorkerPool::new(
+            SHARD,
+            PoolConfig {
+                workers: 2,
+                ..PoolConfig::default()
+            },
+        );
+        let m = model2();
+        // `max_workers: 1` leaves every chunk to the calling thread.
+        let chunk = chunk_size(MULTI, 1, m.op_count());
+        let starts: Vec<usize> = (0..MULTI).step_by(chunk).collect();
+        assert!(starts.len() >= 4);
+        let kills = |p: &FaultPlan| -> Vec<usize> {
+            starts
+                .iter()
+                .copied()
+                .filter(|&s| p.kills_worker_on(SHARD, s))
+                .collect()
+        };
+        // The first seed whose plan kills one chunk, and not the first.
+        let plan = (0..)
+            .map(|seed| FaultPlan {
+                seed,
+                worker_kill_rate_pct: 25,
+                target_shard: Some(SHARD),
+                ..FaultPlan::default()
+            })
+            .find(|p| matches!(kills(p)[..], [s] if s != 0))
+            .unwrap();
+        let start = kills(&plan)[0];
+        let killed = start..start + chunk;
+        faults::install(plan);
+        let out = pool
+            .run_batch(
+                Arc::clone(&m),
+                grid(MULTI),
+                BatchOutput::Moments,
+                None,
+                Some(1),
+            )
+            .unwrap();
+        // The next job starts at point 0, which the plan does not kill.
+        let next = pool
+            .run_batch(Arc::clone(&m), grid(1), BatchOutput::Moments, None, None)
+            .unwrap();
+        faults::clear();
+
+        assert_eq!((out.chunk_crashes, out.panics_caught), (1, 1));
+        let want = reference(&m, MULTI);
+        for (i, got) in points_of(&out).iter().enumerate() {
+            if killed.contains(&i) {
+                assert_eq!(got.as_ref().unwrap_err().code, "internal", "point {i}");
+            } else {
+                assert_eq!(got, &want[i], "point {i}");
+            }
+        }
+        assert_eq!((pool.deaths(), pool.alive(), pool.handoffs()), (0, 2, 0));
+        assert_eq!(points_of(&next), reference(&m, 1));
+        assert_eq!(next.chunk_crashes, 0);
     }
 }

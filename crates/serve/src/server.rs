@@ -90,7 +90,9 @@ pub struct ServerConfig {
     /// model registry, a persistent worker pool, and a circuit breaker;
     /// models are placed by [`crate::shard_of`] over the model name.
     pub shards: usize,
-    /// Worker threads per shard pool; `0` picks the parallelism default.
+    /// Most threads evaluating one job on a shard, the connection thread
+    /// included, and the threads each shard pool keeps; `0` picks the
+    /// parallelism default.
     pub shard_workers: usize,
     /// Concurrent evaluation jobs a shard accepts (queued + running)
     /// before shedding with a depth-scaled retry hint; `0` disables the
@@ -277,6 +279,17 @@ fn need_str<'a>(req: &'a Content, key: &str) -> Result<&'a str, ServeError> {
         .ok_or_else(|| ServeError::BadRequest {
             what: format!("missing string field '{key}'"),
         })
+}
+
+/// An optional non-negative integer field: absent or `null` is `None`,
+/// any other value that is not a non-negative integer a typed error.
+fn opt_u64(req: &Content, key: &str) -> Result<Option<u64>, ServeError> {
+    match req.get(key) {
+        None | Some(Content::Null) => Ok(None),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| ServeError::BadRequest {
+            what: format!("'{key}' must be a non-negative integer"),
+        }),
+    }
 }
 
 fn point_from(c: &Content, what: &str) -> Result<Vec<f64>, ServeError> {
@@ -656,13 +669,14 @@ impl Server {
         }
     }
 
-    /// A JSON `batch` request: the `points` array is validated and
-    /// copied into columns (charged to `parse`), then evaluated like any
-    /// other batch.
+    /// A JSON `batch` request, its `deadline_ms` and `workers` already
+    /// validated: the `points` array is validated and copied into
+    /// columns (charged to `parse`), then evaluated like any other batch.
     fn cmd_batch(
         &self,
         req: &Content,
         deadline: Option<(Instant, u64)>,
+        workers: Option<u64>,
         clock: &mut StageClock,
         encoding: WireEncoding,
         shard_used: &mut Option<usize>,
@@ -680,10 +694,7 @@ impl Server {
             columns_from(raw_points, model.symbols().len())
         })?;
         let kind = output_kind(req)?;
-        let workers = req
-            .get("workers")
-            .and_then(Content::as_u64)
-            .map(|v| (v as usize).max(1));
+        let workers = workers.map(|v| (v as usize).max(1));
         self.run_batch(
             shard, model, points, kind, workers, deadline, clock, encoding,
         )
@@ -1009,7 +1020,12 @@ impl Server {
         let outcome: Result<Reply, ServeError> = req.and_then(|req| {
             encoding = encode::negotiate(&req)?;
             let cmd = need_str(&req, "cmd")?.to_string();
-            let deadline = self.deadline_at(req.get("deadline_ms").and_then(Content::as_u64), t0);
+            let (deadline, workers) = if matches!(cmd.as_str(), "eval" | "batch") {
+                let deadline = self.deadline_at(opt_u64(&req, "deadline_ms")?, t0);
+                (deadline, opt_u64(&req, "workers")?)
+            } else {
+                (None, None)
+            };
             if encoding == WireEncoding::BinaryV1 && cmd != "batch" {
                 return Err(ServeError::BadRequest {
                     what: format!("encoding 'binary-v1' only applies to cmd 'batch' (got '{cmd}')"),
@@ -1031,8 +1047,15 @@ impl Server {
                 }
                 "batch" => {
                     let _slot = self.admit()?;
-                    self.cmd_batch(&req, deadline, &mut clock, encoding, &mut shard_used)
-                        .map(Reply::Batch)
+                    self.cmd_batch(
+                        &req,
+                        deadline,
+                        workers,
+                        &mut clock,
+                        encoding,
+                        &mut shard_used,
+                    )
+                    .map(Reply::Batch)
                 }
                 "stats" => self.cmd_stats().map(Reply::Fields),
                 "health" => self.cmd_health().map(Reply::Fields),
@@ -1855,8 +1878,8 @@ mod tests {
         // Values are bit-identical to the NDJSON path.
         let c = parse(&nd);
         let results = c.get("results").and_then(Content::as_seq).unwrap();
-        for i in 0..2 {
-            let m = results[i].get("moments").and_then(Content::as_seq).unwrap();
+        for (i, point) in results.iter().enumerate().take(2) {
+            let m = point.get("moments").and_then(Content::as_seq).unwrap();
             for (col, v) in m.iter().enumerate() {
                 assert_eq!(
                     frame.columns[col][i].to_bits(),

@@ -247,7 +247,8 @@ pub struct ShardConfig {
     /// Models the shard keeps before evicting the least recently used
     /// (min 1).
     pub capacity: usize,
-    /// Pool workers per shard.
+    /// Most threads on one job, the submitting thread included; also the
+    /// pool threads the shard keeps.
     pub workers: usize,
     /// Concurrent jobs (queued + running) before depth-aware shedding;
     /// 0 disables the bound.
@@ -338,8 +339,9 @@ pub struct ShardHealth {
     pub worker_deaths: u64,
     /// Times the breaker opened.
     pub breaker_opened: u64,
-    /// Jobs the pool queued to its worker threads; one-point jobs run on
-    /// the submitting thread and are not counted.
+    /// Jobs the pool published to its threads as helpers; a job of one
+    /// chunk, or of one allowed thread, runs on the submitting thread
+    /// alone and is not counted.
     pub pool_handoffs: u64,
     /// Jobs queued or running right now.
     pub queue_depth: u64,

@@ -396,7 +396,7 @@ fn minor2_artifact_pools_floats_out_of_the_json_payload() {
     assert!(payload.contains("\\u0001f64:0"));
     // No float literal survives in the payload: every number left is an
     // integer (indices, counts, op codes).
-    assert!(!payload.contains(|c: char| c == '.'));
+    assert!(!payload.contains('.'));
     let back = from_artifact_str(&text).unwrap();
     let vals = model.nominal().to_vec();
     assert_eq!(back.eval_moments(&vals), model.eval_moments(&vals));

@@ -49,6 +49,15 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Points in a victim batch of a kill storm: several chunks on a
+/// two-worker job, so it is published to the victim's pool threads.
+const KILL_POINTS: usize = 4 * 4096;
+
+/// How long a kill storm's submitter lets the woken pool threads claim
+/// chunks first ([`FaultPlan::caller_hold`]), so they die
+/// deterministically.
+const HOLD: Duration = Duration::from_millis(50);
+
 const NETLIST: &str = "* fig1\nvin in 0 1\nR1 in 1 1k\nC1 1 0 1n\nR2 1 2 1k\nC2 2 0 1n\n.end\n";
 
 fn compile_line(name: &str) -> String {
@@ -250,13 +259,14 @@ fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
     let _guard = plan_guard();
     faults::clear();
     let (server, victim, healthy) = sharded_server();
-    let victim_req = batch_line(&victim, 300, "");
+    let victim_req = batch_line(&victim, KILL_POINTS, "");
     let healthy_req = batch_line(&healthy, 300, "");
 
     faults::install(FaultPlan {
         seed: 0x5110,
         worker_kill_rate_pct: 100,
         target_shard: Some(0),
+        caller_hold: HOLD,
         ..FaultPlan::default()
     });
     let victim_resps: Vec<Content> = quiet_panics(|| {
@@ -280,10 +290,13 @@ fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
     faults::clear();
 
     // Every victim request still answered every point (killed chunks as
-    // typed internal errors, the rest drained by the submitter).
+    // typed internal errors, whichever thread ran them).
     for (i, v) in victim_resps.iter().enumerate() {
         assert!(ok_of(v), "round {i}: {v:?}");
-        assert_eq!(v.get("count").and_then(Content::as_u64), Some(300));
+        assert_eq!(
+            v.get("count").and_then(Content::as_u64),
+            Some(KILL_POINTS as u64)
+        );
     }
 
     // Supervision brings the victim pool back: poll health until ready
@@ -330,7 +343,10 @@ fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
     // And the victim is fully serviceable again.
     let v = parse(&server, &victim_req);
     assert!(ok_of(&v), "{v:?}");
-    assert_eq!(v.get("ok_count").and_then(Content::as_u64), Some(300));
+    assert_eq!(
+        v.get("ok_count").and_then(Content::as_u64),
+        Some(KILL_POINTS as u64)
+    );
     for shard in server.shards() {
         assert_counters_match_health(server.stats().registry(), &shard.health());
     }
@@ -375,7 +391,7 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         )
     };
     let points = Arc::new(
-        (0..300usize)
+        (0..KILL_POINTS)
             .map(|i| vec![0.5e-9 + 1e-11 * i as f64, 300.0 + i as f64])
             .collect::<Vec<_>>(),
     );
@@ -393,16 +409,17 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         seed: 9,
         worker_kill_rate_pct: 100,
         target_shard: Some(SHARD),
+        caller_hold: HOLD,
         ..FaultPlan::default()
     });
     // Two consecutive crash-jobs trip the threshold-2 breaker. Each job
-    // still completes (drained by the submitter), but its crashed chunks
-    // count as breaker failures.
+    // still completes (the submitter claims every chunk no pool thread
+    // took), but its crashed chunks count as breaker failures.
     let opened = quiet_panics(|| {
         for i in 0..10 {
             match run(&shard) {
                 Ok(out) => {
-                    assert_eq!(out.len(), 300, "job {i}");
+                    assert_eq!(out.len(), KILL_POINTS, "job {i}");
                     // Give supervision a chance to respawn victims so
                     // the next job has workers to lose again.
                     std::thread::sleep(Duration::from_millis(5));

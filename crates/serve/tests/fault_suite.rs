@@ -119,66 +119,71 @@ fn server_counter(server: &Server, key: &str) -> u64 {
 fn faulted_batch_answers_every_point_and_healthy_points_are_bit_identical() {
     let _guard = plan_guard();
     let model = Arc::new(model2());
-    let points = grid(1200);
+    // 1200 points are one chunk of this 46-op tape, run by the calling
+    // thread; 4 × 4096 points are several, so pool threads help.
+    for n in [1200, 4 * 4096] {
+        let points = grid(n);
 
-    // Fault-free baseline: per-point model calls.
-    let baseline: Vec<PointResult> = points
-        .iter()
-        .map(|p| Ok(PointValue::Moments(model.eval_moments(p))))
-        .collect();
-    let pool = WorkerPool::new(
-        0,
-        PoolConfig {
-            workers: 4,
-            ..PoolConfig::default()
-        },
-    );
-    let input = Arc::new(PointColumns::from_rows(&points, 2));
+        // Fault-free baseline: per-point model calls.
+        let baseline: Vec<PointResult> = points
+            .iter()
+            .map(|p| Ok(PointValue::Moments(model.eval_moments(p))))
+            .collect();
+        let pool = WorkerPool::new(
+            0,
+            PoolConfig {
+                workers: 4,
+                ..PoolConfig::default()
+            },
+        );
+        let input = Arc::new(PointColumns::from_rows(&points, 2));
 
-    // 10% panics + 10% NaN moments, seeded.
-    let plan = FaultPlan {
-        seed: 0xA11CE,
-        panic_rate_pct: 10,
-        nan_rate_pct: 10,
-        ..FaultPlan::default()
-    };
-    faults::install(plan);
-    let outcome = quiet_panics(|| {
-        pool.run_batch(model, input, BatchOutput::Moments, None, None)
-            .unwrap()
-    });
-    faults::clear();
+        // 10% panics + 10% NaN moments, seeded.
+        let plan = FaultPlan {
+            seed: 0xA11CE,
+            panic_rate_pct: 10,
+            nan_rate_pct: 10,
+            ..FaultPlan::default()
+        };
+        faults::install(plan);
+        let outcome = quiet_panics(|| {
+            pool.run_batch(Arc::clone(&model), input, BatchOutput::Moments, None, None)
+                .unwrap()
+        });
+        faults::clear();
+        assert_eq!(pool.handoffs(), u64::from(n > 1200), "n={n}");
 
-    // Every point answered.
-    assert_eq!(outcome.len(), points.len());
-    let mut panicked = 0u64;
-    let mut poisoned = 0u64;
-    for (i, base) in baseline.iter().enumerate() {
-        let got = &outcome.point(i);
-        match plan.fault_for(i) {
-            None => {
-                // Healthy points: bit-identical to the fault-free
-                // per-point model calls.
-                assert_eq!(got, base, "point {i}");
+        // Every point answered.
+        assert_eq!(outcome.len(), points.len());
+        let mut panicked = 0u64;
+        let mut poisoned = 0u64;
+        for (i, base) in baseline.iter().enumerate() {
+            let got = &outcome.point(i);
+            match plan.fault_for(i) {
+                None => {
+                    // Healthy points: bit-identical to the fault-free
+                    // per-point model calls.
+                    assert_eq!(got, base, "point {i}");
+                }
+                Some(Fault::Panic) => {
+                    let e = got.as_ref().unwrap_err();
+                    assert_eq!(e.code, "internal", "point {i}: {e}");
+                    assert!(e.message.contains("panicked"), "point {i}: {e}");
+                    panicked += 1;
+                }
+                Some(Fault::NanMoments) => {
+                    let e = got.as_ref().unwrap_err();
+                    assert_eq!(e.code, "numeric_unstable", "point {i}: {e}");
+                    poisoned += 1;
+                }
+                Some(Fault::Slow(_)) => unreachable!("no slow faults in this plan"),
             }
-            Some(Fault::Panic) => {
-                let e = got.as_ref().unwrap_err();
-                assert_eq!(e.code, "internal", "point {i}: {e}");
-                assert!(e.message.contains("panicked"), "point {i}: {e}");
-                panicked += 1;
-            }
-            Some(Fault::NanMoments) => {
-                let e = got.as_ref().unwrap_err();
-                assert_eq!(e.code, "numeric_unstable", "point {i}: {e}");
-                poisoned += 1;
-            }
-            Some(Fault::Slow(_)) => unreachable!("no slow faults in this plan"),
         }
+        assert!(panicked > 60, "{panicked}");
+        assert!(poisoned > 60, "{poisoned}");
+        assert_eq!(outcome.panics_caught, panicked);
+        assert!(!outcome.deadline_exceeded);
     }
-    assert!(panicked > 60, "{panicked}");
-    assert!(poisoned > 60, "{poisoned}");
-    assert_eq!(outcome.panics_caught, panicked);
-    assert!(!outcome.deadline_exceeded);
 }
 
 #[test]
@@ -588,7 +593,8 @@ fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
 #[test]
 fn shard_counters_equal_the_health_row_when_two_jobs_race_a_restart() {
     let _guard = plan_guard();
-    // More chunks than workers, so both workers claim one and die.
+    // More chunks than workers: while the submitter holds off, both
+    // pool threads claim one and die.
     let kill_points = Arc::new(grid(4 * 4096));
     let job_points = Arc::new(grid(300));
     for trial in 0..50u64 {
@@ -615,6 +621,7 @@ fn shard_counters_equal_the_health_row_when_two_jobs_race_a_restart() {
             seed: trial,
             worker_kill_rate_pct: 100,
             target_shard: Some(0),
+            caller_hold: Duration::from_millis(50),
             ..FaultPlan::default()
         });
         quiet_panics(|| run(&kill_points));

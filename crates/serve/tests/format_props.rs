@@ -77,7 +77,7 @@ fn boundary_values_round_trip_bitwise() {
         f64::EPSILON,
         1.0 + f64::EPSILON,
         5e-324,
-        9.999999999999999e22, // classic Grisu boundary case
+        1e23, // classic Grisu boundary case (9.999999999999999e22 as an f64)
         1.7976931348623157e308,
     ] {
         let mut buf = ryu::Buffer::new();

@@ -1,5 +1,7 @@
-//! Exact pool hand-off counts: a one-point job runs on the submitting
-//! thread, every larger job is queued to the shard's worker threads once.
+//! Exact pool hand-off counts: a job of one chunk, or one allowed a
+//! single thread, runs on the submitting thread alone; a job of several
+//! chunks that may use two or more threads is published to the shard's
+//! pool threads once.
 //!
 //! The server holds the two models the end-to-end benchmark serves: the
 //! §3.1 op-amp (`ro_q14:g`, `c_comp`, order 2) and the 1000-segment
@@ -16,6 +18,9 @@ const XTALK: &str = "lines_xtalk";
 const EVALS: usize = 1000;
 const FRAMES: usize = 100;
 const FRAME_POINTS: usize = 4096;
+/// One chunk: the cross-talk tape's 60 ops put its chunk floor at 1092
+/// points.
+const SMALL_BATCH: usize = 300;
 
 fn parse(server: &Server, line: &str) -> Content {
     let resp = server.handle_line(line).expect("non-empty request line");
@@ -104,6 +109,31 @@ fn single_point_requests_never_reach_the_pool_queue() {
     assert_eq!(c.get("ok_count").and_then(Content::as_u64), Some(1));
     assert_eq!(handoffs(&server) - before, 0, "one 1-point batch");
 
+    let before = handoffs(&server);
+    let points: Vec<String> = (0..SMALL_BATCH)
+        .map(|i| {
+            let s = 0.5 + 1.5 * i as f64 / SMALL_BATCH as f64;
+            format!("[{:e},{:e}]", 100.0 * s, 0.5e-12 * s)
+        })
+        .collect();
+    let line = format!(
+        r#"{{"cmd":"batch","model":"{XTALK}","points":[{}],"kind":"moments"}}"#,
+        points.join(",")
+    );
+    for _ in 0..FRAMES {
+        let c = parse(&server, &line);
+        assert_eq!(
+            c.get("ok_count").and_then(Content::as_u64),
+            Some(SMALL_BATCH as u64),
+            "{c:?}"
+        );
+    }
+    assert_eq!(
+        handoffs(&server) - before,
+        0,
+        "{FRAMES} one-chunk {SMALL_BATCH}-point batches"
+    );
+
     // Column-major payload: every rdrv1 value, then every cload2 value.
     let mut payload = Vec::with_capacity(FRAME_POINTS * 2 * 8);
     for nominal in [100.0, 0.5e-12] {
@@ -112,26 +142,34 @@ fn single_point_requests_never_reach_the_pool_queue() {
             payload.extend_from_slice(&v.to_le_bytes());
         }
     }
-    let before = handoffs(&server);
     let mut out = Vec::new();
-    for _ in 0..FRAMES {
-        out.clear();
-        let req = FrameRequest {
-            model: XTALK,
-            output: BatchOutput::Moments,
-            count: FRAME_POINTS,
-            syms: 2,
-            payload: &payload,
-            deadline_ms: None,
-            workers: None,
-            id: None,
-        };
-        server.handle_frame_into(Ok(req), None, &mut out);
-        assert!(out.starts_with(b"AWSB"), "binary response frame");
-    }
+    let mut frames = |workers: Option<usize>| {
+        let before = handoffs(&server);
+        for _ in 0..FRAMES {
+            out.clear();
+            let req = FrameRequest {
+                model: XTALK,
+                output: BatchOutput::Moments,
+                count: FRAME_POINTS,
+                syms: 2,
+                payload: &payload,
+                deadline_ms: None,
+                workers,
+                id: None,
+            };
+            server.handle_frame_into(Ok(req), None, &mut out);
+            assert!(out.starts_with(b"AWSB"), "binary response frame");
+        }
+        handoffs(&server) - before
+    };
     assert_eq!(
-        handoffs(&server) - before,
+        frames(None),
         FRAMES as u64,
         "{FRAMES} {FRAME_POINTS}-point frames"
+    );
+    assert_eq!(
+        frames(Some(1)),
+        0,
+        "{FRAMES} {FRAME_POINTS}-point frames with workers: 1"
     );
 }

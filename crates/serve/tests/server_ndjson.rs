@@ -2,7 +2,7 @@
 //! 1000+-point batch through it deterministically, and check the
 //! observability counters — the PR's acceptance scenario.
 
-use awesym_serve::Server;
+use awesym_serve::{Server, ServerConfig};
 use serde::Content;
 
 const NETLIST: &str = "* fig1\nvin in 0 1\nR1 in 1 1k\nC1 1 0 1n\nR2 1 2 1k\nC2 2 0 1n\n.end\n";
@@ -123,4 +123,57 @@ fn save_then_load_over_the_wire() {
     let elmore = get(get(&eval, "result"), "elmore").as_f64().unwrap();
     assert!(elmore > 0.0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `deadline_ms` or `workers` that is present but not a non-negative
+/// integer is refused on `eval` and `batch` with a typed `bad_request`
+/// naming the field, whether or not the server has a default deadline
+/// to fall back on. `null` still means absent and `workers: 0` still
+/// means one thread.
+#[test]
+fn malformed_deadline_or_workers_is_a_typed_bad_request() {
+    const EVAL: &str = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]"#;
+    const BATCH: &str = r#"{"cmd":"batch","model":"m","points":[[1e-9,1e3],[2e-9,2e3]]"#;
+    for default_deadline in [None, Some(60_000)] {
+        let server = Server::with_config(ServerConfig {
+            deadline_ms: default_deadline,
+            ..ServerConfig::default()
+        });
+        let answer = |line: String| -> Content {
+            let resp = server.handle_line(&line).expect("non-empty request line");
+            serde_json::from_str(resp.text()).expect("response is JSON")
+        };
+        assert_eq!(get(&answer(compile_line()), "ok").as_bool(), Some(true));
+        for (field, bad) in [
+            ("deadline_ms", r#""0""#),
+            ("deadline_ms", "-5"),
+            ("deadline_ms", "0.5"),
+            ("workers", r#""lots""#),
+            ("workers", "-3"),
+        ] {
+            for head in [EVAL, BATCH] {
+                let line = format!(r#"{head},"{field}":{bad}}}"#);
+                let c = answer(line.clone());
+                assert_eq!(get(&c, "ok").as_bool(), Some(false), "{line}: {c:?}");
+                assert_eq!(get(&c, "code").as_str(), Some("bad_request"), "{line}");
+                let error = get(&c, "error").as_str().unwrap_or_default();
+                assert!(error.contains(field), "{line}: {error}");
+            }
+        }
+        for ok in [
+            r#""deadline_ms":null"#,
+            r#""workers":null"#,
+            r#""workers":0"#,
+            r#""deadline_ms":60000,"workers":2"#,
+        ] {
+            for head in [EVAL, BATCH] {
+                let line = format!("{head},{ok}}}");
+                let c = answer(line.clone());
+                assert_eq!(get(&c, "ok").as_bool(), Some(true), "{line}: {c:?}");
+            }
+        }
+        let c = answer(format!(r#"{BATCH},"deadline_ms":0}}"#));
+        assert_eq!(get(&c, "deadline_exceeded").as_bool(), Some(true), "{c:?}");
+        assert_eq!(get(&c, "ok_count").as_u64(), Some(0));
+    }
 }

@@ -40,8 +40,9 @@ step "perfbench check (locked, offline)" \
 
 step "cargo fmt --check" cargo fmt --check
 
-step "cargo clippy --workspace -- -D warnings" \
-  cargo clippy --workspace -- -D warnings
+# --all-targets lints test, bench and example code too.
+step "cargo clippy --workspace --all-targets -- -D warnings" \
+  cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo doc --no-deps (rustdoc warnings are errors)" \
   env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
