@@ -63,7 +63,8 @@
 //!
 //! - `healthy_bit_identical` must be `true` (the healthy shard's results
 //!   under a storm on its neighbor match the fault-free run bit for bit);
-//! - `healthy_worker_deaths` must be `0`;
+//! - `healthy_chunk_crashes` must be `0` (no chunk of the healthy
+//!   shard's jobs crashed outside the per-point guard, on any thread);
 //! - the healthy shard's storm p99 must stay inside
 //!   `baseline_p99 × 1.15 + 500 µs` and its storm throughput above
 //!   `85 %` of baseline. The absolute slack term covers idle-wake
@@ -382,7 +383,7 @@ const CHAOS_P99_SLACK_US: f64 = 500.0;
 const CHAOS_MIN_THROUGHPUT_RATIO: f64 = 0.85;
 
 /// Structural checks on a fresh `BENCH_chaos.json`: bit-identity of the
-/// healthy shard under a neighbor storm, zero collateral worker deaths,
+/// healthy shard under a neighbor storm, zero collateral chunk crashes,
 /// and the p99/throughput isolation envelope. Host-relative, so never
 /// compared against a baseline. Returns failure lines.
 fn chaos_checks(report: &Content, file: &str) -> Result<Vec<String>, String> {
@@ -404,10 +405,10 @@ fn chaos_checks(report: &Content, file: &str) -> Result<Vec<String>, String> {
             "{file}: healthy shard's results drifted from the fault-free run under the storm"
         ));
     }
-    let collateral = num(&["healthy_worker_deaths"])?;
+    let collateral = num(&["healthy_chunk_crashes"])?;
     if collateral != 0.0 {
         failures.push(format!(
-            "{file}: {collateral} worker death(s) on the healthy shard — the storm leaked"
+            "{file}: {collateral} chunk crash(es) on the healthy shard — the storm leaked"
         ));
     }
     let base_p99 = num(&["baseline", "p99_us"])?;

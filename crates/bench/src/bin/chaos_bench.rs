@@ -26,9 +26,10 @@
 //!    isolation, and the serial interleave is deterministic on any core
 //!    count.
 //!
-//! The storm-vs-baseline p99/throughput ratios isolate supervisor,
-//! breaker, and crash-recovery interference from the instrumentation
-//! cost, and every healthy response in every phase must stay
+//! The storm-vs-baseline p99/throughput ratios isolate breaker and
+//! crash-handling interference from the instrumentation cost, the
+//! healthy shard must count no chunk crash, and every healthy response
+//! in every phase must stay
 //! bit-identical to the fault-free reference. `results/BENCH_chaos.json`
 //! records all three phases; `bench_gate` enforces the envelope.
 
@@ -142,8 +143,7 @@ struct Report {
     healthy_bit_identical: bool,
     victim_requests: u64,
     victim_deadline_exceeded: u64,
-    victim_restarts: u64,
-    healthy_worker_deaths: u64,
+    healthy_chunk_crashes: u64,
 }
 
 fn json_report(r: &Report) -> String {
@@ -181,11 +181,10 @@ fn json_report(r: &Report) -> String {
         "  \"victim_deadline_exceeded\": {},",
         r.victim_deadline_exceeded
     );
-    let _ = writeln!(s, "  \"victim_restarts\": {},", r.victim_restarts);
     let _ = writeln!(
         s,
-        "  \"healthy_worker_deaths\": {}",
-        r.healthy_worker_deaths
+        "  \"healthy_chunk_crashes\": {}",
+        r.healthy_chunk_crashes
     );
     s.push_str("}\n");
     s
@@ -294,8 +293,7 @@ fn main() {
         healthy_bit_identical: true,
         victim_requests,
         victim_deadline_exceeded,
-        victim_restarts: shard_field(0, "restarts"),
-        healthy_worker_deaths: shard_field(1, "worker_deaths"),
+        healthy_chunk_crashes: shard_field(1, "chunk_crashes"),
     };
 
     println!(
@@ -308,11 +306,8 @@ fn main() {
         report.storm.points_per_sec / report.baseline.points_per_sec,
     );
     println!(
-        "chaos: victim deadline_exceeded on {}/{} storm requests, victim restarts {}, healthy worker deaths {}",
-        report.victim_deadline_exceeded,
-        report.victim_requests,
-        report.victim_restarts,
-        report.healthy_worker_deaths
+        "chaos: victim deadline_exceeded on {}/{} storm requests, healthy chunk crashes {}",
+        report.victim_deadline_exceeded, report.victim_requests, report.healthy_chunk_crashes
     );
 
     let out = out_path.map_or_else(

@@ -12,9 +12,7 @@
 //! (batch amortization and worker speedup over the serial path).
 
 use awesym_bench::{lines_workload, opamp_workload, time_median};
-use awesym_serve::{
-    decode_frame, BatchOutput, PointColumns, PoolConfig, Server, ServerConfig, WorkerPool,
-};
+use awesym_serve::{decode_frame, BatchOutput, PointColumns, Server, ServerConfig, WorkerPool};
 use awesymbolic::CompiledModel;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -66,13 +64,7 @@ fn time_pool(
     workers: usize,
     reps: usize,
 ) -> f64 {
-    let pool = WorkerPool::new(
-        0,
-        PoolConfig {
-            workers,
-            ..PoolConfig::default()
-        },
-    );
+    let pool = WorkerPool::new(0, workers);
     let run = || {
         pool.run_batch(
             Arc::clone(model),

@@ -71,8 +71,8 @@ USAGE:
                compile, save, eval, batch, stats, health, drain,
                shutdown (see docs/serving.md; limits in
                docs/robustness.md). --shards splits the model fleet into
-               n supervised shards (crash isolation, per-shard circuit
-               breakers), each with a persistent --shard-workers pool.
+               n crash-isolated shards (per-shard circuit breakers and
+               crash counts), each with a persistent --shard-workers pool.
                --stats-every n emits a stats NDJSON line (with per-stage
                latency breakdown) to stderr every n requests
                (docs/observability.md). --listen addr serves the same

@@ -70,8 +70,8 @@ pub use awesym_partition::{
     SymbolRole, SymbolicForms, SymbolicMoments, SymbolicSystem,
 };
 pub use awesym_serve::{
-    load_artifact, save_artifact, BatchOutput, ModelRegistry, PointColumns, PointValue, PoolConfig,
-    ServeError, Server, WorkerPool,
+    load_artifact, save_artifact, BatchOutput, ModelRegistry, PointColumns, PointValue, ServeError,
+    Server, WorkerPool,
 };
 pub use awesym_symbolic::{
     AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, MPoly, OptLevel, Ratio, SymbolSet,

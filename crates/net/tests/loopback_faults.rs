@@ -6,7 +6,7 @@
 //!   installed, concurrent mixed-encoding socket sessions produce
 //!   responses byte-identical to the stdin path — faulted points fault
 //!   identically on both transports;
-//! - **breaker trips propagate mid-connection**: a worker-kill storm
+//! - **breaker trips propagate mid-connection**: a chunk-crash storm
 //!   opens the victim shard's circuit breaker, and the *same socket
 //!   session* that was getting healthy answers starts receiving typed
 //!   `unavailable` errors with a retry hint, for both request
@@ -59,7 +59,7 @@ fn concurrent_sessions_under_panic_and_nan_storm_match_stdin_byte_for_byte() {
     faults::clear();
 }
 
-/// Satellite 2, breaker half: a 100% worker-kill storm trips the
+/// A 100% chunk-crash storm trips the
 /// victim shard's breaker after enough consecutive crash-jobs, and the
 /// session that was mid-conversation sees the typed `unavailable`
 /// (+ `retry_after_ms`) — over NDJSON *and* over a binary request
@@ -71,8 +71,7 @@ fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
     faults::clear();
     // A two-worker shard and a batch spanning several chunks: every
     // chunk of a crash-job crashes, on a pool thread or on the
-    // connection thread that claims what no helper took, so each job is
-    // a consecutive breaker failure.
+    // connection thread, so each job is a consecutive breaker failure.
     let h = Harness::start(
         Server::with_config(awesym_serve::ServerConfig {
             shard_workers: 2,
@@ -92,40 +91,23 @@ fn breaker_trip_mid_connection_propagates_unavailable_with_retry_hint() {
 
     faults::install(FaultPlan {
         seed: 0x5110,
-        worker_kill_rate_pct: 100,
+        chunk_crash_rate_pct: 100,
         target_shard: Some(0),
         ..FaultPlan::default()
     });
-    // Each crash-job still answers every point (killed chunks surface
+    // Each crash-job still answers every point (crashed chunks surface
     // as typed per-point errors) but counts as a breaker failure; the
     // default threshold is 8 consecutive, so keep hammering until it
-    // opens. Between jobs, poll `health` until supervision has respawned
-    // at least one worker, so each job reaches a pool thread to kill.
+    // opens.
     //
     // The binary frame below must land inside the same open window as
     // the refusal, or it becomes the half-open probe and gets evaluated.
-    // Health polling can end just as the cooldown runs out, so a refusal
-    // with less than `ROOM_MS` left is not the one to follow up: the next
-    // job then becomes the probe, fails, and re-opens the breaker with a
-    // doubled cooldown.
+    // A refusal with less than `ROOM_MS` left is not the one to follow
+    // up: the next job then becomes the probe, fails, and re-opens the
+    // breaker with a doubled cooldown.
     const ROOM_MS: u64 = 100;
     let tripped = quiet_panics(|| {
         for _ in 0..40 {
-            for _ in 0..1000 {
-                c.send_line("{\"cmd\":\"health\"}");
-                let health = parse_line(&c.read_line());
-                let alive = health
-                    .get("shards")
-                    .and_then(Content::as_seq)
-                    .and_then(|s| s.first())
-                    .and_then(|s| s.get("alive"))
-                    .and_then(Content::as_u64)
-                    .unwrap_or(0);
-                if alive >= 1 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
             c.send_line(&spec.json_line(None));
             let resp = parse_line(&c.read_line());
             let room = resp.get("retry_after_ms").and_then(Content::as_u64);

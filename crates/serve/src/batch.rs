@@ -276,15 +276,47 @@ impl<'m> ChunkEval<'m> {
         }
     }
 
-    /// Evaluates points `range` of `input` into [`ChunkEval::out`], which
-    /// the caller has reset to `range.len()` unfilled slots (so a chunk
-    /// cut short by a dying worker keeps what it finished). Moment-only chunks
+    /// Evaluates points `range` of `input` into [`ChunkEval::out`] behind a
+    /// chunk-level `catch_unwind`: the one place a crash outside the
+    /// per-point guard (under `fault-injection`, an injected chunk crash)
+    /// becomes `internal` errors in the chunk's unfinished slots, counted
+    /// in `ctl.panics` and `ctl.crashes`. Whichever thread ran the chunk
+    /// drops its evaluator, as after a per-point panic, and carries on.
+    pub(crate) fn run_chunk(
+        &mut self,
+        input: &PointColumns,
+        range: std::ops::Range<usize>,
+        output: &BatchOutput,
+        ctl: &BatchCtl,
+    ) {
+        self.out.reset(range.len());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-injection")]
+            if crate::faults::fault_crashes_chunk(ctl.shard, range.start) {
+                panic!("injected fault: chunk starting {} crashed", range.start);
+            }
+            self.run(input, range, output, ctl);
+        }));
+        if run.is_err() {
+            ctl.panics.fetch_add(1, Ordering::Relaxed);
+            ctl.crashes.fetch_add(1, Ordering::Relaxed);
+            self.ev = None;
+            self.out.fail_unfilled(
+                0,
+                &PointError::internal("chunk evaluation crashed outside the per-point guard"),
+            );
+        }
+    }
+
+    /// Evaluates points `range` of `input` into the freshly reset
+    /// [`ChunkEval::out`], so a chunk cut short by a crash keeps what it
+    /// finished. Moment-only chunks
     /// whose points all have the right arity go through the lane kernel
     /// in lane-block-sized deadline-check strides, straight from the
     /// request columns into the result columns; anything else —
     /// including any run with fault injection active — takes the
     /// per-point path.
-    pub(crate) fn run(
+    fn run(
         &mut self,
         input: &PointColumns,
         range: std::ops::Range<usize>,
@@ -292,7 +324,7 @@ impl<'m> ChunkEval<'m> {
         ctl: &BatchCtl,
     ) {
         let (start, len) = (range.start, range.len());
-        debug_assert_eq!(self.out.len(), len, "chunk results reset by the caller");
+        debug_assert_eq!(self.out.len(), len, "chunk results reset by run_chunk");
         let model = self.model;
         let n_in = self.ev.get_or_insert_with(|| model.evaluator()).n_inputs();
         let lanes = matches!(output, BatchOutput::Moments)
@@ -494,7 +526,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{PoolConfig, WorkerPool};
+    use crate::pool::WorkerPool;
     use awesym_circuit::generators::fig1_rc;
     use awesym_partition::SymbolBinding;
     use std::sync::Arc;
@@ -528,13 +560,7 @@ mod tests {
         workers: Option<usize>,
         deadline: Option<Instant>,
     ) -> BatchResults {
-        let pool = WorkerPool::new(
-            0,
-            PoolConfig {
-                workers: workers.unwrap_or_else(default_workers),
-                ..PoolConfig::default()
-            },
-        );
+        let pool = WorkerPool::new(0, workers.unwrap_or_else(default_workers));
         let input = PointColumns::from_rows(points, m.symbols().len());
         pool.run_batch(
             Arc::clone(m),
@@ -580,13 +606,7 @@ mod tests {
             let input = Arc::new(PointColumns::from_rows(&grid(n), 2));
             let mut base = None;
             for w in [1, 2, 3, 8, 64] {
-                let pool = WorkerPool::new(
-                    0,
-                    PoolConfig {
-                        workers: w,
-                        ..PoolConfig::default()
-                    },
-                );
+                let pool = WorkerPool::new(0, w);
                 let out = pool
                     .run_batch(
                         Arc::clone(&m),

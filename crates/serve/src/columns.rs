@@ -325,8 +325,11 @@ pub struct BatchResults {
     extras: Vec<(usize, PointExtra)>,
     /// Panics caught and converted to `internal` point errors.
     pub panics_caught: u64,
-    /// Chunks whose evaluation crashed outside the per-point guard (an
-    /// injected worker kill); their unfinished points answer `internal`.
+    /// Chunks whose evaluation crashed outside the per-point guard (under
+    /// `fault-injection`, an injected chunk crash), on whichever thread
+    /// ran them; their unfinished points answer `internal`, and that
+    /// thread carries on with a fresh evaluator. A shard adds this count
+    /// to its `chunk_crashes` and charges its breaker when it is nonzero.
     /// Each is also one of [`BatchResults::panics_caught`].
     pub chunk_crashes: u64,
     /// Points whose ROM degraded to a lower approximation order.

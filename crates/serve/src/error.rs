@@ -34,7 +34,7 @@ pub enum ErrorCode {
     /// batch engine).
     Internal,
     /// The shard that owns the requested model cannot serve right now —
-    /// its circuit breaker is open after repeated worker crashes, or it
+    /// its circuit breaker is open after repeated chunk crashes, or it
     /// is draining for shutdown. Retry after the hinted backoff; other
     /// shards are unaffected.
     Unavailable,
@@ -224,7 +224,7 @@ pub enum ServeError {
         retry_after_ms: u64,
     },
     /// The shard owning the requested model cannot serve right now
-    /// (circuit breaker open after repeated worker crashes, or shard
+    /// (circuit breaker open after repeated chunk crashes, or shard
     /// draining); retry after the hinted backoff.
     Unavailable {
         /// The shard that refused the request.

@@ -54,16 +54,11 @@ pub struct FaultPlan {
     /// Restrict every fault in this plan to one shard; `None` faults all
     /// shards (the pre-sharding behavior).
     pub target_shard: Option<usize>,
-    /// Percent of worker-pool *chunks* whose worker thread is killed
-    /// outright (a panic at the pool layer, outside the per-point
-    /// `catch_unwind`) — exercises the shard supervisor's restart path.
-    /// Drawn independently of the per-point rates.
-    pub worker_kill_rate_pct: u8,
-    /// How long the submitting thread waits before it claims chunks of a
-    /// job it published to pool threads. The woken pool threads then
-    /// claim first, so kill tests can count pool-thread deaths
-    /// deterministically. Zero (the default) never waits.
-    pub caller_hold: Duration,
+    /// Percent of *chunks* that crash outright (a panic at the chunk
+    /// layer, outside the per-point `catch_unwind`), whichever thread
+    /// runs them — exercises the chunk guard, the shard's crash count
+    /// and its breaker. Drawn independently of the per-point rates.
+    pub chunk_crash_rate_pct: u8,
 }
 
 static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
@@ -128,16 +123,15 @@ impl FaultPlan {
         self.fault_for(index)
     }
 
-    /// Whether the pool worker that just claimed the chunk starting at
-    /// global point index `chunk_start` on `shard` should be killed.
-    /// Deterministic in `(seed, chunk_start)` and drawn independently of
-    /// the per-point fault partition.
-    pub fn kills_worker_on(&self, shard: usize, chunk_start: usize) -> bool {
-        if self.worker_kill_rate_pct == 0 || self.target_shard.is_some_and(|t| t != shard) {
+    /// Whether the chunk starting at global point index `chunk_start` on
+    /// `shard` crashes. Deterministic in `(seed, chunk_start)` and drawn
+    /// independently of the per-point fault partition.
+    pub fn crashes_chunk_on(&self, shard: usize, chunk_start: usize) -> bool {
+        if self.chunk_crash_rate_pct == 0 || self.target_shard.is_some_and(|t| t != shard) {
             return false;
         }
         let draw = splitmix64(self.seed ^ 0xdead_beef_0bad_cafe ^ (chunk_start as u64)) % 100;
-        (draw as u8) < self.worker_kill_rate_pct
+        (draw as u8) < self.chunk_crash_rate_pct
     }
 }
 
@@ -154,23 +148,13 @@ pub fn fault_for_point_on(shard: usize, index: usize) -> Option<Fault> {
     plan.fault_for_on(shard, index)
 }
 
-/// Whether the active plan kills the worker claiming the chunk starting
-/// at `chunk_start` on `shard`.
-pub fn fault_kills_worker(shard: usize, chunk_start: usize) -> bool {
+/// Whether the active plan crashes the chunk starting at `chunk_start`
+/// on `shard`.
+pub fn fault_crashes_chunk(shard: usize, chunk_start: usize) -> bool {
     match *PLAN.read().expect("fault plan lock poisoned") {
-        Some(plan) => plan.kills_worker_on(shard, chunk_start),
+        Some(plan) => plan.crashes_chunk_on(shard, chunk_start),
         None => false,
     }
-}
-
-/// Sleeps through the active plan's `caller_hold` when the plan applies
-/// to `shard`; called by a submitter that just published a job.
-pub(crate) fn hold_caller(shard: usize) {
-    let hold = match *PLAN.read().expect("fault plan lock poisoned") {
-        Some(plan) if plan.target_shard.is_none_or(|t| t == shard) => plan.caller_hold,
-        _ => return,
-    };
-    std::thread::sleep(hold);
 }
 
 /// Serializes this crate's own tests that install a plan: the plan is
@@ -281,11 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_targeting_gates_faults_and_worker_kills() {
+    fn shard_targeting_gates_faults_and_chunk_crashes() {
         let plan = FaultPlan {
             seed: 7,
             panic_rate_pct: 50,
-            worker_kill_rate_pct: 50,
+            chunk_crash_rate_pct: 50,
             target_shard: Some(1),
             ..FaultPlan::default()
         };
@@ -294,10 +278,10 @@ mod tests {
         for i in 0..500 {
             assert_eq!(plan.fault_for_on(0, i), None);
             assert_eq!(plan.fault_for_on(1, i), plan.fault_for(i));
-            assert!(!plan.kills_worker_on(0, i));
+            assert!(!plan.crashes_chunk_on(0, i));
         }
-        let kills = (0..500).filter(|&c| plan.kills_worker_on(1, c)).count();
-        assert!((150..350).contains(&kills), "{kills}");
+        let crashes = (0..500).filter(|&c| plan.crashes_chunk_on(1, c)).count();
+        assert!((150..350).contains(&crashes), "{crashes}");
         // Untargeted plans hit every shard identically.
         let broad = FaultPlan {
             target_shard: None,
@@ -305,7 +289,7 @@ mod tests {
         };
         for i in 0..100 {
             assert_eq!(broad.fault_for_on(0, i), broad.fault_for_on(1, i));
-            assert_eq!(broad.kills_worker_on(0, i), broad.kills_worker_on(1, i));
+            assert_eq!(broad.crashes_chunk_on(0, i), broad.crashes_chunk_on(1, i));
         }
     }
 }

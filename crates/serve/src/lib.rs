@@ -15,11 +15,11 @@
 //!   ([`PointColumns`], [`BatchResults`]) and the typed binary-v1
 //!   request ([`FrameRequest`]);
 //! - [`pool`]: the persistent [`WorkerPool`], the crate's only executor —
-//!   threads spawned once per shard, parked on a job queue, supervised
-//!   and restarted with capped backoff when they die;
+//!   threads spawned once per shard and parked on a job queue, which
+//!   outlive every chunk crash until the pool is dropped;
 //! - [`shard`]: the crash-isolation layer — [`shard_of`] name placement,
-//!   the per-shard [`CircuitBreaker`], and the [`Shard`] supervisor tying
-//!   one registry, pool and breaker together;
+//!   the per-shard [`CircuitBreaker`], and the [`Shard`] tying one
+//!   registry, pool and breaker together;
 //! - [`server`]: the newline-delimited-JSON [`Server`] engine behind
 //!   `awesym serve`, with request/latency/throughput [`stats`] and the
 //!   `health`/`drain` operational commands.
@@ -28,8 +28,8 @@
 //! panics are caught and isolated, numeric ill-health degrades gracefully
 //! to lower approximation orders, requests carry deadlines, the server
 //! sheds load past its in-flight budget, and a storm on one shard —
-//! panics, deadline blowouts, even dying worker threads — leaves its
-//! neighbor shards' responses bit-identical — see `docs/robustness.md`
+//! panics, deadline blowouts, crashed chunks — leaves its neighbor
+//! shards' responses bit-identical — see `docs/robustness.md`
 //! and, under the `fault-injection` feature, the deterministic `faults`
 //! harness and cross-shard chaos suite that prove it.
 
@@ -61,7 +61,7 @@ pub use batch::{BatchOutput, DelaySummary, PointResult, PointValue, RomSummary};
 pub use columns::{BatchResults, FrameRequest, PointColumns, MAX_RESULT_VALUES};
 pub use encode::{decode_frame, DecodedFrame, FrameError, WireEncoding};
 pub use error::{ErrorCode, PointError, ServeError};
-pub use pool::{PoolConfig, WorkerPool};
+pub use pool::WorkerPool;
 pub use registry::{ModelRegistry, RegistryStats};
 pub use server::{
     Response, ResponseMeta, Server, ServerConfig, DEFAULT_CAPACITY, DEFAULT_MAX_BATCH_POINTS,

@@ -17,25 +17,15 @@
 //! takes microseconds to wake, and the submitter does not wait for that
 //! before work starts.
 //!
-//! The pool is also the shard supervisor's foundation:
-//!
-//! - **jobs never hang** — every chunk runs under `catch_unwind`; a chunk
-//!   that crashes outside the per-point guard fills its unfinished slots
-//!   with `internal` point errors and is counted on the job
-//!   ([`BatchResults::chunk_crashes`], which the shard's breaker reads)
-//!   before the chunk's accounting completes, so the submitter always
-//!   gets a full result vector. On a pool thread the crash also ends the
-//!   thread; on the submitting thread it does not;
-//! - **worker death is survivable** — a helper deposits every chunk it
-//!   claims, even the one it dies on, and the submitter claims every
-//!   chunk no helper took, so a job completes even when every pool
-//!   thread is dead;
-//! - **supervised restart** — each submission first runs a cheap
-//!   supervision pass: dead workers are respawned, subject to a capped
-//!   exponential backoff so a crash-looping model cannot burn CPU on
-//!   futile restarts. The pool counts its restarts, deaths and
-//!   hand-offs itself, on counters a shard registers as its metrics
-//!   (`PoolCounters`); restarts and deaths count pool threads only.
+//! Jobs never hang, and every thread that runs a chunk follows one crash
+//! policy: the chunk runs under `catch_unwind`
+//! (`ChunkEval::run_chunk`), so a chunk that crashes outside the
+//! per-point guard fills its unfinished slots with `internal` point
+//! errors and is counted on the job ([`BatchResults::chunk_crashes`],
+//! which the shard's breaker reads) before the chunk is deposited. The
+//! thread that ran it, pool thread or submitter, drops its evaluator and
+//! claims its next chunk; only dropping the pool ends a pool thread. The
+//! pool counts its hand-offs on a counter a shard registers as a metric.
 //!
 //! Jobs are columnar end to end: workers read the request's
 //! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
@@ -48,12 +38,10 @@
 
 use crate::batch::{BatchCtl, BatchOutput, ChunkEval};
 use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
-use crate::error::PointError;
 use crate::ServeError;
 use awesym_obs::Counter;
 use awesym_partition::CompiledModel;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -109,31 +97,8 @@ pub(crate) fn chunk_size(n: usize, max_workers: usize, op_count: usize) -> usize
 /// timeout only bounds the damage of a lost-wakeup bug.
 const WAIT_SLICE: Duration = Duration::from_millis(100);
 
-/// Restart/backoff knobs for the pool's supervision pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Most threads evaluating one job, the submitting thread included;
-    /// the pool keeps this many threads alive.
-    pub workers: usize,
-    /// Backoff after the first restart burst; doubles per consecutive
-    /// burst.
-    pub restart_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_restart_backoff: Duration,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: crate::batch::default_workers(),
-            restart_backoff: Duration::from_millis(10),
-            max_restart_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
-/// Lock, surviving poison: the pool must keep supervising even if some
-/// thread panicked at an unexpected moment while holding a lock.
+/// Lock, surviving poison: a thread that panicked at an unexpected
+/// moment while holding a lock must not wedge the pool.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -176,29 +141,15 @@ impl Job {
         (c < self.n_chunks).then(|| c * self.chunk..((c + 1) * self.chunk).min(self.points.len()))
     }
 
-    /// Claims and evaluates chunks until the frontier is exhausted. A
-    /// pool thread (`helper`) stops at an injected worker-kill and gets
-    /// `true`: it must die, and this job's accounting is already safe by
-    /// then. The submitting thread carries on past a crashed chunk.
-    fn work(&self, shared: &Shared, helper: bool) -> bool {
+    /// Claims, evaluates and deposits chunks until the frontier is
+    /// exhausted. A crashed chunk is deposited like any other.
+    fn work(&self, shared: &Shared) {
         let mut w = ChunkEval::new(&self.model, &self.output);
         while let Some(range) = self.claim() {
             let start = range.start;
-            let killed = run_chunk(&mut w, &self.points, range, &self.output, &self.ctl) && helper;
-            if killed {
-                // The thread is about to die. Counting the death before
-                // the deposit that may complete the job means a submitter
-                // that sees its job done also sees the death, in both
-                // counts.
-                shared.counters.deaths.inc();
-                shared.alive.fetch_sub(1, Ordering::Relaxed);
-            }
+            w.run_chunk(&self.points, range, &self.output, &self.ctl);
             self.deposit(shared, start, &mut w.out);
-            if killed {
-                return true;
-            }
         }
-        false
     }
 
     /// Copies a finished chunk's results into the job's buffer and, when
@@ -217,56 +168,6 @@ impl Job {
     }
 }
 
-/// Evaluates points `range` into `w.out` behind a chunk-level
-/// `catch_unwind`: the one place a crash outside the per-point guard
-/// (under `fault-injection`, an injected worker kill) becomes `internal`
-/// errors in the chunk's unfinished slots, counted in `ctl.panics` and
-/// `ctl.crashes`. Returns `true` when the chunk crashed; the caller
-/// decides whether its thread survives.
-fn run_chunk(
-    w: &mut ChunkEval<'_>,
-    points: &PointColumns,
-    range: std::ops::Range<usize>,
-    output: &BatchOutput,
-    ctl: &BatchCtl,
-) -> bool {
-    w.out.reset(range.len());
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-injection")]
-        if crate::faults::fault_kills_worker(ctl.shard, range.start) {
-            panic!(
-                "injected fault: worker killed at chunk starting {}",
-                range.start
-            );
-        }
-        w.run(points, range, output, ctl);
-    }));
-    let crashed = run.is_err();
-    if crashed {
-        ctl.panics.fetch_add(1, Ordering::Relaxed);
-        ctl.crashes.fetch_add(1, Ordering::Relaxed);
-        w.out.fail_unfilled(
-            0,
-            &PointError::internal("chunk evaluation crashed outside the per-point guard"),
-        );
-    }
-    crashed
-}
-
-/// The pool's event counters. A shard passes its registered
-/// `shard{i}_pool_handoffs_total`, `shard{i}_worker_restarts_total` and
-/// `shard{i}_worker_deaths_total`, so each event is counted once, where
-/// it happens.
-#[derive(Default)]
-pub(crate) struct PoolCounters {
-    /// Jobs published to pool threads as helpers.
-    pub(crate) handoffs: Arc<Counter>,
-    /// Workers respawned by supervision.
-    pub(crate) restarts: Arc<Counter>,
-    /// Worker threads that died.
-    pub(crate) deaths: Arc<Counter>,
-}
-
 /// State shared between the pool handle and its worker threads.
 struct Shared {
     queue: Mutex<VecDeque<Arc<Job>>>,
@@ -274,148 +175,72 @@ struct Shared {
     work: Condvar,
     /// Submitters park here for job completion (paired with `queue`).
     done: Condvar,
-    alive: AtomicUsize,
-    counters: PoolCounters,
+    /// Jobs published to pool threads as helpers. A shard passes its
+    /// registered `shard{i}_pool_handoffs_total`.
+    handoffs: Arc<Counter>,
     shutdown: AtomicBool,
     shard: usize,
 }
 
-/// Supervision bookkeeping: live handles plus restart pacing state for
-/// the capped exponential backoff.
-struct Supervisor {
-    handles: Vec<JoinHandle<()>>,
-    next_worker_id: usize,
-    backoff: Duration,
-    not_before: Instant,
-    healthy_since: Option<Instant>,
-}
-
-/// A persistent, supervised worker pool evaluating batches against any
-/// compiled model. See the module docs for the design.
+/// A persistent worker pool evaluating batches against any compiled
+/// model. See the module docs for the design.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    config: PoolConfig,
-    supervisor: Mutex<Supervisor>,
+    workers: usize,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// A pool of `config.workers` threads (at least 1) serving `shard`.
+    /// A pool of `workers` threads (at least 1) serving `shard`; a job
+    /// uses at most that many threads, the submitting thread included.
     /// Unsharded users pass shard 0.
-    pub fn new(shard: usize, config: PoolConfig) -> Self {
-        Self::with_counters(shard, config, PoolCounters::default())
+    pub fn new(shard: usize, workers: usize) -> Self {
+        Self::with_handoffs(shard, workers, Arc::default())
     }
 
-    /// [`WorkerPool::new`], counting its events on `counters`.
-    pub(crate) fn with_counters(shard: usize, config: PoolConfig, counters: PoolCounters) -> Self {
-        let config = PoolConfig {
-            workers: config.workers.max(1),
-            ..config
-        };
+    /// [`WorkerPool::new`], counting hand-offs on `handoffs`.
+    pub(crate) fn with_handoffs(shard: usize, workers: usize, handoffs: Arc<Counter>) -> Self {
+        let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             done: Condvar::new(),
-            alive: AtomicUsize::new(0),
-            counters,
+            handoffs,
             shutdown: AtomicBool::new(false),
             shard,
         });
-        let pool = WorkerPool {
+        let handles = (0..workers)
+            .map(|id| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("awesym-shard{shard}-w{id}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn pool worker thread")
+            })
+            .collect();
+        WorkerPool {
             shared,
-            config,
-            supervisor: Mutex::new(Supervisor {
-                handles: Vec::new(),
-                next_worker_id: 0,
-                backoff: config.restart_backoff,
-                not_before: Instant::now(),
-                healthy_since: None,
-            }),
-        };
-        {
-            let mut sup = lock(&pool.supervisor);
-            for _ in 0..pool.config.workers {
-                pool.spawn_worker(&mut sup);
-            }
+            workers,
+            handles,
         }
-        pool
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.config.workers
-    }
-
-    /// Worker threads currently alive.
-    pub fn alive(&self) -> usize {
-        self.shared.alive.load(Ordering::Relaxed)
-    }
-
-    /// Workers respawned by supervision (initial spawns not counted).
-    pub fn restarts(&self) -> u64 {
-        self.shared.counters.restarts.get()
-    }
-
-    /// Worker threads that died (panicked outside the per-point guard).
-    pub fn deaths(&self) -> u64 {
-        self.shared.counters.deaths.get()
+        self.workers
     }
 
     /// Jobs published to pool threads as helpers: one per job of two or
     /// more chunks that may use two or more threads. Any other job runs
     /// on the submitting thread alone and is not counted.
     pub fn handoffs(&self) -> u64 {
-        self.shared.counters.handoffs.get()
+        self.shared.handoffs.get()
     }
 
-    fn spawn_worker(&self, sup: &mut Supervisor) {
-        let shared = Arc::clone(&self.shared);
-        let id = sup.next_worker_id;
-        sup.next_worker_id += 1;
-        self.shared.alive.fetch_add(1, Ordering::Relaxed);
-        let handle = std::thread::Builder::new()
-            .name(format!("awesym-shard{}-w{id}", self.shared.shard))
-            .spawn(move || worker_loop(&shared))
-            .expect("spawn pool worker thread");
-        sup.handles.push(handle);
-    }
-
-    /// One supervision pass: respawn dead workers, paced by a capped
-    /// exponential backoff so a crash loop cannot spin. Called on every
-    /// submission (cheap when the pool is healthy) and usable directly
-    /// for health probing. Returns the number of workers respawned.
-    pub fn supervise(&self) -> usize {
-        if self.shared.shutdown.load(Ordering::Relaxed) {
-            return 0;
-        }
-        let mut sup = lock(&self.supervisor);
-        let now = Instant::now();
-        let missing = self.config.workers.saturating_sub(self.alive());
-        if missing == 0 {
-            // Fully healthy for a whole ceiling-backoff window → forgive
-            // the crash history so the next incident restarts promptly.
-            match sup.healthy_since {
-                Some(t) if now.duration_since(t) >= self.config.max_restart_backoff => {
-                    sup.backoff = self.config.restart_backoff;
-                }
-                Some(_) => {}
-                None => sup.healthy_since = Some(now),
-            }
-            return 0;
-        }
-        sup.healthy_since = None;
-        if now < sup.not_before {
-            return 0; // still backing off from the previous burst
-        }
-        // Reap finished handles so the vec doesn't grow unboundedly
-        // across a long crash loop.
-        sup.handles.retain(|h| !h.is_finished());
-        for _ in 0..missing {
-            self.spawn_worker(&mut sup);
-        }
-        self.shared.counters.restarts.add(missing as u64);
-        sup.not_before = now + sup.backoff;
-        sup.backoff = (sup.backoff * 2).min(self.config.max_restart_backoff);
-        missing
+    /// Pool threads that have not exited.
+    #[cfg(test)]
+    fn running(&self) -> usize {
+        self.handles.iter().filter(|h| !h.is_finished()).count()
     }
 
     /// Evaluates `points` against `model`, returning results in input
@@ -423,8 +248,7 @@ impl WorkerPool {
     /// calling thread included (`None` → the pool's `workers`). The
     /// calling thread runs a one-chunk job alone; a larger job is also
     /// offered to `max_workers − 1` pool threads, and the calling thread
-    /// claims chunks alongside them, so the job completes even when no
-    /// pool thread is alive.
+    /// claims chunks alongside them.
     ///
     /// # Errors
     ///
@@ -444,17 +268,14 @@ impl WorkerPool {
         if n == 0 {
             return Ok(BatchResults::new(&output, cols, 0));
         }
-        self.supervise();
         let ctl = BatchCtl::new(deadline, self.shared.shard);
-        let max_workers = max_workers
-            .unwrap_or(usize::MAX)
-            .clamp(1, self.config.workers);
+        let max_workers = max_workers.unwrap_or(usize::MAX).clamp(1, self.workers);
         let chunk = chunk_size(n, max_workers, model.op_count());
         if chunk == n {
             // The chunk buffer of a one-chunk job is already the job's
             // whole result in its final layout.
             let mut w = ChunkEval::new(&model, &output);
-            run_chunk(&mut w, &points, 0..n, &output, &ctl);
+            w.run_chunk(&points, 0..n, &output, &ctl);
             let mut results = w.out;
             results.finish(&ctl);
             return Ok(results);
@@ -478,13 +299,11 @@ impl WorkerPool {
             for _ in 0..job.max_workers {
                 self.shared.work.notify_one();
             }
-            self.shared.counters.handoffs.inc();
-            #[cfg(feature = "fault-injection")]
-            crate::faults::hold_caller(self.shared.shard);
+            self.shared.handoffs.inc();
         }
-        job.work(&self.shared, false);
+        job.work(&self.shared);
         // The frontier is empty, and a helper deposits every chunk it
-        // claimed (a dying one too), so only those chunks are waited for.
+        // claimed, so only those chunks are waited for.
         let mut q = lock(&self.shared.queue);
         while !job.done.load(Ordering::Acquire) {
             let (guard, _timeout) = self
@@ -511,25 +330,22 @@ impl Drop for WorkerPool {
             self.shared.shutdown.store(true, Ordering::Relaxed);
         }
         self.shared.work.notify_all();
-        let handles = std::mem::take(&mut lock(&self.supervisor).handles);
-        for h in handles {
-            // Worker panics were already converted to point errors and
-            // death counts; joining must not re-raise them.
+        for h in self.handles.drain(..) {
+            // Chunk panics were already converted to point errors and
+            // crash counts; joining must not re-raise anything.
             let _ = h.join();
         }
     }
 }
 
-/// The worker body: park until a claimable job appears, help it, repeat.
-/// Exits on shutdown or on an injected worker-kill (after making the
-/// current job's accounting whole).
+/// The worker body: park until a claimable job appears, help it, repeat
+/// until the pool is dropped.
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut q = lock(&shared.queue);
             loop {
                 if shared.shutdown.load(Ordering::Relaxed) {
-                    shared.alive.fetch_sub(1, Ordering::Relaxed);
                     return;
                 }
                 if let Some(job) = q.iter().find(|j| j.claimable()) {
@@ -540,16 +356,9 @@ fn worker_loop(shared: &Shared) {
                 q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let killed = job.work(shared, true);
-        {
-            let _q = lock(&shared.queue);
-            job.entered.fetch_sub(1, Ordering::Relaxed);
-        }
-        if killed {
-            // The dead helper's slot is free: a parked thread may take it.
-            shared.work.notify_one();
-            return;
-        }
+        job.work(shared);
+        let _q = lock(&shared.queue);
+        job.entered.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -600,33 +409,8 @@ mod tests {
     /// tests use, so pool threads join it as helpers.
     const MULTI: usize = 4 * MAX_CHUNK_FLOOR;
 
-    /// How long a kill test's submitter lets the woken pool threads
-    /// claim chunks first ([`crate::faults::FaultPlan::caller_hold`]).
-    #[cfg(feature = "fault-injection")]
-    const HOLD: Duration = Duration::from_millis(50);
-
-    /// Runs `f` with panic output silenced. The default hook prints every
-    /// injected kill, and with `RUST_BACKTRACE=1` it symbolizes a
-    /// backtrace first, which can outlast [`HOLD`]. Callers hold the
-    /// plan lock, so no other kill test swaps the hook meanwhile.
-    #[cfg(feature = "fault-injection")]
-    fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(hook);
-        out
-    }
-
     fn small_pool(workers: usize) -> WorkerPool {
-        WorkerPool::new(
-            0,
-            PoolConfig {
-                workers,
-                restart_backoff: Duration::from_millis(1),
-                max_restart_backoff: Duration::from_millis(50),
-            },
-        )
+        WorkerPool::new(0, workers)
     }
 
     #[test]
@@ -724,9 +508,9 @@ mod tests {
                 .unwrap();
             assert_eq!(points_of(&out).len(), 90, "{output:?}");
             assert!(points_of(&out).iter().all(Result::is_ok), "{output:?}");
+            assert_eq!(out.chunk_crashes, 0, "{output:?}");
         }
-        assert_eq!(pool.alive(), 2);
-        assert_eq!(pool.restarts(), 0);
+        assert_eq!(pool.running(), 2);
     }
 
     #[test]
@@ -890,167 +674,129 @@ mod tests {
         }
     }
 
+    /// Every chunk of a multi-chunk job crashes, on pool threads and on
+    /// the calling thread alike. Every point still answers, the crashes
+    /// are counted on the job, and no thread exits: the pool's next job
+    /// is bit-identical to per-point evaluation.
     #[cfg(feature = "fault-injection")]
     #[test]
-    fn killed_workers_never_hang_jobs_and_supervision_respawns() {
+    fn crashed_chunks_never_hang_jobs_or_end_a_pool_thread() {
         use crate::faults::{self, FaultPlan};
         // The fault plan is process-global: hold the crate's plan lock,
         // and target a shard id no other pool in this binary uses.
+        const SHARD: usize = 7777;
         let _guard = faults::test_guard();
-        let pool = WorkerPool::new(
-            7777,
-            PoolConfig {
-                workers: 3,
-                restart_backoff: Duration::from_millis(1),
-                max_restart_backoff: Duration::from_millis(50),
-            },
-        );
+        let pool = WorkerPool::new(SHARD, 3);
+        let m = model2();
+        let n_chunks = MULTI.div_ceil(chunk_size(MULTI, 3, m.op_count()));
+        assert!(n_chunks > 3, "{n_chunks}");
         faults::install(FaultPlan {
             seed: 5,
-            worker_kill_rate_pct: 100,
-            target_shard: Some(7777),
-            caller_hold: HOLD,
+            chunk_crash_rate_pct: 100,
+            target_shard: Some(SHARD),
             ..FaultPlan::default()
         });
-        let m = model2();
-        // More chunks than pool threads: while the submitter holds off,
-        // each woken helper claims a chunk and dies, and each death frees
-        // a slot the next parked thread takes, so all three die before
-        // the submitter claims the rest (crashing on each, and carrying
-        // on).
-        let out = quiet_panics(|| {
-            pool.run_batch(
+        // The hook holds the calling thread in its first crash until a
+        // pool thread has crashed a chunk too, so pool threads run
+        // crashed chunks whatever the scheduling.
+        let caller = std::thread::current().id();
+        let pool_crashed = Arc::new((Mutex::new(false), Condvar::new()));
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new({
+            let pool_crashed = Arc::clone(&pool_crashed);
+            move |_| {
+                let (crashed, cv) = &*pool_crashed;
+                let me = std::thread::current();
+                if me
+                    .name()
+                    .is_some_and(|n| n.starts_with(&format!("awesym-shard{SHARD}-")))
+                {
+                    *lock(crashed) = true;
+                    cv.notify_all();
+                } else if me.id() == caller {
+                    let wait = Duration::from_secs(10);
+                    drop(cv.wait_timeout_while(lock(crashed), wait, |c| !*c));
+                }
+            }
+        }));
+        let out = pool
+            .run_batch(
                 Arc::clone(&m),
                 grid(MULTI),
                 BatchOutput::Moments,
                 None,
                 None,
             )
-            .unwrap()
-        });
-        faults::clear();
-        // Every point answered, as internal errors: every chunk crashed.
-        assert_eq!(points_of(&out).len(), MULTI);
-        assert!(out.panics_caught > 0);
-        assert!(pool.deaths() > 0);
-        assert_eq!(pool.alive(), 0);
-        // Supervision brings the pool back (backoff is 1 ms in tests)
-        // and the next batch is fully healthy.
-        std::thread::sleep(Duration::from_millis(5));
-        let pts = grid(100);
-        let reference = reference(&m, 100);
-        let out = pool
-            .run_batch(Arc::clone(&m), pts, BatchOutput::Moments, None, None)
             .unwrap();
-        assert_eq!(points_of(&out), reference);
-        assert!(pool.restarts() >= 3, "restarts={}", pool.restarts());
-        assert_eq!(pool.alive(), 3);
-    }
-
-    /// Supervision paces respawns with a backoff. Until it runs out, a
-    /// multi-chunk job finds no pool thread alive, and the calling thread
-    /// evaluates every chunk itself, bit-identical to a healthy pool.
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn dead_pool_in_backoff_completes_jobs_on_the_calling_thread() {
-        use crate::faults::{self, FaultPlan};
-        const SHARD: usize = 7779;
-        let _guard = faults::test_guard();
-        let pool = WorkerPool::new(
-            SHARD,
-            PoolConfig {
-                workers: 2,
-                restart_backoff: Duration::from_secs(600),
-                max_restart_backoff: Duration::from_secs(600),
-            },
-        );
-        let m = model2();
-        let pts = grid(MULTI);
-        faults::install(FaultPlan {
-            seed: 5,
-            worker_kill_rate_pct: 100,
-            target_shard: Some(SHARD),
-            caller_hold: HOLD,
-            ..FaultPlan::default()
-        });
-        // The first job kills both threads. The second job's supervision
-        // pass respawns them, since a first burst is not paced, and arms
-        // the backoff; then that job kills them again.
-        quiet_panics(|| {
-            for _ in 0..2 {
-                pool.run_batch(
-                    Arc::clone(&m),
-                    Arc::clone(&pts),
-                    BatchOutput::Moments,
-                    None,
-                    None,
-                )
-                .unwrap();
-            }
-        });
+        std::panic::set_hook(hook);
         faults::clear();
-        assert_eq!((pool.alive(), pool.deaths(), pool.restarts()), (0, 4, 2));
+
+        assert_eq!(out.len(), MULTI);
+        for (i, r) in points_of(&out).iter().enumerate() {
+            assert_eq!(r.as_ref().unwrap_err().code, "internal", "point {i}");
+        }
+        assert_eq!(out.chunk_crashes, n_chunks as u64);
+        assert!(*lock(&pool_crashed.0), "no pool thread ran a crashed chunk");
+        assert_eq!(pool.running(), 3, "a crash ended a pool thread");
 
         let out = pool
             .run_batch(
                 Arc::clone(&m),
-                Arc::clone(&pts),
+                grid(MULTI),
                 BatchOutput::Moments,
                 None,
                 None,
             )
             .unwrap();
-        assert_eq!((pool.alive(), pool.restarts(), pool.handoffs()), (0, 2, 3));
+        let bits = |r: &[PointResult]| -> Vec<u64> {
+            r.iter()
+                .flat_map(|p| match p {
+                    Ok(PointValue::Moments(v)) => v.clone(),
+                    other => panic!("{other:?}"),
+                })
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&points_of(&out)), bits(&reference(&m, MULTI)));
         assert_eq!((out.panics_caught, out.chunk_crashes), (0, 0));
-        let healthy = small_pool(2)
-            .run_batch(m, pts, BatchOutput::Moments, None, None)
-            .unwrap();
-        let bits = |r: &BatchResults| r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out), bits(&healthy));
-        assert_eq!(out.status(), healthy.status());
-        assert_eq!(out.ok_count(), MULTI);
+        assert_eq!(pool.handoffs(), 2, "one hand-off per multi-chunk job");
+        assert_eq!(pool.running(), 3);
     }
 
-    /// An injected kill on a chunk the calling thread runs fails exactly
-    /// that chunk's points and counts one chunk crash. No pool thread
-    /// dies, and the calling thread answers its next job.
+    /// An injected crash on a chunk the calling thread runs fails exactly
+    /// that chunk's points and counts one chunk crash, and the calling
+    /// thread answers its next job.
     #[cfg(feature = "fault-injection")]
     #[test]
     fn kill_on_a_caller_run_chunk_fails_only_that_chunk() {
         use crate::faults::{self, FaultPlan};
         const SHARD: usize = 7780;
         let _guard = faults::test_guard();
-        let pool = WorkerPool::new(
-            SHARD,
-            PoolConfig {
-                workers: 2,
-                ..PoolConfig::default()
-            },
-        );
+        let pool = WorkerPool::new(SHARD, 2);
         let m = model2();
         // `max_workers: 1` leaves every chunk to the calling thread.
         let chunk = chunk_size(MULTI, 1, m.op_count());
         let starts: Vec<usize> = (0..MULTI).step_by(chunk).collect();
         assert!(starts.len() >= 4);
-        let kills = |p: &FaultPlan| -> Vec<usize> {
+        let crashes = |p: &FaultPlan| -> Vec<usize> {
             starts
                 .iter()
                 .copied()
-                .filter(|&s| p.kills_worker_on(SHARD, s))
+                .filter(|&s| p.crashes_chunk_on(SHARD, s))
                 .collect()
         };
-        // The first seed whose plan kills one chunk, and not the first.
+        // The first seed whose plan crashes one chunk, and not the first.
         let plan = (0..)
             .map(|seed| FaultPlan {
                 seed,
-                worker_kill_rate_pct: 25,
+                chunk_crash_rate_pct: 25,
                 target_shard: Some(SHARD),
                 ..FaultPlan::default()
             })
-            .find(|p| matches!(kills(p)[..], [s] if s != 0))
+            .find(|p| matches!(crashes(p)[..], [s] if s != 0))
             .unwrap();
-        let start = kills(&plan)[0];
-        let killed = start..start + chunk;
+        let start = crashes(&plan)[0];
+        let crashed = start..start + chunk;
         faults::install(plan);
         let out = pool
             .run_batch(
@@ -1061,7 +807,7 @@ mod tests {
                 Some(1),
             )
             .unwrap();
-        // The next job starts at point 0, which the plan does not kill.
+        // The next job starts at point 0, which the plan does not crash.
         let next = pool
             .run_batch(Arc::clone(&m), grid(1), BatchOutput::Moments, None, None)
             .unwrap();
@@ -1070,13 +816,13 @@ mod tests {
         assert_eq!((out.chunk_crashes, out.panics_caught), (1, 1));
         let want = reference(&m, MULTI);
         for (i, got) in points_of(&out).iter().enumerate() {
-            if killed.contains(&i) {
+            if crashed.contains(&i) {
                 assert_eq!(got.as_ref().unwrap_err().code, "internal", "point {i}");
             } else {
                 assert_eq!(got, &want[i], "point {i}");
             }
         }
-        assert_eq!((pool.deaths(), pool.alive(), pool.handoffs()), (0, 2, 0));
+        assert_eq!((pool.handoffs(), pool.running()), (0, 2));
         assert_eq!(points_of(&next), reference(&m, 1));
         assert_eq!(next.chunk_crashes, 0);
     }

@@ -11,7 +11,7 @@
 //! | `eval`     | evaluate one point against a registered model |
 //! | `batch`    | evaluate many points concurrently |
 //! | `stats`    | report request/latency/throughput/registry counters |
-//! | `health`   | readiness probe: per-shard breaker/worker/queue state |
+//! | `health`   | readiness probe: per-shard breaker/crash/queue state |
 //! | `drain`    | stop admitting evaluation work (graceful shutdown) |
 //! | `shutdown` | acknowledge and stop the serve loop |
 //!
@@ -32,7 +32,7 @@
 //! Model state and evaluation are **sharded** (see `docs/serving.md`):
 //! the model name hashes to one of [`ServerConfig::shards`] shards
 //! ([`crate::shard_of`]), each owning a model registry, a persistent
-//! supervised worker pool, and a circuit breaker — so a crash-looping
+//! worker pool, and a circuit breaker — so a crash-looping
 //! model degrades *its* shard to `unavailable` while every other shard
 //! keeps serving.
 
@@ -292,6 +292,17 @@ fn opt_u64(req: &Content, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
+/// An optional string field: absent or `null` is `None`, any other value
+/// that is not a string a typed error.
+fn opt_str<'a>(req: &'a Content, key: &str) -> Result<Option<&'a str>, ServeError> {
+    match req.get(key) {
+        None | Some(Content::Null) => Ok(None),
+        Some(v) => v.as_str().map(Some).ok_or_else(|| ServeError::BadRequest {
+            what: format!("'{key}' must be a string"),
+        }),
+    }
+}
+
 fn point_from(c: &Content, what: &str) -> Result<Vec<f64>, ServeError> {
     let vals = c
         .as_seq()
@@ -328,11 +339,8 @@ fn columns_from(raw: &[Content], syms: usize) -> Result<PointColumns, ServeError
 fn output_kind(req: &Content) -> Result<BatchOutput, ServeError> {
     // `kind` is the documented name; `output` is accepted as an alias so a
     // natural guess does not silently fall back to the moments default.
-    let kind = req
-        .get("kind")
-        .or_else(|| req.get("output"))
-        .and_then(Content::as_str)
-        .unwrap_or("moments");
+    let (kind, output) = (opt_str(req, "kind")?, opt_str(req, "output")?);
+    let kind = kind.or(output).unwrap_or("moments");
     match kind {
         "moments" => Ok(BatchOutput::Moments),
         "rom" => Ok(BatchOutput::Rom),
@@ -587,21 +595,22 @@ impl Server {
             .ok_or_else(|| ServeError::BadRequest {
                 what: format!("no node named {output_name}"),
             })?;
-        let specs: Vec<String> = req
-            .get("symbols")
-            .and_then(Content::as_seq)
-            .map(|s| {
-                s.iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let specs: Vec<String> = match req.get("symbols") {
+            None | Some(Content::Null) => Vec::new(),
+            Some(v) => v
+                .as_seq()
+                .and_then(|s| {
+                    s.iter()
+                        .map(|v| v.as_str().map(str::to_string))
+                        .collect::<Option<_>>()
+                })
+                .ok_or_else(|| ServeError::BadRequest {
+                    what: "'symbols' must be an array of strings".into(),
+                })?,
+        };
         let bindings = resolve::resolve_symbol_specs(&circuit, &specs)
             .map_err(|what| ServeError::BadRequest { what })?;
-        let order = req
-            .get("order")
-            .and_then(Content::as_u64)
-            .map_or(2, |v| v as usize);
+        let order = opt_u64(req, "order")?.map_or(2, |v| v as usize);
         let model = CompiledModel::build(&circuit, input, output, &bindings, order)?;
         let mut fields = model_summary(name, &model);
         fields.push((
@@ -835,11 +844,10 @@ impl Server {
         ])
     }
 
-    /// Readiness probe: per-shard breaker phase, worker liveness, restart
-    /// counters, and queue depth. `ready` is the AND over shards — a
-    /// load balancer should stop routing when it goes false. Probing also
-    /// runs a supervision pass, so a probe is what nurses a crashed pool
-    /// back up even with no traffic.
+    /// Readiness probe: per-shard breaker phase, chunk-crash count, and
+    /// queue depth. `ready` is the AND over shards (breaker closed, not
+    /// draining) — a load balancer should stop routing when it goes
+    /// false.
     fn cmd_health(&self) -> Result<Vec<(&'static str, Content)>, ServeError> {
         let ready = self.shards.iter().all(Shard::is_ready);
         let shards: Result<Vec<Content>, _> = self
@@ -1656,7 +1664,7 @@ mod tests {
             assert!(ok_of(&c), "{c:?}");
             assert_eq!(c.get("ok_count").and_then(Content::as_u64), Some(2));
         }
-        // Health: all shards ready, workers alive, nothing restarted.
+        // Health: all shards ready, nothing crashed.
         let c = parse(&s.handle_line(r#"{"cmd":"health"}"#).unwrap());
         assert!(ok_of(&c));
         assert_eq!(c.get("ready").and_then(Content::as_bool), Some(true));
@@ -1665,8 +1673,26 @@ mod tests {
         for (i, sh) in shards.iter().enumerate() {
             assert_eq!(sh.get("shard").and_then(Content::as_u64), Some(i as u64));
             assert_eq!(sh.get("breaker").and_then(Content::as_str), Some("closed"));
-            assert_eq!(sh.get("alive").and_then(Content::as_u64), Some(1));
-            assert_eq!(sh.get("restarts").and_then(Content::as_u64), Some(0));
+            assert_eq!(sh.get("workers").and_then(Content::as_u64), Some(1));
+            assert_eq!(sh.get("chunk_crashes").and_then(Content::as_u64), Some(0));
+            let Content::Map(fields) = sh else {
+                panic!("health row is an object: {sh:?}")
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "shard",
+                    "breaker",
+                    "workers",
+                    "chunk_crashes",
+                    "breaker_opened",
+                    "pool_handoffs",
+                    "queue_depth",
+                    "draining",
+                    "models"
+                ]
+            );
         }
         // Stats carry the per-shard section and per-shard stage metrics.
         let c = parse(&s.handle_line(r#"{"cmd":"stats"}"#).unwrap());

@@ -1,11 +1,11 @@
-//! Sharded, supervised fleet serving: crash isolation between models.
+//! Sharded fleet serving: crash isolation between models.
 //!
 //! Model names hash to shards ([`shard_of`]); each shard owns
 //!
 //! - a **model registry** ([`ModelRegistry`]): one LRU of
 //!   [`ShardConfig::capacity`] models;
-//! - a **persistent worker pool** ([`crate::WorkerPool`]) with
-//!   supervised restart;
+//! - a **persistent worker pool** ([`crate::WorkerPool`]), whose threads
+//!   outlive every chunk crash;
 //! - a **circuit breaker** ([`CircuitBreaker`]): repeated chunk
 //!   crashes flip the shard to `open`, where requests are refused
 //!   immediately with `unavailable` + `retry_after_ms` instead of
@@ -24,19 +24,20 @@
 //! per-shard copies of the request-stage histograms are registered on
 //! the server's metrics registry under `shard{i}_…` names, which is how
 //! the chaos harness and `bench_gate` read cross-shard interference
-//! directly from stats. The pool counts its own hand-offs, restarts and
-//! deaths, and the breaker its own opens, on those registered counters,
-//! so [`Shard::health`] and the metrics read the same numbers.
+//! directly from stats. The shard counts its jobs' chunk crashes, the
+//! pool its own hand-offs, and the breaker its own opens, on those
+//! registered counters, so [`Shard::health`] and the metrics read the
+//! same numbers.
 //!
-//! The per-point panic guard in the batch engine already
-//! isolates *point* failures; this layer isolates *model/worker*
-//! failures (a model whose tape replay reliably dies, a poisoned
-//! evaluator) to the shard that owns them.
+//! The per-point and per-chunk panic guards in the batch engine already
+//! isolate *point* and *chunk* failures; this layer isolates *model*
+//! failures (a model whose tape replay reliably crashes) to the shard
+//! that owns them.
 
 use crate::batch::BatchOutput;
 use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};
 use crate::error::ServeError;
-use crate::pool::{PoolConfig, PoolCounters, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::registry::ModelRegistry;
 use crate::stats::STAGE_EDGES_NS;
 use awesym_obs::{Counter, Histogram, Registry};
@@ -185,7 +186,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Reports an admitted request that completed without worker
+    /// Reports an admitted request that completed without chunk
     /// crashes.
     pub fn record_success(&self) {
         let mut s = lock(&self.state);
@@ -255,10 +256,6 @@ pub struct ShardConfig {
     pub max_queue: usize,
     /// Base overload backoff hint, scaled by queue depth.
     pub retry_after_ms: u64,
-    /// Worker restart backoff (base).
-    pub restart_backoff: Duration,
-    /// Worker restart backoff (ceiling).
-    pub max_restart_backoff: Duration,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
 }
@@ -270,8 +267,6 @@ impl Default for ShardConfig {
             workers: crate::batch::default_workers(),
             max_queue: 64,
             retry_after_ms: 50,
-            restart_backoff: Duration::from_millis(10),
-            max_restart_backoff: Duration::from_secs(2),
             breaker: BreakerConfig::default(),
         }
     }
@@ -282,14 +277,17 @@ impl Default for ShardConfig {
 /// stage histogram, so cross-shard interference is readable straight
 /// from stats.
 ///
-/// The restart, death, hand-off and breaker-open counters are not here:
-/// [`Shard::new`] registers them under the same prefix and hands them to
-/// the pool and the breaker, which count their own events.
+/// The hand-off and breaker-open counters are not here: [`Shard::new`]
+/// registers them under the same prefix and hands them to the pool and
+/// the breaker, which count their own events.
 pub(crate) struct ShardMetrics {
     pub(crate) requests: Arc<Counter>,
     pub(crate) errors: Arc<Counter>,
     pub(crate) shed: Arc<Counter>,
     pub(crate) unavailable: Arc<Counter>,
+    /// Chunks of this shard's jobs that crashed outside the per-point
+    /// guard, whichever thread ran them.
+    pub(crate) chunk_crashes: Arc<Counter>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) stages: [Arc<Histogram>; 5],
 }
@@ -313,6 +311,7 @@ impl ShardMetrics {
             errors: c("request_errors_total"),
             shed: c("requests_shed_total"),
             unavailable: c("requests_unavailable_total"),
+            chunk_crashes: c("chunk_crashes_total"),
             latency_us: registry.histogram(
                 &format!("shard{shard}_request_latency_us"),
                 &crate::stats::BUCKET_EDGES_US,
@@ -331,12 +330,8 @@ pub struct ShardHealth {
     pub breaker: String,
     /// Configured pool workers.
     pub workers: u64,
-    /// Pool workers currently alive.
-    pub alive: u64,
-    /// Supervisor-driven worker restarts.
-    pub restarts: u64,
-    /// Worker threads that died.
-    pub worker_deaths: u64,
+    /// Chunks that crashed outside the per-point guard, on any thread.
+    pub chunk_crashes: u64,
     /// Times the breaker opened.
     pub breaker_opened: u64,
     /// Jobs the pool published to its threads as helpers; a job of one
@@ -351,7 +346,7 @@ pub struct ShardHealth {
     pub models: u64,
 }
 
-/// One shard: model registry + supervised pool + breaker + bounded
+/// One shard: model registry + worker pool + breaker + bounded
 /// queue. See the module docs for the full design.
 pub struct Shard {
     id: usize,
@@ -372,19 +367,7 @@ impl Shard {
             id,
             config,
             registry: ModelRegistry::new(config.capacity),
-            pool: WorkerPool::with_counters(
-                id,
-                PoolConfig {
-                    workers: config.workers,
-                    restart_backoff: config.restart_backoff,
-                    max_restart_backoff: config.max_restart_backoff,
-                },
-                PoolCounters {
-                    handoffs: c("pool_handoffs_total"),
-                    restarts: c("worker_restarts_total"),
-                    deaths: c("worker_deaths_total"),
-                },
-            ),
+            pool: WorkerPool::with_handoffs(id, config.workers, c("pool_handoffs_total")),
             breaker: CircuitBreaker::with_opened_counter(config.breaker, c("breaker_opened_total")),
             queue_depth: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -401,11 +384,6 @@ impl Shard {
     /// [`shard_of`] places on this shard.
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
-    }
-
-    /// The shard's worker pool (restart counters, liveness).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// The shard's circuit breaker.
@@ -481,9 +459,10 @@ impl Shard {
     }
 
     /// Evaluates a columnar batch on this shard's pool, with admission
-    /// control and breaker accounting: a job with a crashed chunk is a
-    /// breaker failure, any other a success. The model must already be
-    /// resolved (the caller counts lookup time separately).
+    /// control and breaker accounting: a job with a crashed chunk adds its
+    /// crashes to `shard{i}_chunk_crashes_total` and is a breaker failure,
+    /// any other job a success. The model must already be resolved (the
+    /// caller counts lookup time separately).
     pub fn evaluate_columns(
         &self,
         model: Arc<CompiledModel>,
@@ -500,17 +479,12 @@ impl Shard {
             .pool
             .run_batch(model, points, output, deadline, max_workers)?;
         if outcome.chunk_crashes > 0 {
+            self.metrics.chunk_crashes.add(outcome.chunk_crashes);
             self.breaker.record_failure();
         } else {
             self.breaker.record_success();
         }
         Ok(outcome)
-    }
-
-    /// One supervision pass on the pool (also run implicitly on every
-    /// submission); returns workers respawned.
-    pub fn supervise(&self) -> usize {
-        self.pool.supervise()
     }
 
     /// Health snapshot for the `health` command.
@@ -519,9 +493,7 @@ impl Shard {
             shard: self.id as u64,
             breaker: self.breaker.phase_name().to_string(),
             workers: self.pool.workers() as u64,
-            alive: self.pool.alive() as u64,
-            restarts: self.pool.restarts(),
-            worker_deaths: self.pool.deaths(),
+            chunk_crashes: self.metrics.chunk_crashes.get(),
             breaker_opened: self.breaker.opened_total(),
             pool_handoffs: self.pool.handoffs(),
             queue_depth: self.queue_depth() as u64,
@@ -530,13 +502,9 @@ impl Shard {
         }
     }
 
-    /// Ready to take traffic: breaker closed, not draining, pool fully
-    /// alive (after a supervision pass).
+    /// Ready to take traffic: breaker closed and not draining.
     pub fn is_ready(&self) -> bool {
-        self.supervise();
-        !self.is_draining()
-            && self.breaker.phase_name() == "closed"
-            && self.pool.alive() >= self.pool.workers()
+        !self.is_draining() && self.breaker.phase_name() == "closed"
     }
 }
 
@@ -748,7 +716,7 @@ mod tests {
         let health = shard.health();
         assert_eq!(health.shard, 3);
         assert_eq!(health.models, 1);
-        assert_eq!(health.worker_deaths, 0);
+        assert_eq!(health.chunk_crashes, 0);
         assert_eq!(health.queue_depth, 0);
         // Per-shard metrics registered under the shard{i}_ prefix.
         assert!(obs

@@ -12,10 +12,11 @@
 //! - **deadline storm** (every victim point sleeps past its deadline):
 //!   victim requests report `deadline_exceeded`, healthy requests don't
 //!   even notice;
-//! - **worker-kill storm**: the victim pool's threads die and the shard
-//!   supervisor restarts them (visible in per-shard restart counters in
-//!   `health`), while the healthy shard serves zero failed responses;
-//! - **crash loop**: enough consecutive kill-jobs trip the victim's
+//! - **chunk-crash storm**: every victim chunk crashes outside the
+//!   per-point guard, on pool threads and the submitting thread alike;
+//!   the victim's per-shard `chunk_crashes` in `health` rises, while the
+//!   healthy shard's stays zero and it serves zero failed responses;
+//! - **crash loop**: enough consecutive crash-jobs trip the victim's
 //!   circuit breaker to `open` (typed `unavailable` + `retry_after_ms`)
 //!   and the shard recovers to `closed` once the storm stops.
 
@@ -49,14 +50,9 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Points in a victim batch of a kill storm: several chunks on a
+/// Points in a victim batch of a crash storm: several chunks on a
 /// two-worker job, so it is published to the victim's pool threads.
-const KILL_POINTS: usize = 4 * 4096;
-
-/// How long a kill storm's submitter lets the woken pool threads claim
-/// chunks first ([`FaultPlan::caller_hold`]), so they die
-/// deterministically.
-const HOLD: Duration = Duration::from_millis(50);
+const CRASH_POINTS: usize = 4 * 4096;
 
 const NETLIST: &str = "* fig1\nvin in 0 1\nR1 in 1 1k\nC1 1 0 1n\nR2 1 2 1k\nC2 2 0 1n\n.end\n";
 
@@ -127,12 +123,12 @@ fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
     };
     assert_eq!(
         [
-            "worker_restarts_total",
-            "worker_deaths_total",
-            "breaker_opened_total"
+            "chunk_crashes_total",
+            "breaker_opened_total",
+            "pool_handoffs_total"
         ]
         .map(counter),
-        [h.restarts, h.worker_deaths, h.breaker_opened],
+        [h.chunk_crashes, h.breaker_opened, h.pool_handoffs],
         "{h:?}"
     );
 }
@@ -204,7 +200,7 @@ fn panic_storm_on_one_shard_keeps_the_other_bit_identical() {
     }
     assert_eq!(
         health_row(&server, 1)
-            .get("worker_deaths")
+            .get("chunk_crashes")
             .and_then(Content::as_u64),
         Some(0)
     );
@@ -250,30 +246,29 @@ fn deadline_storm_on_one_shard_does_not_slow_the_other() {
     assert_eq!(results_json(&healthy_resp), baseline_results);
 }
 
-/// Worker-kill storm on shard 0: its pool threads die and the shard
-/// supervisor restarts them — visible in the `health` command's
-/// per-shard restart counters — while shard 1 serves zero failed
-/// responses throughout.
+/// Chunk-crash storm on shard 0: every chunk of its jobs crashes,
+/// whichever thread runs it — visible in the `health` command's
+/// per-shard `chunk_crashes` — while shard 1 serves zero failed
+/// responses throughout and counts no crash.
 #[test]
-fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
+fn chunk_crash_storm_is_counted_on_the_victim_and_other_shard_never_fails() {
     let _guard = plan_guard();
     faults::clear();
     let (server, victim, healthy) = sharded_server();
-    let victim_req = batch_line(&victim, KILL_POINTS, "");
+    let victim_req = batch_line(&victim, CRASH_POINTS, "");
     let healthy_req = batch_line(&healthy, 300, "");
 
     faults::install(FaultPlan {
         seed: 0x5110,
-        worker_kill_rate_pct: 100,
+        chunk_crash_rate_pct: 100,
         target_shard: Some(0),
-        caller_hold: HOLD,
         ..FaultPlan::default()
     });
     let victim_resps: Vec<Content> = quiet_panics(|| {
         (0..3)
             .map(|_| {
                 // Interleave: every victim request is followed by a
-                // healthy one while the victim pool is (re)dying.
+                // healthy one while the victim's chunks crash.
                 let v = parse(&server, &victim_req);
                 let h = parse(&server, &healthy_req);
                 assert!(ok_of(&h), "healthy shard failed mid-storm: {h:?}");
@@ -282,62 +277,46 @@ fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
                     Some(300),
                     "healthy shard dropped points mid-storm"
                 );
-                std::thread::sleep(Duration::from_millis(15));
                 v
             })
             .collect()
     });
     faults::clear();
 
-    // Every victim request still answered every point (killed chunks as
+    // Every victim request still answered every point (crashed chunks as
     // typed internal errors, whichever thread ran them).
     for (i, v) in victim_resps.iter().enumerate() {
         assert!(ok_of(v), "round {i}: {v:?}");
         assert_eq!(
             v.get("count").and_then(Content::as_u64),
-            Some(KILL_POINTS as u64)
+            Some(CRASH_POINTS as u64)
         );
     }
 
-    // Supervision brings the victim pool back: poll health until ready
-    // (restart backoff is a few tens of ms at this point).
-    let mut ready = false;
-    for _ in 0..100 {
-        let h = parse(&server, r#"{"cmd":"health"}"#);
-        if h.get("ready").and_then(Content::as_bool) == Some(true) {
-            ready = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(ready, "victim shard never recovered");
+    // Three crash-jobs stay under the default breaker threshold, and no
+    // thread needs bringing back, so the fleet is ready at once.
+    let h = parse(&server, r#"{"cmd":"health"}"#);
+    assert_eq!(
+        h.get("ready").and_then(Content::as_bool),
+        Some(true),
+        "{h:?}"
+    );
     let victim_health = health_row(&server, 0);
     assert!(
         victim_health
-            .get("restarts")
+            .get("chunk_crashes")
             .and_then(Content::as_u64)
             .unwrap()
             > 0,
-        "supervisor restarts must be visible: {victim_health:?}"
-    );
-    assert!(
-        victim_health
-            .get("worker_deaths")
-            .and_then(Content::as_u64)
-            .unwrap()
-            > 0
+        "victim crashes must be visible: {victim_health:?}"
     );
     let healthy_health = health_row(&server, 1);
     assert_eq!(
         healthy_health
-            .get("worker_deaths")
+            .get("chunk_crashes")
             .and_then(Content::as_u64),
         Some(0),
         "{healthy_health:?}"
-    );
-    assert_eq!(
-        healthy_health.get("restarts").and_then(Content::as_u64),
-        Some(0)
     );
 
     // And the victim is fully serviceable again.
@@ -345,7 +324,7 @@ fn worker_kill_storm_restarts_victim_workers_and_other_shard_never_fails() {
     assert!(ok_of(&v), "{v:?}");
     assert_eq!(
         v.get("ok_count").and_then(Content::as_u64),
-        Some(KILL_POINTS as u64)
+        Some(CRASH_POINTS as u64)
     );
     for shard in server.shards() {
         assert_counters_match_health(server.stats().registry(), &shard.health());
@@ -368,8 +347,6 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         SHARD,
         ShardConfig {
             workers: 2,
-            restart_backoff: Duration::from_millis(1),
-            max_restart_backoff: Duration::from_millis(20),
             breaker: BreakerConfig {
                 threshold: 2,
                 cooldown: Duration::from_millis(40),
@@ -391,7 +368,7 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
         )
     };
     let points = Arc::new(
-        (0..KILL_POINTS)
+        (0..CRASH_POINTS)
             .map(|i| vec![0.5e-9 + 1e-11 * i as f64, 300.0 + i as f64])
             .collect::<Vec<_>>(),
     );
@@ -407,24 +384,17 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
 
     faults::install(FaultPlan {
         seed: 9,
-        worker_kill_rate_pct: 100,
+        chunk_crash_rate_pct: 100,
         target_shard: Some(SHARD),
-        caller_hold: HOLD,
         ..FaultPlan::default()
     });
     // Two consecutive crash-jobs trip the threshold-2 breaker. Each job
-    // still completes (the submitter claims every chunk no pool thread
-    // took), but its crashed chunks count as breaker failures.
+    // still completes (every crashed chunk answers its points), but its
+    // crashed chunks count as breaker failures.
     let opened = quiet_panics(|| {
         for i in 0..10 {
             match run(&shard) {
-                Ok(out) => {
-                    assert_eq!(out.len(), KILL_POINTS, "job {i}");
-                    // Give supervision a chance to respawn victims so
-                    // the next job has workers to lose again.
-                    std::thread::sleep(Duration::from_millis(5));
-                    shard.supervise();
-                }
+                Ok(out) => assert_eq!(out.len(), CRASH_POINTS, "job {i}"),
                 Err(ServeError::Unavailable {
                     shard: s,
                     reason,
@@ -445,12 +415,11 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
     assert_eq!(shard.breaker().phase_name(), "open");
     assert!(shard.breaker().opened_total() >= 1);
 
-    // Storm over: wait out the cooldown, let supervision respawn the
-    // pool, and the half-open probe closes the breaker.
+    // Storm over: wait out the cooldown, and the half-open probe closes
+    // the breaker.
     let mut closed = false;
     for _ in 0..100 {
         std::thread::sleep(Duration::from_millis(20));
-        shard.supervise();
         if let Ok(out) = run(&shard) {
             assert_eq!(out.ok_count(), out.len());
             closed = true;
@@ -459,6 +428,6 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
     }
     assert!(closed, "breaker never recovered after the storm");
     assert_eq!(shard.breaker().phase_name(), "closed");
-    assert!(shard.health().restarts > 0);
+    assert!(shard.health().chunk_crashes > 0);
     assert_counters_match_health(&obs, &shard.health());
 }

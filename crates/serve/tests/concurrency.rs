@@ -5,8 +5,8 @@
 use awesym_circuit::generators::fig1_rc;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::{
-    BatchOutput, ModelRegistry, PointColumns, PointResult, PointValue, PoolConfig, Server,
-    ServerConfig, WorkerPool,
+    BatchOutput, ModelRegistry, PointColumns, PointResult, PointValue, Server, ServerConfig,
+    WorkerPool,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -29,13 +29,7 @@ fn evaluate_on_pool(
     output: &BatchOutput,
     workers: usize,
 ) -> Vec<PointResult> {
-    let pool = WorkerPool::new(
-        0,
-        PoolConfig {
-            workers,
-            ..PoolConfig::default()
-        },
-    );
+    let pool = WorkerPool::new(0, workers);
     let input = PointColumns::from_rows(points, model.symbols().len());
     let out = pool
         .run_batch(

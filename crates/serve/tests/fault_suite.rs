@@ -15,19 +15,20 @@
 //! - past the in-flight budget, requests are shed with `overloaded` and a
 //!   `retry_after_ms` hint;
 //! - an unstable Padé fit degrades to a lower order and says so;
-//! - each shard counter equals the `health` field it backs, even when
-//!   two jobs race to restart killed workers.
+//! - a chunk that crashes outside the per-point guard answers
+//!   `internal`, is counted in the shard's `chunk_crashes` (the registered
+//!   counter and the `health` field agree), and charges its breaker.
 
 use awesym_circuit::generators::fig1_rc;
 use awesym_obs::MetricValue;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::faults::{self, Fault, FaultPlan};
 use awesym_serve::{
-    BatchOutput, PointColumns, PointResult, PointValue, PoolConfig, Server, ServerConfig,
-    ShardHealth, WorkerPool,
+    BatchOutput, PointColumns, PointResult, PointValue, Server, ServerConfig, ShardHealth,
+    WorkerPool,
 };
 use serde::Content;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The fault plan is process-global state, so tests touching it must not
@@ -129,13 +130,7 @@ fn faulted_batch_answers_every_point_and_healthy_points_are_bit_identical() {
             .iter()
             .map(|p| Ok(PointValue::Moments(model.eval_moments(p))))
             .collect();
-        let pool = WorkerPool::new(
-            0,
-            PoolConfig {
-                workers: 4,
-                ..PoolConfig::default()
-            },
-        );
+        let pool = WorkerPool::new(0, 4);
         let input = Arc::new(PointColumns::from_rows(&points, 2));
 
         // 10% panics + 10% NaN moments, seeded.
@@ -460,11 +455,12 @@ fn health_u64(row: &Content, key: &str) -> u64 {
 const EVAL: &str = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#;
 
 /// A single-point `eval` runs on the connection thread, not on a pool
-/// worker. An injected worker kill there answers `internal` like a dying
-/// worker's chunk does and charges the breaker through the job's crash
-/// count, but no thread dies: the pool stays whole and nothing restarts.
+/// worker. An injected chunk crash there answers `internal` like a
+/// crashed chunk on any thread, is counted in the shard's
+/// `chunk_crashes`, and charges the breaker through the job's crash
+/// count.
 #[test]
-fn worker_kill_on_a_single_point_eval_trips_the_breaker_without_killing_a_thread() {
+fn chunk_crash_on_a_single_point_eval_trips_the_breaker() {
     let _guard = plan_guard();
     let server = Server::with_config(ServerConfig {
         shard_workers: 2,
@@ -475,7 +471,7 @@ fn worker_kill_on_a_single_point_eval_trips_the_breaker_without_killing_a_thread
 
     faults::install(FaultPlan {
         seed: 0x5110,
-        worker_kill_rate_pct: 100,
+        chunk_crash_rate_pct: 100,
         target_shard: Some(0),
         ..FaultPlan::default()
     });
@@ -506,9 +502,11 @@ fn worker_kill_on_a_single_point_eval_trips_the_breaker_without_killing_a_thread
     assert!(refused.get("retry_after_ms").and_then(Content::as_u64) >= Some(1));
     let h = shard0_health(&server);
     assert_eq!(h.get("breaker").and_then(Content::as_str), Some("open"));
-    assert_eq!(health_u64(&h, "alive"), health_u64(&h, "workers"), "{h:?}");
-    assert_eq!(health_u64(&h, "restarts"), 0, "{h:?}");
-    assert_eq!(health_u64(&h, "worker_deaths"), 0, "{h:?}");
+    assert_eq!(
+        health_u64(&h, "chunk_crashes"),
+        u64::from(breaker.threshold),
+        "{h:?}"
+    );
 
     // Plan cleared and cooldown over: the half-open probe succeeds.
     std::thread::sleep(breaker.cooldown);
@@ -524,6 +522,7 @@ fn worker_kill_on_a_single_point_eval_trips_the_breaker_without_killing_a_thread
     assert!(recovered.is_some(), "breaker never recovered");
     let h = shard0_health(&server);
     assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
+    assert_counters_match_health(server.stats().registry(), &server.shards()[0].health());
 }
 
 /// A per-point panic is caught by the per-point guard on the caller path
@@ -560,7 +559,7 @@ fn per_point_panics_on_single_point_evals_leave_the_breaker_closed() {
     }
     let h = shard0_health(&server);
     assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
-    assert_eq!(health_u64(&h, "worker_deaths"), 0, "{h:?}");
+    assert_eq!(health_u64(&h, "chunk_crashes"), 0, "{h:?}");
     assert!(ok_of(&parse(&server, EVAL)));
 }
 
@@ -576,71 +575,12 @@ fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
     };
     assert_eq!(
         [
-            "worker_restarts_total",
-            "worker_deaths_total",
-            "breaker_opened_total"
+            "chunk_crashes_total",
+            "breaker_opened_total",
+            "pool_handoffs_total"
         ]
         .map(counter),
-        [h.restarts, h.worker_deaths, h.breaker_opened],
+        [h.chunk_crashes, h.breaker_opened, h.pool_handoffs],
         "{h:?}"
     );
-}
-
-/// Two jobs start together on a shard whose two workers were just
-/// killed, so both race to restart them. Whatever the interleaving, each
-/// shard counter equals the `health` field it backs: the pool and the
-/// breaker count their events once, on the counters `health` reads.
-#[test]
-fn shard_counters_equal_the_health_row_when_two_jobs_race_a_restart() {
-    let _guard = plan_guard();
-    // More chunks than workers: while the submitter holds off, both
-    // pool threads claim one and die.
-    let kill_points = Arc::new(grid(4 * 4096));
-    let job_points = Arc::new(grid(300));
-    for trial in 0..50u64 {
-        let server = Server::with_config(ServerConfig {
-            shard_workers: 2,
-            ..ServerConfig::default()
-        });
-        server.insert_model("m", model2());
-        let shard = &server.shards()[0];
-        let model = shard.registry().get("m").unwrap();
-        let run = |points: &Arc<Vec<Vec<f64>>>| {
-            shard
-                .evaluate(
-                    Arc::clone(&model),
-                    Arc::clone(points),
-                    BatchOutput::Moments,
-                    None,
-                    None,
-                )
-                .unwrap()
-        };
-
-        faults::install(FaultPlan {
-            seed: trial,
-            worker_kill_rate_pct: 100,
-            target_shard: Some(0),
-            caller_hold: Duration::from_millis(50),
-            ..FaultPlan::default()
-        });
-        quiet_panics(|| run(&kill_points));
-        faults::clear();
-        assert_eq!(shard.pool().alive(), 0, "trial {trial}");
-
-        let barrier = Barrier::new(2);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    barrier.wait();
-                    let out = run(&job_points);
-                    assert_eq!(out.ok_count(), out.len(), "trial {trial}");
-                });
-            }
-        });
-
-        let h = shard.health();
-        assert_eq!(h.restarts, 2, "trial {trial}: {h:?}");
-        assert_counters_match_health(server.stats().registry(), &h);
-    }
 }

@@ -8,8 +8,14 @@ use serde::Content;
 const NETLIST: &str = "* fig1\nvin in 0 1\nR1 in 1 1k\nC1 1 0 1n\nR2 1 2 1k\nC2 2 0 1n\n.end\n";
 
 fn compile_line() -> String {
+    compile_with(r#""symbols":["C1","R2:r"],"order":2"#)
+}
+
+/// A `compile` request for model `m` whose `symbols`/`order` fields are
+/// `fields` verbatim.
+fn compile_with(fields: &str) -> String {
     format!(
-        r#"{{"cmd":"compile","name":"m","netlist":{},"input":"vin","output":"2","symbols":["C1","R2:r"],"order":2}}"#,
+        r#"{{"cmd":"compile","name":"m","netlist":{},"input":"vin","output":"2",{fields}}}"#,
         serde_json::to_string(&NETLIST.to_string()).unwrap()
     )
 }
@@ -126,7 +132,8 @@ fn save_then_load_over_the_wire() {
 }
 
 /// A `deadline_ms` or `workers` that is present but not a non-negative
-/// integer is refused on `eval` and `batch` with a typed `bad_request`
+/// integer, or a `kind` (or its alias `output`) that is present but not
+/// a string, is refused on `eval` and `batch` with a typed `bad_request`
 /// naming the field, whether or not the server has a default deadline
 /// to fall back on. `null` still means absent and `workers: 0` still
 /// means one thread.
@@ -150,6 +157,9 @@ fn malformed_deadline_or_workers_is_a_typed_bad_request() {
             ("deadline_ms", "0.5"),
             ("workers", r#""lots""#),
             ("workers", "-3"),
+            ("kind", "7"),
+            ("kind", r#"["rom"]"#),
+            ("output", "true"),
         ] {
             for head in [EVAL, BATCH] {
                 let line = format!(r#"{head},"{field}":{bad}}}"#);
@@ -165,6 +175,8 @@ fn malformed_deadline_or_workers_is_a_typed_bad_request() {
             r#""workers":null"#,
             r#""workers":0"#,
             r#""deadline_ms":60000,"workers":2"#,
+            r#""kind":null"#,
+            r#""kind":null,"output":"dc_gain""#,
         ] {
             for head in [EVAL, BATCH] {
                 let line = format!("{head},{ok}}}");
@@ -175,5 +187,43 @@ fn malformed_deadline_or_workers_is_a_typed_bad_request() {
         let c = answer(format!(r#"{BATCH},"deadline_ms":0}}"#));
         assert_eq!(get(&c, "deadline_exceeded").as_bool(), Some(true), "{c:?}");
         assert_eq!(get(&c, "ok_count").as_u64(), Some(0));
+    }
+}
+
+/// A `compile` whose `order` is present but not a non-negative integer,
+/// or whose `symbols` is present but not an array of strings, is refused
+/// with a typed `bad_request` naming the field instead of compiling with
+/// a default. A `null` order means absent, so order 2.
+#[test]
+fn malformed_compile_fields_are_a_typed_bad_request() {
+    let server = Server::default();
+    let answer = |line: String| -> Content {
+        let resp = server.handle_line(&line).expect("non-empty request line");
+        serde_json::from_str(resp.text()).expect("response is JSON")
+    };
+    for (field, fields) in [
+        ("order", r#""symbols":["C1"],"order":"4""#),
+        ("order", r#""symbols":["C1"],"order":-1"#),
+        ("order", r#""symbols":["C1"],"order":2.5"#),
+        ("symbols", r#""symbols":["C1",5,"R2:r"]"#),
+        ("symbols", r#""symbols":"C1""#),
+    ] {
+        let line = compile_with(fields);
+        let c = answer(line.clone());
+        assert_eq!(get(&c, "ok").as_bool(), Some(false), "{line}: {c:?}");
+        assert_eq!(get(&c, "code").as_str(), Some("bad_request"), "{line}");
+        let error = get(&c, "error").as_str().unwrap_or_default();
+        assert!(error.contains(field), "{line}: {error}");
+    }
+    for (fields, order, symbols) in [
+        (r#""symbols":["C1","R2:r"],"order":4"#, 4, 2),
+        (r#""symbols":["C1"],"order":null"#, 2, 1),
+        (r#""symbols":["C1"]"#, 2, 1),
+    ] {
+        let line = compile_with(fields);
+        let c = answer(line.clone());
+        assert_eq!(get(&c, "ok").as_bool(), Some(true), "{line}: {c:?}");
+        assert_eq!(get(&c, "order").as_u64(), Some(order), "{line}");
+        assert_eq!(get(&c, "symbols").as_seq().map(<[_]>::len), Some(symbols));
     }
 }
