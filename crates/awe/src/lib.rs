@@ -40,7 +40,6 @@ pub mod delay;
 mod error;
 mod moments;
 mod pade;
-pub mod profile;
 mod rom;
 pub mod sensitivity;
 

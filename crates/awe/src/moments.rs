@@ -83,30 +83,19 @@ impl MomentEngine {
     /// Returns [`AweError::ZeroResponse`] when every computed moment is
     /// exactly zero.
     pub fn compute(&self, count: usize) -> Result<Moments, AweError> {
-        // Sampled profiling hook (see `crate::profile`): one relaxed
-        // atomic increment per call, clock reads only when admitted.
-        let t0 = crate::profile::MOMENTS_SAMPLER
-            .sample()
-            .then(std::time::Instant::now);
-        let result = (|| {
-            let mut x = Vec::with_capacity(count);
-            let mut m = Vec::with_capacity(count);
-            let mut current = self.lu.solve(&self.b);
-            for _ in 0..count {
-                m.push(dot(&self.l, &current));
-                x.push(current.clone());
-                let rhs: Vec<f64> = self.mna.c().mul_vec(&current).iter().map(|v| -v).collect();
-                current = self.lu.solve(&rhs);
-            }
-            if m.iter().all(|v| *v == 0.0) {
-                return Err(AweError::ZeroResponse);
-            }
-            Ok(Moments { m, x })
-        })();
-        if let Some(t0) = t0 {
-            crate::profile::record_moments(t0.elapsed());
+        let mut x = Vec::with_capacity(count);
+        let mut m = Vec::with_capacity(count);
+        let mut current = self.lu.solve(&self.b);
+        for _ in 0..count {
+            m.push(dot(&self.l, &current));
+            x.push(current.clone());
+            let rhs: Vec<f64> = self.mna.c().mul_vec(&current).iter().map(|v| -v).collect();
+            current = self.lu.solve(&rhs);
         }
-        result
+        if m.iter().all(|v| *v == 0.0) {
+            return Err(AweError::ZeroResponse);
+        }
+        Ok(Moments { m, x })
     }
 
     /// Moments of the expansion about a *shifted* point `s₀` (real axis):

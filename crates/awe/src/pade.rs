@@ -29,19 +29,6 @@ use awesym_linalg::{solve_hankel, solve_vandermonde_complex, Complex64, Poly};
 /// # Ok::<(), awesym_awe::AweError>(())
 /// ```
 pub fn pade_rom(moments: &[f64], q: usize, scale: bool) -> Result<Rom, AweError> {
-    // Sampled profiling hook (see `crate::profile`): one relaxed atomic
-    // increment per call, clock reads only when admitted.
-    let t0 = crate::profile::PADE_SAMPLER
-        .sample()
-        .then(std::time::Instant::now);
-    let result = pade_rom_inner(moments, q, scale);
-    if let Some(t0) = t0 {
-        crate::profile::record_pade(t0.elapsed());
-    }
-    result
-}
-
-fn pade_rom_inner(moments: &[f64], q: usize, scale: bool) -> Result<Rom, AweError> {
     if moments.len() < 2 * q {
         return Err(AweError::NotEnoughMoments {
             needed: 2 * q,

@@ -16,7 +16,9 @@ use awesym_bench::{
     write_surface_csv, LinesWorkload, OpAmpWorkload,
 };
 use awesymbolic::prelude::*;
-use awesymbolic::{exact, transient, IntegrationMethod, Mna, TransientOptions, Waveform};
+use awesymbolic::{
+    exact, transient, IntegrationMethod, Mna, SymbolicMoments, TransientOptions, Waveform,
+};
 use std::path::Path;
 
 fn main() {
@@ -169,26 +171,31 @@ fn print_exact(title: &str, h: &exact::ExactTransfer, names: &[&str]) {
     }
 }
 
-/// Eq. (14)/(15): first- and second-order symbolic forms of the 741.
-fn eq14(opamp: &OpAmpWorkload) {
-    banner("eq. (14)/(15): symbolic forms of the 741 (symbols g_out_q14, c_comp)");
-    // First order.
-    let first = SymbolicAwe::new(&opamp.circuit, opamp.input, opamp.output)
-        .order(1)
+/// The symbolic moments of the 741 at order `q` over `[g_out_q14,
+/// c_comp]`: what an order-`q` model of [`OpAmpWorkload`] lowers to its
+/// tape.
+fn opamp_moments(opamp: &OpAmpWorkload, q: usize) -> SymbolicMoments {
+    SymbolicAwe::new(&opamp.circuit, opamp.input, opamp.output)
+        .order(q)
         .symbol_named("g_out_q14", "ro_q14", SymbolRole::Conductance)
         .unwrap()
         .symbol_named("c_comp", "c_comp", SymbolRole::Capacitance)
         .unwrap()
-        .compile()
-        .expect("first-order model");
-    let f = first.forms();
+        .moments()
+        .expect("op-amp symbolic moments")
+}
+
+/// Eq. (14)/(15): first- and second-order symbolic forms of the 741.
+fn eq14(opamp: &OpAmpWorkload) {
+    banner("eq. (14)/(15): symbolic forms of the 741 (symbols g_out_q14, c_comp)");
+    let f = opamp_moments(opamp, 1);
     println!("first order (eq. 14):");
-    println!("  A0  = {}", f.dc_gain().display(first.symbols()));
-    println!("  p1  = {}", f.first_order_pole().display(first.symbols()));
+    println!("  A0  = {}", f.dc_gain().display(&f.symbols));
+    println!("  p1  = {}", f.first_order_pole().display(&f.symbols));
     // Second order: the paper prints P(x^i, y^j) shorthand; we print the
     // moment quotients the Padé consumes.
     println!("second order (eq. 15): moment quotients m_k = P_k / D^(k+1)");
-    let f2 = opamp.model.forms();
+    let f2 = opamp_moments(opamp, 2);
     for (k, pk) in f2.p.iter().enumerate() {
         println!(
             "  P{k}: {} terms, degrees (g, c) = ({}, {})",
@@ -214,15 +221,7 @@ fn opamp_grid(opamp: &OpAmpWorkload, n: usize) -> (Vec<f64>, Vec<f64>) {
 /// Fig. 4: first pole vs (g_out_q14, Ccomp) from the first-order form.
 fn fig4(opamp: &OpAmpWorkload, results: &Path) {
     banner("Fig. 4: p1(g_out_q14, Ccomp) from the first-order symbolic form");
-    let first = SymbolicAwe::new(&opamp.circuit, opamp.input, opamp.output)
-        .order(1)
-        .symbol_named("g_out_q14", "ro_q14", SymbolRole::Conductance)
-        .unwrap()
-        .symbol_named("c_comp", "c_comp", SymbolRole::Capacitance)
-        .unwrap()
-        .compile()
-        .expect("first-order model");
-    let pole = first.forms().first_order_pole();
+    let pole = opamp_moments(opamp, 1).first_order_pole();
     let (gs, cs) = opamp_grid(opamp, 21);
     write_surface_csv(
         &results.join("fig4_p1.csv"),
@@ -247,7 +246,7 @@ fn fig4(opamp: &OpAmpWorkload, results: &Path) {
 /// Fig. 5: DC gain vs symbols from the first-order form.
 fn fig5(opamp: &OpAmpWorkload, results: &Path) {
     banner("Fig. 5: DC gain(g_out_q14, Ccomp) from the symbolic form");
-    let a0 = opamp.model.forms().dc_gain();
+    let a0 = opamp_moments(opamp, 2).dc_gain();
     let (gs, cs) = opamp_grid(opamp, 21);
     write_surface_csv(
         &results.join("fig5_dcgain.csv"),
@@ -383,11 +382,20 @@ fn fig7(opamp: &OpAmpWorkload, results: &Path) {
 /// Eq. (16)/(17): symbolic forms of the coupled-line models.
 fn eq16(lines: &LinesWorkload) {
     banner("eq. (16)/(17): coupled-line symbolic forms (symbols rdrv, cload)");
-    let fd = lines.direct.forms();
+    // The moments `lines.direct` and `lines.crosstalk` lowered to tapes.
+    let moments = |output, q| {
+        SymbolicAwe::new(&lines.circuit, lines.input, output)
+            .order(q)
+            .symbol(SymbolBinding::resistance("rdrv", lines.rdrv.to_vec()))
+            .symbol(SymbolBinding::capacitance("cload", lines.cload.to_vec()))
+            .moments()
+            .expect("coupled-line symbolic moments")
+    };
+    let fd = moments(lines.aggressor_out, 1);
     println!("direct transmission, first order (eq. 16):");
     println!("  A0 = {}", fd.dc_gain().display(&fd.symbols));
     println!("  p1 = {}", fd.first_order_pole().display(&fd.symbols));
-    let fx = lines.crosstalk.forms();
+    let fx = moments(lines.victim_out, 2);
     println!("cross-coupling, second order (eq. 17): m_k = P_k / D^(k+1)");
     for k in 0..fx.p.len() {
         println!("  P{k}: {} terms", fx.p[k].num_terms());

@@ -6,8 +6,8 @@
 //! `src/bin/awesym.rs` is a thin wrapper.
 
 use crate::{
-    parse_spice, AweAnalysis, Circuit, CompiledModel, ElementId, ElementKind, ModelOptions, Node,
-    OptLevel, SymbolBinding,
+    parse_spice, AweAnalysis, Circuit, CompiledModel, ElementId, ModelOptions, Node, OptLevel,
+    SymbolBinding,
 };
 use serde_json::Value as Content;
 use std::fmt::Write as _;
@@ -295,19 +295,10 @@ fn load_netlist(o: &Opts) -> Result<Circuit, String> {
 }
 
 fn resolve_io(c: &Circuit, o: &Opts) -> Result<(ElementId, Node), String> {
-    let input_name = o.input.as_ref().ok_or("missing --input <source element>")?;
-    let input = c
-        .find(input_name)
-        .ok_or_else(|| format!("no element named {input_name}"))?;
-    let e = c.element(input);
-    if !matches!(e.kind, ElementKind::Vsource | ElementKind::Isource) {
-        return Err(format!("{input_name} is not an independent source"));
-    }
-    let out_name = o.output.as_ref().ok_or("missing --output <node>")?;
-    let output = c
-        .find_node(out_name)
-        .ok_or_else(|| format!("no node named {out_name}"))?;
-    Ok((input, output))
+    let input = o.input.as_ref().ok_or("missing --input <source element>")?;
+    let output = o.output.as_ref().ok_or("missing --output <node>")?;
+    // Shared with the server's `compile` command.
+    awesym_serve::resolve::resolve_io(c, input, output)
 }
 
 fn resolve_symbols(c: &Circuit, o: &Opts) -> Result<Vec<SymbolBinding>, String> {

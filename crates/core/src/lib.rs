@@ -67,7 +67,7 @@ pub use awesym_nonlinear::{
 };
 pub use awesym_partition::{
     apply_symbol_values, exact, CompiledModel, ModelOptions, PartitionError, SymbolBinding,
-    SymbolRole, SymbolicForms, SymbolicMoments, SymbolicSystem,
+    SymbolRole, SymbolicMoments, SymbolicSystem,
 };
 pub use awesym_serve::{
     load_artifact, save_artifact, BatchOutput, ModelRegistry, PointColumns, PointValue, ServeError,
@@ -233,22 +233,42 @@ impl<'c> SymbolicAwe<'c> {
         Ok(self)
     }
 
+    fn options(&self) -> ModelOptions {
+        let opts = ModelOptions::order(self.order).with_opt_level(self.opt_level);
+        match self.symbolic_moments {
+            Some(k) => opts.with_symbolic_moments(k),
+            None => opts,
+        }
+    }
+
+    /// Runs the symbolic half of [`SymbolicAwe::compile`], the moment
+    /// recursion, and returns its `P_k / D^{k+1}` forms instead of a tape.
+    /// Their closed forms ([`SymbolicMoments::dc_gain`],
+    /// [`SymbolicMoments::first_order_pole`], …) are what the paper
+    /// prints as eqs. (14)–(17).
+    ///
+    /// # Errors
+    ///
+    /// As [`SymbolicAwe::compile`].
+    pub fn moments(&self) -> Result<SymbolicMoments, PartitionError> {
+        let count = self.options().symbolic_count()?;
+        let sys =
+            SymbolicSystem::assemble(self.circuit, self.input, self.output, &self.bindings, count)?;
+        SymbolicMoments::compute(&sys, count)
+    }
+
     /// Compiles the model.
     ///
     /// # Errors
     ///
     /// See [`CompiledModel::build_with_options`].
     pub fn compile(self) -> Result<CompiledModel, PartitionError> {
-        let mut opts = ModelOptions::order(self.order).with_opt_level(self.opt_level);
-        if let Some(k) = self.symbolic_moments {
-            opts = opts.with_symbolic_moments(k);
-        }
         CompiledModel::build_with_options(
             self.circuit,
             self.input,
             self.output,
             &self.bindings,
-            opts,
+            self.options(),
         )
     }
 }
@@ -315,6 +335,23 @@ mod tests {
         // The selected symbols reproduce the full analysis at nominal.
         let m = model.eval_moments(model.nominal());
         assert!((m[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn moments_are_what_compile_lowers() {
+        let w = fig1_rc(1e-3, 1e-3, 1e-9, 1e-9);
+        let awe = SymbolicAwe::new(&w.circuit, w.input, w.output)
+            .order(2)
+            .symbol_named("c1", "C1", SymbolRole::Capacitance)
+            .unwrap();
+        let moments = awe.moments().unwrap();
+        let model = awe.compile().unwrap();
+        assert_eq!(moments.len(), 4);
+        let vals = [2e-9];
+        let (sym, tape) = (moments.eval(&vals), model.eval_moments(&vals));
+        for (a, b) in sym.iter().zip(&tape) {
+            assert!((a - b).abs() <= 1e-12 * b.abs(), "{a} vs {b}");
+        }
     }
 
     #[test]

@@ -13,6 +13,15 @@ use std::collections::{BTreeSet, HashMap};
 /// adjugate).
 pub const MAX_PORTS: usize = 12;
 
+/// Largest supported approximation order `q`. The paper keeps `q < 5`
+/// and nothing bundled compiles above 4; 8 leaves that headroom while
+/// staying where a compile is still measured in seconds (a 4-symbol,
+/// 20-segment RC ladder at order 8: 209k tape ops, 2.1 s, 138 MiB).
+/// Checked before anything is sized by the order: the moment count
+/// `2q` sizes the recursion, and the symbolic degrees grow with it
+/// until the exponents overflow.
+pub const MAX_ORDER: usize = 8;
+
 /// One stamp entry `(row, col, coefficient)`: the matrix entry gains
 /// `coefficient · σ`.
 pub type Stamp = (usize, usize, f64);

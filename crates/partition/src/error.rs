@@ -35,6 +35,13 @@ pub enum PartitionError {
         /// Supported maximum.
         max: usize,
     },
+    /// The approximation order is outside `1..=max`.
+    OrderOutOfRange {
+        /// The order asked for.
+        order: usize,
+        /// Supported maximum ([`crate::MAX_ORDER`]).
+        max: usize,
+    },
 }
 
 impl fmt::Display for PartitionError {
@@ -59,6 +66,9 @@ impl fmt::Display for PartitionError {
                     f,
                     "symbolic system needs {ports} ports, supported max is {max}"
                 )
+            }
+            PartitionError::OrderOutOfRange { order, max } => {
+                write!(f, "order {order} is outside the supported range 1..={max}")
             }
         }
     }

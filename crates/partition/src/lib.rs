@@ -58,9 +58,9 @@ pub mod exact;
 mod model;
 mod symmoments;
 
-pub use assemble::{SymbolicSystem, MAX_PORTS};
+pub use assemble::{SymbolicSystem, MAX_ORDER, MAX_PORTS};
 pub use awesym_symbolic::{AffineTail, Evaluator, OptLevel};
 pub use binding::{apply_symbol_values, SymbolBinding, SymbolRole};
 pub use error::PartitionError;
-pub use model::{CompiledModel, Degradation, ModelOptions, SymbolicForms};
+pub use model::{CompiledModel, Degradation, ModelOptions};
 pub use symmoments::SymbolicMoments;

@@ -1,11 +1,11 @@
 //! The compiled symbolic AWE model — the paper's end product.
 
-use crate::{PartitionError, SymbolBinding, SymbolicMoments, SymbolicSystem};
+use crate::{PartitionError, SymbolBinding, SymbolicMoments, SymbolicSystem, MAX_ORDER};
 use awesym_awe::{pade_rom, Rom};
 use awesym_circuit::{Circuit, ElementId, Node};
 use awesym_linalg::Complex64;
 use awesym_symbolic::{
-    AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, MPoly, OptLevel, Ratio, SymbolSet,
+    AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, OptLevel, SymbolSet,
 };
 
 /// Options for [`CompiledModel::build_with_options`].
@@ -59,6 +59,32 @@ impl ModelOptions {
         self.opt_level = level;
         self
     }
+
+    /// The number of moments carried symbolically: `symbolic_moments`,
+    /// or all `2q`. Checks the order first, so nothing is sized by an
+    /// order outside `1..=`[`MAX_ORDER`].
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::OrderOutOfRange`] for such an order;
+    /// [`PartitionError::BadBinding`] when `symbolic_moments` is zero or
+    /// exceeds `2q`.
+    pub fn symbolic_count(&self) -> Result<usize, PartitionError> {
+        if !(1..=MAX_ORDER).contains(&self.order) {
+            return Err(PartitionError::OrderOutOfRange {
+                order: self.order,
+                max: MAX_ORDER,
+            });
+        }
+        let total = 2 * self.order;
+        let k_sym = self.symbolic_moments.unwrap_or(total);
+        if k_sym == 0 || k_sym > total {
+            return Err(PartitionError::BadBinding {
+                what: format!("symbolic_moments must be in 1..={total}"),
+            });
+        }
+        Ok(k_sym)
+    }
 }
 
 /// Record of a numeric-health fallback taken while building a ROM: the
@@ -75,93 +101,15 @@ pub struct Degradation {
     pub reason: String,
 }
 
-/// First-order Taylor extension for the trailing moments.
+/// First-order Taylor extension of the trailing moments, the ones after
+/// the tape's outputs, about the model's nominal point.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct TaylorTail {
-    /// Index of the first Taylor-extended moment.
-    k_start: usize,
     /// Moment values at the nominal point.
     base: Vec<f64>,
-    /// `jac[i][s] = ∂m_{k_start+i}/∂σ_s` at nominal.
+    /// `jac[i][s] = ∂m_{k+i}/∂σ_s` at nominal, where `k` is the tape's
+    /// output count.
     jac: Vec<Vec<f64>>,
-    /// The nominal point.
-    nominal: Vec<f64>,
-}
-
-/// The retained symbolic forms of a compiled model: `m_k = P_k / D^{k+1}`.
-///
-/// These are what the paper prints as eqs. (14)–(17): closed-form symbolic
-/// expressions for the DC gain, the first-order pole, and the moment
-/// numerators, all ratios of (multilinear, for first order) polynomials.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct SymbolicForms {
-    /// Determinant of `Ŷ_0`.
-    pub d: MPoly,
-    /// Moment numerators.
-    pub p: Vec<MPoly>,
-    /// Symbol names.
-    pub symbols: SymbolSet,
-}
-
-impl SymbolicForms {
-    /// DC gain `A₀(σ) = m₀ = P₀/D` as a rational form.
-    pub fn dc_gain(&self) -> Ratio {
-        Ratio::new(self.p[0].clone(), self.d.clone())
-    }
-
-    /// First-order dominant pole `p₁(σ) = m₀/m₁ = P₀·D / P₁`
-    /// (negative-real for passive circuits).
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than two moments were compiled.
-    pub fn first_order_pole(&self) -> Ratio {
-        assert!(self.p.len() >= 2, "need two moments for a first-order pole");
-        Ratio::new(self.p[0].mul(&self.d), self.p[1].clone())
-    }
-
-    /// Closed-form denominator coefficients of the *second-order* Padé
-    /// model, `1 + b₁s + b₂s²`, as rational symbolic forms:
-    ///
-    /// ```text
-    /// b₁ = (P₀P₃ − P₁P₂) / (D·(P₁² − P₀P₂))
-    /// b₂ = (P₂² − P₁P₃) / (D²·(P₁² − P₀P₂))
-    /// ```
-    ///
-    /// The poles then follow from the quadratic formula — this is the
-    /// "factoring of the symbolic forms" the paper performs for its
-    /// second-order op-amp model. Evaluating these ratios at symbol values
-    /// agrees exactly with the numeric Hankel solve.
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than four moments were compiled.
-    pub fn denominator_coeffs_order2(&self) -> (Ratio, Ratio) {
-        assert!(
-            self.p.len() >= 4,
-            "need four moments for a second-order form"
-        );
-        let (p0, p1, p2, p3) = (&self.p[0], &self.p[1], &self.p[2], &self.p[3]);
-        let disc = p1.mul(p1).sub(&p0.mul(p2));
-        let b1 = Ratio::new(p0.mul(p3).sub(&p1.mul(p2)), self.d.mul(&disc));
-        let b2 = Ratio::new(p2.mul(p2).sub(&p1.mul(p3)), self.d.mul(&self.d).mul(&disc));
-        (b1, b2)
-    }
-
-    /// Renders moment `k` as `P_k / D^{k+1}` text.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is out of range.
-    pub fn moment_text(&self, k: usize) -> String {
-        format!(
-            "m{} = ({}) / ({})^{}",
-            k,
-            self.p[k].display(&self.symbols),
-            self.d.display(&self.symbols),
-            k + 1
-        )
-    }
 }
 
 /// A compiled reduced-order symbolic model.
@@ -178,7 +126,6 @@ pub struct CompiledModel {
     fun: CompiledFn,
     order: usize,
     taylor: Option<TaylorTail>,
-    forms: SymbolicForms,
 }
 
 impl CompiledModel {
@@ -187,8 +134,10 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// Propagates assembly and symbolic-recursion failures; see
-    /// [`SymbolicSystem::assemble`] and [`SymbolicMoments::compute`].
+    /// [`PartitionError::OrderOutOfRange`] for an `order` outside
+    /// `1..=`[`MAX_ORDER`]; otherwise propagates assembly and
+    /// symbolic-recursion failures, see [`SymbolicSystem::assemble`] and
+    /// [`SymbolicMoments::compute`].
     pub fn build(
         circuit: &Circuit,
         input: ElementId,
@@ -203,9 +152,8 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// As [`CompiledModel::build`]; additionally
-    /// [`PartitionError::BadBinding`] when `symbolic_moments` exceeds `2q`
-    /// or is zero.
+    /// As [`CompiledModel::build`]; additionally the option errors of
+    /// [`ModelOptions::symbolic_count`], checked before any work starts.
     pub fn build_with_options(
         circuit: &Circuit,
         input: ElementId,
@@ -257,14 +205,9 @@ impl CompiledModel {
         bindings: &[SymbolBinding],
         opts: ModelOptions,
     ) -> Result<Vec<Self>, PartitionError> {
+        let k_sym = opts.symbolic_count()?;
         let q = opts.order;
         let total = 2 * q;
-        let k_sym = opts.symbolic_moments.unwrap_or(total);
-        if k_sym == 0 || k_sym > total {
-            return Err(PartitionError::BadBinding {
-                what: format!("symbolic_moments must be in 1..={total}"),
-            });
-        }
         let sys = SymbolicSystem::assemble_multi(circuit, input, probes, bindings, k_sym)?;
         let sms = SymbolicMoments::compute_multi(&sys, k_sym)?;
 
@@ -284,14 +227,11 @@ impl CompiledModel {
             let fun = g.compile_with(&outputs, &CompileOptions::new().opt_level(opts.opt_level));
 
             let taylor = if k_sym < total {
-                let nominal = sys.nominal().to_vec();
-                let base_all = sys.reference_moments_for(idx, &nominal, total)?;
-                let jac_all = sys.moment_jacobian_for(idx, &nominal, total)?;
+                let base_all = sys.reference_moments_for(idx, sys.nominal(), total)?;
+                let jac_all = sys.moment_jacobian_for(idx, sys.nominal(), total)?;
                 Some(TaylorTail {
-                    k_start: k_sym,
                     base: base_all[k_sym..].to_vec(),
                     jac: jac_all[k_sym..].to_vec(),
-                    nominal,
                 })
             } else {
                 None
@@ -303,11 +243,6 @@ impl CompiledModel {
                 fun,
                 order: q,
                 taylor,
-                forms: SymbolicForms {
-                    d: sm.d,
-                    p: sm.p,
-                    symbols: sys.symbols().clone(),
-                },
             });
         }
         Ok(models)
@@ -345,11 +280,6 @@ impl CompiledModel {
         self.fun.opt_level()
     }
 
-    /// The retained symbolic forms.
-    pub fn forms(&self) -> &SymbolicForms {
-        &self.forms
-    }
-
     /// Checks every numeric quantity baked into the model — nominal
     /// values, tape constants, and the Taylor tail — for NaN/Inf. A model
     /// deserialized from a corrupted artifact can carry non-finite
@@ -377,7 +307,6 @@ impl CompiledModel {
         }
         if let Some(t) = &self.taylor {
             check(&t.base, "taylor base moment")?;
-            check(&t.nominal, "taylor nominal value")?;
             for row in &t.jac {
                 check(row, "taylor jacobian entry")?;
             }
@@ -386,9 +315,9 @@ impl CompiledModel {
     }
 
     /// Checks every width baked into the model against its tape: the
-    /// symbol names, the nominal point, and the Taylor tail's nominal
-    /// point and Jacobian rows must each hold one entry per tape symbol,
-    /// and the tape outputs plus the tail rows must be the `2q` moments.
+    /// symbol names, the nominal point and the Taylor tail's Jacobian
+    /// rows must each hold one entry per tape symbol, and the tape
+    /// outputs plus the tail rows must be the `2q` moments.
     /// Evaluation asserts these, so a model deserialized from a tampered
     /// artifact that breaks one would load and then fail every request;
     /// loaders call this to reject it up front.
@@ -411,15 +340,12 @@ impl CompiledModel {
         width(self.nominal.len(), "nominal point")?;
         let mut moments = self.fun.n_outputs();
         if let Some(t) = &self.taylor {
-            width(t.nominal.len(), "taylor nominal point")?;
             for row in &t.jac {
                 width(row.len(), "taylor jacobian row")?;
             }
-            if t.k_start != moments || t.jac.len() != t.base.len() {
+            if t.jac.len() != t.base.len() {
                 return Err(format!(
-                    "taylor tail starts at moment {} with {} rows and {} jacobian rows, \
-                     after {moments} tape moments",
-                    t.k_start,
+                    "taylor tail has {} rows and {} jacobian rows",
                     t.base.len(),
                     t.jac.len()
                 ));
@@ -444,14 +370,11 @@ impl CompiledModel {
     pub fn evaluator(&self) -> Evaluator<'_> {
         match &self.taylor {
             None => self.fun.evaluator(),
-            Some(t) => {
-                debug_assert_eq!(t.k_start, self.fun.n_outputs());
-                self.fun.evaluator_with_tail(AffineTail::new(
-                    t.base.clone(),
-                    t.jac.clone(),
-                    t.nominal.clone(),
-                ))
-            }
+            Some(t) => self.fun.evaluator_with_tail(AffineTail::new(
+                t.base.clone(),
+                t.jac.clone(),
+                self.nominal.clone(),
+            )),
         }
     }
 
@@ -710,15 +633,27 @@ mod tests {
     use super::*;
     use awesym_circuit::generators::fig1_rc;
 
-    fn fig1_model(order: usize) -> (awesym_circuit::generators::Workload, CompiledModel) {
-        let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
-        let c = &w.circuit;
-        let bindings = [
+    fn fig1_bindings(c: &Circuit) -> [SymbolBinding; 2] {
+        [
             SymbolBinding::capacitance("c1", vec![c.find("C1").unwrap()]),
             SymbolBinding::resistance("r2", vec![c.find("R2").unwrap()]),
-        ];
-        let model = CompiledModel::build(c, w.input, w.output, &bindings, order).unwrap();
+        ]
+    }
+
+    fn fig1_model(order: usize) -> (awesym_circuit::generators::Workload, CompiledModel) {
+        let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
+        let bindings = fig1_bindings(&w.circuit);
+        let model = CompiledModel::build(&w.circuit, w.input, w.output, &bindings, order).unwrap();
         (w, model)
+    }
+
+    /// The symbolic moments `fig1_model(order)` lowers to its tape.
+    fn fig1_moments(order: usize) -> SymbolicMoments {
+        let w = fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
+        let bindings = fig1_bindings(&w.circuit);
+        let sys =
+            SymbolicSystem::assemble(&w.circuit, w.input, w.output, &bindings, 2 * order).unwrap();
+        SymbolicMoments::compute(&sys, 2 * order).unwrap()
     }
 
     #[test]
@@ -874,13 +809,12 @@ mod tests {
         partial.validate_shapes().unwrap();
         let json = serde_json::to_string(&partial).unwrap();
         let tail = json.find("\"taylor\":").expect("partial model has a tail");
-        for field in ["\"nominal\":[", "\"jac\":[["] {
-            let at = tail + json[tail..].find(field).unwrap() + field.len();
-            let wider = format!("{}0.5,{}", &json[..at], &json[at..]);
-            let bad: CompiledModel = serde_json::from_str(&wider).unwrap();
-            let e = bad.validate_shapes().unwrap_err();
-            assert!(e.contains("taylor"), "{field}: {e}");
-        }
+        let field = "\"jac\":[[";
+        let at = tail + json[tail..].find(field).unwrap() + field.len();
+        let wider = format!("{}0.5,{}", &json[..at], &json[at..]);
+        let bad: CompiledModel = serde_json::from_str(&wider).unwrap();
+        let e = bad.validate_shapes().unwrap_err();
+        assert!(e.contains("taylor"), "{field}: {e}");
         let deeper = json.replacen("\"order\":2", "\"order\":3", 1);
         let bad: CompiledModel = serde_json::from_str(&deeper).unwrap();
         let e = bad.validate_shapes().unwrap_err();
@@ -927,7 +861,7 @@ mod tests {
     #[test]
     fn symbolic_forms_are_consistent() {
         let (_, model) = fig1_model(2);
-        let forms = model.forms();
+        let forms = fig1_moments(2);
         let vals = [2e-9, 1234.0];
         let m = model.eval_moments(&vals);
         assert!((forms.dc_gain().eval(&vals) - m[0]).abs() < 1e-12 * m[0].abs());
@@ -940,7 +874,7 @@ mod tests {
     #[test]
     fn order2_symbolic_denominator_matches_hankel() {
         let (_, model) = fig1_model(2);
-        let (b1, b2) = model.forms().denominator_coeffs_order2();
+        let (b1, b2) = fig1_moments(2).denominator_coeffs_order2();
         for vals in [[1e-9, 2e3], [3e-9, 700.0], [0.5e-9, 5e3]] {
             let m = model.eval_moments(&vals);
             // Numeric Hankel solve on the same moments.
@@ -1013,6 +947,28 @@ mod tests {
             );
             assert!(matches!(r, Err(PartitionError::BadBinding { .. })), "{bad}");
         }
+    }
+
+    #[test]
+    fn out_of_range_orders_are_refused_before_any_work() {
+        let w = fig1_rc(1e-3, 1e-3, 1e-9, 1e-9);
+        let c = &w.circuit;
+        let bindings = [SymbolBinding::capacitance(
+            "c1",
+            vec![c.find("C1").unwrap()],
+        )];
+        for order in [0, MAX_ORDER + 1, 100_000, 1 << 32, usize::MAX] {
+            let r = CompiledModel::build(c, w.input, w.output, &bindings, order);
+            assert_eq!(
+                r.unwrap_err(),
+                PartitionError::OrderOutOfRange {
+                    order,
+                    max: MAX_ORDER
+                }
+            );
+        }
+        let m = CompiledModel::build(c, w.input, w.output, &bindings, MAX_ORDER).unwrap();
+        assert_eq!(m.eval_moments(&[1e-9]).len(), 2 * MAX_ORDER);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The symbolic moment recursion on the partitioned global system.
 
 use crate::{PartitionError, SymbolicSystem};
-use awesym_symbolic::{MPoly, SMat, SymbolSet};
+use awesym_symbolic::{MPoly, Ratio, SMat, SymbolSet};
 
 /// Transfer-function moments in symbolic form:
 /// `m_k(σ) = P_k(σ) / D(σ)^{k+1}` with `D = det(Ŷ_0)`.
@@ -15,6 +15,11 @@ use awesym_symbolic::{MPoly, SMat, SymbolSet};
 ///
 /// follows directly from `Ŷ_0·V_k = −Σ_j Ŷ_j·V_{k−j}` with
 /// `V_k = N_k / D^{k+1}`.
+///
+/// A [`crate::CompiledModel`] lowers these forms to its tape and keeps
+/// only the tape. The closed forms below are what the paper prints as
+/// eqs. (14)–(17): the DC gain, the first-order pole and the moment
+/// numerators, ratios of (multilinear, for first order) polynomials.
 #[derive(Debug, Clone)]
 pub struct SymbolicMoments {
     /// Determinant of the symbolic DC matrix `Ŷ_0`.
@@ -159,6 +164,65 @@ impl SymbolicMoments {
     /// True when no moments were computed.
     pub fn is_empty(&self) -> bool {
         self.p.is_empty()
+    }
+
+    /// DC gain `A₀(σ) = m₀ = P₀/D` as a rational form.
+    pub fn dc_gain(&self) -> Ratio {
+        Ratio::new(self.p[0].clone(), self.d.clone())
+    }
+
+    /// First-order dominant pole `p₁(σ) = m₀/m₁ = P₀·D / P₁`
+    /// (negative-real for passive circuits).
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than two moments were computed.
+    pub fn first_order_pole(&self) -> Ratio {
+        assert!(self.p.len() >= 2, "need two moments for a first-order pole");
+        Ratio::new(self.p[0].mul(&self.d), self.p[1].clone())
+    }
+
+    /// Closed-form denominator coefficients of the *second-order* Padé
+    /// model, `1 + b₁s + b₂s²`, as rational symbolic forms:
+    ///
+    /// ```text
+    /// b₁ = (P₀P₃ − P₁P₂) / (D·(P₁² − P₀P₂))
+    /// b₂ = (P₂² − P₁P₃) / (D²·(P₁² − P₀P₂))
+    /// ```
+    ///
+    /// The poles then follow from the quadratic formula — this is the
+    /// "factoring of the symbolic forms" the paper performs for its
+    /// second-order op-amp model. Evaluating these ratios at symbol values
+    /// agrees exactly with the numeric Hankel solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than four moments were computed.
+    pub fn denominator_coeffs_order2(&self) -> (Ratio, Ratio) {
+        assert!(
+            self.p.len() >= 4,
+            "need four moments for a second-order form"
+        );
+        let (p0, p1, p2, p3) = (&self.p[0], &self.p[1], &self.p[2], &self.p[3]);
+        let disc = p1.mul(p1).sub(&p0.mul(p2));
+        let b1 = Ratio::new(p0.mul(p3).sub(&p1.mul(p2)), self.d.mul(&disc));
+        let b2 = Ratio::new(p2.mul(p2).sub(&p1.mul(p3)), self.d.mul(&self.d).mul(&disc));
+        (b1, b2)
+    }
+
+    /// Renders moment `k` as `P_k / D^{k+1}` text.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is out of range.
+    pub fn moment_text(&self, k: usize) -> String {
+        format!(
+            "m{} = ({}) / ({})^{}",
+            k,
+            self.p[k].display(&self.symbols),
+            self.d.display(&self.symbols),
+            k + 1
+        )
     }
 
     /// Evaluates all moments at the given symbol values.

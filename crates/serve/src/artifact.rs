@@ -7,9 +7,10 @@
 //! {
 //!   "format": "awesym-model",
 //!   "version": 1,
-//!   "minor": 1,
-//!   "opt_level": "full",
+//!   "minor": 3,
 //!   "checksum": "fnv1a64:0123456789abcdef",
+//!   "f64_count": 64,
+//!   "f64_data": "4059000000000000…",
 //!   "payload": "<the CompiledModel JSON, as one string>"
 //! }
 //! ```
@@ -30,10 +31,19 @@
 //! bytes. Legacy artifacts (minor 0/1, floats inline in the payload)
 //! still load unchanged.
 //!
+//! Minor 3 stores each fact once: the payload no longer carries the
+//! expanded symbolic forms (`forms`), nor the Taylor tail's copies of
+//! the nominal point and of the tape's output count, and the envelope
+//! drops `opt_level`, which the payload's tape records. The payload
+//! parser ignores fields it does not know, so minor-0 to minor-2
+//! artifacts that still carry them load as before.
+//!
 //! Versioning is major/minor: only an unknown *major* (`version`) is a
-//! typed error; a newer minor from a future build still loads, and
-//! minor-0 artifacts (which predate the `minor`/`opt_level` fields and
-//! the tape optimizer) load with those fields defaulted.
+//! typed error. A newer minor still loads when it only added fields; a
+//! minor that drops a field does not load in older builds (a build
+//! before minor 3 refuses a minor-3 payload as `bad_artifact`, `missing
+//! field 'forms'`). Minor-0 artifacts (which predate the `minor` field
+//! and the tape optimizer) load with the tape's newer fields defaulted.
 
 use crate::ServeError;
 use awesym_partition::CompiledModel;
@@ -51,10 +61,12 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Artifact format minor version written by this build. Minor 1 added
 /// the `minor` and `opt_level` envelope fields (and optimized-tape
 /// payloads); minor 2 moved float coefficients into the bit-exact
-/// `f64_data` pool. Loaders accept any minor within the supported major.
-pub const FORMAT_MINOR: u32 = 2;
+/// `f64_data` pool; minor 3 dropped the payload's symbolic forms, the
+/// Taylor tail's copies of the nominal point and the tape's output
+/// count, and the envelope's `opt_level`. Loaders accept any minor within the supported major.
+pub const FORMAT_MINOR: u32 = 3;
 
-/// Marker prefix replacing extracted floats in a minor-2 payload; the
+/// Marker prefix replacing extracted floats in a pooled payload; the
 /// suffix is the value's decimal index into the `f64_data` pool.
 const F64_MARKER: &str = "\u{1}f64:";
 
@@ -75,7 +87,7 @@ pub fn checksum(payload: &str) -> String {
     format!("fnv1a64:{:016x}", fnv1a64(&[payload.as_bytes()]))
 }
 
-/// Minor-2 checksum: the payload bytes followed by the `f64_data` bytes.
+/// Pooled checksum: the payload bytes followed by the `f64_data` bytes.
 fn checksum_with_pool(payload: &str, f64_data: &str) -> String {
     format!(
         "fnv1a64:{:016x}",
@@ -180,8 +192,8 @@ fn decode_pool(f64_data: &str, count: u64) -> Result<Vec<f64>, ServeError> {
     Ok(pool)
 }
 
-/// Serializes a model into artifact text (minor-2 form: floats pooled
-/// bit-exactly into `f64_data`, markers in the JSON payload).
+/// Serializes a model into artifact text (floats pooled bit-exactly
+/// into `f64_data`, markers in the JSON payload).
 ///
 /// # Errors
 ///
@@ -206,10 +218,6 @@ pub fn to_artifact_string(model: &CompiledModel) -> Result<String, ServeError> {
         ("version".into(), Content::U64(u64::from(FORMAT_VERSION))),
         ("minor".into(), Content::U64(u64::from(FORMAT_MINOR))),
         (
-            "opt_level".into(),
-            Content::Str(model.opt_level().as_str().into()),
-        ),
-        (
             "checksum".into(),
             Content::Str(checksum_with_pool(&payload, &f64_data)),
         ),
@@ -222,8 +230,8 @@ pub fn to_artifact_string(model: &CompiledModel) -> Result<String, ServeError> {
     })
 }
 
-/// Minor-1 style artifact text: floats inline in the JSON payload, no
-/// pool. Kept as the collision fallback and for compatibility tests.
+/// Inline-float artifact text: floats in the JSON payload, no pool, as
+/// minor 1 wrote them. Kept as the collision fallback.
 fn to_artifact_string_legacy(model: &CompiledModel) -> Result<String, ServeError> {
     let payload = serde_json::to_string(model).map_err(|e| ServeError::BadFormat {
         what: format!("cannot serialize model: {e}"),
@@ -231,11 +239,7 @@ fn to_artifact_string_legacy(model: &CompiledModel) -> Result<String, ServeError
     let envelope = Content::Map(vec![
         ("format".into(), Content::Str(FORMAT_TAG.into())),
         ("version".into(), Content::U64(u64::from(FORMAT_VERSION))),
-        ("minor".into(), Content::U64(1)),
-        (
-            "opt_level".into(),
-            Content::Str(model.opt_level().as_str().into()),
-        ),
+        ("minor".into(), Content::U64(u64::from(FORMAT_MINOR))),
         ("checksum".into(), Content::Str(checksum(&payload))),
         ("payload".into(), Content::Str(payload)),
     ]);
@@ -284,8 +288,9 @@ pub fn from_artifact_str(text: &str) -> Result<CompiledModel, ServeError> {
             supported: FORMAT_VERSION,
         });
     }
-    // Minor versions are additive: absent (minor-0 artifacts predate the
-    // field) or newer minors are both fine within a supported major.
+    // The minor is not read: absent (minor-0 artifacts predate the field)
+    // or any minor within a supported major goes to the payload parser,
+    // which ignores fields it does not know.
     let recorded = envelope
         .get("checksum")
         .and_then(Content::as_str)
@@ -299,7 +304,7 @@ pub fn from_artifact_str(text: &str) -> Result<CompiledModel, ServeError> {
             what: "missing 'payload' field".into(),
         })?;
     if let Some(f64_data) = envelope.get("f64_data").and_then(Content::as_str) {
-        // Minor-2 pooled form: the checksum spans payload + pool, and
+        // Pooled form (minor 2 on): the checksum spans payload + pool, and
         // floats are restored bit-exactly from the pool before parsing.
         let count = envelope
             .get("f64_count")

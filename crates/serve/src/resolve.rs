@@ -1,8 +1,32 @@
-//! Shared `ELEM[:role]` symbol-spec parsing, used by both the `awesym`
-//! CLI flags and the server's `compile` command.
+//! Shared input/output lookup and `ELEM[:role]` symbol-spec parsing,
+//! used by both the `awesym` CLI flags and the server's `compile`
+//! command.
 
-use awesym_circuit::{Circuit, ElementKind};
+use awesym_circuit::{Circuit, ElementId, ElementKind, Node};
 use awesym_partition::{SymbolBinding, SymbolRole};
+
+/// Looks up a model's input, which must be an independent source, and
+/// its output node by name.
+///
+/// # Errors
+///
+/// A human-readable message for an unknown element or node, or an input
+/// that is not an independent source.
+pub fn resolve_io(c: &Circuit, input: &str, output: &str) -> Result<(ElementId, Node), String> {
+    let id = c
+        .find(input)
+        .ok_or_else(|| format!("no element named {input}"))?;
+    if !matches!(
+        c.element(id).kind,
+        ElementKind::Vsource | ElementKind::Isource
+    ) {
+        return Err(format!("{input} is not an independent source"));
+    }
+    let node = c
+        .find_node(output)
+        .ok_or_else(|| format!("no node named {output}"))?;
+    Ok((id, node))
+}
 
 /// Parses one `ELEM[:role]` spec against a circuit. Roles are `g`
 /// (conductance), `r` (resistance), `c` (capacitance), `l` (inductance)

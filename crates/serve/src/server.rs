@@ -583,18 +583,9 @@ impl Server {
         let circuit = awesym_circuit::parse_spice(&text).map_err(|e| ServeError::BadRequest {
             what: format!("netlist: {e}"),
         })?;
-        let input_name = need_str(req, "input")?;
-        let input = circuit
-            .find(input_name)
-            .ok_or_else(|| ServeError::BadRequest {
-                what: format!("no element named {input_name}"),
-            })?;
-        let output_name = need_str(req, "output")?;
-        let output = circuit
-            .find_node(output_name)
-            .ok_or_else(|| ServeError::BadRequest {
-                what: format!("no node named {output_name}"),
-            })?;
+        let (input, output) =
+            resolve::resolve_io(&circuit, need_str(req, "input")?, need_str(req, "output")?)
+                .map_err(|what| ServeError::BadRequest { what })?;
         let specs: Vec<String> = match req.get("symbols") {
             None | Some(Content::Null) => Vec::new(),
             Some(v) => v

@@ -29,10 +29,14 @@
 //! registered counters, so [`Shard::health`] and the metrics read the
 //! same numbers.
 //!
-//! The per-point and per-chunk panic guards in the batch engine already
-//! isolate *point* and *chunk* failures; this layer isolates *model*
-//! failures (a model whose tape replay reliably crashes) to the shard
-//! that owns them.
+//! The batch engine's panic guards already isolate *point* and *chunk*
+//! failures. A panic inside one point's evaluation, such as a tape
+//! replay that crashes, is caught by the per-point and lane-stride
+//! guards, answers that point `internal` and is counted in
+//! `panics_caught`; it never charges the breaker. Only a chunk that
+//! crashes outside those guards counts against its job, so this layer
+//! isolates a *crash loop* of chunk crashes to the shard that owns the
+//! model.
 
 use crate::batch::BatchOutput;
 use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns};

@@ -3,11 +3,12 @@
 //! wrong-version files must be rejected with typed errors.
 
 use awesym_circuit::generators::{fig1_rc, rc_ladder, rc_tree, Workload};
-use awesym_partition::{CompiledModel, SymbolBinding};
+use awesym_partition::{CompiledModel, ModelOptions, SymbolBinding};
 use awesym_serve::{
     from_artifact_str, load_artifact, load_model_file, save_artifact, ErrorCode, ServeError,
     Server, FORMAT_VERSION,
 };
+use std::path::{Path, PathBuf};
 
 /// Minimal self-cleaning temp dir (avoids a dev-dependency).
 struct TempDirLite(std::path::PathBuf);
@@ -64,33 +65,86 @@ fn probe_points(model: &CompiledModel) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The two model shapes an artifact can hold: every moment on the tape,
+/// and partial Padé, where the last moments ride a Taylor tail.
+const OPTIONS: [(&str, Option<usize>); 2] = [("full", None), ("partial", Some(2))];
+
+fn build(w: &Workload, bindings: &[SymbolBinding], symbolic: Option<usize>) -> CompiledModel {
+    let mut opts = ModelOptions::order(2);
+    if let Some(k) = symbolic {
+        opts = opts.with_symbolic_moments(k);
+    }
+    CompiledModel::build_with_options(&w.circuit, w.input, w.output, bindings, opts).unwrap()
+}
+
 #[test]
 fn save_load_round_trip_is_bit_identical() {
     let dir = TempDirLite::new("awesym_artifact_rt");
-    for (name, w, bindings) in cases() {
-        let model = CompiledModel::build(&w.circuit, w.input, w.output, &bindings, 2).unwrap();
-        let path = dir.path().join(format!("{name}.awesym"));
-        save_artifact(&model, &path).unwrap();
-        let back = load_artifact(&path).unwrap();
-        assert_eq!(back.op_count(), model.op_count(), "{name}");
-        assert_eq!(back.order(), model.order(), "{name}");
-        for vals in probe_points(&model) {
-            // Moments must agree to the bit, not just approximately.
-            assert_eq!(
-                back.eval_moments(&vals),
-                model.eval_moments(&vals),
-                "{name}"
-            );
-            let (r1, r2) = (model.rom(&vals).unwrap(), back.rom(&vals).unwrap());
-            let bits = |x: f64| x.to_bits();
-            assert_eq!(r1.dc_gain().to_bits(), r2.dc_gain().to_bits(), "{name}");
-            assert_eq!(r1.poles().len(), r2.poles().len(), "{name}");
-            for (p, q) in r1.poles().iter().zip(r2.poles()) {
-                assert_eq!((bits(p.re), bits(p.im)), (bits(q.re), bits(q.im)), "{name}");
-            }
-            for (p, q) in r1.residues().iter().zip(r2.residues()) {
-                assert_eq!((bits(p.re), bits(p.im)), (bits(q.re), bits(q.im)), "{name}");
-            }
+    for (case, w, bindings) in cases() {
+        for (shape, symbolic) in OPTIONS {
+            let name = format!("{case}_{shape}");
+            let model = build(&w, &bindings, symbolic);
+            let path = dir.path().join(format!("{name}.awesym"));
+            save_artifact(&model, &path).unwrap();
+            let back = load_artifact(&path).unwrap();
+            assert_eq!(back.op_count(), model.op_count(), "{name}");
+            assert_eq!(back.order(), model.order(), "{name}");
+            assert_bit_identical(&name, &back, &model);
+        }
+    }
+}
+
+/// Asserts that `a` evaluates exactly as `b` at [`probe_points`]:
+/// moments, ROM DC gain, poles and residues, to the bit.
+fn assert_bit_identical(name: &str, a: &CompiledModel, b: &CompiledModel) {
+    for vals in probe_points(b) {
+        // Moments must agree to the bit, not just approximately.
+        assert_eq!(a.eval_moments(&vals), b.eval_moments(&vals), "{name}");
+        let (r1, r2) = (b.rom(&vals).unwrap(), a.rom(&vals).unwrap());
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(r1.dc_gain().to_bits(), r2.dc_gain().to_bits(), "{name}");
+        assert_eq!(r1.poles().len(), r2.poles().len(), "{name}");
+        for (p, q) in r1.poles().iter().zip(r2.poles()) {
+            assert_eq!((bits(p.re), bits(p.im)), (bits(q.re), bits(q.im)), "{name}");
+        }
+        for (p, q) in r1.residues().iter().zip(r2.residues()) {
+            assert_eq!((bits(p.re), bits(p.im)), (bits(q.re), bits(q.im)), "{name}");
+        }
+    }
+}
+
+/// Asserts that the server's `load` of `artifact` answers `moments` and
+/// `rom` evals exactly as it answers them for `fresh`, saved by this
+/// build. Responses carry no model name, so equal floats mean equal text.
+fn assert_served_identically(artifact: &Path, fresh: &CompiledModel) {
+    let dir = TempDirLite::new("awesym_artifact_served");
+    let fresh_path = dir.path().join("fresh.awesym");
+    save_artifact(fresh, &fresh_path).unwrap();
+    let server = Server::default();
+    for (name, path) in [("old", artifact), ("new", fresh_path.as_path())] {
+        let line = format!(
+            r#"{{"cmd":"load","name":"{name}","path":"{}"}}"#,
+            path.display()
+        );
+        let resp = server.handle_line(&line).expect("load answers");
+        assert!(resp.text().starts_with(r#"{"ok":true"#), "{}", resp.text());
+    }
+    for vals in probe_points(fresh) {
+        let values: Vec<String> = vals.iter().map(|v| format!("{v:e}")).collect();
+        for kind in ["moments", "rom"] {
+            let [old, new] = ["old", "new"].map(|name| {
+                let line = format!(
+                    r#"{{"cmd":"eval","model":"{name}","values":[{}],"kind":"{kind}"}}"#,
+                    values.join(",")
+                );
+                server
+                    .handle_line(&line)
+                    .expect("eval answers")
+                    .text()
+                    .to_string()
+            });
+            assert!(new.starts_with(r#"{"ok":true"#), "{new}");
+            assert_eq!(old, new, "{kind} at {vals:?}");
         }
     }
 }
@@ -372,7 +426,7 @@ fn garbage_and_missing_fields_are_bad_format() {
 fn minor2_artifact_pools_floats_out_of_the_json_payload() {
     let model = fig1_model();
     let text = awesym_serve::to_artifact_string(&model).unwrap();
-    assert!(text.contains("\"minor\":2"), "{:.120}", text);
+    assert!(text.contains("\"minor\":3"), "{:.120}", text);
     assert!(text.contains("\"f64_data\":\""));
     // The pool is non-empty (models always carry nominal values) and the
     // markers land in the payload in its place.
@@ -486,10 +540,120 @@ fn marker_colliding_names_fall_back_to_legacy_form() {
     let model = CompiledModel::build(&w.circuit, w.input, w.output, &bindings, 2).unwrap();
     let text = awesym_serve::to_artifact_string(&model).unwrap();
     assert!(!text.contains("f64_data"), "{:.120}", text);
-    assert!(text.contains("\"minor\":1"));
+    assert!(text.contains("\"minor\":3"));
     let back = from_artifact_str(&text).unwrap();
     let vals = model.nominal().to_vec();
     assert_eq!(back.eval_moments(&vals), model.eval_moments(&vals));
+}
+
+/// Minor 3 stores each fact once. The envelope has seven keys, with no
+/// `opt_level` (the payload's tape records it). The payload has no
+/// expanded symbolic forms, and a partial-Padé model's Taylor tail holds
+/// only its base moments and Jacobian, with no copy of the nominal point
+/// or of the tape's output count.
+#[test]
+fn minor3_envelope_and_payload_store_each_fact_once() {
+    let (_, w, bindings) = cases().remove(0);
+    let model = build(&w, &bindings, Some(2));
+    let text = awesym_serve::to_artifact_string(&model).unwrap();
+    let envelope: serde::Content = serde_json::from_str(&text).unwrap();
+    let keys: Vec<&str> = envelope
+        .as_map_slice()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "format",
+            "version",
+            "minor",
+            "checksum",
+            "f64_count",
+            "f64_data",
+            "payload"
+        ]
+    );
+    let payload: serde::Content = serde_json::from_str(
+        envelope
+            .get("payload")
+            .and_then(serde::Content::as_str)
+            .unwrap(),
+    )
+    .unwrap();
+    let fields = |c: &serde::Content| -> Vec<String> {
+        let map = c.as_map_slice().expect("a JSON object");
+        map.iter().map(|(k, _)| k.clone()).collect()
+    };
+    assert_eq!(
+        fields(&payload),
+        ["symbols", "nominal", "fun", "order", "taylor"]
+    );
+    assert_eq!(fields(payload.get("taylor").unwrap()), ["base", "jac"]);
+    let back = from_artifact_str(&text).unwrap();
+    assert_eq!(back.opt_level(), model.opt_level());
+}
+
+/// `rc_ladder20_minor2.awesym` was written by the minor-2 writer, the
+/// last one that stored the symbolic forms, with
+/// `awesym model rc_ladder20.sp --input vin --output n20 --symbol r1
+/// --symbol c20 --order 2 --out rc_ladder20_minor2.awesym`. It still
+/// loads, through `load_artifact` and through the server's `load`, and
+/// evaluates exactly as a fresh compile of its netlist.
+#[test]
+fn minor2_fixture_loads_bit_identical_to_a_fresh_compile() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let artifact = fixtures.join("rc_ladder20_minor2.awesym");
+    let text = std::fs::read_to_string(&artifact).unwrap();
+    assert!(
+        text.contains(r#""minor":2,"opt_level":"full""#),
+        "{text:.120}"
+    );
+    assert!(
+        text.contains(r#"\"forms\":{"#),
+        "the payload stores the forms"
+    );
+    let netlist = std::fs::read_to_string(fixtures.join("rc_ladder20.sp")).unwrap();
+    let c = awesym_circuit::parse_spice(&netlist).unwrap();
+    let (input, output) = awesym_serve::resolve::resolve_io(&c, "vin", "n20").unwrap();
+    let bindings = awesym_serve::resolve::resolve_symbol_specs(&c, &["r1", "c20"]).unwrap();
+    let fresh = CompiledModel::build(&c, input, output, &bindings, 2).unwrap();
+    let old = load_artifact(&artifact).unwrap();
+    assert_eq!(old.op_count(), fresh.op_count());
+    assert_bit_identical("minor-2 fixture", &old, &fresh);
+    assert_served_identically(&artifact, &fresh);
+}
+
+/// A partial-Padé payload as minors 0–2 wrote it, rebuilt by putting
+/// `k_start` and the tail's copy of the nominal point back into a
+/// serialized model, still loads and evaluates exactly as the model it
+/// came from.
+#[test]
+fn legacy_partial_pade_payload_still_loads() {
+    use serde::Content;
+
+    let (_, w, bindings) = cases().remove(0);
+    let fresh = build(&w, &bindings, Some(2));
+    let mut payload = serde_json::to_value(&fresh).unwrap();
+    let nominal = payload.get("nominal").unwrap().clone();
+    let Content::Map(fields) = &mut payload else {
+        panic!("a model serializes as a map")
+    };
+    let Some((_, Content::Map(tail))) = fields.iter_mut().find(|(k, _)| k == "taylor") else {
+        panic!("a partial-Padé model has a Taylor tail")
+    };
+    tail.insert(0, ("k_start".into(), Content::U64(2)));
+    tail.push(("nominal".into(), nominal));
+    let legacy = serde_json::to_string(&payload).unwrap();
+    assert!(legacy.contains(r#""taylor":{"k_start":2,"base":["#));
+
+    let dir = TempDirLite::new("awesym_artifact_legacy_tail");
+    let path = dir.path().join("legacy.awesym");
+    std::fs::write(&path, artifact_with_payload(&legacy)).unwrap();
+    let old = load_artifact(&path).unwrap();
+    assert_bit_identical("legacy partial Padé", &old, &fresh);
+    assert_served_identically(&path, &fresh);
 }
 
 #[test]

@@ -193,7 +193,10 @@ fn malformed_deadline_or_workers_is_a_typed_bad_request() {
 /// A `compile` whose `order` is present but not a non-negative integer,
 /// or whose `symbols` is present but not an array of strings, is refused
 /// with a typed `bad_request` naming the field instead of compiling with
-/// a default. A `null` order means absent, so order 2.
+/// a default. So is an `order` outside `1..=MAX_ORDER`, before anything
+/// is sized by it, and an `input` that is not an independent source; the
+/// session's next `eval` still answers. A `null` order means absent, so
+/// order 2.
 #[test]
 fn malformed_compile_fields_are_a_typed_bad_request() {
     let server = Server::default();
@@ -201,19 +204,55 @@ fn malformed_compile_fields_are_a_typed_bad_request() {
         let resp = server.handle_line(&line).expect("non-empty request line");
         serde_json::from_str(resp.text()).expect("response is JSON")
     };
-    for (field, fields) in [
-        ("order", r#""symbols":["C1"],"order":"4""#),
-        ("order", r#""symbols":["C1"],"order":-1"#),
-        ("order", r#""symbols":["C1"],"order":2.5"#),
-        ("symbols", r#""symbols":["C1",5,"R2:r"]"#),
-        ("symbols", r#""symbols":"C1""#),
+    let range = format!("1..={}", awesym_partition::MAX_ORDER);
+    assert_eq!(get(&answer(compile_line()), "ok").as_bool(), Some(true));
+    let eval = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#;
+    let non_source = compile_line().replace(r#""input":"vin""#, r#""input":"R1""#);
+    for (needles, line) in [
+        (
+            vec!["order"],
+            compile_with(r#""symbols":["C1"],"order":"4""#),
+        ),
+        (
+            vec!["order"],
+            compile_with(r#""symbols":["C1"],"order":-1"#),
+        ),
+        (
+            vec!["order"],
+            compile_with(r#""symbols":["C1"],"order":2.5"#),
+        ),
+        (
+            vec!["symbols"],
+            compile_with(r#""symbols":["C1",5,"R2:r"]"#),
+        ),
+        (vec!["symbols"], compile_with(r#""symbols":"C1""#)),
+        (
+            vec!["order 0", &range],
+            compile_with(r#""symbols":["C1"],"order":0"#),
+        ),
+        (
+            vec!["order 100000", &range],
+            compile_with(r#""symbols":["C1"],"order":100000"#),
+        ),
+        (
+            vec!["order 4294967296", &range],
+            compile_with(r#""symbols":["C1"],"order":4294967296"#),
+        ),
+        (
+            vec!["order 18446744073709551615", &range],
+            compile_with(r#""symbols":["C1"],"order":18446744073709551615"#),
+        ),
+        (vec!["R1 is not an independent source"], non_source),
     ] {
-        let line = compile_with(fields);
         let c = answer(line.clone());
         assert_eq!(get(&c, "ok").as_bool(), Some(false), "{line}: {c:?}");
         assert_eq!(get(&c, "code").as_str(), Some("bad_request"), "{line}");
         let error = get(&c, "error").as_str().unwrap_or_default();
-        assert!(error.contains(field), "{line}: {error}");
+        for needle in needles {
+            assert!(error.contains(needle), "{line}: {error}");
+        }
+        let after = answer(eval.to_string());
+        assert_eq!(get(&after, "ok").as_bool(), Some(true), "after {line}");
     }
     for (fields, order, symbols) in [
         (r#""symbols":["C1","R2:r"],"order":4"#, 4, 2),

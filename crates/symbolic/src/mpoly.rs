@@ -10,7 +10,7 @@ use std::fmt;
 /// The paper shows network-function coefficients are multilinear in the
 /// symbolic elements, so term counts stay small; this representation is
 /// exact in structure while using floating coefficients for speed.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MPoly {
     nvars: usize,
     /// Sorted by exponent vector (lexicographic); no zero coefficients.
@@ -467,14 +467,5 @@ mod tests {
         let a = MPoly::zero(2);
         let b = MPoly::zero(3);
         let _ = a.add(&b);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (_, x, y) = setup();
-        let p = x.mul(&y).scale(2.5).add(&MPoly::one(2));
-        let json = serde_json::to_string(&p).unwrap();
-        let back: MPoly = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

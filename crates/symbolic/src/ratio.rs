@@ -9,7 +9,7 @@ use std::fmt;
 /// collapse the denominator, shared *monomial* content cancels, and the
 /// denominator's leading coefficient is scaled to 1 so structurally equal
 /// quotients compare equal.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ratio {
     num: MPoly,
     den: MPoly,

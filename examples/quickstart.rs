@@ -43,24 +43,24 @@ fn main() -> Result<(), PartitionError> {
     }
 
     println!("\n== Compiled AWEsymbolic model (C1, R2 symbolic) ==");
-    let model = SymbolicAwe::new(c, w.input, w.output)
+    let awe = SymbolicAwe::new(c, w.input, w.output)
         .order(2)
         .symbol_named("c1", "C1", SymbolRole::Capacitance)?
-        .symbol_named("r2", "R2", SymbolRole::Resistance)?
-        .compile()?;
+        .symbol_named("r2", "R2", SymbolRole::Resistance)?;
+    // The compiled model keeps only its tape; the closed forms come from
+    // the symbolic moments that tape was lowered from.
+    let forms = awe.moments()?;
+    let model = awe.compile()?;
     println!(
         "compiled: {} symbols, order {}, {} tape ops",
         model.symbols().len(),
         model.order(),
         model.op_count()
     );
-    println!(
-        "DC gain  : {}",
-        model.forms().dc_gain().display(model.symbols())
-    );
+    println!("DC gain  : {}", forms.dc_gain().display(&forms.symbols));
     println!(
         "1st-order pole: {}",
-        model.forms().first_order_pole().display(model.symbols())
+        forms.first_order_pole().display(&forms.symbols)
     );
 
     println!("\nEvaluating the compiled model across the symbol space:");

@@ -30,6 +30,21 @@ step() {
 
 step "cargo build --release" cargo build --release
 
+# The printed symbolic forms are pinned: `paper eq14` and `paper eq16`
+# must each print exactly their section of results/paper_output.txt,
+# from the `=== eq. (N)` banner to the blank line before the next banner.
+paper_forms() {
+  local exp banner
+  for exp in eq14 eq16; do
+    banner="=== eq. (${exp#eq})"
+    diff <(target/release/paper "$exp" | tail -n +2) \
+      <(awk -v b="$banner" 'index($0, b) == 1 { on = 1; print; next }
+                            on && /^=== / { exit }
+                            on' results/paper_output.txt | sed '${/^$/d}') || return 1
+  done
+}
+step "paper eq14/eq16 print their results/paper_output.txt sections" paper_forms
+
 step "cargo test -q" cargo test -q
 
 # perfbench builds against the workspace crates through path
