@@ -6,7 +6,7 @@
 //!   of the extra work);
 //! - minimum-degree vs natural ordering in the sparse LU.
 
-use awesym_circuit::generators::{fig1_rc, rc_ladder};
+use awesym_circuit::generators::{fig1_rc, rc_ladder, rc_mesh};
 use awesym_mna::Mna;
 use awesym_partition::{exact, CompiledModel, ModelOptions, SymbolBinding};
 use awesym_sparse::{LuOptions, Ordering, SparseLu};
@@ -83,28 +83,35 @@ fn bench_pade_scaling(c: &mut Criterion) {
 }
 
 fn bench_ordering(c: &mut Criterion) {
-    let w = rc_ladder(2000, 10.0, 1e-12);
-    let mna = Mna::build(&w.circuit).unwrap();
+    // A ladder is fill-free in natural order; a mesh fills in, and there
+    // the ordering's clique updates dominate its cost.
+    let graphs = [
+        ("ladder2000", rc_ladder(2000, 10.0, 1e-12)),
+        ("mesh30x30", rc_mesh(30, 30, 10.0, 1e-15)),
+    ];
     let mut group = c.benchmark_group("lu_ordering");
     group.sample_size(20);
-    for (name, ord) in [
-        ("min_degree", Ordering::MinDegree),
-        ("natural", Ordering::Natural),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    SparseLu::factor(
-                        mna.g(),
-                        LuOptions {
-                            ordering: ord,
-                            ..Default::default()
-                        },
+    for (graph, w) in &graphs {
+        let mna = Mna::build(&w.circuit).unwrap();
+        for (name, ord) in [
+            ("min_degree", Ordering::MinDegree),
+            ("natural", Ordering::Natural),
+        ] {
+            group.bench_function(BenchmarkId::new(graph, name), |b| {
+                b.iter(|| {
+                    black_box(
+                        SparseLu::factor(
+                            mna.g(),
+                            LuOptions {
+                                ordering: ord,
+                                ..Default::default()
+                            },
+                        )
+                        .unwrap(),
                     )
-                    .unwrap(),
-                )
-            })
-        });
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -1,6 +1,7 @@
 //! The [`Circuit`] container.
 
 use crate::{Element, ElementId, ElementKind, Node};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -79,22 +80,39 @@ impl Circuit {
     /// Panics when an element with the same name already exists or when the
     /// element references nodes that were not created through this circuit.
     pub fn add(&mut self, e: Element) -> ElementId {
-        assert!(
-            !self.by_name.contains_key(&e.name),
-            "duplicate element name {}",
-            e.name
-        );
+        match self.try_add(e) {
+            Ok(id) => id,
+            Err(taken) => panic!("duplicate element name {}", self.elements[taken.0].name),
+        }
+    }
+
+    /// Appends an element unless its name is taken, in which case the
+    /// element is dropped and the id of the one holding the name returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns the id of the existing element with the same name.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the element references nodes that were not created
+    /// through this circuit.
+    pub fn try_add(&mut self, e: Element) -> Result<ElementId, ElementId> {
+        let id = ElementId(self.elements.len());
+        let slot = match self.by_name.entry(e.name.clone()) {
+            Entry::Occupied(taken) => return Err(*taken.get()),
+            Entry::Vacant(slot) => slot,
+        };
         for node in [e.p, e.n, e.cp, e.cn] {
             assert!(
-                node.0 < self.num_nodes(),
+                node.0 < self.node_names.len(),
                 "element {} references unknown node",
                 e.name
             );
         }
-        let id = ElementId(self.elements.len());
-        self.by_name.insert(e.name.clone(), id);
+        slot.insert(id);
         self.elements.push(e);
-        id
+        Ok(id)
     }
 
     /// All elements in insertion order.

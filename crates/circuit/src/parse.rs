@@ -103,9 +103,11 @@ pub fn parse_value(text: &str) -> Option<f64> {
 /// # Errors
 ///
 /// Returns [`ParseNetlistError`] with the offending line number for unknown
-/// cards, bad arity, or unparseable values.
+/// cards, bad arity, unparseable values, or an element name already used.
 pub fn parse_spice(text: &str) -> Result<Circuit, ParseNetlistError> {
     let mut c = Circuit::new();
+    // The card line of each element, by element id.
+    let mut card_line: Vec<usize> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -173,7 +175,13 @@ pub fn parse_spice(text: &str) -> Result<Circuit, ParseNetlistError> {
             }
             other => return Err(err(format!("unknown element type '{other}'"))),
         };
-        c.add(e);
+        if let Err(taken) = c.try_add(e) {
+            return Err(err(format!(
+                "duplicate element name '{name}' (first defined on line {})",
+                card_line[taken.0]
+            )));
+        }
+        card_line.push(lineno);
     }
     Ok(c)
 }
@@ -247,6 +255,19 @@ R3 4 0 1";
 
         let e = parse_spice("R1 1 0 abc").unwrap_err();
         assert!(e.message.contains("bad value"));
+    }
+
+    #[test]
+    fn repeated_element_name_is_an_error_naming_both_lines() {
+        let e =
+            parse_spice("V1 in 0 1\n* load\nR1 in out 1k\nC1 out 0 1p\nR1 out 0 2k\n").unwrap_err();
+        assert_eq!(e.line, 5);
+        assert_eq!(
+            e.message,
+            "duplicate element name 'R1' (first defined on line 3)"
+        );
+        // Names are case-sensitive, as `Circuit::find` is.
+        assert!(parse_spice("R1 a 0 1\nr1 a 0 2\n").is_ok());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::{
     parse_spice, AweAnalysis, Circuit, CompiledModel, ElementId, ModelOptions, Node, OptLevel,
     SymbolBinding,
 };
+use awesym_partition::MAX_ORDER;
 use serde_json::Value as Content;
 use std::fmt::Write as _;
 
@@ -170,9 +171,15 @@ fn parse_opts(args: &[&str]) -> Result<Opts, String> {
             "--output" => o.output = Some(grab("--output")?),
             "--symbol" => o.symbols.push(grab("--symbol")?),
             "--order" => {
-                o.order = grab("--order")?
+                let q: usize = grab("--order")?
                     .parse()
-                    .map_err(|e| format!("bad --order: {e}"))?
+                    .map_err(|e| format!("bad --order: {e}"))?;
+                if !(1..=MAX_ORDER).contains(&q) {
+                    return Err(format!(
+                        "bad --order: {q} is outside the supported range 1..={MAX_ORDER}"
+                    ));
+                }
+                o.order = q;
             }
             "--points" => {
                 o.points = grab("--points")?
@@ -961,6 +968,27 @@ mod tests {
         .unwrap();
         assert!(out.contains("dc gain: 1.0"), "{out}");
         assert!(out.matches("pole").count() == 2, "{out}");
+    }
+
+    #[test]
+    fn order_outside_the_supported_range_is_refused() {
+        let (_d, path) = write_demo_netlist();
+        let range = format!("1..={MAX_ORDER}");
+        // `0` used to answer "transfer function is identically zero" and
+        // `100000` to abort on an 80 GB allocation in `poles`.
+        for cmd in ["poles", "sweep", "model"] {
+            for order in ["0", "100000"] {
+                let err = run(&[
+                    cmd, &path, "--input", "vin", "--output", "2", "--symbol", "C1", "--order",
+                    order,
+                ])
+                .unwrap_err();
+                assert!(
+                    err.contains("--order") && err.contains(order) && err.contains(&range),
+                    "{cmd} --order {order}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -139,3 +139,40 @@ fn serve_binary_matches_in_process_server() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `compile` whose netlist repeats an element name is answered with a
+/// typed `bad_request`, and the process goes on serving: the repeat used
+/// to panic inside `Circuit::add` and end `awesym serve` with exit 101.
+#[test]
+fn serve_binary_answers_a_repeated_element_name_and_keeps_serving() {
+    let compile = |netlist: &str| {
+        format!(
+            "{{\"cmd\":\"compile\",\"name\":\"rc\",\"netlist\":{},\"input\":\"VIN\",\"output\":\"out\",\"symbols\":[\"C1\"]}}\n",
+            serde_json::to_string(&serde_json::Value::Str(netlist.to_string()))
+                .expect("netlist JSON")
+        )
+    };
+    let repeated = NETLIST.replace("R2 1 out", "R1 1 out");
+    let input = format!(
+        "{}{}{{\"cmd\":\"eval\",\"model\":\"rc\",\"values\":[1e-9]}}\n{{\"cmd\":\"shutdown\"}}\n",
+        compile(&repeated),
+        compile(NETLIST)
+    );
+    let (out, _) = run_serve(&input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 4, "{out}");
+    assert!(
+        lines[0].contains("\"code\":\"bad_request\""),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[0].contains("duplicate element name 'R1' (first defined on line 3)"),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1..].iter().all(|l| l.contains("\"ok\":true")),
+        "{out}"
+    );
+}

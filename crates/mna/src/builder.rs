@@ -52,11 +52,35 @@ impl Mna {
     /// Returns [`MnaError::UnknownControlBranch`] when a CCCS/CCVS
     /// references a branch that carries no explicit current.
     pub fn build(circuit: &Circuit) -> Result<Mna, MnaError> {
+        Self::build_substituted(circuit, |_| None)
+    }
+
+    /// Builds the MNA system of `circuit` with some elements stamped as
+    /// others: `substitute(id)` names the element to stamp in place of
+    /// element `id`, or `None` to stamp the circuit's own. The circuit's
+    /// node numbering and element order are kept, so the unknowns are
+    /// those of [`Mna::build`] on a copy of the circuit with the
+    /// substitutes swapped in.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mna::build`].
+    pub fn build_substituted<'s>(
+        circuit: &Circuit,
+        substitute: impl Fn(ElementId) -> Option<&'s Element>,
+    ) -> Result<Mna, MnaError> {
+        let elements = || {
+            circuit
+                .elements()
+                .iter()
+                .enumerate()
+                .map(|(idx, e)| (ElementId(idx), substitute(ElementId(idx)).unwrap_or(e)))
+        };
         let num_nodes = circuit.num_nodes();
         // Assign branch currents.
         let mut branch_of = HashMap::new();
         let mut next = num_nodes - 1;
-        for e in circuit.elements() {
+        for (_, e) in elements() {
             if e.needs_branch_current() {
                 branch_of.insert(e.name.clone(), next);
                 next += 1;
@@ -68,8 +92,7 @@ impl Mna {
         let mut unit_rhs: HashMap<ElementId, Vec<(usize, f64)>> = HashMap::new();
         let mut source_values = Vec::new();
 
-        for (idx, e) in circuit.elements().iter().enumerate() {
-            let id = ElementId(idx);
+        for (id, e) in elements() {
             stamp_element(e, &branch_of, |m, r, col, v| match m {
                 MatrixSel::G => g.push(r, col, v),
                 MatrixSel::C => c.push(r, col, v),

@@ -12,7 +12,7 @@
 //! as they do on stdin.
 
 use crate::frame;
-use crate::listener::NetConfig;
+use crate::listener::{NetConfig, Waker};
 use crate::metrics::{ConnScope, NetMetrics};
 use crate::reader::{MessageKind, RecvBuf};
 use awesym_obs::now_ns;
@@ -52,6 +52,7 @@ pub(crate) fn run_conn(
     metrics: &NetMetrics,
     cfg: &NetConfig,
     shutdown: &AtomicBool,
+    waker: Waker,
     mut stream: TcpStream,
 ) -> std::io::Result<()> {
     // Nodelay: responses are small and latency-sensitive; nothing here
@@ -138,6 +139,7 @@ pub(crate) fn run_conn(
             }
             if meta.shutdown {
                 shutdown.store(true, Ordering::SeqCst);
+                waker.wake();
                 return Ok(());
             }
         }

@@ -18,15 +18,19 @@ use crate::metrics::NetMetrics;
 use awesym_serve::{adaptive_retry_after_ms, Server};
 use serde::Content;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// How often the accept loop polls for new connections and re-checks
-/// the drain/shutdown state.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often `run` re-checks for session threads still winding down
+/// after the accept loop has stopped.
+const EXIT_POLL: Duration = Duration::from_millis(10);
+
+/// Longest a wake-up connection may take to reach the listener. A
+/// backlog full of clients wakes the loop on its own.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Socket front-end limits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,14 +67,49 @@ pub struct NetServer {
     metrics: Arc<NetMetrics>,
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
+    waker: Waker,
 }
 
-/// RAII decrement of the active-connection count.
-struct ActiveGuard(Arc<AtomicUsize>);
+/// Wakes the accept loop, which blocks in `accept`, by connecting to
+/// the listener once. Whoever sets a condition that ends the loop wakes
+/// it after setting the condition, and the loop checks the conditions
+/// after every accepted socket.
+#[derive(Clone, Copy)]
+pub(crate) struct Waker(SocketAddr);
+
+impl Waker {
+    fn new(listener: &TcpListener) -> io::Result<Self> {
+        let mut addr = listener.local_addr()?;
+        // A wildcard bind is reachable on loopback.
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Ok(Waker(addr))
+    }
+
+    pub(crate) fn wake(self) {
+        // The socket closes at once; a failed connect means the loop is
+        // gone or already busy accepting.
+        let _ = TcpStream::connect_timeout(&self.0, WAKE_TIMEOUT);
+    }
+}
+
+/// RAII decrement of the active-connection count. The last session to
+/// close under drain wakes the accept loop to finish.
+struct ActiveGuard {
+    active: Arc<AtomicUsize>,
+    server: Arc<Server>,
+    waker: Waker,
+}
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 && self.server.draining() {
+            self.waker.wake();
+        }
     }
 }
 
@@ -83,6 +122,7 @@ impl NetServer {
     /// Propagates the bind failure.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        let waker = Waker::new(&listener)?;
         let metrics = Arc::new(NetMetrics::new(server.stats().registry()));
         Ok(NetServer {
             server,
@@ -91,6 +131,7 @@ impl NetServer {
             metrics,
             shutdown: Arc::new(AtomicBool::new(false)),
             active: Arc::new(AtomicUsize::new(0)),
+            waker,
         })
     }
 
@@ -122,6 +163,7 @@ impl NetServer {
     /// a client sending `shutdown`).
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
     }
 
     /// Accepts and serves connections until a `shutdown` request lands
@@ -134,62 +176,54 @@ impl NetServer {
     /// Propagates unexpected accept-loop failures; per-connection
     /// errors never kill the loop.
     pub fn run(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            // The socket may be a wake-up rather than a client: check
+            // the exits first.
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let draining = self.server.draining();
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // The accepted socket must not inherit the
-                    // listener's non-blocking mode; sessions use
-                    // timeouts instead.
-                    stream.set_nonblocking(false)?;
-                    if draining {
-                        self.metrics.refused_draining.inc();
-                        refuse(
-                            stream,
-                            "unavailable",
-                            "server is draining; not accepting new connections",
-                            self.server.config().retry_after_ms,
-                        );
-                    } else if self.active.load(Ordering::Acquire) >= self.cfg.max_conns {
-                        self.metrics.rejected.inc();
-                        let active = self.active.load(Ordering::Acquire);
-                        refuse(
-                            stream,
-                            "overloaded",
-                            &format!(
-                                "connection limit reached ({active} active, limit {})",
-                                self.cfg.max_conns
-                            ),
-                            adaptive_retry_after_ms(
-                                self.server.config().retry_after_ms,
-                                active,
-                                self.cfg.max_conns,
-                            ),
-                        );
-                    } else {
-                        self.spawn_session(stream);
-                    }
+            if self.server.draining() {
+                if self.active.load(Ordering::Acquire) == 0 {
+                    // Drain complete: every session answered its
+                    // in-flight work and closed.
+                    break;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if draining && self.active.load(Ordering::Acquire) == 0 {
-                        // Drain complete: every session answered its
-                        // in-flight work and closed.
-                        break;
-                    }
-                    thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                self.metrics.refused_draining.inc();
+                refuse(
+                    stream,
+                    "unavailable",
+                    "server is draining; not accepting new connections",
+                    self.server.config().retry_after_ms,
+                );
+            } else if self.active.load(Ordering::Acquire) >= self.cfg.max_conns {
+                self.metrics.rejected.inc();
+                let active = self.active.load(Ordering::Acquire);
+                refuse(
+                    stream,
+                    "overloaded",
+                    &format!(
+                        "connection limit reached ({active} active, limit {})",
+                        self.cfg.max_conns
+                    ),
+                    adaptive_retry_after_ms(
+                        self.server.config().retry_after_ms,
+                        active,
+                        self.cfg.max_conns,
+                    ),
+                );
+            } else {
+                self.spawn_session(stream);
             }
         }
         // Sessions poll the shutdown flag/drain state every
         // `POLL_INTERVAL`; wait for the last one to exit.
         while self.active.load(Ordering::Acquire) > 0 {
-            thread::sleep(ACCEPT_POLL);
+            thread::sleep(EXIT_POLL);
         }
         Ok(())
     }
@@ -198,15 +232,20 @@ impl NetServer {
         let server = Arc::clone(&self.server);
         let metrics = Arc::clone(&self.metrics);
         let shutdown = Arc::clone(&self.shutdown);
+        let waker = self.waker;
         let cfg = self.cfg.clone();
         self.active.fetch_add(1, Ordering::AcqRel);
-        let guard = ActiveGuard(Arc::clone(&self.active));
+        let guard = ActiveGuard {
+            active: Arc::clone(&self.active),
+            server: Arc::clone(&self.server),
+            waker,
+        };
         let spawned = thread::Builder::new()
             .name("awesym-net-conn".to_string())
             .spawn(move || {
                 let _guard = guard;
                 // Per-connection errors end that session only.
-                let _ = conn::run_conn(&server, &metrics, &cfg, &shutdown, stream);
+                let _ = conn::run_conn(&server, &metrics, &cfg, &shutdown, waker, stream);
             });
         if spawned.is_err() {
             // Thread spawn failed: the guard moved into the closure

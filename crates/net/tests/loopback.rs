@@ -272,3 +272,46 @@ fn shutdown_over_a_socket_session_stops_the_listener() {
     assert_eq!(bystander.read_to_eof(), b"");
     h.join().expect("accept loop exits after shutdown");
 }
+
+/// The accept loop blocks in `accept` instead of sleeping between
+/// polls, so a new connection's first request is answered at once, not
+/// after the rest of a poll period. Fastest of five fresh servers, each
+/// idle for a few milliseconds before its first client connects.
+#[test]
+fn first_request_on_a_fresh_server_is_answered_without_an_accept_delay() {
+    let fastest = (0..5)
+        .map(|_| {
+            let h = Harness::start(Server::default(), NetConfig::default());
+            std::thread::sleep(Duration::from_millis(3));
+            let t0 = Instant::now();
+            let mut c = h.connect();
+            c.send_line("{\"cmd\":\"health\"}");
+            assert!(ok_of(&parse_line(&c.read_line())));
+            t0.elapsed()
+        })
+        .min()
+        .expect("five samples");
+    assert!(
+        fastest < Duration::from_millis(5),
+        "first health answered after {fastest:?}"
+    );
+}
+
+/// `request_shutdown` wakes an accept loop that is blocked with no
+/// client in sight, and `run` returns.
+#[test]
+fn request_shutdown_wakes_an_idle_accept_loop() {
+    let h = Harness::start(Server::default(), NetConfig::default());
+    std::thread::sleep(Duration::from_millis(20));
+    h.net.request_shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || tx.send(h.join()));
+    let ended = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("accept loop returns after request_shutdown");
+    ended.expect("accept loop exits cleanly");
+    joiner
+        .join()
+        .expect("joiner thread")
+        .expect("result delivered");
+}

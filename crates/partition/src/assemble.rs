@@ -144,8 +144,7 @@ impl SymbolicSystem {
 
         // Numeric skeleton: symbolic elements are neutralized so their
         // contribution enters only through the σ-stamps.
-        let skeleton = neutralized_circuit(circuit, bindings);
-        let mna = Mna::build(&skeleton)?;
+        let mna = skeleton_mna(circuit, bindings)?;
         let full_b = mna.unit_source_vector(input)?;
         let full_ls: Vec<Vec<f64>> = probes
             .iter()
@@ -496,36 +495,32 @@ fn validate_bindings(circuit: &Circuit, bindings: &[SymbolBinding]) -> Result<()
     Ok(())
 }
 
-/// Rebuilds the circuit with each symbolic element neutralized so the
-/// numeric stamps exclude it (its effect is restored by the σ-stamps):
-/// admittance-form symbols are dropped (value that stamps to zero) and
-/// impedance-form symbols become zero-valued inductors, which carry the
-/// same value-independent branch pattern.
-pub(crate) fn neutralized_circuit(circuit: &Circuit, bindings: &[SymbolBinding]) -> Circuit {
-    let mut role_of: HashMap<ElementId, SymbolRole> = HashMap::new();
+/// The MNA system of the circuit with each symbolic element neutralized
+/// so the numeric stamps exclude it (its effect is restored by the
+/// σ-stamps): admittance-form symbols are stamped with a value that stamps
+/// to zero, and impedance-form symbols as zero-valued inductors, which
+/// carry the same value-independent branch pattern. Every other element,
+/// and the node and element order, are the circuit's own.
+pub(crate) fn skeleton_mna(
+    circuit: &Circuit,
+    bindings: &[SymbolBinding],
+) -> Result<Mna, awesym_mna::MnaError> {
+    let mut neutral: HashMap<ElementId, Element> = HashMap::new();
     for b in bindings {
         for &eid in &b.elements {
-            role_of.insert(eid, b.role);
+            let e = circuit.element(eid);
+            let stand_in = match b.role {
+                SymbolRole::Conductance => Element::resistor(&e.name, e.p, e.n, f64::INFINITY),
+                SymbolRole::Capacitance => Element::capacitor(&e.name, e.p, e.n, 0.0),
+                SymbolRole::Transconductance => Element::vccs(&e.name, e.p, e.n, e.cp, e.cn, 0.0),
+                SymbolRole::Resistance | SymbolRole::Inductance => {
+                    Element::inductor(&e.name, e.p, e.n, 0.0)
+                }
+            };
+            neutral.insert(eid, stand_in);
         }
     }
-    let mut out = Circuit::new();
-    for k in 1..circuit.num_nodes() {
-        out.node(circuit.node_name(Node(k)));
-    }
-    for (i, e) in circuit.elements().iter().enumerate() {
-        let id = ElementId(i);
-        let replacement = match role_of.get(&id) {
-            None => e.clone(),
-            Some(SymbolRole::Conductance) => Element::resistor(&e.name, e.p, e.n, f64::INFINITY),
-            Some(SymbolRole::Capacitance) => Element::capacitor(&e.name, e.p, e.n, 0.0),
-            Some(SymbolRole::Transconductance) => Element::vccs(&e.name, e.p, e.n, e.cp, e.cn, 0.0),
-            Some(SymbolRole::Resistance) | Some(SymbolRole::Inductance) => {
-                Element::inductor(&e.name, e.p, e.n, 0.0)
-            }
-        };
-        out.add(replacement);
-    }
-    out
+    Mna::build_substituted(circuit, |id| neutral.get(&id))
 }
 
 /// Emits the σ-stamps of one element (coefficients of the symbol in
@@ -690,7 +685,8 @@ fn port_moment_matrices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awesym_circuit::generators::fig1_rc;
+    use awesym_circuit::generators::{self, fig1_rc};
+    use awesym_sparse::{min_degree_order, min_degree_order_scan};
 
     #[test]
     fn validation_catches_bad_bindings() {
@@ -823,6 +819,191 @@ mod tests {
                     jac[k][s]
                 );
             }
+        }
+    }
+
+    /// A circuit with every element kind a symbol can bind, and a CCCS
+    /// controlled by the inductor's branch current.
+    fn every_role_circuit() -> Circuit {
+        let mut c = Circuit::new();
+        let (a, b, d) = (c.node("a"), c.node("b"), c.node("d"));
+        let gnd = Circuit::GROUND;
+        c.add(Element::vsource("vin", a, gnd, 1.0));
+        c.add(Element::resistor("r1", a, b, 1e3));
+        c.add(Element::resistor("rg", b, d, 2e3));
+        c.add(Element::capacitor("c1", b, gnd, 1e-12));
+        c.add(Element::inductor("l1", b, d, 1e-9));
+        c.add(Element::capacitor("c2", d, gnd, 2e-12));
+        c.add(Element::vccs("gm", d, gnd, a, b, 1e-3));
+        c.add(Element::cccs("f1", a, d, "l1", 0.5));
+        c.add(Element::resistor("rl", d, gnd, 5e3));
+        c
+    }
+
+    /// `circuit` copied into a new `Circuit` with each bound element
+    /// replaced by the stand-in `skeleton_mna` stamps for it.
+    fn copy_with_stand_ins(circuit: &Circuit, bindings: &[SymbolBinding]) -> Circuit {
+        let role_of: HashMap<ElementId, SymbolRole> = bindings
+            .iter()
+            .flat_map(|b| b.elements.iter().map(move |&eid| (eid, b.role)))
+            .collect();
+        let mut out = Circuit::new();
+        for k in 1..circuit.num_nodes() {
+            out.node(circuit.node_name(Node(k)));
+        }
+        for (i, e) in circuit.elements().iter().enumerate() {
+            out.add(match role_of.get(&ElementId(i)) {
+                None => e.clone(),
+                Some(SymbolRole::Conductance) => {
+                    Element::resistor(&e.name, e.p, e.n, f64::INFINITY)
+                }
+                Some(SymbolRole::Capacitance) => Element::capacitor(&e.name, e.p, e.n, 0.0),
+                Some(SymbolRole::Transconductance) => {
+                    Element::vccs(&e.name, e.p, e.n, e.cp, e.cn, 0.0)
+                }
+                Some(SymbolRole::Resistance | SymbolRole::Inductance) => {
+                    Element::inductor(&e.name, e.p, e.n, 0.0)
+                }
+            });
+        }
+        out
+    }
+
+    fn csc_bits(m: &Csc<f64>) -> Vec<Vec<(usize, u64)>> {
+        (0..m.dim())
+            .map(|j| m.col_iter(j).map(|(r, v)| (r, v.to_bits())).collect())
+            .collect()
+    }
+
+    #[test]
+    fn skeleton_mna_matches_a_rebuilt_circuit_bit_for_bit() {
+        let c = every_role_circuit();
+        let id = |name: &str| vec![c.find(name).unwrap()];
+        let each_role = [
+            SymbolBinding::conductance("g", id("rg")),
+            SymbolBinding::resistance("r", id("r1")),
+            SymbolBinding::capacitance("c", id("c1")),
+            SymbolBinding::inductance("l", id("l1")),
+            SymbolBinding::transconductance("gm", id("gm")),
+        ];
+        let mut cases: Vec<Vec<SymbolBinding>> =
+            each_role.iter().map(|b| vec![b.clone()]).collect();
+        cases.push(each_role.to_vec());
+        cases.push(vec![SymbolBinding::capacitance(
+            "cc",
+            vec![c.find("c1").unwrap(), c.find("c2").unwrap()],
+        )]);
+        let input = c.find("vin").unwrap();
+        for bindings in &cases {
+            let got = skeleton_mna(&c, bindings).unwrap();
+            let want = Mna::build(&copy_with_stand_ins(&c, bindings)).unwrap();
+            let what = format!("{bindings:?}");
+            assert_eq!(got.dim(), want.dim(), "{what}");
+            assert_eq!(csc_bits(got.g()), csc_bits(want.g()), "G of {what}");
+            assert_eq!(csc_bits(got.c()), csc_bits(want.c()), "C of {what}");
+            let bits = |m: &Mna| -> Vec<u64> {
+                let b = m.unit_source_vector(input).unwrap();
+                b.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "b of {what}");
+            for e in c.elements() {
+                assert_eq!(got.branch_index(&e.name), want.branch_index(&e.name));
+            }
+        }
+    }
+
+    /// The internal block `G_ii` that `port_moment_matrices` factors.
+    fn internal_g(sys: &SymbolicSystem) -> Csc<f64> {
+        let dim = sys.full_b.len();
+        let mut int_of = vec![None; dim];
+        let mut ni = 0;
+        for (i, slot) in int_of.iter_mut().enumerate() {
+            if sys.ports.binary_search(&i).is_err() {
+                *slot = Some(ni);
+                ni += 1;
+            }
+        }
+        let mut t = Triplets::new(ni);
+        for col in 0..dim {
+            for (row, v) in sys.full_g.col_iter(col) {
+                if let (Some(r), Some(c)) = (int_of[row], int_of[col]) {
+                    t.push(r, c, v);
+                }
+            }
+        }
+        t.to_csc()
+    }
+
+    #[test]
+    fn min_degree_heap_matches_the_scan_on_every_generator_and_fleet_block() {
+        let lines = generators::coupled_lines(&Default::default());
+        let amp = generators::opamp741();
+        let mesh = generators::rc_mesh(30, 30, 10.0, 1e-15);
+        let circuits = [
+            fig1_rc(1e-3, 2e-3, 1e-9, 2e-9).circuit,
+            generators::rc_ladder(50, 10.0, 1e-13).circuit,
+            generators::rc_tree(5, 10.0, 1e-13).circuit,
+            lines.circuit.clone(),
+            amp.circuit.clone(),
+            mesh.circuit.clone(),
+            generators::h_tree(4, 50.0, 1e-12, 20e-15).circuit,
+            generators::gate_stage(1e3, 16, 5.0, 2e-15, 5e-15).circuit,
+            generators::rlc_line(20, 5.0, 10e-9, 2e-12, 25.0, 0.2e-12).circuit,
+        ];
+        for (k, circuit) in circuits.iter().enumerate() {
+            let g = Mna::build(circuit).unwrap().g().clone();
+            assert_eq!(
+                min_degree_order(&g),
+                min_degree_order_scan(&g),
+                "generator {k}"
+            );
+        }
+
+        // The served fleet, compiled from its SPICE text as a client sends it.
+        let fleet = [
+            (
+                &amp.circuit,
+                amp.output,
+                [("ro_q14", true), ("c_comp", false)],
+            ),
+            (
+                &lines.circuit,
+                lines.aggressor_out,
+                [("rdrv1", false), ("cload1", false)],
+            ),
+            (
+                &lines.circuit,
+                lines.victim_out,
+                [("rdrv1", false), ("cload2", false)],
+            ),
+            (
+                &mesh.circuit,
+                mesh.output,
+                [("rdrv", false), ("cm29_29", false)],
+            ),
+        ];
+        for (circuit, output, symbols) in fleet {
+            let parsed = awesym_circuit::parse_spice(&circuit.to_spice()).unwrap();
+            let bindings: Vec<SymbolBinding> = symbols
+                .iter()
+                .map(|&(name, as_conductance)| {
+                    let ids = vec![parsed.find(name).unwrap()];
+                    if as_conductance {
+                        SymbolBinding::conductance(name, ids)
+                    } else {
+                        SymbolBinding::auto(&parsed, name, ids)
+                    }
+                })
+                .collect();
+            let output = parsed.find_node(circuit.node_name(output)).unwrap();
+            let input = parsed.find("vin").unwrap();
+            let sys = SymbolicSystem::assemble(&parsed, input, output, &bindings, 2).unwrap();
+            let gii = internal_g(&sys);
+            assert_eq!(
+                min_degree_order(&gii),
+                min_degree_order_scan(&gii),
+                "{symbols:?}"
+            );
         }
     }
 }

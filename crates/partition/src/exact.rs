@@ -176,9 +176,7 @@ pub fn exact_transfer(
     // internal set is empty).
     // Validate bindings and formulation through the standard assembly path.
     let _probe = SymbolicSystem::assemble(circuit, input, output, bindings, 2)?;
-    use awesym_mna::Mna;
-    let skeleton = crate::assemble::neutralized_circuit(circuit, bindings);
-    let mna = Mna::build(&skeleton)?;
+    let mna = crate::assemble::skeleton_mna(circuit, bindings)?;
     let dim = mna.dim();
     if dim > MAX_EXACT_DIM {
         return Err(PartitionError::TooManyPorts {

@@ -194,8 +194,9 @@ fn malformed_deadline_or_workers_is_a_typed_bad_request() {
 /// or whose `symbols` is present but not an array of strings, is refused
 /// with a typed `bad_request` naming the field instead of compiling with
 /// a default. So is an `order` outside `1..=MAX_ORDER`, before anything
-/// is sized by it, and an `input` that is not an independent source; the
-/// session's next `eval` still answers. A `null` order means absent, so
+/// is sized by it, an `input` that is not an independent source, and a
+/// netlist that repeats an element name; the session's next `eval` still
+/// answers. A `null` order means absent, so
 /// order 2.
 #[test]
 fn malformed_compile_fields_are_a_typed_bad_request() {
@@ -208,6 +209,7 @@ fn malformed_compile_fields_are_a_typed_bad_request() {
     assert_eq!(get(&answer(compile_line()), "ok").as_bool(), Some(true));
     let eval = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#;
     let non_source = compile_line().replace(r#""input":"vin""#, r#""input":"R1""#);
+    let repeated_name = compile_line().replace("R2 1 2 1k", "R1 1 2 1k");
     for (needles, line) in [
         (
             vec!["order"],
@@ -243,6 +245,10 @@ fn malformed_compile_fields_are_a_typed_bad_request() {
             compile_with(r#""symbols":["C1"],"order":18446744073709551615"#),
         ),
         (vec!["R1 is not an independent source"], non_source),
+        (
+            vec!["duplicate element name 'R1'", "line 5", "line 3"],
+            repeated_name,
+        ),
     ] {
         let c = answer(line.clone());
         assert_eq!(get(&c, "ok").as_bool(), Some(false), "{line}: {c:?}");

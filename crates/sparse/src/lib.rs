@@ -39,4 +39,6 @@ mod ordering;
 
 pub use csc::{Csc, Triplets};
 pub use lu::{LuOptions, SparseLu};
+#[doc(hidden)]
+pub use ordering::min_degree_order_scan;
 pub use ordering::{min_degree_order, Ordering};

@@ -71,8 +71,10 @@ step "net loopback suite (socket sessions under faults)" \
 # Lane-kernel parity in release, where LLVM vectorizes the kernel: the
 # evaluator and timing suites assert it bit-identical to per-point
 # evaluation (the CI simd-parity job runs the same; see docs/tape.md §7).
-step "simd parity (evaluator and timing suites, release)" \
-  cargo test -q -p awesym-symbolic -p awesym-timing --release
+# The sparse suite asserts the heap minimum-degree ordering makes the
+# same picks as the reference scan, optimized too.
+step "release parity (evaluator, timing and sparse-ordering suites)" \
+  cargo test -q -p awesym-symbolic -p awesym-timing -p awesym-sparse --release
 
 # --out keeps the smoke run's report away from the committed baseline in
 # results/, which only full bench runs may regenerate.
