@@ -276,34 +276,6 @@ fn run_case(case: &Case, points: usize, reps: usize) -> CaseResult {
     }
 }
 
-/// The evaluator's own sampled profile (see `awesym_symbolic::profile`)
-/// as a JSON object: ops/sec plus the per-op-kind mix, the evidence
-/// behind the batch throughput number.
-fn profile_json(indent: &str) -> String {
-    let p = awesym_symbolic::profile::snapshot();
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "{indent}  \"sampled_calls\": {},", p.sampled_calls);
-    let _ = writeln!(s, "{indent}  \"sampled_points\": {},", p.points);
-    let _ = writeln!(s, "{indent}  \"sampled_tape_ops\": {},", p.tape_ops);
-    let _ = writeln!(s, "{indent}  \"sampled_nanos\": {},", p.nanos);
-    let _ = writeln!(s, "{indent}  \"ops_per_sec\": {:e},", p.ops_per_sec());
-    let _ = writeln!(s, "{indent}  \"points_per_sec\": {:e},", p.points_per_sec());
-    s.push_str(indent);
-    s.push_str("  \"ops_by_kind\": {");
-    let mut first = true;
-    for (kind, n) in p.ops_by_kind {
-        if !first {
-            s.push_str(", ");
-        }
-        first = false;
-        let _ = write!(s, "\"{kind}\": {n}");
-    }
-    s.push_str("}\n");
-    s.push_str(indent);
-    s.push('}');
-    s
-}
-
 fn simd_json(simd: &[SimdResult]) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(
@@ -340,7 +312,6 @@ fn json_report(points: usize, reps: usize, results: &[CaseResult], simd: &[SimdR
     let _ = writeln!(s, "  \"bench\": \"tape\",");
     let _ = writeln!(s, "  \"points\": {points},");
     let _ = writeln!(s, "  \"reps\": {reps},");
-    let _ = writeln!(s, "  \"evaluator_profile\": {},", profile_json("  "));
     let _ = writeln!(s, "  \"simd\": {},", simd_json(simd));
     let _ = writeln!(
         s,
@@ -402,8 +373,6 @@ fn main() {
 
     println!("compiling workloads at opt levels none/full…");
     let cases = build_cases(segments);
-    // Scope the evaluator profile to the case runs (not compilation).
-    awesym_symbolic::profile::reset();
     let results: Vec<CaseResult> = cases.iter().map(|c| run_case(c, points, reps)).collect();
     // The ≥1.5x lane gate rides on the op-heaviest optimized tape.
     let gated_ops = cases.iter().map(|c| c.opt.op_count()).max().unwrap_or(0);

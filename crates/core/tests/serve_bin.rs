@@ -33,7 +33,7 @@ fn session(model_path: &str) -> String {
 /// Runs `awesym serve --stats-every 1`, feeding `input` on stdin. A
 /// watchdog kills the child if it has not exited within 60 s, so a
 /// serve-loop deadlock fails the test instead of hanging CI.
-fn run_serve(input: &str) -> (String, String) {
+fn run_serve(input: impl AsRef<[u8]>) -> (String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_awesym"))
         .args(["serve", "--stats-every", "1"])
         .stdin(Stdio::piped())
@@ -45,7 +45,7 @@ fn run_serve(input: &str) -> (String, String) {
         .stdin
         .take()
         .expect("child stdin")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("write session");
     let child = Arc::new(Mutex::new(child));
     let watchdog = Arc::clone(&child);
@@ -143,6 +143,26 @@ fn serve_binary_matches_in_process_server() {
 /// A `compile` whose netlist repeats an element name is answered with a
 /// typed `bad_request`, and the process goes on serving: the repeat used
 /// to panic inside `Circuit::add` and end `awesym serve` with exit 101.
+/// A request line that is not UTF-8 gets a typed error, and the next
+/// request is still answered; the process used to exit 1 with "stream
+/// did not contain valid UTF-8".
+#[test]
+fn serve_binary_answers_a_non_utf8_line_and_keeps_serving() {
+    let (out, _) = run_serve(b"{\"cmd\":\"health\"}\n\xff\xfe\n{\"cmd\":\"health\"}\n");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "{out}");
+    assert!(
+        lines[1].contains("\"code\":\"bad_request\"")
+            && lines[1].contains("request line is not valid UTF-8"),
+        "{}",
+        lines[1]
+    );
+    assert!(
+        lines[0].contains("\"ok\":true") && lines[2].contains("\"ok\":true"),
+        "{out}"
+    );
+}
+
 #[test]
 fn serve_binary_answers_a_repeated_element_name_and_keeps_serving() {
     let compile = |netlist: &str| {

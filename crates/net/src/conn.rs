@@ -2,7 +2,7 @@
 //!
 //! A dedicated thread per connection runs this loop: fill the
 //! [`RecvBuf`] from the socket, hand each complete message to the serve
-//! engine (NDJSON lines via `handle_line_into`, binary request frames
+//! engine (NDJSON lines via `handle_bytes_into`, binary request frames
 //! decoded to a typed request then `handle_frame_into`), write the
 //! response back, and
 //! watch for the orderly exits — EOF, idle timeout, write
@@ -64,7 +64,8 @@ pub(crate) fn run_conn(
     // instead of parking a session thread forever.
     stream.set_write_timeout(Some(cfg.write_timeout))?;
     let mut scope = ConnScope::open(metrics);
-    let mut rb = RecvBuf::with_limit(cfg.max_frame_bytes);
+    // The engine's line limit bounds every message, line or frame.
+    let mut rb = RecvBuf::with_limit(server.config().max_line_bytes);
     let mut out: Vec<u8> = Vec::with_capacity(4096);
     let observe = server.config().observe;
     let mut last_activity = Instant::now();
@@ -104,22 +105,9 @@ pub(crate) fn run_conn(
                 let dur = now_ns().saturating_sub(d0);
                 Some(server.handle_frame_into(req, observe.then_some((d0, dur)), &mut out))
             } else {
-                match std::str::from_utf8(bytes) {
-                    // Zero-copy: the line is handled straight out of
-                    // the receive buffer.
-                    Ok(text) => server.handle_line_into(text, &mut out),
-                    Err(_) => {
-                        let err = ServeError::BadRequest {
-                            what: "request line is not valid UTF-8".to_string(),
-                        };
-                        Some(server.handle_decoded_into(
-                            Err(err),
-                            WireEncoding::Ndjson,
-                            None,
-                            &mut out,
-                        ))
-                    }
-                }
+                // Zero-copy: the line is handled straight out of the
+                // receive buffer.
+                server.handle_bytes_into(bytes, &mut out)
             };
             let Some(meta) = meta else {
                 continue; // blank line

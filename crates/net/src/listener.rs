@@ -43,9 +43,6 @@ pub struct NetConfig {
     /// Longest a response write may block on a slow client before the
     /// connection is closed (per-connection write backpressure bound).
     pub write_timeout: Duration,
-    /// Largest accepted message — request line or binary frame — in
-    /// bytes (mirrors the engine's `max_line_bytes`).
-    pub max_frame_bytes: usize,
 }
 
 impl Default for NetConfig {
@@ -54,7 +51,6 @@ impl Default for NetConfig {
             max_conns: 256,
             idle_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(10),
-            max_frame_bytes: 64 << 20,
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Aggregate and per-connection `net_…` metrics.
 //!
-//! Registered on the serve engine's own [`Registry`] so one scrape
-//! (`ServerStats::metrics_ndjson`) covers the whole stack — transport
-//! counters next to the request-stage histograms. Per-connection detail
+//! Registered on the serve engine's own [`Registry`], next to the
+//! request-stage histograms, and read through
+//! [`NetServer::metrics`](crate::NetServer::metrics). Per-connection detail
 //! is kept cardinality-safe: each connection tracks its own totals
 //! locally ([`ConnScope`]) and folds them into *distribution*
 //! histograms (`net_conn_requests`, `net_conn_bytes_in`,

@@ -214,16 +214,17 @@ fn bad_frame_header_gets_typed_error_then_close() {
     assert_eq!(h.net.metrics().closed_protocol.get(), 1);
 }
 
-/// A message past `max_frame_bytes` is a typed error and a close, for
-/// both an oversized line and a frame whose header declares too much.
+/// A message past the engine's `max_line_bytes` is a typed error and a
+/// close, for both an oversized line and a frame whose header declares
+/// too much.
 #[test]
 fn oversized_messages_get_typed_error_then_close() {
     let h = Harness::start(
-        Server::default(),
-        NetConfig {
-            max_frame_bytes: 256,
-            ..NetConfig::default()
-        },
+        Server::with_config(ServerConfig {
+            max_line_bytes: 256,
+            ..ServerConfig::default()
+        }),
+        NetConfig::default(),
     );
     let mut c = h.connect();
     c.send(&vec![b'x'; 512]);

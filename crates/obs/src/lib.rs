@@ -14,9 +14,6 @@
 //!   [`metrics::Gauge`]s, and fixed-bucket [`metrics::Histogram`]s. The
 //!   hot paths are single relaxed atomic RMWs; registration and snapshots
 //!   take a lock but happen off the request path.
-//! - [`sample`]: [`sample::Sampler`], the cheap `1/N` guard that keeps
-//!   always-compiled profiling hooks (no feature gates) out of the hot
-//!   path's way.
 //!
 //! JSON is produced by a tiny built-in encoder ([`json_escape`]) so the
 //! crate stays dependency-free; the output is plain NDJSON any tool can
@@ -26,11 +23,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod metrics;
-pub mod sample;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry};
-pub use sample::Sampler;
 pub use trace::{SpanGuard, SpanRecord, Tracer};
 
 use std::sync::OnceLock;

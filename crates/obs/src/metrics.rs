@@ -43,11 +43,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// A settable signed value (e.g. resident models, in-flight requests).
@@ -336,8 +331,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
         let g = Gauge::new();
         g.set(7);
         g.add(-10);

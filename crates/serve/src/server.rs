@@ -67,6 +67,7 @@ pub struct ServerConfig {
     /// Largest accepted `batch` request, in points.
     pub max_batch_points: usize,
     /// Largest accepted request line, in bytes (guards the JSON parser).
+    /// The socket front end bounds binary request frames by it too.
     pub max_line_bytes: usize,
     /// Default evaluation deadline applied to `eval`/`batch` requests;
     /// `None` means no deadline unless the request carries
@@ -155,8 +156,6 @@ struct Replied {
     /// The negotiated response encoding.
     encoding: WireEncoding,
     shutdown: bool,
-    /// The shard that evaluated the request, if any.
-    shard_used: Option<usize>,
 }
 
 /// A command's successful payload before the response envelope (`ok`,
@@ -498,7 +497,6 @@ impl Server {
         let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
         if self.config.max_inflight > 0 && prev >= self.config.max_inflight {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.stats.record_request_shed();
             return Err(ServeError::Overloaded {
                 inflight: prev as u64,
                 max_inflight: self.config.max_inflight as u64,
@@ -626,10 +624,8 @@ impl Server {
         req: &Content,
         deadline: Option<(Instant, u64)>,
         clock: &mut StageClock,
-        shard_used: &mut Option<usize>,
     ) -> Result<BatchResults, ServeError> {
         let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
-        *shard_used = Some(shard.id());
         let values = point_from(
             req.get("values").ok_or_else(|| ServeError::BadRequest {
                 what: "missing 'values' array".into(),
@@ -679,10 +675,8 @@ impl Server {
         workers: Option<u64>,
         clock: &mut StageClock,
         encoding: WireEncoding,
-        shard_used: &mut Option<usize>,
     ) -> Result<BatchBody, ServeError> {
         let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
-        *shard_used = Some(shard.id());
         let raw_points =
             req.get("points")
                 .and_then(Content::as_seq)
@@ -709,10 +703,8 @@ impl Server {
         req: FrameRequest<'_>,
         deadline: Option<(Instant, u64)>,
         clock: &mut StageClock,
-        shard_used: &mut Option<usize>,
     ) -> Result<BatchBody, ServeError> {
         let (shard, model) = clock.time(Stage::Lookup, || self.lookup(req.model))?;
-        *shard_used = Some(shard.id());
         self.check_batch_len(req.count)?;
         let points = clock.time(Stage::Parse, || req.columns())?;
         if let BatchOutput::Step { times } = &req.output {
@@ -922,6 +914,22 @@ impl Server {
         Some(self.finish_request(req, WireEncoding::Ndjson, t0, clock, out))
     }
 
+    /// As [`Server::handle_line_into`], for a line read as raw bytes (by
+    /// the stdin loop and the socket sessions): a line that is not UTF-8
+    /// is answered with a typed `bad_request`, and the transport keeps
+    /// serving.
+    pub fn handle_bytes_into(&self, line: &[u8], out: &mut Vec<u8>) -> Option<ResponseMeta> {
+        match std::str::from_utf8(line) {
+            Ok(text) => self.handle_line_into(text, out),
+            Err(_) => {
+                let err = ServeError::BadRequest {
+                    what: "request line is not valid UTF-8".to_string(),
+                };
+                Some(self.handle_decoded_into(Err(err), WireEncoding::Ndjson, None, out))
+            }
+        }
+    }
+
     /// Handles a request that was already decoded into a [`Content`]
     /// tree — the reference path for binary-v1 *request* frames
     /// (`awesym_net::decode_request` builds the tree the equivalent JSON
@@ -974,13 +982,12 @@ impl Server {
         if let Some((start, dur)) = decode {
             clock.charge(Stage::Parse, start, dur);
         }
-        let mut shard_used = None;
         let (id, outcome) = match req {
             Ok(mut req) => {
                 let id = req.id.take().unwrap_or(Content::Null);
                 let deadline = self.deadline_at(req.deadline_ms, t0);
                 let outcome = self.admit().and_then(|_slot| {
-                    self.frame_batch(req, deadline, &mut clock, &mut shard_used)
+                    self.frame_batch(req, deadline, &mut clock)
                         .map(Reply::Batch)
                 });
                 (id, outcome)
@@ -992,7 +999,6 @@ impl Server {
             outcome,
             encoding: WireEncoding::BinaryV1,
             shutdown: false,
-            shard_used,
         };
         self.respond(reply, WireEncoding::BinaryV1, t0, clock, out)
     }
@@ -1015,7 +1021,6 @@ impl Server {
             .unwrap_or(Content::Null);
         let mut shutdown = false;
         let mut encoding = WireEncoding::Ndjson;
-        let mut shard_used: Option<usize> = None;
         let outcome: Result<Reply, ServeError> = req.and_then(|req| {
             encoding = encode::negotiate(&req)?;
             let cmd = need_str(&req, "cmd")?.to_string();
@@ -1041,20 +1046,12 @@ impl Server {
                 "save" => self.cmd_save(&req).map(Reply::Fields),
                 "eval" => {
                     let _slot = self.admit()?;
-                    self.cmd_eval(&req, deadline, &mut clock, &mut shard_used)
-                        .map(Reply::Point)
+                    self.cmd_eval(&req, deadline, &mut clock).map(Reply::Point)
                 }
                 "batch" => {
                     let _slot = self.admit()?;
-                    self.cmd_batch(
-                        &req,
-                        deadline,
-                        workers,
-                        &mut clock,
-                        encoding,
-                        &mut shard_used,
-                    )
-                    .map(Reply::Batch)
+                    self.cmd_batch(&req, deadline, workers, &mut clock, encoding)
+                        .map(Reply::Batch)
                 }
                 "stats" => self.cmd_stats().map(Reply::Fields),
                 "health" => self.cmd_health().map(Reply::Fields),
@@ -1076,7 +1073,6 @@ impl Server {
             outcome,
             encoding,
             shutdown,
-            shard_used,
         };
         self.respond(reply, req_encoding, t0, clock, out)
     }
@@ -1096,7 +1092,6 @@ impl Server {
             outcome,
             mut encoding,
             shutdown,
-            shard_used,
         } = reply;
         let mut ok = outcome.is_ok();
         let mut envelope = vec![("ok", Content::Bool(ok))];
@@ -1127,6 +1122,11 @@ impl Server {
                 ResponseBody::Batch(b)
             }
             Err(e) => {
+                // Every `overloaded` answer is counted here, whether the
+                // server's in-flight budget or a shard's queue shed it.
+                if matches!(e, ServeError::Overloaded { .. }) {
+                    self.stats.record_request_shed();
+                }
                 encoding = WireEncoding::Ndjson;
                 push_error_fields(&mut envelope, &e);
                 ResponseBody::Fields(envelope)
@@ -1153,8 +1153,7 @@ impl Server {
                 let _ = encode_response(WireEncoding::Ndjson, &ResponseBody::Fields(fields), out);
             });
         }
-        let latency = t0.elapsed();
-        self.stats.record_request(latency, ok);
+        self.stats.record_request(t0.elapsed(), ok);
         // Flush the collected stage times in canonical pipeline order, so
         // a drained trace always reads parse → lookup → eval → degrade →
         // serialize (requests skip stages they never reached).
@@ -1169,22 +1168,6 @@ impl Server {
         }
         if let Some((_, dur)) = clock.spans[Stage::Parse.index()] {
             self.stats.record_parse_encoding(req_encoding, dur);
-        }
-        // Mirror the request into the owning shard's labeled metrics, so
-        // cross-shard interference is readable straight from stats.
-        if let Some(i) = shard_used {
-            let m = &self.shards[i].metrics;
-            m.requests.inc();
-            if !ok {
-                m.errors.inc();
-            }
-            m.latency_us
-                .observe(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
-            for stage in STAGES {
-                if let Some((_, dur)) = clock.spans[stage.index()] {
-                    m.stages[stage.index()].observe(dur);
-                }
-            }
         }
         ResponseMeta { encoding, shutdown }
     }
@@ -1234,27 +1217,31 @@ impl Server {
     /// the line is dropped and counted in the `stats_dropped` counter.
     pub fn serve_with_stats<R: BufRead, W: Write, S: Write>(
         &self,
-        reader: R,
+        mut reader: R,
         mut writer: W,
         mut stats_out: S,
     ) -> std::io::Result<()> {
         let every = self.config.stats_every;
         let mut handled: u64 = 0;
-        // One response buffer per connection, reused across requests.
+        // One request and one response buffer per connection, reused
+        // across requests. Lines are read as bytes, so one that is not
+        // UTF-8 gets a typed answer instead of ending the loop.
+        let mut line: Vec<u8> = Vec::new();
         let mut buf: Vec<u8> = Vec::with_capacity(4096);
-        let mut lines = reader.lines();
         loop {
             // Time blocked on the transport separately from decode: the
             // read below includes client think time, which must not be
             // charged to the parse stage (see `StatsSnapshot::wait`).
             let wait0 = self.config.observe.then(now_ns);
-            let Some(line) = lines.next() else { break };
-            let line = line?;
+            line.clear();
+            if reader.read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
             if let Some(w0) = wait0 {
                 self.stats.record_wait(now_ns().saturating_sub(w0));
             }
             buf.clear();
-            if let Some(meta) = self.handle_line_into(&line, &mut buf) {
+            if let Some(meta) = self.handle_bytes_into(&line, &mut buf) {
                 writer.write_all(&buf)?;
                 // NDJSON responses are newline-framed; binary frames are
                 // self-delimiting (explicit lengths in the header).
@@ -1561,6 +1548,54 @@ mod tests {
     }
 
     #[test]
+    fn shard_queue_shed_counts_as_a_shed_request() {
+        let s = Server::with_config(ServerConfig {
+            shard_queue: 1,
+            ..ServerConfig::default()
+        });
+        s.handle_line(&compile_req("m")).unwrap();
+        let eval = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#;
+        let c = s.shards[0].with_queue_slot_held(|| parse(&s.handle_line(eval).unwrap()));
+        assert_eq!(code_of(&c), Some("overloaded"), "{c:?}");
+        assert!(ok_of(&parse(&s.handle_line(eval).unwrap())));
+        assert_eq!(s.stats.snapshot().requests_shed, 1);
+    }
+
+    #[test]
+    fn registry_holds_only_the_series_stats_and_health_read() {
+        let s = Server::with_config(ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        });
+        for name in ["alpha", "beta"] {
+            assert!(ok_of(&parse(&s.handle_line(&compile_req(name)).unwrap())));
+            let eval = format!(r#"{{"cmd":"eval","model":"{name}","values":[1e-9,1e3]}}"#);
+            assert!(ok_of(&parse(&s.handle_line(&eval).unwrap())));
+            let batch =
+                format!(r#"{{"cmd":"batch","model":"{name}","points":[[1e-9,1e3],[2e-9,2e3]]}}"#);
+            assert!(ok_of(&parse(&s.handle_line(&batch).unwrap())));
+        }
+        let names = |stats: &ServerStats| -> Vec<String> {
+            let mut names: Vec<String> = stats
+                .registry()
+                .snapshot()
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect();
+            names.sort();
+            names
+        };
+        let mut expected = names(&ServerStats::new());
+        for shard in 0..2 {
+            for counter in ["chunk_crashes", "breaker_opened", "pool_handoffs"] {
+                expected.push(format!("shard{shard}_{counter}_total"));
+            }
+        }
+        expected.sort();
+        assert_eq!(names(s.stats()), expected);
+    }
+
+    #[test]
     fn overload_hint_scales_with_queue_depth() {
         let s = Server::with_config(ServerConfig {
             max_inflight: 2,
@@ -1685,25 +1720,13 @@ mod tests {
                 ]
             );
         }
-        // Stats carry the per-shard section and per-shard stage metrics.
+        // Stats carry the per-shard section.
         let c = parse(&s.handle_line(r#"{"cmd":"stats"}"#).unwrap());
         let models = c.get("models").and_then(Content::as_seq).unwrap();
         assert_eq!(models.len(), 4);
         assert_eq!(
             c.get("shards").and_then(Content::as_seq).map(<[_]>::len),
             Some(4)
-        );
-        let metrics = s.stats().metrics_ndjson();
-        let victim = crate::shard_of("alpha", 4);
-        assert!(
-            metrics.contains(&format!("\"metric\":\"shard{victim}_requests_total\"")),
-            "per-shard request counters registered"
-        );
-        assert!(
-            metrics.contains(&format!(
-                "\"metric\":\"shard{victim}_request_stage_eval_ns\""
-            )),
-            "per-shard stage histograms registered"
         );
         // Drain: evaluation refused with a typed unavailable, cheap
         // commands still answered, shutdown still works.
@@ -1870,6 +1893,26 @@ mod tests {
             let c: Content = serde_json::from_str(l).unwrap();
             assert!(ok_of(&c), "{l}");
         }
+    }
+
+    #[test]
+    fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+        let s = Server::default();
+        let input = b"{\"cmd\":\"health\"}\n\xff\xfe\n{\"cmd\":\"health\"}\n";
+        let mut out = Vec::new();
+        s.serve(&input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let replies: Vec<Content> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 3, "{text}");
+        assert!(ok_of(&replies[0]) && ok_of(&replies[2]), "{text}");
+        assert_eq!(code_of(&replies[1]), Some("bad_request"));
+        assert_eq!(
+            replies[1].get("error").and_then(Content::as_str),
+            Some("bad request: request line is not valid UTF-8")
+        );
     }
 
     #[test]

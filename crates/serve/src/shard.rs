@@ -20,14 +20,13 @@
 //!   draining shard refuses new evaluation work but finishes what it
 //!   has.
 //!
-//! Everything a shard does is observable: per-shard counters and
-//! per-shard copies of the request-stage histograms are registered on
-//! the server's metrics registry under `shard{i}_…` names, which is how
-//! the chaos harness and `bench_gate` read cross-shard interference
-//! directly from stats. The shard counts its jobs' chunk crashes, the
-//! pool its own hand-offs, and the breaker its own opens, on those
-//! registered counters, so [`Shard::health`] and the metrics read the
-//! same numbers.
+//! A shard's events reach clients through [`Shard::health`]. The shard
+//! counts its jobs' chunk crashes, the pool its own hand-offs, and the
+//! breaker its own opens, each on a counter registered on the server's
+//! metrics registry as `shard{i}_{chunk_crashes,pool_handoffs,
+//! breaker_opened}_total`, so `health` and the registry read the same
+//! numbers. Requests, errors and stage times are counted once, server
+//! wide, in [`crate::ServerStats`].
 //!
 //! The batch engine's panic guards already isolate *point* and *chunk*
 //! failures. A panic inside one point's evaluation, such as a tape
@@ -43,8 +42,7 @@ use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns}
 use crate::error::ServeError;
 use crate::pool::WorkerPool;
 use crate::registry::ModelRegistry;
-use crate::stats::STAGE_EDGES_NS;
-use awesym_obs::{Counter, Histogram, Registry};
+use awesym_obs::{Counter, Registry};
 use awesym_partition::CompiledModel;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -276,55 +274,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// Per-shard metrics, registered on the server's obs registry under
-/// `shard{i}_…` names — including a per-shard copy of every request
-/// stage histogram, so cross-shard interference is readable straight
-/// from stats.
-///
-/// The hand-off and breaker-open counters are not here: [`Shard::new`]
-/// registers them under the same prefix and hands them to the pool and
-/// the breaker, which count their own events.
-pub(crate) struct ShardMetrics {
-    pub(crate) requests: Arc<Counter>,
-    pub(crate) errors: Arc<Counter>,
-    pub(crate) shed: Arc<Counter>,
-    pub(crate) unavailable: Arc<Counter>,
-    /// Chunks of this shard's jobs that crashed outside the per-point
-    /// guard, whichever thread ran them.
-    pub(crate) chunk_crashes: Arc<Counter>,
-    pub(crate) latency_us: Arc<Histogram>,
-    pub(crate) stages: [Arc<Histogram>; 5],
-}
-
-/// The counter `shard{shard}_{name}` on `registry`.
-fn shard_counter(registry: &Registry, shard: usize, name: &str) -> Arc<Counter> {
-    registry.counter(&format!("shard{shard}_{name}"))
-}
-
-impl ShardMetrics {
-    fn new(registry: &Registry, shard: usize) -> Self {
-        let c = |name: &str| shard_counter(registry, shard, name);
-        let stages = crate::stats::STAGES.map(|s| {
-            registry.histogram(
-                &format!("shard{shard}_request_stage_{}_ns", s.as_str()),
-                &STAGE_EDGES_NS,
-            )
-        });
-        ShardMetrics {
-            requests: c("requests_total"),
-            errors: c("request_errors_total"),
-            shed: c("requests_shed_total"),
-            unavailable: c("requests_unavailable_total"),
-            chunk_crashes: c("chunk_crashes_total"),
-            latency_us: registry.histogram(
-                &format!("shard{shard}_request_latency_us"),
-                &crate::stats::BUCKET_EDGES_US,
-            ),
-            stages,
-        }
-    }
-}
-
 /// Health summary of one shard (the `health` command's per-shard row).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ShardHealth {
@@ -360,13 +309,15 @@ pub struct Shard {
     breaker: CircuitBreaker,
     queue_depth: AtomicUsize,
     draining: AtomicBool,
-    pub(crate) metrics: ShardMetrics,
+    /// Chunks of this shard's jobs that crashed outside the per-point
+    /// guard, whichever thread ran them.
+    chunk_crashes: Arc<Counter>,
 }
 
 impl Shard {
     /// Builds shard `id`, registering its metrics on `registry`.
     pub fn new(id: usize, config: ShardConfig, registry: &Registry) -> Self {
-        let c = |name: &str| shard_counter(registry, id, name);
+        let c = |name: &str| registry.counter(&format!("shard{id}_{name}"));
         Shard {
             id,
             config,
@@ -375,7 +326,7 @@ impl Shard {
             breaker: CircuitBreaker::with_opened_counter(config.breaker, c("breaker_opened_total")),
             queue_depth: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            metrics: ShardMetrics::new(registry, id),
+            chunk_crashes: c("chunk_crashes_total"),
         }
     }
 
@@ -416,7 +367,6 @@ impl Shard {
     /// the returned guard going out of scope.
     fn admit(&self) -> Result<DepthGuard<'_>, ServeError> {
         if self.is_draining() {
-            self.metrics.unavailable.inc();
             return Err(ServeError::Unavailable {
                 shard: self.id as u64,
                 reason: "draining".to_string(),
@@ -424,7 +374,6 @@ impl Shard {
             });
         }
         if let Err(retry_after_ms) = self.breaker.admit() {
-            self.metrics.unavailable.inc();
             return Err(ServeError::Unavailable {
                 shard: self.id as u64,
                 reason: "circuit breaker open".to_string(),
@@ -434,7 +383,6 @@ impl Shard {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         if self.config.max_queue > 0 && depth > self.config.max_queue {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            self.metrics.shed.inc();
             return Err(ServeError::Overloaded {
                 inflight: depth as u64,
                 max_inflight: self.config.max_queue as u64,
@@ -483,7 +431,7 @@ impl Shard {
             .pool
             .run_batch(model, points, output, deadline, max_workers)?;
         if outcome.chunk_crashes > 0 {
-            self.metrics.chunk_crashes.add(outcome.chunk_crashes);
+            self.chunk_crashes.add(outcome.chunk_crashes);
             self.breaker.record_failure();
         } else {
             self.breaker.record_success();
@@ -497,7 +445,7 @@ impl Shard {
             shard: self.id as u64,
             breaker: self.breaker.phase_name().to_string(),
             workers: self.pool.workers() as u64,
-            chunk_crashes: self.metrics.chunk_crashes.get(),
+            chunk_crashes: self.chunk_crashes.get(),
             breaker_opened: self.breaker.opened_total(),
             pool_handoffs: self.pool.handoffs(),
             queue_depth: self.queue_depth() as u64,
@@ -693,6 +641,14 @@ mod tests {
         assert_eq!(health.breaker, "closed");
     }
 
+    impl Shard {
+        /// Runs `f` while one queue slot is taken, as by a job in flight.
+        pub(crate) fn with_queue_slot_held<T>(&self, f: impl FnOnce() -> T) -> T {
+            let _slot = self.admit().expect("a free queue slot");
+            f()
+        }
+    }
+
     #[test]
     fn healthy_shard_evaluates_and_reports() {
         let obs = Registry::new();
@@ -722,9 +678,5 @@ mod tests {
         assert_eq!(health.models, 1);
         assert_eq!(health.chunk_crashes, 0);
         assert_eq!(health.queue_depth, 0);
-        // Per-shard metrics registered under the shard{i}_ prefix.
-        assert!(obs
-            .to_ndjson()
-            .contains("\"metric\":\"shard3_requests_total\""));
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Built on the [`awesym_obs`] metrics registry: every counter and
 //! histogram here is a named metric with a lock-free atomic hot path, so
-//! the request path never blocks on accounting, and the whole set can be
-//! drained as NDJSON ([`ServerStats::metrics_ndjson`]) in addition to
-//! the structured [`StatsSnapshot`] the `stats` command returns.
+//! the request path never blocks on accounting. Clients read them as the
+//! structured [`StatsSnapshot`] the `stats` command returns.
 //!
 //! Request time is additionally broken down by pipeline stage — `parse`
 //! → `lookup` → `eval` → `degrade` → `serialize` (see [`Stage`]) — with
@@ -20,15 +19,14 @@ use std::time::Duration;
 
 /// Upper edges of the latency histogram buckets, in microseconds; an
 /// implicit unbounded bucket follows.
-pub(crate) const BUCKET_EDGES_US: [u64; 6] = [10, 100, 1_000, 10_000, 100_000, 1_000_000];
+const BUCKET_EDGES_US: [u64; 6] = [10, 100, 1_000, 10_000, 100_000, 1_000_000];
 
 /// Number of histogram buckets (the edges plus the overflow bucket).
 pub const NUM_BUCKETS: usize = BUCKET_EDGES_US.len() + 1;
 
 /// Upper edges of the per-stage histograms, in nanoseconds (1µs … 100ms,
 /// decade steps); an implicit unbounded bucket follows.
-pub(crate) const STAGE_EDGES_NS: [u64; 6] =
-    [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+const STAGE_EDGES_NS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
 
 /// The serve loop's request pipeline stages, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +120,8 @@ pub struct StatsSnapshot {
     pub panics_caught: u64,
     /// Requests that ran past their deadline and were cut short.
     pub deadlines_exceeded: u64,
-    /// Requests shed at the in-flight budget (`overloaded`).
+    /// Requests answered `overloaded`: shed at the server's in-flight
+    /// budget or at a shard's queue.
     pub requests_shed: u64,
     /// Points whose ROM fit degraded to a lower approximation order.
     pub degradations: u64,
@@ -132,7 +131,7 @@ pub struct StatsSnapshot {
     pub stats_dropped: u64,
     /// Lane plans built by this process so far: one per compiled function
     /// that has run a batch, however many requests it served (read from
-    /// `awesym_symbolic::profile`).
+    /// `awesym_symbolic::lanes::lane_plan_builds`).
     pub lane_plan_builds_total: u64,
     /// Per-stage request-time breakdown, in pipeline order (only stages
     /// a request passed through are counted).
@@ -157,9 +156,8 @@ pub struct StatsSnapshot {
 /// Atomic counters; cheap to update from the request path.
 ///
 /// Internally every metric is registered by name in an
-/// [`awesym_obs::Registry`] — [`ServerStats::metrics_ndjson`] drains the
-/// lot as NDJSON for external scrapers, while [`ServerStats::snapshot`]
-/// keeps the stable structured shape the `stats` command documents.
+/// [`awesym_obs::Registry`]; [`ServerStats::snapshot`] reads them into
+/// the stable structured shape the `stats` command documents.
 pub struct ServerStats {
     registry: Registry,
     requests: Arc<Counter>,
@@ -266,12 +264,6 @@ impl ServerStats {
         &self.registry
     }
 
-    /// Every metric as NDJSON, one line per metric (scraper format; the
-    /// structured [`StatsSnapshot`] is the API format).
-    pub fn metrics_ndjson(&self) -> String {
-        self.registry.to_ndjson()
-    }
-
     /// Records one handled request and its latency.
     pub fn record_request(&self, latency: Duration, ok: bool) {
         self.requests.inc();
@@ -327,7 +319,7 @@ impl ServerStats {
         self.deadlines_exceeded.inc();
     }
 
-    /// Records one request shed at the in-flight budget.
+    /// Records one request answered `overloaded`.
     pub fn record_request_shed(&self) {
         self.requests_shed.inc();
     }
@@ -398,7 +390,7 @@ impl ServerStats {
             requests_shed: self.requests_shed.get(),
             degradations: self.degradations.get(),
             stats_dropped: self.stats_dropped.get(),
-            lane_plan_builds_total: awesym_symbolic::profile::snapshot().lane_plan_builds,
+            lane_plan_builds_total: awesym_symbolic::lanes::lane_plan_builds(),
             stages,
             serialize_encodings,
             parse_encodings,
@@ -410,6 +402,14 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn metric_names(s: &ServerStats) -> Vec<String> {
+        s.registry()
+            .snapshot()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect()
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -499,9 +499,9 @@ mod tests {
         assert_eq!(snap.serialize_encodings[0].total_ns, 2_000);
         assert_eq!(snap.serialize_encodings[1].count, 2);
         assert_eq!(snap.serialize_encodings[1].total_ns, 1_200);
-        let text = s.metrics_ndjson();
-        assert!(text.contains("\"metric\":\"request_stage_serialize_ndjson_ns\""));
-        assert!(text.contains("\"metric\":\"request_stage_serialize_binary_ns\""));
+        let names = metric_names(&s);
+        assert!(names.contains(&"request_stage_serialize_ndjson_ns".to_string()));
+        assert!(names.contains(&"request_stage_serialize_binary_ns".to_string()));
     }
 
     #[test]
@@ -532,10 +532,10 @@ mod tests {
         assert_eq!(snap.wait.stage, "wait");
         assert_eq!(snap.wait.count, 1);
         assert_eq!(snap.wait.total_ns, 5_000_000);
-        let text = s.metrics_ndjson();
-        assert!(text.contains("\"metric\":\"request_stage_parse_ndjson_ns\""));
-        assert!(text.contains("\"metric\":\"request_stage_parse_binary_ns\""));
-        assert!(text.contains("\"metric\":\"request_wait_ns\""));
+        let names = metric_names(&s);
+        assert!(names.contains(&"request_stage_parse_ndjson_ns".to_string()));
+        assert!(names.contains(&"request_stage_parse_binary_ns".to_string()));
+        assert!(names.contains(&"request_wait_ns".to_string()));
     }
 
     #[test]
@@ -543,7 +543,7 @@ mod tests {
         let s = ServerStats::new();
         s.record_request(Duration::from_micros(5), true);
         s.record_stage(Stage::Eval, 42);
-        let text = s.metrics_ndjson();
+        let text = s.registry().to_ndjson();
         assert!(text.contains("\"metric\":\"requests_total\",\"type\":\"counter\",\"value\":1"));
         assert!(text.contains("\"metric\":\"request_stage_eval_ns\""));
         // One line per metric, all valid JSON objects.

@@ -11,7 +11,7 @@ use awesym_obs::Registry;
 use awesym_partition::CompiledModel;
 use awesym_serve::resolve::resolve_symbol_specs;
 use awesym_serve::{BatchOutput, PointColumns, Shard, ShardConfig};
-use awesym_symbolic::profile;
+use awesym_symbolic::lanes::lane_plan_builds;
 use std::sync::Arc;
 
 const BATCHES: usize = 1000;
@@ -19,7 +19,7 @@ const POINTS: usize = 4096;
 
 #[test]
 fn one_lane_plan_for_a_thousand_served_batches() {
-    let before = profile::snapshot().lane_plan_builds;
+    let before = lane_plan_builds();
 
     // Compiled from its SPICE text, as the server's `compile` does.
     let lines = coupled_lines(&CoupledLineSpec::default());
@@ -60,5 +60,5 @@ fn one_lane_plan_for_a_thousand_served_batches() {
         assert_eq!(out.ok_count(), POINTS);
     }
 
-    assert_eq!(profile::snapshot().lane_plan_builds - before, 1);
+    assert_eq!(lane_plan_builds() - before, 1);
 }

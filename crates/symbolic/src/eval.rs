@@ -12,10 +12,9 @@
 //! baseline the `simd` bench section measures speedups against.
 
 use crate::lanes::{LanePlan, Phase, B};
-use crate::{profile, CompiledFn};
+use crate::CompiledFn;
 use std::cell::RefCell;
 use std::fmt;
-use std::time::Instant;
 
 /// Points per SoA block in [`Evaluator::eval_batch_soa_ref`], the scalar
 /// reference kernel.
@@ -233,18 +232,12 @@ impl<'m> Evaluator<'m> {
     pub fn eval_into(&self, vals: &[f64], out: &mut [f64]) {
         assert_eq!(vals.len(), self.n_inputs(), "value vector length mismatch");
         assert_eq!(out.len(), self.n_outputs(), "output slice length mismatch");
-        // Sampled profiling hook (see `profile`): steady-state cost is one
-        // relaxed atomic increment; admitted calls pay two clock reads.
-        let t0 = profile::SAMPLER.sample().then(Instant::now);
         self.replay_point(vals, out);
-        if let Some(t0) = t0 {
-            profile::record(self.fun.tape(), 1, t0.elapsed());
-        }
     }
 
-    /// The per-point replay behind [`Evaluator::eval_into`], without the
-    /// sampler tick: batch calls run their scalar tails through it, so one
-    /// batch call is one tick. Shapes are the caller's to check.
+    /// The per-point replay behind [`Evaluator::eval_into`]; batch calls
+    /// run their scalar tails through it. Shapes are the caller's to
+    /// check.
     fn replay_point(&self, vals: &[f64], out: &mut [f64]) {
         let mut regs = self.scratch.borrow_mut();
         self.fun.tape().replay(vals, &mut regs);
@@ -285,20 +278,14 @@ impl<'m> Evaluator<'m> {
             // profile rather than read stale registers.
             panic!("eval_batch shape error: {e}");
         }
-        // Sampled profiling: the whole batch counts as one call, so the
-        // per-op tally is one tape walk scaled by the point count.
-        let t0 = profile::SAMPLER.sample().then(Instant::now);
         let n_out = self.n_outputs();
         let full = self.eval_rows(points, out);
-        // Scalar tail: the per-point replay, bit-identical and unsampled.
+        // Scalar tail: the per-point replay, bit-identical.
         for (p, row) in points[full..]
             .iter()
             .zip(out[full * n_out..].chunks_exact_mut(n_out))
         {
             self.replay_point(p, row);
-        }
-        if let Some(t0) = t0 {
-            profile::record(self.fun.tape(), points.len(), t0.elapsed());
         }
     }
 
@@ -347,7 +334,6 @@ impl<'m> Evaluator<'m> {
                 expected: need_out.max(count),
             });
         }
-        let t0 = profile::SAMPLER.sample().then(Instant::now);
         let full = self.eval_cols(input, in_stride, count, out, out_stride);
         if full < count {
             let mut file = self.lanes.borrow_mut();
@@ -364,9 +350,6 @@ impl<'m> Evaluator<'m> {
                 }
             }
         }
-        if let Some(t0) = t0 {
-            profile::record(self.fun.tape(), count, t0.elapsed());
-        }
         Ok(())
     }
 
@@ -374,7 +357,7 @@ impl<'m> Evaluator<'m> {
     /// loads replayed every block). Kept as the measured baseline for the
     /// `simd` section of `tape_bench` — the ≥1.5x gate in `bench_gate`
     /// compares the lane kernel against this — and as an independent
-    /// reference implementation in parity tests. It is not profiled.
+    /// reference implementation in parity tests.
     /// Production callers want [`Evaluator::eval_batch`].
     ///
     /// # Errors

@@ -524,7 +524,7 @@ impl CompiledFn {
     }
 
     /// The lane plan, built (and counted in
-    /// `profile::snapshot().lane_plan_builds`) on first use.
+    /// [`lane_plan_builds`](crate::lanes::lane_plan_builds)) on first use.
     pub(crate) fn lane_plan(&self) -> &LanePlan {
         self.plan
             .get_or_build(|| LanePlan::new(&self.tape, &self.outputs, self.n_syms))

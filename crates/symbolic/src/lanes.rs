@@ -12,12 +12,12 @@
 //! ## What the plan precomputes
 //!
 //! A straight tape replay spends a large fraction of its dispatched ops on
-//! `Const` and `Sym` loads (≈ 36 % + 3 % of the op mix on the bundled
-//! workloads — see `evaluator_profile.ops_by_kind` in
-//! `results/BENCH_tape.json`), re-splatting the same constants and
-//! re-copying the same input columns every block. The plan removes both
-//! from the steady-state stream by a single reaching-definitions pass over
-//! the (register-reusing) tape:
+//! `Const` and `Sym` loads: of the ops in the three optimized
+//! `tape_bench` tapes (46, 86 and 118), 20, 32 and 44 are `Const` and 2
+//! each are `Sym`, ≈ 38 % + 2 % of the mix. A replay re-splats the same
+//! constants and re-copies the same input columns every block. The plan
+//! removes both from the steady-state stream by a single
+//! reaching-definitions pass over the (register-reusing) tape:
 //!
 //! - every distinct constant gets one slot in a **const pool**, splatted
 //!   into the lane register file once per batch;
@@ -50,10 +50,11 @@
 //! The plan depends only on the tape, so it lives on the
 //! [`CompiledFn`](crate::CompiledFn): the first batch call through any of
 //! its evaluators builds it, and every later evaluator — every pool worker,
-//! every request — reuses it. `profile::snapshot().lane_plan_builds`
-//! counts the builds process-wide.
+//! every request — reuses it. [`lane_plan_builds`] counts the builds
+//! process-wide.
 
-use crate::{profile, Tape, TapeOp};
+use crate::{Tape, TapeOp};
+use awesym_obs::Counter;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -132,6 +133,15 @@ enum Def {
     Op,
 }
 
+/// Lane plans built by this process.
+static LANE_PLAN_BUILDS: Counter = Counter::new();
+
+/// Lane plans built by this process so far: one per compiled function
+/// that has run a batch, however many evaluators and requests share it.
+pub fn lane_plan_builds() -> u64 {
+    LANE_PLAN_BUILDS.get()
+}
+
 /// A compiled function's [`LanePlan`] slot: empty until the first batch
 /// call, then shared by every evaluator of the function. Clones carry a
 /// built plan along; equality ignores the slot, since the plan is a pure
@@ -143,7 +153,7 @@ impl PlanCell {
     /// The plan, built by `build` on first use and counted.
     pub(crate) fn get_or_build(&self, build: impl FnOnce() -> LanePlan) -> &LanePlan {
         self.0.get_or_init(|| {
-            profile::LANE_PLAN_BUILDS.inc();
+            LANE_PLAN_BUILDS.inc();
             build()
         })
     }

@@ -48,7 +48,6 @@ mod expr;
 pub mod lanes;
 mod mpoly;
 pub mod opt;
-pub mod profile;
 mod ratio;
 mod smat;
 mod symbols;
