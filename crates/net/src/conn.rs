@@ -13,7 +13,6 @@
 
 use crate::frame;
 use crate::listener::{NetConfig, Waker};
-use crate::metrics::{ConnScope, NetMetrics};
 use crate::reader::{MessageKind, RecvBuf};
 use awesym_obs::now_ns;
 use awesym_serve::{ServeError, Server, WireEncoding};
@@ -49,7 +48,6 @@ fn is_disconnect(kind: ErrorKind) -> bool {
 /// drain, and shutdown are all normal `Ok` exits.
 pub(crate) fn run_conn(
     server: &Server,
-    metrics: &NetMetrics,
     cfg: &NetConfig,
     shutdown: &AtomicBool,
     waker: Waker,
@@ -63,7 +61,6 @@ pub(crate) fn run_conn(
     // responses blocks our writes; past this the connection closes
     // instead of parking a session thread forever.
     stream.set_write_timeout(Some(cfg.write_timeout))?;
-    let mut scope = ConnScope::open(metrics);
     // The engine's line limit bounds every message, line or frame.
     let mut rb = RecvBuf::with_limit(server.config().max_line_bytes);
     let mut out: Vec<u8> = Vec::with_capacity(4096);
@@ -81,16 +78,13 @@ pub(crate) fn run_conn(
                     // Framing errors desync the byte stream: answer
                     // with the typed error, then close — there is no
                     // way to find the next message boundary.
-                    metrics.closed_protocol.inc();
                     let err = ServeError::BadRequest {
                         what: e.to_string(),
                     };
                     out.clear();
                     server.handle_decoded_into(Err(err), WireEncoding::Ndjson, None, &mut out);
                     out.push(b'\n');
-                    if stream.write_all(&out).and_then(|()| stream.flush()).is_ok() {
-                        scope.record_bytes_out(out.len() as u64);
-                    }
+                    let _ = stream.write_all(&out).and_then(|()| stream.flush());
                     return Ok(());
                 }
             };
@@ -115,14 +109,10 @@ pub(crate) fn run_conn(
             if meta.encoding == WireEncoding::Ndjson {
                 out.push(b'\n');
             }
-            scope.record_request(is_frame);
             match stream.write_all(&out).and_then(|()| stream.flush()) {
-                Ok(()) => scope.record_bytes_out(out.len() as u64),
-                Err(e) if is_timeout(e.kind()) => {
-                    metrics.closed_slow.inc();
-                    return Ok(());
-                }
-                Err(e) if is_disconnect(e.kind()) => return Ok(()),
+                Ok(()) => {}
+                // A client that stopped reading its responses, or hung up.
+                Err(e) if is_timeout(e.kind()) || is_disconnect(e.kind()) => return Ok(()),
                 Err(e) => return Err(e),
             }
             if meta.shutdown {
@@ -146,18 +136,16 @@ pub(crate) fn run_conn(
         }
         match rb.fill(&mut stream) {
             Ok(0) => return Ok(()), // EOF
-            Ok(n) => {
+            Ok(_) => {
                 // Blocked-on-client time is `wait`, never `parse` —
                 // same split the stdin loop records.
                 if let Some(w0) = wait_start.take() {
                     server.stats().record_wait(now_ns().saturating_sub(w0));
                 }
-                scope.record_bytes_in(n as u64);
                 last_activity = Instant::now();
             }
             Err(e) if is_timeout(e.kind()) => {
                 if last_activity.elapsed() >= cfg.idle_timeout {
-                    metrics.closed_idle.inc();
                     return Ok(());
                 }
             }

@@ -3,7 +3,7 @@
 //! The paper's economics — compile once, evaluate in microseconds —
 //! only survive contact with a network if the transport and decode
 //! layers stay out of the way. This crate is that front end, behind
-//! `awesym serve --listen ADDR`, in three layers:
+//! `awesym serve --listen ADDR`, in two layers:
 //!
 //! - **transport** ([`listener`], [`conn`]): a thread-per-connection
 //!   accept loop over one shared [`awesym_serve::Server`], with a
@@ -18,10 +18,10 @@
 //!   binary response frame, decoded by [`decode_batch`] into a typed
 //!   request whose payload goes into the engine's column buffer with one
 //!   copy — so hot clients skip JSON in both directions.
-//! - **observability** ([`metrics`]): aggregate and per-connection
-//!   `net_…` counters/histograms on the engine's own metrics registry,
-//!   with decode-stage timing split by request encoding recorded by
-//!   the engine itself.
+//!
+//! A session records what it measures on the engine's own counters: the
+//! time it spends blocked on its socket (`wait`) and each frame's decode
+//! time (`parse`), which `stats` serves beside the stdin loop's.
 //!
 //! The stdin/stdout NDJSON loop remains the default transport and is
 //! bit-identical per request to this one: both feed the same engine,
@@ -39,7 +39,6 @@
 pub mod conn;
 pub mod frame;
 pub mod listener;
-pub mod metrics;
 pub mod reader;
 
 pub use frame::{
@@ -48,5 +47,4 @@ pub use frame::{
     REQUEST_MAGIC, REQUEST_VERSION,
 };
 pub use listener::{NetConfig, NetServer};
-pub use metrics::{ConnScope, NetMetrics};
 pub use reader::{MessageKind, MessageSpan, RecvBuf, ScanError};

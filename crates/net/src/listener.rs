@@ -14,7 +14,6 @@
 //! drain state.
 
 use crate::conn;
-use crate::metrics::NetMetrics;
 use awesym_serve::{adaptive_retry_after_ms, Server};
 use serde::Content;
 use std::io::{self, Write};
@@ -60,7 +59,6 @@ pub struct NetServer {
     server: Arc<Server>,
     listener: TcpListener,
     cfg: NetConfig,
-    metrics: Arc<NetMetrics>,
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     waker: Waker,
@@ -110,8 +108,7 @@ impl Drop for ActiveGuard {
 }
 
 impl NetServer {
-    /// Binds `addr` and registers the `net_…` metrics on the engine's
-    /// registry.
+    /// Binds `addr`.
     ///
     /// # Errors
     ///
@@ -119,12 +116,10 @@ impl NetServer {
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let waker = Waker::new(&listener)?;
-        let metrics = Arc::new(NetMetrics::new(server.stats().registry()));
         Ok(NetServer {
             server,
             listener,
             cfg,
-            metrics,
             shutdown: Arc::new(AtomicBool::new(false)),
             active: Arc::new(AtomicUsize::new(0)),
             waker,
@@ -143,11 +138,6 @@ impl NetServer {
     /// The shared engine.
     pub fn server(&self) -> &Arc<Server> {
         &self.server
-    }
-
-    /// Aggregate socket metrics.
-    pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
     }
 
     /// Currently open connections.
@@ -189,7 +179,6 @@ impl NetServer {
                     // in-flight work and closed.
                     break;
                 }
-                self.metrics.refused_draining.inc();
                 refuse(
                     stream,
                     "unavailable",
@@ -197,7 +186,6 @@ impl NetServer {
                     self.server.config().retry_after_ms,
                 );
             } else if self.active.load(Ordering::Acquire) >= self.cfg.max_conns {
-                self.metrics.rejected.inc();
                 let active = self.active.load(Ordering::Acquire);
                 refuse(
                     stream,
@@ -226,7 +214,6 @@ impl NetServer {
 
     fn spawn_session(&self, stream: TcpStream) {
         let server = Arc::clone(&self.server);
-        let metrics = Arc::clone(&self.metrics);
         let shutdown = Arc::clone(&self.shutdown);
         let waker = self.waker;
         let cfg = self.cfg.clone();
@@ -236,19 +223,15 @@ impl NetServer {
             server: Arc::clone(&self.server),
             waker,
         };
-        let spawned = thread::Builder::new()
+        // A failed spawn drops the closure unrun, and with it the
+        // socket and the guard, which releases the count.
+        let _ = thread::Builder::new()
             .name("awesym-net-conn".to_string())
             .spawn(move || {
                 let _guard = guard;
                 // Per-connection errors end that session only.
-                let _ = conn::run_conn(&server, &metrics, &cfg, &shutdown, waker, stream);
+                let _ = conn::run_conn(&server, &cfg, &shutdown, waker, stream);
             });
-        if spawned.is_err() {
-            // Thread spawn failed: the guard moved into the closure
-            // that never ran, so the count was already released by the
-            // builder dropping it; nothing else to undo.
-            self.metrics.rejected.inc();
-        }
     }
 }
 

@@ -459,7 +459,4 @@ pub fn assert_socket_matches_stdin(clients: usize, requests: usize) {
             }
         }
     }
-    let metrics = h.net.metrics();
-    assert!(metrics.requests.get() >= (clients * requests) as u64);
-    assert!(metrics.frames.get() >= (clients * (requests / 3)) as u64);
 }

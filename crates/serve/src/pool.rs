@@ -25,7 +25,7 @@
 //! which the shard's breaker reads) before the chunk is deposited. The
 //! thread that ran it, pool thread or submitter, drops its evaluator and
 //! claims its next chunk; only dropping the pool ends a pool thread. The
-//! pool counts its hand-offs on a counter a shard registers as a metric.
+//! pool counts its own hand-offs, which a shard's `health` serves.
 //!
 //! Jobs are columnar end to end: workers read the request's
 //! [`PointColumns`] and fill a chunk of [`BatchResults`] that is copied
@@ -175,9 +175,8 @@ struct Shared {
     work: Condvar,
     /// Submitters park here for job completion (paired with `queue`).
     done: Condvar,
-    /// Jobs published to pool threads as helpers. A shard passes its
-    /// registered `shard{i}_pool_handoffs_total`.
-    handoffs: Arc<Counter>,
+    /// Jobs published to pool threads as helpers.
+    handoffs: Counter,
     shutdown: AtomicBool,
     shard: usize,
 }
@@ -195,17 +194,12 @@ impl WorkerPool {
     /// uses at most that many threads, the submitting thread included.
     /// Unsharded users pass shard 0.
     pub fn new(shard: usize, workers: usize) -> Self {
-        Self::with_handoffs(shard, workers, Arc::default())
-    }
-
-    /// [`WorkerPool::new`], counting hand-offs on `handoffs`.
-    pub(crate) fn with_handoffs(shard: usize, workers: usize, handoffs: Arc<Counter>) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             done: Condvar::new(),
-            handoffs,
+            handoffs: Counter::default(),
             shutdown: AtomicBool::new(false),
             shard,
         });

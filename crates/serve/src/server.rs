@@ -39,14 +39,14 @@
 use crate::batch::BatchOutput;
 use crate::columns::{check_finite, BatchResults, FrameRequest, PointColumns};
 use crate::encode::{self, encode_response, BatchBody, ResponseBody, WireEncoding};
-use crate::registry::{ModelRegistry, RegistryStats};
+use crate::registry::RegistryStats;
 use crate::shard::{adaptive_retry_after_ms, shard_of, Shard, ShardConfig};
 use crate::stats::{ServerStats, Stage, STAGES};
 use crate::{artifact, resolve, ServeError};
 use awesym_obs::{now_ns, Tracer};
 use awesym_partition::CompiledModel;
 use serde::Content;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -412,7 +412,7 @@ impl Server {
             ..ShardConfig::default()
         };
         let shards = (0..config.shards.max(1))
-            .map(|i| Shard::new(i, shard_config, stats.registry()))
+            .map(|i| Shard::new(i, shard_config))
             .collect();
         Server {
             shards,
@@ -426,14 +426,6 @@ impl Server {
     /// The active configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    /// Shard 0's registry. For the default single-shard configuration
-    /// this is *the* registry; on a sharded server prefer
-    /// [`Server::insert_model`] / [`Server::shard_for`], which route by
-    /// name.
-    pub fn registry(&self) -> &ModelRegistry {
-        self.shards[0].registry()
     }
 
     /// Every shard, in index order.
@@ -898,13 +890,7 @@ impl Server {
         // Size guard before the parser ever sees the bytes.
         let req = clock.time(Stage::Parse, || {
             if line.len() > self.config.max_line_bytes {
-                Err(ServeError::BadRequest {
-                    what: format!(
-                        "request line is {} bytes, limit is {}",
-                        line.len(),
-                        self.config.max_line_bytes
-                    ),
-                })
+                Err(self.line_too_long(line.len()))
             } else {
                 serde_json::from_str::<Content>(line).map_err(|e| ServeError::BadRequest {
                     what: format!("request is not JSON: {e}"),
@@ -912,6 +898,17 @@ impl Server {
             }
         });
         Some(self.finish_request(req, WireEncoding::Ndjson, t0, clock, out))
+    }
+
+    /// The answer to a request line of `len` bytes, past
+    /// [`ServerConfig::max_line_bytes`].
+    fn line_too_long(&self, len: usize) -> ServeError {
+        ServeError::BadRequest {
+            what: format!(
+                "request line is {len} bytes, limit is {}",
+                self.config.max_line_bytes
+            ),
+        }
     }
 
     /// As [`Server::handle_line_into`], for a line read as raw bytes (by
@@ -1172,16 +1169,9 @@ impl Server {
         ResponseMeta { encoding, shutdown }
     }
 
-    /// One NDJSON stats line: the server snapshot (with per-stage
-    /// breakdown), registry counters, and how many trace spans the ring
-    /// has overwritten.
-    pub fn stats_line(&self) -> String {
-        let mut out = Vec::new();
-        self.stats_line_into(&mut out);
-        String::from_utf8(out).expect("stats line is valid UTF-8")
-    }
-
-    /// As [`Server::stats_line`], appending to a reusable buffer.
+    /// Appends one NDJSON stats line to `out`: the server snapshot (with
+    /// per-stage breakdown), registry counters, and how many trace spans
+    /// the ring has overwritten.
     pub fn stats_line_into(&self, out: &mut Vec<u8>) {
         let server = serde_json::to_value(&self.stats.snapshot()).unwrap_or(Content::Null);
         let registry = serde_json::to_value(&self.registry_stats()).unwrap_or(Content::Null);
@@ -1204,7 +1194,7 @@ impl Server {
     }
 
     /// As [`Server::serve`], but additionally writes one NDJSON stats
-    /// line (see [`Server::stats_line`]) to `stats_out` every
+    /// line (see [`Server::stats_line_into`]) to `stats_out` every
     /// [`ServerConfig::stats_every`] handled requests. The stats stream
     /// is separate from the response stream so programmatic clients
     /// reading responses never see an unsolicited line — `awesym serve
@@ -1228,20 +1218,28 @@ impl Server {
         // UTF-8 gets a typed answer instead of ending the loop.
         let mut line: Vec<u8> = Vec::new();
         let mut buf: Vec<u8> = Vec::with_capacity(4096);
+        // One byte past the limit shows a line is over it.
+        let cap = self.config.max_line_bytes.saturating_add(1);
         loop {
             // Time blocked on the transport separately from decode: the
             // read below includes client think time, which must not be
             // charged to the parse stage (see `StatsSnapshot::wait`).
             let wait0 = self.config.observe.then(now_ns);
-            line.clear();
-            if reader.read_until(b'\n', &mut line)? == 0 {
+            let Some(len) = read_line_capped(&mut reader, &mut line, cap)? else {
                 break;
-            }
+            };
             if let Some(w0) = wait0 {
                 self.stats.record_wait(now_ns().saturating_sub(w0));
             }
             buf.clear();
-            if let Some(meta) = self.handle_bytes_into(&line, &mut buf) {
+            let meta = if len > line.len() {
+                // Only a prefix was kept: answer the line's length.
+                let err = self.line_too_long(len);
+                Some(self.handle_decoded_into(Err(err), WireEncoding::Ndjson, None, &mut buf))
+            } else {
+                self.handle_bytes_into(&line, &mut buf)
+            };
+            if let Some(meta) = meta {
                 writer.write_all(&buf)?;
                 // NDJSON responses are newline-framed; binary frames are
                 // self-delimiting (explicit lengths in the header).
@@ -1272,6 +1270,41 @@ impl Server {
             }
         }
         Ok(())
+    }
+}
+
+/// Reads the next line into `line`, keeping at most `cap` bytes of it;
+/// the rest, up to and including its newline, is read and dropped, so a
+/// line of any length holds at most `cap` bytes of memory. Returns `None`
+/// at the end of input, else the line's full length in bytes, its
+/// newline excluded.
+fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<Option<usize>> {
+    line.clear();
+    let mut len = reader.by_ref().take(cap as u64).read_until(b'\n', line)?;
+    if len == 0 {
+        return Ok(None);
+    }
+    if line.ends_with(b"\n") {
+        return Ok(Some(len - 1));
+    }
+    loop {
+        let rest = match reader.fill_buf() {
+            Ok(rest) => rest,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let newline = rest.iter().position(|&b| b == b'\n');
+        let n = newline.unwrap_or(rest.len());
+        let end = newline.is_some() || rest.is_empty();
+        reader.consume(n + usize::from(newline.is_some()));
+        len += n;
+        if end {
+            return Ok(Some(len));
+        }
     }
 }
 
@@ -1562,40 +1595,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_holds_only_the_series_stats_and_health_read() {
-        let s = Server::with_config(ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        });
-        for name in ["alpha", "beta"] {
-            assert!(ok_of(&parse(&s.handle_line(&compile_req(name)).unwrap())));
-            let eval = format!(r#"{{"cmd":"eval","model":"{name}","values":[1e-9,1e3]}}"#);
-            assert!(ok_of(&parse(&s.handle_line(&eval).unwrap())));
-            let batch =
-                format!(r#"{{"cmd":"batch","model":"{name}","points":[[1e-9,1e3],[2e-9,2e3]]}}"#);
-            assert!(ok_of(&parse(&s.handle_line(&batch).unwrap())));
-        }
-        let names = |stats: &ServerStats| -> Vec<String> {
-            let mut names: Vec<String> = stats
-                .registry()
-                .snapshot()
-                .into_iter()
-                .map(|(name, _)| name)
-                .collect();
-            names.sort();
-            names
-        };
-        let mut expected = names(&ServerStats::new());
-        for shard in 0..2 {
-            for counter in ["chunk_crashes", "breaker_opened", "pool_handoffs"] {
-                expected.push(format!("shard{shard}_{counter}_total"));
-            }
-        }
-        expected.sort();
-        assert_eq!(names(s.stats()), expected);
-    }
-
-    #[test]
     fn overload_hint_scales_with_queue_depth() {
         let s = Server::with_config(ServerConfig {
             max_inflight: 2,
@@ -1753,8 +1752,8 @@ mod tests {
     fn single_shard_registry_accessor_stays_compatible() {
         let s = Server::default();
         s.handle_line(&compile_req("m")).unwrap();
-        // The legacy accessor sees models on the default single shard.
-        assert!(s.registry().get("m").is_some());
+        // The default single shard holds every model.
+        assert!(s.shard_for("m").registry().get("m").is_some());
         assert_eq!(s.registry_stats().resident, 1);
     }
 
@@ -1912,6 +1911,97 @@ mod tests {
         assert_eq!(
             replies[1].get("error").and_then(Content::as_str),
             Some("bad request: request line is not valid UTF-8")
+        );
+    }
+
+    #[test]
+    fn capped_read_keeps_a_prefix_of_a_long_line_and_the_next_line_whole() {
+        let mut input = vec![b'x'; 1 << 20];
+        input.extend_from_slice(b"\n{\"cmd\":\"health\"}\n");
+        // Refilled 4 KiB at a time, as stdin is.
+        let mut reader = std::io::BufReader::with_capacity(4096, &input[..]);
+        let mut line = Vec::new();
+        let len = read_line_capped(&mut reader, &mut line, 257).unwrap();
+        assert_eq!(len, Some(1 << 20));
+        assert!(line.len() <= 257, "kept {} bytes", line.len());
+        assert!(line.capacity() < 4096, "capacity {}", line.capacity());
+        let len = read_line_capped(&mut reader, &mut line, 257).unwrap();
+        assert_eq!(len, Some(16));
+        assert_eq!(line, b"{\"cmd\":\"health\"}\n");
+        assert_eq!(read_line_capped(&mut reader, &mut line, 257).unwrap(), None);
+    }
+
+    #[test]
+    fn serve_refuses_an_over_limit_line_and_keeps_serving() {
+        let s = Server::with_config(ServerConfig {
+            max_line_bytes: 256,
+            ..ServerConfig::default()
+        });
+        let mut input = vec![b'x'; 1 << 20];
+        input.extend_from_slice(b"\n{\"cmd\":\"health\"}\n");
+        let mut out = Vec::new();
+        s.serve(&input[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let replies: Vec<Content> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 2, "{text}");
+        assert_eq!(code_of(&replies[0]), Some("bad_request"));
+        assert_eq!(
+            replies[0].get("error").and_then(Content::as_str),
+            Some("bad request: request line is 1048576 bytes, limit is 256")
+        );
+        assert!(ok_of(&replies[1]), "{text}");
+        assert!(replies[1].get("ready").is_some(), "{text}");
+    }
+
+    #[test]
+    fn stats_serves_its_keys_in_order() {
+        let keys = |c: &Content| -> Vec<String> {
+            c.as_map_slice()
+                .expect("a JSON object")
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        let s = Server::with_config(ServerConfig {
+            stats_every: 1,
+            ..ServerConfig::default()
+        });
+        let stats = parse(&s.handle_line(r#"{"cmd":"stats"}"#).unwrap());
+        assert_eq!(
+            keys(&stats),
+            ["ok", "server", "registry", "models", "shards"]
+        );
+        assert_eq!(
+            keys(stats.get("server").unwrap()),
+            [
+                "requests",
+                "errors",
+                "latency",
+                "batch_points",
+                "batch_secs",
+                "batch_points_per_sec",
+                "panics_caught",
+                "deadlines_exceeded",
+                "requests_shed",
+                "degradations",
+                "stats_dropped",
+                "lane_plan_builds_total",
+                "stages",
+                "serialize_encodings",
+                "parse_encodings",
+                "wait",
+            ]
+        );
+        let (mut out, mut lines) = (Vec::new(), Vec::new());
+        s.serve_with_stats(&b"{\"cmd\":\"health\"}\n"[..], &mut out, &mut lines)
+            .unwrap();
+        let line: Content = serde_json::from_slice(&lines).unwrap();
+        assert_eq!(
+            keys(&line),
+            ["stats", "server", "registry", "spans_dropped"]
         );
     }
 

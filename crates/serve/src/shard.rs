@@ -22,11 +22,10 @@
 //!
 //! A shard's events reach clients through [`Shard::health`]. The shard
 //! counts its jobs' chunk crashes, the pool its own hand-offs, and the
-//! breaker its own opens, each on a counter registered on the server's
-//! metrics registry as `shard{i}_{chunk_crashes,pool_handoffs,
-//! breaker_opened}_total`, so `health` and the registry read the same
-//! numbers. Requests, errors and stage times are counted once, server
-//! wide, in [`crate::ServerStats`].
+//! breaker its own opens, each on a counter it owns, which `health`
+//! serves as `chunk_crashes`, `pool_handoffs` and `breaker_opened`.
+//! Requests, errors and stage times are counted once, server wide, in
+//! [`crate::ServerStats`].
 //!
 //! The batch engine's panic guards already isolate *point* and *chunk*
 //! failures. A panic inside one point's evaluation, such as a tape
@@ -42,7 +41,7 @@ use crate::columns::{check_result_size, result_cols, BatchResults, PointColumns}
 use crate::error::ServeError;
 use crate::pool::WorkerPool;
 use crate::registry::ModelRegistry;
-use awesym_obs::{Counter, Registry};
+use awesym_obs::Counter;
 use awesym_partition::CompiledModel;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -138,18 +137,12 @@ struct BreakerState {
 pub struct CircuitBreaker {
     config: BreakerConfig,
     state: Mutex<BreakerState>,
-    opened_total: Arc<Counter>,
+    opened_total: Counter,
 }
 
 impl CircuitBreaker {
     /// A closed breaker with the given tuning.
     pub fn new(config: BreakerConfig) -> Self {
-        Self::with_opened_counter(config, Arc::default())
-    }
-
-    /// [`CircuitBreaker::new`], counting opens on `opened_total` (a shard
-    /// passes its registered `shard{i}_breaker_opened_total`).
-    pub(crate) fn with_opened_counter(config: BreakerConfig, opened_total: Arc<Counter>) -> Self {
         CircuitBreaker {
             config,
             state: Mutex::new(BreakerState {
@@ -157,7 +150,7 @@ impl CircuitBreaker {
                 consecutive_failures: 0,
                 cooldown: config.cooldown,
             }),
-            opened_total,
+            opened_total: Counter::default(),
         }
     }
 
@@ -311,22 +304,21 @@ pub struct Shard {
     draining: AtomicBool,
     /// Chunks of this shard's jobs that crashed outside the per-point
     /// guard, whichever thread ran them.
-    chunk_crashes: Arc<Counter>,
+    chunk_crashes: Counter,
 }
 
 impl Shard {
-    /// Builds shard `id`, registering its metrics on `registry`.
-    pub fn new(id: usize, config: ShardConfig, registry: &Registry) -> Self {
-        let c = |name: &str| registry.counter(&format!("shard{id}_{name}"));
+    /// Builds shard `id`.
+    pub fn new(id: usize, config: ShardConfig) -> Self {
         Shard {
             id,
             config,
             registry: ModelRegistry::new(config.capacity),
-            pool: WorkerPool::with_handoffs(id, config.workers, c("pool_handoffs_total")),
-            breaker: CircuitBreaker::with_opened_counter(config.breaker, c("breaker_opened_total")),
+            pool: WorkerPool::new(id, config.workers),
+            breaker: CircuitBreaker::new(config.breaker),
             queue_depth: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            chunk_crashes: c("chunk_crashes_total"),
+            chunk_crashes: Counter::default(),
         }
     }
 
@@ -412,7 +404,7 @@ impl Shard {
 
     /// Evaluates a columnar batch on this shard's pool, with admission
     /// control and breaker accounting: a job with a crashed chunk adds its
-    /// crashes to `shard{i}_chunk_crashes_total` and is a breaker failure,
+    /// crashes to the shard's `chunk_crashes` and is a breaker failure,
     /// any other job a success. The model must already be resolved (the
     /// caller counts lookup time separately).
     pub fn evaluate_columns(
@@ -589,7 +581,6 @@ mod tests {
 
     #[test]
     fn shard_sheds_beyond_queue_budget_with_adaptive_hint() {
-        let obs = Registry::new();
         let shard = Shard::new(
             0,
             ShardConfig {
@@ -598,7 +589,6 @@ mod tests {
                 retry_after_ms: 30,
                 ..ShardConfig::default()
             },
-            &obs,
         );
         // Hold the single queue slot, then watch the next admit shed.
         let guard = shard.admit().unwrap();
@@ -621,8 +611,7 @@ mod tests {
 
     #[test]
     fn draining_shard_refuses_with_unavailable() {
-        let obs = Registry::new();
-        let shard = Shard::new(0, ShardConfig::default(), &obs);
+        let shard = Shard::new(0, ShardConfig::default());
         assert!(shard.is_ready());
         shard.drain();
         assert!(!shard.is_ready());
@@ -651,14 +640,12 @@ mod tests {
 
     #[test]
     fn healthy_shard_evaluates_and_reports() {
-        let obs = Registry::new();
         let shard = Shard::new(
             3,
             ShardConfig {
                 workers: 2,
                 ..ShardConfig::default()
             },
-            &obs,
         );
         shard.registry().insert("m", tiny_model());
         let model = shard.registry().get("m").unwrap();

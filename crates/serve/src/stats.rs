@@ -1,9 +1,9 @@
 //! Server request counters, latency histogram, and per-stage breakdown.
 //!
-//! Built on the [`awesym_obs`] metrics registry: every counter and
-//! histogram here is a named metric with a lock-free atomic hot path, so
-//! the request path never blocks on accounting. Clients read them as the
-//! structured [`StatsSnapshot`] the `stats` command returns.
+//! Every counter and histogram here is an [`awesym_obs`] atomic with a
+//! lock-free hot path, so the request path never blocks on accounting.
+//! Clients read them only as the structured [`StatsSnapshot`] the
+//! `stats` command returns, under its field names.
 //!
 //! Request time is additionally broken down by pipeline stage — `parse`
 //! → `lookup` → `eval` → `degrade` → `serialize` (see [`Stage`]) — with
@@ -13,8 +13,7 @@
 //! else is overhead the server must keep small.
 
 use crate::encode::WireEncoding;
-use awesym_obs::{Counter, Histogram, Registry};
-use std::sync::Arc;
+use awesym_obs::{Counter, Histogram};
 use std::time::Duration;
 
 /// Upper edges of the latency histogram buckets, in microseconds; an
@@ -54,7 +53,7 @@ pub const STAGES: [Stage; 5] = [
 ];
 
 impl Stage {
-    /// Stable lowercase name (span and metric naming).
+    /// Stable lowercase name (span names and the `stage` field of `stats`).
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
@@ -154,33 +153,30 @@ pub struct StatsSnapshot {
 }
 
 /// Atomic counters; cheap to update from the request path.
-///
-/// Internally every metric is registered by name in an
-/// [`awesym_obs::Registry`]; [`ServerStats::snapshot`] reads them into
-/// the stable structured shape the `stats` command documents.
+/// [`ServerStats::snapshot`] reads them into the stable structured shape
+/// the `stats` command documents.
 pub struct ServerStats {
-    registry: Registry,
-    requests: Arc<Counter>,
-    errors: Arc<Counter>,
-    latency: Arc<Histogram>,
-    batch_points: Arc<Counter>,
-    batch_nanos: Arc<Counter>,
-    panics_caught: Arc<Counter>,
-    deadlines_exceeded: Arc<Counter>,
-    requests_shed: Arc<Counter>,
-    degradations: Arc<Counter>,
-    stats_dropped: Arc<Counter>,
-    stages: [Arc<Histogram>; 5],
-    serialize_encodings: [Arc<Histogram>; 2],
-    parse_encodings: [Arc<Histogram>; 2],
-    wait: Arc<Histogram>,
+    requests: Counter,
+    errors: Counter,
+    latency: Histogram,
+    batch_points: Counter,
+    batch_nanos: Counter,
+    panics_caught: Counter,
+    deadlines_exceeded: Counter,
+    requests_shed: Counter,
+    degradations: Counter,
+    stats_dropped: Counter,
+    stages: [Histogram; 5],
+    serialize_encodings: [Histogram; 2],
+    parse_encodings: [Histogram; 2],
+    wait: Histogram,
 }
 
-/// Metric-name suffixes for the per-encoding serialize histograms, in
+/// Stage names of the per-encoding serialize histograms, in
 /// [`WireEncoding`] discriminant order.
 const SERIALIZE_ENCODINGS: [&str; 2] = ["serialize_ndjson", "serialize_binary"];
 
-/// Metric-name suffixes for the per-encoding parse histograms, in
+/// Stage names of the per-encoding parse histograms, in
 /// [`WireEncoding`] discriminant order. "Encoding" here is the *request*
 /// encoding: an NDJSON line or a binary-v1 request frame.
 const PARSE_ENCODINGS: [&str; 2] = ["parse_ndjson", "parse_binary"];
@@ -231,37 +227,23 @@ impl Default for ServerStats {
 impl ServerStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
-        let registry = Registry::new();
-        let stages = STAGES.map(|s| {
-            registry.histogram(&format!("request_stage_{}_ns", s.as_str()), &STAGE_EDGES_NS)
-        });
-        let serialize_encodings = SERIALIZE_ENCODINGS
-            .map(|name| registry.histogram(&format!("request_stage_{name}_ns"), &STAGE_EDGES_NS));
-        let parse_encodings = PARSE_ENCODINGS
-            .map(|name| registry.histogram(&format!("request_stage_{name}_ns"), &STAGE_EDGES_NS));
-        let wait = registry.histogram("request_wait_ns", &STAGE_EDGES_NS);
+        let stage = || Histogram::new(&STAGE_EDGES_NS);
         ServerStats {
-            requests: registry.counter("requests_total"),
-            errors: registry.counter("request_errors_total"),
-            latency: registry.histogram("request_latency_us", &BUCKET_EDGES_US),
-            batch_points: registry.counter("batch_points_total"),
-            batch_nanos: registry.counter("batch_eval_ns_total"),
-            panics_caught: registry.counter("panics_caught_total"),
-            deadlines_exceeded: registry.counter("deadlines_exceeded_total"),
-            requests_shed: registry.counter("requests_shed_total"),
-            degradations: registry.counter("degradations_total"),
-            stats_dropped: registry.counter("stats_lines_dropped_total"),
-            stages,
-            serialize_encodings,
-            parse_encodings,
-            wait,
-            registry,
+            requests: Counter::default(),
+            errors: Counter::default(),
+            latency: Histogram::new(&BUCKET_EDGES_US),
+            batch_points: Counter::default(),
+            batch_nanos: Counter::default(),
+            panics_caught: Counter::default(),
+            deadlines_exceeded: Counter::default(),
+            requests_shed: Counter::default(),
+            degradations: Counter::default(),
+            stats_dropped: Counter::default(),
+            stages: STAGES.map(|_| stage()),
+            serialize_encodings: SERIALIZE_ENCODINGS.map(|_| stage()),
+            parse_encodings: PARSE_ENCODINGS.map(|_| stage()),
+            wait: stage(),
         }
-    }
-
-    /// The underlying named-metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Records one handled request and its latency.
@@ -339,21 +321,7 @@ impl ServerStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let batch_points = self.batch_points.get();
         let batch_secs = self.batch_nanos.get() as f64 * 1e-9;
-        let stages = STAGES
-            .iter()
-            .map(|&stage| {
-                let h = &self.stages[stage.index()];
-                let snap = h.snapshot();
-                StageSnapshot {
-                    stage: stage.as_str().to_string(),
-                    count: snap.count,
-                    total_ns: snap.sum,
-                    mean_ns: snap.mean(),
-                    buckets: buckets_of(h, ns_label),
-                }
-            })
-            .collect();
-        let named = |name: &str, h: &Arc<Histogram>| {
+        let named = |name: &str, h: &Histogram| {
             let snap = h.snapshot();
             StageSnapshot {
                 stage: name.to_string(),
@@ -363,6 +331,10 @@ impl ServerStats {
                 buckets: buckets_of(h, ns_label),
             }
         };
+        let stages = STAGES
+            .iter()
+            .map(|&stage| named(stage.as_str(), &self.stages[stage.index()]))
+            .collect();
         let serialize_encodings = SERIALIZE_ENCODINGS
             .iter()
             .zip(&self.serialize_encodings)
@@ -402,14 +374,6 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn metric_names(s: &ServerStats) -> Vec<String> {
-        s.registry()
-            .snapshot()
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect()
-    }
 
     #[test]
     fn counters_accumulate() {
@@ -499,9 +463,6 @@ mod tests {
         assert_eq!(snap.serialize_encodings[0].total_ns, 2_000);
         assert_eq!(snap.serialize_encodings[1].count, 2);
         assert_eq!(snap.serialize_encodings[1].total_ns, 1_200);
-        let names = metric_names(&s);
-        assert!(names.contains(&"request_stage_serialize_ndjson_ns".to_string()));
-        assert!(names.contains(&"request_stage_serialize_binary_ns".to_string()));
     }
 
     #[test]
@@ -532,23 +493,5 @@ mod tests {
         assert_eq!(snap.wait.stage, "wait");
         assert_eq!(snap.wait.count, 1);
         assert_eq!(snap.wait.total_ns, 5_000_000);
-        let names = metric_names(&s);
-        assert!(names.contains(&"request_stage_parse_ndjson_ns".to_string()));
-        assert!(names.contains(&"request_stage_parse_binary_ns".to_string()));
-        assert!(names.contains(&"request_wait_ns".to_string()));
-    }
-
-    #[test]
-    fn metrics_drain_as_ndjson() {
-        let s = ServerStats::new();
-        s.record_request(Duration::from_micros(5), true);
-        s.record_stage(Stage::Eval, 42);
-        let text = s.registry().to_ndjson();
-        assert!(text.contains("\"metric\":\"requests_total\",\"type\":\"counter\",\"value\":1"));
-        assert!(text.contains("\"metric\":\"request_stage_eval_ns\""));
-        // One line per metric, all valid JSON objects.
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
     }
 }

@@ -20,11 +20,9 @@
 //!   circuit breaker to `open` (typed `unavailable` + `retry_after_ms`)
 //!   and the shard recovers to `closed` once the storm stops.
 
-use awesym_obs::MetricValue;
 use awesym_serve::faults::{self, FaultPlan};
 use awesym_serve::{
     shard_of, BatchOutput, BreakerConfig, ServeError, Server, ServerConfig, Shard, ShardConfig,
-    ShardHealth,
 };
 use serde::Content;
 use std::sync::{Arc, Mutex};
@@ -109,28 +107,6 @@ fn health_row(server: &Server, shard: usize) -> Content {
         .find(|s| s.get("shard").and_then(Content::as_u64) == Some(shard as u64))
         .cloned()
         .expect("shard row present")
-}
-
-/// Each of the shard's registered counters equals the `health` field it
-/// backs.
-fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
-    let counter = |name: &str| {
-        let key = format!("shard{}_{name}", h.shard);
-        match obs.snapshot().into_iter().find(|(n, _)| *n == key) {
-            Some((_, MetricValue::Counter(v))) => v,
-            other => panic!("{key}: {other:?}"),
-        }
-    };
-    assert_eq!(
-        [
-            "chunk_crashes_total",
-            "breaker_opened_total",
-            "pool_handoffs_total"
-        ]
-        .map(counter),
-        [h.chunk_crashes, h.breaker_opened, h.pool_handoffs],
-        "{h:?}"
-    );
 }
 
 fn sharded_server() -> (Server, String, String) {
@@ -326,9 +302,6 @@ fn chunk_crash_storm_is_counted_on_the_victim_and_other_shard_never_fails() {
         v.get("ok_count").and_then(Content::as_u64),
         Some(CRASH_POINTS as u64)
     );
-    for shard in server.shards() {
-        assert_counters_match_health(server.stats().registry(), &shard.health());
-    }
 }
 
 /// A sustained crash loop trips the victim shard's circuit breaker:
@@ -342,7 +315,6 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
     let _guard = plan_guard();
     faults::clear();
     const SHARD: usize = 4242;
-    let obs = awesym_obs::Registry::new();
     let shard = Shard::new(
         SHARD,
         ShardConfig {
@@ -354,7 +326,6 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
             },
             ..ShardConfig::default()
         },
-        &obs,
     );
     let model = {
         let w = awesym_circuit::generators::fig1_rc(1e-3, 2e-3, 1e-9, 3e-9);
@@ -429,5 +400,4 @@ fn crash_loop_trips_the_breaker_and_recovery_closes_it() {
     assert!(closed, "breaker never recovered after the storm");
     assert_eq!(shard.breaker().phase_name(), "closed");
     assert!(shard.health().chunk_crashes > 0);
-    assert_counters_match_health(&obs, &shard.health());
 }

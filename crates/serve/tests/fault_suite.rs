@@ -16,16 +16,14 @@
 //!   `retry_after_ms` hint;
 //! - an unstable Padé fit degrades to a lower order and says so;
 //! - a chunk that crashes outside the per-point guard answers
-//!   `internal`, is counted in the shard's `chunk_crashes` (the registered
-//!   counter and the `health` field agree), and charges its breaker.
+//!   `internal`, is counted in the shard's `chunk_crashes`, and charges its
+//!   breaker.
 
 use awesym_circuit::generators::fig1_rc;
-use awesym_obs::MetricValue;
 use awesym_partition::{CompiledModel, SymbolBinding};
 use awesym_serve::faults::{self, Fault, FaultPlan};
 use awesym_serve::{
-    BatchOutput, PointColumns, PointResult, PointValue, Server, ServerConfig, ShardHealth,
-    WorkerPool,
+    BatchOutput, PointColumns, PointResult, PointValue, Server, ServerConfig, WorkerPool,
 };
 use serde::Content;
 use std::sync::{Arc, Mutex};
@@ -522,7 +520,6 @@ fn chunk_crash_on_a_single_point_eval_trips_the_breaker() {
     assert!(recovered.is_some(), "breaker never recovered");
     let h = shard0_health(&server);
     assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
-    assert_counters_match_health(server.stats().registry(), &server.shards()[0].health());
 }
 
 /// A per-point panic is caught by the per-point guard on the caller path
@@ -561,26 +558,4 @@ fn per_point_panics_on_single_point_evals_leave_the_breaker_closed() {
     assert_eq!(h.get("breaker").and_then(Content::as_str), Some("closed"));
     assert_eq!(health_u64(&h, "chunk_crashes"), 0, "{h:?}");
     assert!(ok_of(&parse(&server, EVAL)));
-}
-
-/// Each of the shard's registered counters equals the `health` field it
-/// backs.
-fn assert_counters_match_health(obs: &awesym_obs::Registry, h: &ShardHealth) {
-    let counter = |name: &str| {
-        let key = format!("shard{}_{name}", h.shard);
-        match obs.snapshot().into_iter().find(|(n, _)| *n == key) {
-            Some((_, MetricValue::Counter(v))) => v,
-            other => panic!("{key}: {other:?}"),
-        }
-    };
-    assert_eq!(
-        [
-            "chunk_crashes_total",
-            "breaker_opened_total",
-            "pool_handoffs_total"
-        ]
-        .map(counter),
-        [h.chunk_crashes, h.breaker_opened, h.pool_handoffs],
-        "{h:?}"
-    );
 }

@@ -7,7 +7,6 @@
 //! of its own.
 
 use awesym_circuit::generators::{coupled_lines, CoupledLineSpec};
-use awesym_obs::Registry;
 use awesym_partition::CompiledModel;
 use awesym_serve::resolve::resolve_symbol_specs;
 use awesym_serve::{BatchOutput, PointColumns, Shard, ShardConfig};
@@ -45,7 +44,6 @@ fn one_lane_plan_for_a_thousand_served_batches() {
             workers: 2,
             ..ShardConfig::default()
         },
-        &Registry::new(),
     );
     for _ in 0..BATCHES {
         let out = shard

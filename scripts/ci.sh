@@ -28,6 +28,13 @@ step() {
   echo "    (${CURRENT_STEP}: $((t1 - t0))s)"
 }
 
+# Informational: the non-test line count a simplifying change is scored
+# by. This step never fails the gate.
+loc_count() {
+  echo "    non-test lines under crates/: $(scripts/loc.sh 2>/dev/null || echo unknown)"
+}
+step "non-test line count (informational)" loc_count
+
 step "cargo build --release" cargo build --release
 
 # The printed symbolic forms are pinned: `paper eq14` and `paper eq16`
