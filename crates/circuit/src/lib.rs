@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 mod element;
+mod names;
 mod netlist;
 mod parse;
 

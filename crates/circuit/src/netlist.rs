@@ -1,8 +1,7 @@
 //! The [`Circuit`] container.
 
+use crate::names::NameIndex;
 use crate::{Element, ElementId, ElementKind, Node};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// A linear(ized) circuit: a set of named nodes and a list of elements.
@@ -10,12 +9,20 @@ use std::fmt::Write as _;
 /// Nodes are created on demand by [`Circuit::node`]; node `0` is ground and
 /// always exists. Elements are appended with [`Circuit::add`] and retrieved
 /// by [`ElementId`] or by name.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
     elements: Vec<Element>,
     node_names: Vec<String>,
-    by_name: HashMap<String, ElementId>,
-    node_by_name: HashMap<String, Node>,
+    /// Element positions by name.
+    by_name: NameIndex,
+    /// Node numbers by name, ASCII case folded; ground is not indexed.
+    node_by_name: NameIndex,
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Circuit::new()
+    }
 }
 
 impl Circuit {
@@ -24,28 +31,45 @@ impl Circuit {
 
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Circuit {
-            elements: Vec::new(),
-            node_names: vec!["0".to_string()],
-            by_name: HashMap::new(),
-            node_by_name: HashMap::new(),
-        };
-        c.node_by_name.insert("0".to_string(), Node(0));
-        c.node_by_name.insert("gnd".to_string(), Node(0));
-        c
+        Self::with_capacity(0, 0)
+    }
+
+    /// As [`Circuit::new`], with room for `elements` elements and `nodes`
+    /// more nodes before any table regrows.
+    pub(crate) fn with_capacity(elements: usize, nodes: usize) -> Self {
+        let mut node_names = Vec::with_capacity(nodes + 1);
+        node_names.push("0".to_string());
+        Circuit {
+            elements: Vec::with_capacity(elements),
+            node_names,
+            by_name: NameIndex::with_capacity(elements),
+            node_by_name: NameIndex::with_capacity(nodes),
+        }
     }
 
     /// Returns the node with the given name, creating it if needed.
     /// `"0"` and `"gnd"` (any case) are ground.
     pub fn node(&mut self, name: &str) -> Node {
-        let key = name.to_ascii_lowercase();
-        if let Some(&n) = self.node_by_name.get(&key) {
-            return n;
-        }
+        let hash = match self.lookup_node(name) {
+            Ok(n) => return n,
+            Err(hash) => hash,
+        };
         let n = Node(self.node_names.len());
         self.node_names.push(name.to_string());
-        self.node_by_name.insert(key, n);
+        self.node_by_name.insert(hash, n.0);
         n
+    }
+
+    /// The node named `name`, or the name's hash in the node index.
+    fn lookup_node(&self, name: &str) -> Result<Node, u64> {
+        if name == "0" || name.eq_ignore_ascii_case("gnd") {
+            return Ok(Circuit::GROUND);
+        }
+        let hash = self.node_by_name.hash(name, true);
+        self.node_by_name
+            .find(hash, |i| self.node_names[i].eq_ignore_ascii_case(name))
+            .map(Node)
+            .ok_or(hash)
     }
 
     /// Creates a fresh anonymous node.
@@ -70,7 +94,7 @@ impl Circuit {
 
     /// Looks up a node by name without creating it.
     pub fn find_node(&self, name: &str) -> Option<Node> {
-        self.node_by_name.get(&name.to_ascii_lowercase()).copied()
+        self.lookup_node(name).ok()
     }
 
     /// Appends an element and returns its id.
@@ -98,11 +122,10 @@ impl Circuit {
     /// Panics when the element references nodes that were not created
     /// through this circuit.
     pub fn try_add(&mut self, e: Element) -> Result<ElementId, ElementId> {
-        let id = ElementId(self.elements.len());
-        let slot = match self.by_name.entry(e.name.clone()) {
-            Entry::Occupied(taken) => return Err(*taken.get()),
-            Entry::Vacant(slot) => slot,
-        };
+        let hash = self.by_name.hash(&e.name, false);
+        if let Some(taken) = self.by_name.find(hash, |i| self.elements[i].name == e.name) {
+            return Err(ElementId(taken));
+        }
         for node in [e.p, e.n, e.cp, e.cn] {
             assert!(
                 node.0 < self.node_names.len(),
@@ -110,7 +133,8 @@ impl Circuit {
                 e.name
             );
         }
-        slot.insert(id);
+        let id = ElementId(self.elements.len());
+        self.by_name.insert(hash, id.0);
         self.elements.push(e);
         Ok(id)
     }
@@ -132,7 +156,10 @@ impl Circuit {
 
     /// Finds an element id by name.
     pub fn find(&self, name: &str) -> Option<ElementId> {
-        self.by_name.get(name).copied()
+        let hash = self.by_name.hash(name, false);
+        self.by_name
+            .find(hash, |i| self.elements[i].name == name)
+            .map(ElementId)
     }
 
     /// Number of elements.
@@ -235,6 +262,31 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(c.node("gnd"), Circuit::GROUND);
         assert_eq!(c.node("0"), Circuit::GROUND);
+    }
+
+    #[test]
+    fn names_are_found_through_every_regrow() {
+        let mut c = Circuit::new();
+        let mut nodes = Vec::new();
+        for i in 0..5000 {
+            let n = c.node(&format!("Node{i}"));
+            nodes.push(n);
+            c.add(Element::resistor(&format!("R{i}"), n, Circuit::GROUND, 1.0));
+        }
+        for (i, &n) in nodes.iter().enumerate() {
+            assert_eq!(c.find_node(&format!("nODE{i}")), Some(n));
+            assert_eq!(c.node(&format!("NODE{i}")), n);
+            assert_eq!(c.node_name(n), format!("Node{i}"));
+            assert_eq!(c.find(&format!("R{i}")), Some(ElementId(i)));
+            assert_eq!(c.find(&format!("r{i}")), None);
+        }
+        assert_eq!(c.num_nodes(), 5001);
+        assert_eq!(c.find_node("Node5000"), None);
+        assert_eq!(c.find("R5000"), None);
+        assert_eq!(c.find_node("GND"), Some(Circuit::GROUND));
+        let mut empty = Circuit::default();
+        assert_eq!((empty.find("R1"), empty.find_node("x")), (None, None));
+        assert_eq!(empty.node("Gnd"), Circuit::GROUND);
     }
 
     #[test]

@@ -57,46 +57,60 @@ impl std::error::Error for ParseNetlistError {}
 /// assert_eq!(parse_value("bogus"), None);
 /// ```
 pub fn parse_value(text: &str) -> Option<f64> {
-    let t = text.trim().to_ascii_lowercase();
-    // Split the longest numeric prefix.
-    let split = t
-        .char_indices()
-        .find(|&(i, ch)| {
-            !(ch.is_ascii_digit()
-                || ch == '.'
-                || ch == '+'
-                || ch == '-'
-                || (ch == 'e'
-                    && t[..i].chars().any(|c| c.is_ascii_digit())
-                    && t[i + 1..]
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_digit() || c == '+' || c == '-')))
+    let t = text.trim();
+    let b = t.as_bytes();
+    // Split the longest numeric prefix: digits, points and signs, and an
+    // exponent letter that follows a digit and precedes a digit or sign.
+    // Every byte before the split is ASCII, so it falls on a char boundary.
+    let mut seen_digit = false;
+    let split = (0..b.len())
+        .find(|&i| {
+            let numeric = match b[i] {
+                b'0'..=b'9' => {
+                    seen_digit = true;
+                    true
+                }
+                b'.' | b'+' | b'-' => true,
+                b'e' | b'E' => {
+                    seen_digit
+                        && b.get(i + 1)
+                            .is_some_and(|&c| c.is_ascii_digit() || c == b'+' || c == b'-')
+                }
+                _ => false,
+            };
+            !numeric
         })
-        .map_or(t.len(), |(i, _)| i);
+        .unwrap_or(b.len());
     let (num, suffix) = t.split_at(split);
     let base: f64 = num.parse().ok()?;
-    let mult = match suffix {
-        "" => 1.0,
-        s if s.starts_with("meg") => 1e6,
-        s if s.starts_with('t') => 1e12,
-        s if s.starts_with('g') => 1e9,
-        s if s.starts_with('k') => 1e3,
-        s if s.starts_with('m') => 1e-3,
-        s if s.starts_with('u') => 1e-6,
-        s if s.starts_with('n') => 1e-9,
-        s if s.starts_with('p') => 1e-12,
-        s if s.starts_with('f') => 1e-15,
+    let s = suffix.as_bytes();
+    let mult = match s.first().map(u8::to_ascii_lowercase) {
+        None => 1.0,
+        Some(b'm') if s.get(..3).is_some_and(|p| p.eq_ignore_ascii_case(b"meg")) => 1e6,
+        Some(b't') => 1e12,
+        Some(b'g') => 1e9,
+        Some(b'k') => 1e3,
+        Some(b'm') => 1e-3,
+        Some(b'u') => 1e-6,
+        Some(b'n') => 1e-9,
+        Some(b'p') => 1e-12,
+        Some(b'f') => 1e-15,
         // Trailing unit letters with no scale, e.g. "2.2ohm" → only units
         // that do not begin with a scale letter are accepted.
-        s if s.chars().all(|c| c.is_ascii_alphabetic()) && s.starts_with('o') => 1.0,
-        s if s.chars().all(|c| c.is_ascii_alphabetic()) && s.starts_with('v') => 1.0,
-        s if s.chars().all(|c| c.is_ascii_alphabetic()) && s.starts_with('a') => 1.0,
-        s if s.chars().all(|c| c.is_ascii_alphabetic()) && s.starts_with('h') => 1.0,
+        Some(b'o' | b'v' | b'a' | b'h') if s.iter().all(u8::is_ascii_alphabetic) => 1.0,
         _ => return None,
     };
     Some(base * mult)
 }
+
+/// The most cards [`parse_spice`] reserves table room for before it has
+/// read one: a text of many short bogus lines reserves no more than this
+/// (about 9 MiB), and a longer netlist grows its tables as it goes.
+const MAX_RESERVED_CARDS: usize = 1 << 16;
+
+/// The most fields a card has (`G` and `E` cards); the fields of a
+/// longer card are counted, not kept.
+const MAX_FIELDS: usize = 6;
 
 /// Parses a SPICE-subset netlist into a [`Circuit`].
 ///
@@ -105,16 +119,32 @@ pub fn parse_value(text: &str) -> Option<f64> {
 /// Returns [`ParseNetlistError`] with the offending line number for unknown
 /// cards, bad arity, unparseable values, or an element name already used.
 pub fn parse_spice(text: &str) -> Result<Circuit, ParseNetlistError> {
-    let mut c = Circuit::new();
+    let is_card = |line: &str| !matches!(line.as_bytes().first(), None | Some(b'*' | b'.'));
+    // Size the tables once: one element per card, and about half a new
+    // node per card (cards share most nodes; a short guess only costs a
+    // regrow). Nothing is checked yet, so the reservation is capped.
+    let cards = text
+        .lines()
+        .filter(|l| is_card(l.trim_start()))
+        .take(MAX_RESERVED_CARDS)
+        .count();
+    let mut c = Circuit::with_capacity(cards, cards / 2);
     // The card line of each element, by element id.
-    let mut card_line: Vec<usize> = Vec::new();
+    let mut card_line: Vec<usize> = Vec::with_capacity(cards);
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
-        if line.is_empty() || line.starts_with('*') || line.starts_with('.') {
+        if !is_card(line) {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
+        let mut toks = [""; MAX_FIELDS];
+        let mut fields = 0;
+        for tok in line.split_whitespace() {
+            if let Some(slot) = toks.get_mut(fields) {
+                *slot = tok;
+            }
+            fields += 1;
+        }
         let name = toks[0];
         let err = |message: String| ParseNetlistError {
             line: lineno,
@@ -126,10 +156,10 @@ pub fn parse_spice(text: &str) -> Result<Circuit, ParseNetlistError> {
             .ok_or_else(|| err("empty element name".into()))?
             .to_ascii_uppercase();
         let need = |n: usize| -> Result<(), ParseNetlistError> {
-            if toks.len() == n {
+            if fields == n {
                 Ok(())
             } else {
-                Err(err(format!("expected {n} fields, found {}", toks.len())))
+                Err(err(format!("expected {n} fields, found {fields}")))
             }
         };
         let val = |s: &str| -> Result<f64, ParseNetlistError> {

@@ -148,6 +148,11 @@ impl Mna {
         &self.c
     }
 
+    /// Takes `G` and `C` out of the system, leaving the rest behind.
+    pub fn into_matrices(self) -> (Csc<f64>, Csc<f64>) {
+        (self.g, self.c)
+    }
+
     /// Unknown index of a node voltage (`None` for ground).
     pub fn node_index(&self, n: Node) -> Option<usize> {
         node_index(n)

@@ -46,6 +46,7 @@ use crate::{artifact, resolve, ServeError};
 use awesym_obs::{now_ns, Tracer};
 use awesym_partition::CompiledModel;
 use serde::Content;
+use std::borrow::Cow;
 use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -559,15 +560,15 @@ impl Server {
     fn cmd_compile(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
         let name = need_str(req, "name")?;
         let text = match req.get("netlist").and_then(Content::as_str) {
-            Some(t) => t.to_string(),
+            Some(t) => Cow::Borrowed(t),
             None => {
                 let path = need_str(req, "path").map_err(|_| ServeError::BadRequest {
                     what: "compile needs 'netlist' text or a 'path'".into(),
                 })?;
-                std::fs::read_to_string(path).map_err(|e| ServeError::Io {
+                Cow::Owned(std::fs::read_to_string(path).map_err(|e| ServeError::Io {
                     path: path.to_string(),
                     source: e,
-                })?
+                })?)
             }
         };
         let circuit = awesym_circuit::parse_spice(&text).map_err(|e| ServeError::BadRequest {

@@ -53,18 +53,18 @@ impl<T: Scalar> Triplets<T> {
     /// Converts to compressed sparse column form, summing duplicates.
     pub fn to_csc(&self) -> Csc<T> {
         let n = self.n;
-        let mut count = vec![0usize; n + 1];
+        // Bucket the entries by column, keeping their push order.
+        let mut start = vec![0usize; n + 1];
         for &c in &self.cols {
-            count[c + 1] += 1;
+            start[c + 1] += 1;
         }
         for j in 0..n {
-            count[j + 1] += count[j];
+            start[j + 1] += start[j];
         }
-        let col_ptr_raw = count.clone();
         let nnz = self.vals.len();
         let mut ri = vec![0usize; nnz];
         let mut vx = vec![T::zero(); nnz];
-        let mut next = col_ptr_raw.clone();
+        let mut next = start.clone();
         for k in 0..nnz {
             let c = self.cols[k];
             let dst = next[c];
@@ -72,16 +72,40 @@ impl<T: Scalar> Triplets<T> {
             vx[dst] = self.vals[k];
             next[c] += 1;
         }
-        // Sort each column by row and merge duplicates.
-        let mut col_ptr = vec![0usize; n + 1];
-        let mut out_ri = Vec::with_capacity(nnz);
-        let mut out_vx = Vec::with_capacity(nnz);
+        Csc::from_columns(n, &start, &ri, &vx)
+    }
+}
+
+/// Compressed sparse column matrix over scalar `T`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Csc<T> {
+    n: usize,
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
+    vals: Vec<T>,
+}
+
+impl<T: Scalar> Csc<T> {
+    /// Compresses a matrix given column by column: column `j` holds the
+    /// entries `rows[k]`, `vals[k]` for `k` in `col_ptr[j]..col_ptr[j + 1]`,
+    /// in any row order. Each column is sorted by row in one reused buffer
+    /// (a stable sort, so duplicates sum in the order given), duplicates
+    /// are summed, and zero entries and zero sums are dropped.
+    pub(crate) fn from_columns(n: usize, col_ptr: &[usize], rows: &[usize], vals: &[T]) -> Self {
+        let mut out_ptr = Vec::with_capacity(n + 1);
+        out_ptr.push(0);
+        let mut out_ri = Vec::with_capacity(vals.len());
+        let mut out_vx = Vec::with_capacity(vals.len());
+        let mut entries: Vec<(usize, T)> = Vec::new();
         for j in 0..n {
-            let lo = col_ptr_raw[j];
-            let hi = col_ptr_raw[j + 1];
-            let mut entries: Vec<(usize, T)> = (lo..hi).map(|k| (ri[k], vx[k])).collect();
+            entries.clear();
+            entries.extend(
+                (col_ptr[j]..col_ptr[j + 1])
+                    .filter(|&k| !vals[k].is_zero())
+                    .map(|k| (rows[k], vals[k])),
+            );
             entries.sort_by_key(|e| e.0);
-            let mut it = entries.into_iter();
+            let mut it = entries.iter().copied();
             if let Some((mut r, mut v)) = it.next() {
                 for (r2, v2) in it {
                     if r2 == r {
@@ -100,27 +124,16 @@ impl<T: Scalar> Triplets<T> {
                     out_vx.push(v);
                 }
             }
-            col_ptr[j + 1] = out_ri.len();
+            out_ptr.push(out_ri.len());
         }
         Csc {
             n,
-            col_ptr,
+            col_ptr: out_ptr,
             row_idx: out_ri,
             vals: out_vx,
         }
     }
-}
 
-/// Compressed sparse column matrix over scalar `T`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Csc<T> {
-    n: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
-    vals: Vec<T>,
-}
-
-impl<T: Scalar> Csc<T> {
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.n

@@ -7,7 +7,7 @@
 //! the not-yet-pivotal rows with a diagonal preference controlled by a
 //! threshold.
 
-use crate::csc::{Csc, Triplets};
+use crate::csc::Csc;
 use crate::ordering::{min_degree_order, Ordering};
 use awesym_linalg::{LinalgError, Scalar};
 
@@ -213,8 +213,8 @@ impl<T: Scalar> SparseLu<T> {
         for r in l_rows.iter_mut() {
             *r = pinv[*r];
         }
-        let l = csc_from_parts(n, &l_colptr, &l_rows, &l_vals);
-        let u = csc_from_parts(n, &u_colptr, &u_rows, &u_vals);
+        let l = Csc::from_columns(n, &l_colptr, &l_rows, &l_vals);
+        let u = Csc::from_columns(n, &u_colptr, &u_rows, &u_vals);
         Ok(SparseLu {
             n,
             l,
@@ -345,19 +345,10 @@ fn perm_sign(p: &[usize]) -> f64 {
     sign
 }
 
-fn csc_from_parts<T: Scalar>(n: usize, colptr: &[usize], rows: &[usize], vals: &[T]) -> Csc<T> {
-    let mut t = Triplets::new(n);
-    for j in 0..n {
-        for k in colptr[j]..colptr[j + 1] {
-            t.push(rows[k], j, vals[k]);
-        }
-    }
-    t.to_csc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Triplets;
     use awesym_linalg::Complex64;
 
     fn ladder(n: usize) -> Csc<f64> {
