@@ -272,3 +272,37 @@ fn malformed_compile_fields_are_a_typed_bad_request() {
         assert_eq!(get(&c, "symbols").as_seq().map(<[_]>::len), Some(symbols));
     }
 }
+
+/// A `compile` may name any number of symbols. One that binds every
+/// resistor and capacitor of the 1000-segment coupled-line netlist, each
+/// as its own symbol, is refused as a `bad_request` for its port count,
+/// and the session still answers.
+#[test]
+fn a_compile_binding_thousands_of_elements_is_refused_for_its_ports() {
+    use awesym_circuit::generators::{coupled_lines, CoupledLineSpec};
+    use awesym_circuit::ElementKind;
+    let lines = coupled_lines(&CoupledLineSpec::default());
+    let c = &lines.circuit;
+    let symbols: Vec<&str> = c
+        .elements()
+        .iter()
+        .filter(|e| matches!(e.kind, ElementKind::Resistor | ElementKind::Capacitor))
+        .map(|e| e.name.as_str())
+        .collect();
+    assert!(symbols.len() > 4000, "{} symbols", symbols.len());
+    let line = format!(
+        r#"{{"cmd":"compile","name":"wide","netlist":{},"input":"vin","output":{},"symbols":{},"order":2}}"#,
+        serde_json::to_string(&c.to_spice()).unwrap(),
+        serde_json::to_string(c.node_name(lines.victim_out)).unwrap(),
+        serde_json::to_string(&symbols).unwrap(),
+    );
+    let server = Server::default();
+    let resp = server.handle_line(&line).expect("non-empty request line");
+    let answer: Content = serde_json::from_str(resp.text()).expect("response is JSON");
+    assert_eq!(get(&answer, "ok").as_bool(), Some(false), "{answer:?}");
+    assert_eq!(get(&answer, "code").as_str(), Some("bad_request"));
+    let error = get(&answer, "error").as_str().unwrap_or_default();
+    assert!(error.contains("ports, supported max is 12"), "{error}");
+    let health = server.handle_line(r#"{"cmd":"health"}"#).unwrap();
+    assert!(health.text().contains(r#""ok":true"#), "{}", health.text());
+}
