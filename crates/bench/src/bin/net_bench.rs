@@ -10,7 +10,7 @@
 //! them on a complete message: `serde_json::from_str` on the request
 //! line, and on the frame `awesym_net::decode_batch` plus the copy of
 //! its payload into the engine's column buffer
-//! ([`awesym_serve::FrameRequest::columns`]). The frame carries the same
+//! ([`awesym_serve::BatchPoints::columns`]). The frame carries the same
 //! points the line does (checked before timing; the loopback and
 //! `frame_paths` suites pin the two paths' responses bit-for-bit), so
 //! this is a decode-cost comparison on identical requests.
@@ -113,10 +113,15 @@ fn run_case(count: usize, syms: usize, reps: usize) -> CaseResult {
         .get("points")
         .and_then(Content::as_seq)
         .expect("line points");
-    let columns = decode_batch(&frame)
-        .expect("decode frame")
-        .columns()
-        .expect("finite payload");
+    // The socket path's work on a frame before evaluation.
+    let decode = || {
+        let decoded = decode_batch(&frame).expect("decode frame");
+        decoded
+            .points
+            .columns(syms, usize::MAX)
+            .expect("finite payload")
+    };
+    let columns = decode();
     for (i, row) in rows.iter().enumerate() {
         for (s, v) in row.as_seq().expect("point row").iter().enumerate() {
             assert_eq!(
@@ -130,10 +135,7 @@ fn run_case(count: usize, syms: usize, reps: usize) -> CaseResult {
         let parsed: Content = serde_json::from_str(&line).expect("parse line");
         std::hint::black_box(parsed);
     });
-    let binary_secs = time_median(reps, || {
-        let decoded = decode_batch(&frame).expect("decode frame");
-        std::hint::black_box(decoded.columns().expect("finite payload"));
-    });
+    let binary_secs = time_median(reps, decode);
     CaseResult {
         name: format!("batch_{count}pt_{syms}sym"),
         points: count,

@@ -196,3 +196,55 @@ fn serve_binary_answers_a_repeated_element_name_and_keeps_serving() {
         "{out}"
     );
 }
+
+/// Misspelled, unknown and repeated fields are refused by the built
+/// binary with a typed `bad_request` naming the field, and the next line
+/// is answered: a `save` in the shape the request table once documented
+/// (`name` for `model`), an `eval` whose `deadline`, `wrkers` and
+/// `outptu` would have been ignored, a `stats` with a stray field, and a
+/// repeated `cmd` or `model`, where the first key used to win silently.
+#[test]
+fn serve_binary_refuses_unknown_and_repeated_fields_and_keeps_serving() {
+    let compile = format!(
+        "{{\"cmd\":\"compile\",\"name\":\"rc\",\"netlist\":{},\"input\":\"VIN\",\"output\":\"out\",\"symbols\":[\"C1\"]}}",
+        serde_json::to_string(&serde_json::Value::Str(NETLIST.to_string())).expect("netlist JSON")
+    );
+    let eval = r#"{"cmd":"eval","model":"rc","values":[1e-9]}"#;
+    let probes = [
+        (
+            r#"{"cmd":"save","name":"rc","path":"unused.awesym"}"#,
+            "'name'",
+        ),
+        (
+            r#"{"cmd":"eval","model":"rc","values":[1e-9],"deadline":0,"wrkers":3,"outptu":"x"}"#,
+            "'deadline'",
+        ),
+        (r#"{"cmd":"stats","bogus":1}"#, "'bogus'"),
+        (r#"{"cmd":"stats","cmd":"shutdown"}"#, "'cmd'"),
+        (
+            r#"{"cmd":"eval","model":"nope","model":"rc","values":[1e-9]}"#,
+            "'model'",
+        ),
+    ];
+    let mut input = format!("{compile}\n");
+    for (probe, _) in probes {
+        input.push_str(&format!("{probe}\n{eval}\n"));
+    }
+    input.push_str("{\"cmd\":\"shutdown\"}\n");
+    let (out, _) = run_serve(&input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2 + 2 * probes.len(), "{out}");
+    assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+    for (i, (probe, field)) in probes.iter().enumerate() {
+        let (refusal, next) = (lines[1 + 2 * i], lines[2 + 2 * i]);
+        assert!(
+            refusal.contains("\"code\":\"bad_request\"") && refusal.contains(field),
+            "{probe} -> {refusal}"
+        );
+        assert!(next.contains("\"ok\":true"), "after {probe}: {next}");
+    }
+    assert!(
+        lines[lines.len() - 1].contains("\"shutdown\":true"),
+        "{out}"
+    );
+}

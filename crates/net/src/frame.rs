@@ -5,7 +5,7 @@
 //! and columnar — each symbol's value for every point is contiguous —
 //! so a hot client can hand the server a batch without ever producing
 //! JSON text. The socket path decodes a frame with [`decode_batch`]
-//! into a typed [`FrameRequest`] whose payload goes into the engine's
+//! into a typed [`BatchRequest`] whose payload goes into the engine's
 //! column buffer with one copy; no JSON tree is built. [`decode_request`]
 //! is the reference decoder: it builds the request [`Content`] the
 //! equivalent JSON line parses to (including `"encoding":"binary-v1"`,
@@ -37,7 +37,7 @@
 //! kind is deliberately unrepresentable: it has no fixed-width binary
 //! response layout, matching the response-side rule.
 
-use awesym_serve::{BatchOutput, FrameRequest, DEFAULT_MAX_BATCH_POINTS};
+use awesym_serve::{BatchOutput, BatchPoints, BatchRequest, DEFAULT_MAX_BATCH_POINTS};
 use serde::Content;
 use serde_json::Value;
 use std::fmt;
@@ -369,26 +369,27 @@ pub fn encode_request(req: &RequestFrame<'_>, out: &mut Vec<u8>) -> Result<(), R
     Ok(())
 }
 
-/// A validated request frame, its variable sections borrowed.
-struct FrameView<'a> {
-    flags: u16,
-    count: usize,
-    syms: usize,
-    deadline_ms: u64,
-    workers: u32,
-    kind: RequestKind,
-    name: &'a str,
-    id: Option<Content>,
-    times: &'a [u8],
-    payload: &'a [u8],
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 
-/// Validates a complete frame and slices its sections. Allocates only
-/// the parsed id.
+/// Decodes a complete binary-v1 request frame into the typed request the
+/// server's socket path evaluates ([`awesym_serve::Server::handle_frame_into`]).
+/// No JSON tree is built and nothing is allocated from the point count:
+/// the payload stays borrowed from `buf`, and the engine copies it into
+/// its column buffer only after checking the count against
+/// `max_batch_points`. Allocates the model-independent parts only: the
+/// id (parsed as JSON) and the `step` sample times, both bounded by the
+/// frame's length.
 ///
-/// Validation order is header (truncation, magic, version, flags, kind,
+/// # Errors
+///
+/// A typed [`RequestFrameError`] naming the first violated layout rule;
+/// validation order is header (truncation, magic, version, flags, kind,
 /// reserved) → exact length → name UTF-8 → id JSON.
-fn parse_frame(buf: &[u8]) -> Result<FrameView<'_>, RequestFrameError> {
+pub fn decode_batch(buf: &[u8]) -> Result<BatchRequest<'_>, RequestFrameError> {
     let total = request_frame_len(buf)?;
     if buf.len() < total {
         return Err(RequestFrameError::Truncated {
@@ -428,58 +429,26 @@ fn parse_frame(buf: &[u8]) -> Result<FrameView<'_>, RequestFrameError> {
         None
     };
     let (times, payload) = rest.split_at(8 * times_count);
-    Ok(FrameView {
-        flags,
-        count,
-        syms,
-        deadline_ms: u64::from_le_bytes(deadline),
-        workers: u32_of(buf, 36),
-        kind,
-        name,
-        id,
-        times,
-        payload,
-    })
-}
-
-fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-}
-
-/// Decodes a complete binary-v1 request frame into the typed request the
-/// server's socket path evaluates ([`awesym_serve::Server::handle_frame_into`]).
-/// No JSON tree is built and nothing is allocated from the point count:
-/// the payload stays borrowed from `buf`, and the engine copies it into
-/// its column buffer only after checking the count against
-/// `max_batch_points`. Allocates the model-independent parts only: the
-/// id (parsed as JSON, exactly as [`decode_request`] parses it) and the
-/// `step` sample times, both bounded by the frame's length.
-///
-/// # Errors
-///
-/// The same typed [`RequestFrameError`]s as [`decode_request`], in the
-/// same order, for every frame that breaks a layout rule.
-pub fn decode_batch(buf: &[u8]) -> Result<FrameRequest<'_>, RequestFrameError> {
-    let f = parse_frame(buf)?;
-    let output = match f.kind {
+    let output = match kind {
         RequestKind::Moments => BatchOutput::Moments,
         RequestKind::DcGain => BatchOutput::DcGain,
         RequestKind::Delays => BatchOutput::Delays,
         RequestKind::Step => BatchOutput::Step {
-            times: f64s(f.times).collect(),
+            times: f64s(times).collect(),
         },
     };
-    Ok(FrameRequest {
-        model: f.name,
+    let workers = u32_of(buf, 36) as usize;
+    Ok(BatchRequest {
+        model: name,
         output,
-        count: f.count,
-        syms: f.syms,
-        payload: f.payload,
-        deadline_ms: (f.flags & FLAG_HAS_DEADLINE != 0).then_some(f.deadline_ms),
-        workers: (f.workers != 0).then_some(f.workers as usize),
-        id: f.id,
+        points: BatchPoints::Payload {
+            count,
+            syms,
+            payload,
+        },
+        deadline_ms: (flags & FLAG_HAS_DEADLINE != 0).then_some(u64::from_le_bytes(deadline)),
+        workers: (workers != 0).then_some(workers),
+        id,
     })
 }
 
@@ -493,60 +462,52 @@ pub fn decode_batch(buf: &[u8]) -> Result<FrameRequest<'_>, RequestFrameError> {
 ///
 /// # Errors
 ///
-/// A typed [`RequestFrameError`] naming the first violated layout rule;
-/// validation order is header (truncation, magic, version, flags, kind,
-/// reserved) → exact length → name UTF-8 → id JSON, then
+/// The typed [`RequestFrameError`] [`decode_batch`] gives, then
 /// [`RequestFrameError::TooManyPoints`] for a count above the server's
 /// default `max_batch_points` — checked before any row is allocated,
 /// since a frame without symbols bounds its count by nothing.
 pub fn decode_request(buf: &[u8]) -> Result<Content, RequestFrameError> {
-    let f = parse_frame(buf)?;
-    if f.count > DEFAULT_MAX_BATCH_POINTS {
-        return Err(RequestFrameError::TooManyPoints {
-            count: f.count,
-            limit: DEFAULT_MAX_BATCH_POINTS,
-        });
-    }
-    let times: Vec<Content> = f64s(f.times).map(Content::F64).collect();
-    // Transpose the columnar payload back to the row-major `points`
-    // array the JSON request carries.
-    let mut points: Vec<Vec<Content>> = (0..f.count).map(|_| Vec::with_capacity(f.syms)).collect();
-    if f.count > 0 {
-        for col in f.payload.chunks_exact(8 * f.count) {
-            for (p, v) in points.iter_mut().zip(f64s(col)) {
-                p.push(Content::F64(v));
-            }
+    let req = decode_batch(buf)?;
+    let mut points = Vec::new();
+    if let BatchPoints::Payload {
+        count,
+        syms,
+        payload,
+    } = req.points
+    {
+        if count > DEFAULT_MAX_BATCH_POINTS {
+            return Err(RequestFrameError::TooManyPoints {
+                count,
+                limit: DEFAULT_MAX_BATCH_POINTS,
+            });
         }
+        // Transpose the columnar payload back to the row-major `points`
+        // array the JSON request carries.
+        let value = |k: usize| f64s(&payload[8 * k..8 * k + 8]).map(Content::F64);
+        let row = |i| Content::Seq((0..syms).flat_map(|s| value(s * count + i)).collect());
+        points = (0..count).map(row).collect();
     }
-    let mut fields: Vec<(String, Content)> = vec![
-        ("cmd".to_string(), Content::Str("batch".to_string())),
-        ("model".to_string(), Content::Str(f.name.to_string())),
-        (
-            "points".to_string(),
-            Content::Seq(points.into_iter().map(Content::Seq).collect()),
-        ),
-        (
-            "kind".to_string(),
-            Content::Str(f.kind.as_str().to_string()),
-        ),
-        (
-            "encoding".to_string(),
-            Content::Str("binary-v1".to_string()),
-        ),
+    let kind = RequestKind::from_wire_byte(buf[40]).ok_or(RequestFrameError::BadKind(buf[40]))?;
+    let text = |v: &str| Some(Content::Str(v.to_string()));
+    let times = match req.output {
+        BatchOutput::Step { times } => Some(times.into_iter().map(Content::F64).collect()),
+        _ => None,
+    };
+    let fields = [
+        ("cmd", text("batch")),
+        ("model", text(req.model)),
+        ("points", Some(Content::Seq(points))),
+        ("kind", text(kind.as_str())),
+        ("encoding", text("binary-v1")),
+        ("times", times.map(Content::Seq)),
+        ("deadline_ms", req.deadline_ms.map(Content::U64)),
+        ("workers", req.workers.map(|w| Content::U64(w as u64))),
+        ("id", req.id),
     ];
-    if f.kind == RequestKind::Step {
-        fields.push(("times".to_string(), Content::Seq(times)));
-    }
-    if f.flags & FLAG_HAS_DEADLINE != 0 {
-        fields.push(("deadline_ms".to_string(), Content::U64(f.deadline_ms)));
-    }
-    if f.workers != 0 {
-        fields.push(("workers".to_string(), Content::U64(u64::from(f.workers))));
-    }
-    if let Some(id) = f.id {
-        fields.push(("id".to_string(), id));
-    }
-    Ok(Content::Map(fields))
+    let present = fields
+        .into_iter()
+        .filter_map(|(k, v)| Some((k.to_string(), v?)));
+    Ok(Content::Map(present.collect()))
 }
 
 #[cfg(test)]
@@ -755,7 +716,10 @@ mod tests {
         )
         .unwrap();
         let req = decode_batch(&out).unwrap();
-        assert_eq!((req.model, req.count, req.syms), ("alpha", 2, 2));
+        let BatchPoints::Payload { count, syms, .. } = req.points else {
+            panic!("a frame's points are its payload: {:?}", req.points)
+        };
+        assert_eq!((req.model, count, syms), ("alpha", 2, 2));
         assert_eq!(
             req.output,
             BatchOutput::Step {
@@ -764,7 +728,10 @@ mod tests {
         );
         assert_eq!((req.deadline_ms, req.workers), (Some(0), Some(2)));
         assert_eq!(req.id.as_ref().and_then(Content::as_u64), Some(42));
-        assert_eq!(req.columns().unwrap().values(), &[1e-9, 2e-9, 1e3, 2e3]);
+        assert_eq!(
+            req.points.columns(syms, usize::MAX).unwrap().values(),
+            &[1e-9, 2e-9, 1e3, 2e3]
+        );
         // Layout violations are the same typed errors on both decoders.
         for (at, byte) in [(0, b'X'), (4, 9), (6, 0x80), (40, 7), (41, 1)] {
             let mut bad = out.clone();
@@ -788,10 +755,15 @@ mod tests {
             })
         );
         let req = decode_batch(&hostile).unwrap();
-        assert_eq!(
-            (req.count, req.syms, req.payload.len()),
-            (u32::MAX as usize, 0, 0)
-        );
+        let BatchPoints::Payload {
+            count,
+            syms,
+            payload,
+        } = req.points
+        else {
+            panic!("a frame's points are its payload: {:?}", req.points)
+        };
+        assert_eq!((count, syms, payload.len()), (u32::MAX as usize, 0, 0));
     }
 
     #[test]

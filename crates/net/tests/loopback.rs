@@ -208,6 +208,54 @@ fn bad_frame_header_gets_typed_error_then_close() {
     assert_eq!(c.read_to_eof(), b"");
 }
 
+/// Unknown and repeated fields are refused over a socket with a typed
+/// `bad_request` naming the field, and the session keeps serving: each
+/// refusal is followed by an answered `eval` on the same connection.
+#[test]
+fn unknown_and_repeated_fields_are_refused_and_the_session_keeps_serving() {
+    let h = Harness::start(Server::default(), NetConfig::default());
+    let mut c = h.connect();
+    c.send_line(&compile_line("m"));
+    assert!(ok_of(&parse_line(&c.read_line())));
+    let eval = r#"{"cmd":"eval","model":"m","values":[1e-9,1e3]}"#;
+    for (probe, field) in [
+        (
+            r#"{"cmd":"save","name":"m","path":"unused.awesym"}"#,
+            "'name'",
+        ),
+        (
+            r#"{"cmd":"eval","model":"m","values":[1e-9,1e3],"deadline":0,"wrkers":3,"outptu":"x"}"#,
+            "'deadline'",
+        ),
+        (r#"{"cmd":"stats","bogus":1}"#, "'bogus'"),
+        (r#"{"cmd":"stats","cmd":"shutdown"}"#, "'cmd'"),
+        (
+            r#"{"cmd":"eval","model":"nope","model":"m","values":[1e-9,1e3]}"#,
+            "'model'",
+        ),
+    ] {
+        c.send_line(probe);
+        let refusal = parse_line(&c.read_line());
+        assert_eq!(
+            refusal.get("code").and_then(Content::as_str),
+            Some("bad_request"),
+            "{probe}"
+        );
+        assert!(
+            refusal
+                .get("error")
+                .and_then(Content::as_str)
+                .is_some_and(|e| e.contains(field)),
+            "{probe}: {refusal:?}"
+        );
+        c.send_line(eval);
+        assert!(ok_of(&parse_line(&c.read_line())), "after {probe}");
+    }
+    c.send_line("{\"cmd\":\"shutdown\"}");
+    assert!(ok_of(&parse_line(&c.read_line())));
+    h.join().expect("accept loop exits after shutdown");
+}
+
 /// A message past the engine's `max_line_bytes` is a typed error and a
 /// close, for both an oversized line and a frame whose header declares
 /// too much.

@@ -381,12 +381,15 @@ pub fn save_artifact(model: &CompiledModel, path: impl AsRef<Path>) -> Result<()
 ///
 /// As [`from_artifact_str`], plus I/O failures.
 pub fn load_artifact(path: impl AsRef<Path>) -> Result<CompiledModel, ServeError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| ServeError::Io {
+    from_artifact_str(&read_text(path.as_ref())?)
+}
+
+/// Reads a text file; an I/O failure names the path.
+pub(crate) fn read_text(path: &Path) -> Result<String, ServeError> {
+    std::fs::read_to_string(path).map_err(|e| ServeError::Io {
         path: path.display().to_string(),
         source: e,
-    })?;
-    from_artifact_str(&text)
+    })
 }
 
 /// Reads a model from a file that is either a `.awesym` artifact or a raw
@@ -399,11 +402,7 @@ pub fn load_artifact(path: impl AsRef<Path>) -> Result<CompiledModel, ServeError
 /// As [`load_artifact`] for artifacts; [`ServeError::BadFormat`] when raw
 /// JSON does not describe a model.
 pub fn load_model_file(path: impl AsRef<Path>) -> Result<CompiledModel, ServeError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| ServeError::Io {
-        path: path.display().to_string(),
-        source: e,
-    })?;
+    let text = read_text(path.as_ref())?;
     let looks_like_artifact = serde_json::from_str::<Content>(&text)
         .ok()
         .is_some_and(|v| v.get("format").is_some());

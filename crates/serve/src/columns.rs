@@ -6,13 +6,11 @@
 //! - [`BatchResults`]: a batch's outcome as one column-major `f64`
 //!   buffer plus a status-byte column — the binary-v1 `AWSB` response
 //!   layout — with point errors and the variable-width extras (ROM
-//!   summaries, step-response degradations) in sparse side tables;
-//! - [`FrameRequest`]: a decoded `AWSQ` frame, typed, whose payload is
-//!   copied into [`PointColumns`] only after the engine has checked the
-//!   point count.
+//!   summaries, step-response degradations) in sparse side tables.
 //!
-//! NDJSON batches convert their `points` array into the same
-//! [`PointColumns`] buffer (one allocation), and the row-major adapter
+//! A batch request ([`crate::BatchRequest`]) copies its points, an
+//! `AWSQ` payload or the rows of a JSON `points` array, into one
+//! [`PointColumns`] buffer, and the row-major adapter
 //! [`crate::Shard::evaluate`] converts on the way in, so one engine
 //! evaluates every batch.
 
@@ -20,7 +18,6 @@ use crate::batch::{BatchCtl, BatchOutput, DelaySummary, PointResult, PointValue,
 use crate::error::{point_code, PointError};
 use crate::ServeError;
 use awesym_partition::{CompiledModel, Degradation};
-use serde::Content;
 use std::sync::atomic::Ordering;
 
 /// Status byte of a slot no evaluation has answered yet. Never leaves the
@@ -99,7 +96,7 @@ impl PointColumns {
 
     /// `count` points of `syms` symbols from little-endian column-major
     /// bytes (the `AWSQ` payload layout). `bytes` must be
-    /// `count * syms * 8` long ([`FrameRequest::columns`] checks it).
+    /// `count * syms * 8` long ([`crate::BatchPoints::columns`] checks it).
     pub(crate) fn from_le_bytes(count: usize, syms: usize, bytes: &[u8]) -> Self {
         assert_eq!(bytes.len(), count * syms * 8, "payload length mismatch");
         let values = bytes
@@ -193,65 +190,6 @@ impl PointColumns {
             .filter(|(_, v)| !v.is_finite())
             .map(|(at, _)| at % self.count)
             .min()
-    }
-}
-
-/// A decoded binary-v1 (`AWSQ`) batch request.
-///
-/// The frame decoder fills it without building a JSON tree. The payload
-/// stays borrowed from the receive buffer until the engine has resolved
-/// the model and checked `count` against `max_batch_points`; only then
-/// is it copied, once, into [`PointColumns`]. Nothing is allocated from
-/// an unchecked count.
-#[derive(Debug, Clone)]
-pub struct FrameRequest<'a> {
-    /// Registered model name.
-    pub model: &'a str,
-    /// Output kind (with the `step` sample times).
-    pub output: BatchOutput,
-    /// Point count.
-    pub count: usize,
-    /// Symbols per point.
-    pub syms: usize,
-    /// `count × syms` little-endian `f64`s, column-major.
-    pub payload: &'a [u8],
-    /// Evaluation deadline, when the frame carries one.
-    pub deadline_ms: Option<u64>,
-    /// Worker cap; `None` = server default.
-    pub workers: Option<usize>,
-    /// Correlation id, parsed from the frame's JSON id section.
-    pub id: Option<Content>,
-}
-
-impl FrameRequest<'_> {
-    /// Copies the payload into a [`PointColumns`] buffer, refusing
-    /// non-finite values with the message the JSON path gives.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] naming the first non-finite value in
-    /// row-major order, or a payload whose length is not `count × syms`
-    /// values.
-    pub fn columns(&self) -> Result<PointColumns, ServeError> {
-        let need = self
-            .syms
-            .checked_mul(8)
-            .and_then(|row| row.checked_mul(self.count));
-        if need != Some(self.payload.len()) {
-            return Err(ServeError::BadRequest {
-                what: format!(
-                    "frame payload holds {} bytes, not {} points of {} symbols",
-                    self.payload.len(),
-                    self.count,
-                    self.syms
-                ),
-            });
-        }
-        let cols = PointColumns::from_le_bytes(self.count, self.syms, self.payload);
-        if let Some(i) = cols.first_non_finite() {
-            check_finite(cols.row(i), "each point")?;
-        }
-        Ok(cols)
     }
 }
 

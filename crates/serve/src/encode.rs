@@ -47,7 +47,7 @@ pub enum WireEncoding {
 
 impl WireEncoding {
     /// The negotiation token, e.g. `"binary-v1"`.
-    pub fn as_str(self) -> &'static str {
+    pub const fn as_str(self) -> &'static str {
         match self {
             WireEncoding::Ndjson => "ndjson",
             WireEncoding::BinaryV1 => "binary-v1",
@@ -61,45 +61,22 @@ impl fmt::Display for WireEncoding {
     }
 }
 
-/// Resolves a request's `"encoding"` field. Absent means NDJSON; an
-/// unknown or non-string value is a typed `bad_request` (the response to
-/// which is itself NDJSON, so the client always gets a readable answer).
-pub fn negotiate(req: &Content) -> Result<WireEncoding, ServeError> {
-    match req.get("encoding") {
-        None => Ok(WireEncoding::Ndjson),
-        Some(v) => match v.as_str() {
-            Some("ndjson") => Ok(WireEncoding::Ndjson),
-            Some("binary-v1") => Ok(WireEncoding::BinaryV1),
-            Some(other) => Err(ServeError::BadRequest {
-                what: format!("unknown encoding '{other}' (ndjson|binary-v1)"),
-            }),
-            None => Err(ServeError::BadRequest {
-                what: "'encoding' must be a string (ndjson|binary-v1)".into(),
-            }),
-        },
-    }
-}
-
 /// A `batch` response ready to encode: the head fields that precede
 /// `"results"` in the NDJSON form, plus the columnar results
 /// [`encode_response`] writes directly.
 pub struct BatchBody {
     /// Fields preceding `results` (`ok`, `id`, `count`, `ok_count`, …).
+    /// The binary frame carries the `id` in a dedicated id section (flag
+    /// [`FLAG_HAS_ID`]) so correlation survives the columnar path too.
     pub head: Vec<(&'static str, Content)>,
-    /// The request's `id`, when it sent one. NDJSON already echoes it
-    /// through `head`; the binary frame carries it in a dedicated id
-    /// section (flag [`FLAG_HAS_ID`]) so correlation survives the
-    /// columnar path too.
-    pub id: Option<Content>,
-    /// Per-point outcomes, in input order.
+    /// Per-point outcomes, in input order. When evaluation already ran
+    /// out of deadline (`results.deadline_exceeded`), per-point errors
+    /// say so and encoding must not cut the body again.
     pub results: BatchResults,
     /// Points that evaluated successfully.
     pub ok_count: u64,
     /// Evaluation wall time in nanoseconds (binary frame header field).
     pub elapsed_ns: u64,
-    /// True when evaluation already ran out of deadline — per-point
-    /// errors say so and encoding must not cut the body again.
-    pub deadline_exceeded: bool,
     /// The request deadline (absolute instant plus the millisecond figure
     /// for error reporting); encoding checks it cooperatively.
     pub deadline: Option<(Instant, u64)>,
@@ -166,7 +143,7 @@ pub fn encode_response(
 /// already exceeded the deadline the response *is* the deadline report
 /// (per-point errors plus the flag) and must go out whole.
 fn check_encode_deadline(b: &BatchBody) -> Result<(), ServeError> {
-    if b.deadline_exceeded {
+    if b.results.deadline_exceeded {
         return Ok(());
     }
     if let Some((at, ms)) = b.deadline {
@@ -248,7 +225,7 @@ fn write_rom(r: &RomSummary, out: &mut Vec<u8>) {
 
 /// Streams point `i` of a columnar batch: its value object, or
 /// `{"error":…,"code":…}`. Non-finite values print as `null`.
-pub fn write_result(r: &BatchResults, i: usize, out: &mut Vec<u8>) {
+fn write_result(r: &BatchResults, i: usize, out: &mut Vec<u8>) {
     if let Some(e) = r.error(i) {
         out.extend_from_slice(b"{\"error\":");
         write_escaped_str(&e.message, out);
@@ -341,12 +318,13 @@ fn write_binary_batch(b: &BatchBody, out: &mut Vec<u8>) -> Result<(), ServeError
     let cols = u32::try_from(r.cols()).map_err(|_| ServeError::Internal {
         what: "point width too large for binary-v1 frame".into(),
     })?;
-    let mut flags = if b.deadline_exceeded {
+    let id = b.head.iter().find(|(k, _)| *k == "id").map(|(_, v)| v);
+    let mut flags = if r.deadline_exceeded {
         FLAG_DEADLINE_EXCEEDED
     } else {
         0
     };
-    if b.id.is_some() {
+    if id.is_some() {
         flags |= FLAG_HAS_ID;
     }
     let start = out.len();
@@ -358,7 +336,7 @@ fn write_binary_batch(b: &BatchBody, out: &mut Vec<u8>) -> Result<(), ServeError
     out.extend_from_slice(&cols.to_le_bytes());
     out.extend_from_slice(&u32::try_from(b.ok_count).unwrap_or(u32::MAX).to_le_bytes());
     out.extend_from_slice(&b.elapsed_ns.to_le_bytes());
-    if let Some(id) = &b.id {
+    if let Some(id) = id {
         // Length-prefixed id JSON, written in place and its length
         // patched in after.
         let len_at = out.len();
@@ -645,28 +623,10 @@ mod tests {
                 ("count", Content::U64(n as u64)),
                 ("ok_count", Content::U64(ok_count)),
             ],
-            id: None,
             results: BatchResults::from_points(&crate::BatchOutput::Moments, 4, results),
             ok_count,
             elapsed_ns: 123_456,
-            deadline_exceeded: false,
             deadline: None,
-        }
-    }
-
-    #[test]
-    fn negotiation_rules() {
-        let none: Content = serde_json::from_str(r#"{"cmd":"batch"}"#).expect("valid JSON");
-        assert_eq!(negotiate(&none).expect("negotiates"), WireEncoding::Ndjson);
-        let nd: Content = serde_json::from_str(r#"{"encoding":"ndjson"}"#).expect("valid JSON");
-        assert_eq!(negotiate(&nd).expect("negotiates"), WireEncoding::Ndjson);
-        let bin: Content = serde_json::from_str(r#"{"encoding":"binary-v1"}"#).expect("valid JSON");
-        assert_eq!(negotiate(&bin).expect("negotiates"), WireEncoding::BinaryV1);
-        for bad in [r#"{"encoding":"binary-v2"}"#, r#"{"encoding":42}"#] {
-            let req: Content = serde_json::from_str(bad).expect("valid JSON");
-            let e = negotiate(&req).expect_err(bad);
-            assert_eq!(e.code(), ErrorCode::BadRequest, "{bad}");
-            assert!(e.to_string().contains("ndjson|binary-v1"), "{e}");
         }
     }
 
@@ -805,20 +765,20 @@ mod tests {
 
     #[test]
     fn binary_golden_frame_bytes() {
+        let mut results = BatchResults::from_points(
+            &crate::BatchOutput::DcGain,
+            1,
+            vec![
+                Ok(PointValue::DcGain(1.0)),
+                Err(PointError::deadline("late")),
+            ],
+        );
+        results.deadline_exceeded = true;
         let b = BatchBody {
             head: vec![],
-            id: None,
-            results: BatchResults::from_points(
-                &crate::BatchOutput::DcGain,
-                1,
-                vec![
-                    Ok(PointValue::DcGain(1.0)),
-                    Err(PointError::deadline("late")),
-                ],
-            ),
+            results,
             ok_count: 1,
             elapsed_ns: 0x0102030405060708,
-            deadline_exceeded: true,
             deadline: None,
         };
         let mut out = Vec::new();
@@ -865,7 +825,7 @@ mod tests {
         ];
         for want in ids {
             let mut b = moments_batch(5);
-            b.id = Some(want.clone());
+            b.head.push(("id", want.clone()));
             let mut out = Vec::new();
             encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
                 .expect("encodes");
@@ -906,7 +866,7 @@ mod tests {
     #[test]
     fn id_section_defects_are_typed() {
         let mut b = moments_batch(3);
-        b.id = Some(Content::Str("corr-9".into()));
+        b.head.push(("id", Content::Str("corr-9".into())));
         let mut out = Vec::new();
         encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
             .expect("encodes");
@@ -1021,12 +981,12 @@ mod tests {
         // the deadline report and must encode fully.
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
-        b.deadline_exceeded = true;
+        b.results.deadline_exceeded = true;
         let mut out = Vec::new();
         encode_response(WireEncoding::Ndjson, &ResponseBody::Batch(b), &mut out).expect("encodes");
         let mut b = moments_batch(DEADLINE_CHECK_STRIDE * 3);
         b.deadline = Some((past, 7));
-        b.deadline_exceeded = true;
+        b.results.deadline_exceeded = true;
         let mut out = Vec::new();
         encode_response(WireEncoding::BinaryV1, &ResponseBody::Batch(b), &mut out)
             .expect("encodes");

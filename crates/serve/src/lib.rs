@@ -12,8 +12,9 @@
 //! - [`batch`]: the chunk engine every batch runs through, with
 //!   per-point errors, panic isolation and deadlines;
 //! - [`columns`]: the columnar request and result buffers
-//!   ([`PointColumns`], [`BatchResults`]) and the typed binary-v1
-//!   request ([`FrameRequest`]);
+//!   ([`PointColumns`], [`BatchResults`]);
+//! - `request`: the request schema, and the [`BatchRequest`] that JSON
+//!   `batch` lines and binary-v1 frames share;
 //! - [`pool`]: the persistent [`WorkerPool`], the crate's only executor —
 //!   threads spawned once per shard and parked on a job queue, which
 //!   outlive every chunk crash until the pool is dropped;
@@ -47,6 +48,7 @@ mod error;
 pub mod faults;
 pub mod pool;
 pub mod registry;
+mod request;
 pub mod resolve;
 pub mod server;
 pub mod shard;
@@ -58,11 +60,12 @@ pub use artifact::{
 };
 pub use awesym_partition::Degradation;
 pub use batch::{BatchOutput, DelaySummary, PointResult, PointValue, RomSummary};
-pub use columns::{BatchResults, FrameRequest, PointColumns, MAX_RESULT_VALUES};
+pub use columns::{BatchResults, PointColumns, MAX_RESULT_VALUES};
 pub use encode::{decode_frame, DecodedFrame, FrameError, WireEncoding};
 pub use error::{ErrorCode, PointError, ServeError};
 pub use pool::WorkerPool;
 pub use registry::{ModelRegistry, RegistryStats};
+pub use request::{BatchPoints, BatchRequest};
 pub use server::{
     Response, ResponseMeta, Server, ServerConfig, DEFAULT_CAPACITY, DEFAULT_MAX_BATCH_POINTS,
 };

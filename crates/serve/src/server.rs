@@ -1,19 +1,9 @@
 //! Newline-delimited-JSON request engine.
 //!
 //! One request per line in, one JSON response per line out — the
-//! transport-agnostic core behind `awesym serve`. Commands:
-//!
-//! | command    | action |
-//! |------------|--------|
-//! | `load`     | read a `.awesym` artifact (or raw model JSON) into the registry |
-//! | `compile`  | parse a netlist, build a compiled model, register it |
-//! | `save`     | write a registered model back out as an artifact |
-//! | `eval`     | evaluate one point against a registered model |
-//! | `batch`    | evaluate many points concurrently |
-//! | `stats`    | report request/latency/throughput/registry counters |
-//! | `health`   | readiness probe: per-shard breaker/crash/queue state |
-//! | `drain`    | stop admitting evaluation work (graceful shutdown) |
-//! | `shutdown` | acknowledge and stop the serve loop |
+//! transport-agnostic core behind `awesym serve`. The commands and their
+//! fields are declared once, in the request schema (`request.rs`), and
+//! every request is checked against it before it is dispatched.
 //!
 //! Every response carries `"ok"`; failures report `{"ok":false,
 //! "error":"…","code":"…"}` — a stable machine-readable
@@ -37,17 +27,19 @@
 //! keeps serving.
 
 use crate::batch::BatchOutput;
-use crate::columns::{check_finite, BatchResults, FrameRequest, PointColumns};
-use crate::encode::{self, encode_response, BatchBody, ResponseBody, WireEncoding};
+use crate::columns::{check_finite, BatchResults, PointColumns};
+use crate::encode::{encode_response, BatchBody, ResponseBody, WireEncoding};
 use crate::registry::RegistryStats;
+use crate::request::{self, bad, numbers, BatchRequest, Checked, Cmd};
 use crate::shard::{adaptive_retry_after_ms, shard_of, Shard, ShardConfig};
 use crate::stats::{ServerStats, Stage, STAGES};
 use crate::{artifact, resolve, ServeError};
 use awesym_obs::{now_ns, Tracer};
 use awesym_partition::CompiledModel;
-use serde::Content;
+use serde::{Content, Serialize};
 use std::borrow::Cow;
 use std::io::{BufRead, Read, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,24 +142,14 @@ pub struct ResponseMeta {
     pub shutdown: bool,
 }
 
-/// A dispatched request, ready for the response envelope.
+/// A dispatched request, ready for the response envelope: a successful
+/// command's body still lacks the `ok` and `id` fields.
 struct Replied {
     id: Content,
-    outcome: Result<Reply, ServeError>,
+    outcome: Result<ResponseBody, ServeError>,
     /// The negotiated response encoding.
     encoding: WireEncoding,
     shutdown: bool,
-}
-
-/// A command's successful payload before the response envelope (`ok`,
-/// `id`) is attached.
-enum Reply {
-    /// An ordered field list.
-    Fields(Vec<(&'static str, Content)>),
-    /// A batch body the encoder streams directly.
-    Batch(BatchBody),
-    /// A single-point `eval` result, written as the `"result"` field.
-    Point(BatchResults),
 }
 
 /// The serving engine: a sharded model fleet plus counters, driven one
@@ -250,10 +232,10 @@ fn obj(fields: Vec<(&str, Content)>) -> Content {
     )
 }
 
-/// Appends the standard error fields (`error`, `code`, plus the
-/// `retry_after_ms` backoff hint for shed/unavailable requests and the
-/// refusing `shard` for unavailable ones) to a response envelope.
-fn push_error_fields(fields: &mut Vec<(&'static str, Content)>, e: &ServeError) {
+/// The error answer `e`: the envelope `fields` then `error`, `code`,
+/// plus the `retry_after_ms` backoff hint for shed/unavailable requests
+/// and the refusing `shard` for unavailable ones.
+fn error_body(mut fields: Vec<(&'static str, Content)>, e: &ServeError) -> ResponseBody {
     fields.push(("error", Content::Str(e.to_string())));
     fields.push(("code", Content::Str(e.code().to_string())));
     match e {
@@ -270,117 +252,7 @@ fn push_error_fields(fields: &mut Vec<(&'static str, Content)>, e: &ServeError) 
         }
         _ => {}
     }
-}
-
-/// Extracts a required string field.
-fn need_str<'a>(req: &'a Content, key: &str) -> Result<&'a str, ServeError> {
-    req.get(key)
-        .and_then(Content::as_str)
-        .ok_or_else(|| ServeError::BadRequest {
-            what: format!("missing string field '{key}'"),
-        })
-}
-
-/// An optional non-negative integer field: absent or `null` is `None`,
-/// any other value that is not a non-negative integer a typed error.
-fn opt_u64(req: &Content, key: &str) -> Result<Option<u64>, ServeError> {
-    match req.get(key) {
-        None | Some(Content::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| ServeError::BadRequest {
-            what: format!("'{key}' must be a non-negative integer"),
-        }),
-    }
-}
-
-/// An optional string field: absent or `null` is `None`, any other value
-/// that is not a string a typed error.
-fn opt_str<'a>(req: &'a Content, key: &str) -> Result<Option<&'a str>, ServeError> {
-    match req.get(key) {
-        None | Some(Content::Null) => Ok(None),
-        Some(v) => v.as_str().map(Some).ok_or_else(|| ServeError::BadRequest {
-            what: format!("'{key}' must be a string"),
-        }),
-    }
-}
-
-fn point_from(c: &Content, what: &str) -> Result<Vec<f64>, ServeError> {
-    let vals = c
-        .as_seq()
-        .and_then(|s| s.iter().map(Content::as_f64).collect::<Option<Vec<f64>>>())
-        .ok_or_else(|| ServeError::BadRequest {
-            what: format!("{what} must be an array of numbers"),
-        })?;
-    // NaN/Inf symbol values would propagate through every moment; reject
-    // them at the door with a clear message instead.
-    check_finite(vals.iter().copied(), what)?;
-    Ok(vals)
-}
-
-/// A batch's `points` array as columns for a `syms`-symbol model, with
-/// the JSON path's validation: the first point that is not an array of
-/// finite numbers rejects the request; rows of another length become
-/// per-point arity errors.
-fn columns_from(raw: &[Content], syms: usize) -> Result<PointColumns, ServeError> {
-    let mut cols = PointColumns::zeroed(raw.len(), syms);
-    for (i, p) in raw.iter().enumerate() {
-        let row = p
-            .as_seq()
-            .filter(|row| row.iter().all(|v| v.as_f64().is_some()))
-            .ok_or_else(|| ServeError::BadRequest {
-                what: "each point must be an array of numbers".into(),
-            })?;
-        let vals = || row.iter().filter_map(Content::as_f64);
-        check_finite(vals(), "each point")?;
-        cols.set_row(i, row.len(), vals());
-    }
-    Ok(cols)
-}
-
-fn output_kind(req: &Content) -> Result<BatchOutput, ServeError> {
-    // `kind` is the documented name; `output` is accepted as an alias so a
-    // natural guess does not silently fall back to the moments default.
-    let (kind, output) = (opt_str(req, "kind")?, opt_str(req, "output")?);
-    let kind = kind.or(output).unwrap_or("moments");
-    match kind {
-        "moments" => Ok(BatchOutput::Moments),
-        "rom" => Ok(BatchOutput::Rom),
-        "dc_gain" => Ok(BatchOutput::DcGain),
-        "delays" => Ok(BatchOutput::Delays),
-        "step" => {
-            let times = req.get("times").ok_or_else(|| ServeError::BadRequest {
-                what: "kind 'step' requires a 'times' array".into(),
-            })?;
-            Ok(BatchOutput::Step {
-                times: point_from(times, "'times'")?,
-            })
-        }
-        other => Err(ServeError::BadRequest {
-            what: format!("unknown kind '{other}' (moments|rom|dc_gain|step|delays)"),
-        }),
-    }
-}
-
-fn model_summary(name: &str, model: &CompiledModel) -> Vec<(&'static str, Content)> {
-    vec![
-        ("name", Content::Str(name.to_string())),
-        (
-            "symbols",
-            Content::Seq(
-                model
-                    .symbols()
-                    .iter()
-                    .map(|s| Content::Str(s.to_string()))
-                    .collect(),
-            ),
-        ),
-        ("order", Content::U64(model.order() as u64)),
-        ("op_count", Content::U64(model.op_count() as u64)),
-        ("raw_op_count", Content::U64(model.raw_op_count() as u64)),
-        (
-            "opt_level",
-            Content::Str(model.opt_level().as_str().to_string()),
-        ),
-    ]
+    ResponseBody::Fields(fields)
 }
 
 impl Server {
@@ -511,11 +383,6 @@ impl Server {
         Some((t0 + Duration::from_millis(ms), ms))
     }
 
-    /// Resolves a request's model and the shard that owns it.
-    fn route(&self, req: &Content) -> Result<(&Shard, Arc<CompiledModel>), ServeError> {
-        self.lookup(need_str(req, "model")?)
-    }
-
     /// Resolves model `name` and the shard that owns it.
     fn lookup(&self, name: &str) -> Result<(&Shard, Arc<CompiledModel>), ServeError> {
         let shard = self.shard_for(name);
@@ -528,104 +395,73 @@ impl Server {
         Ok((shard, model))
     }
 
-    /// The `max_batch_points` guard, checked before anything sized by the
-    /// point count is allocated.
-    fn check_batch_len(&self, count: usize) -> Result<(), ServeError> {
-        if count > self.config.max_batch_points {
-            return Err(ServeError::BadRequest {
-                what: format!(
-                    "batch has {count} points, limit is {}",
-                    self.config.max_batch_points
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    fn cmd_load(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let name = need_str(req, "name")?;
-        let path = need_str(req, "path")?;
-        let model = artifact::load_model_file(path)?;
-        let mut fields = model_summary(name, &model);
-        fields.push((
-            "shard",
-            Content::U64(shard_of(name, self.shards.len()) as u64),
-        ));
+    /// Registers `model` under `name` and describes it: the answer to
+    /// `load` and `compile`.
+    fn register(&self, name: &str, model: CompiledModel) -> Vec<(&'static str, Content)> {
+        let text = |s: &str| Content::Str(s.to_string());
+        let symbols = model.symbols().iter().map(&text).collect();
+        let shard = shard_of(name, self.shards.len());
+        let mut fields = vec![
+            ("name", text(name)),
+            ("symbols", Content::Seq(symbols)),
+            ("order", Content::U64(model.order() as u64)),
+            ("op_count", Content::U64(model.op_count() as u64)),
+            ("raw_op_count", Content::U64(model.raw_op_count() as u64)),
+            ("opt_level", text(model.opt_level().as_str())),
+            ("shard", Content::U64(shard as u64)),
+        ];
         if let Some(e) = self.insert_model(name, model) {
             fields.push(("evicted", Content::Str(e)));
         }
-        Ok(fields)
+        fields
     }
 
-    fn cmd_compile(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let name = need_str(req, "name")?;
-        let text = match req.get("netlist").and_then(Content::as_str) {
-            Some(t) => Cow::Borrowed(t),
-            None => {
-                let path = need_str(req, "path").map_err(|_| ServeError::BadRequest {
-                    what: "compile needs 'netlist' text or a 'path'".into(),
-                })?;
-                Cow::Owned(std::fs::read_to_string(path).map_err(|e| ServeError::Io {
-                    path: path.to_string(),
-                    source: e,
-                })?)
-            }
+    fn cmd_load(&self, req: &Checked<'_>) -> Result<Vec<(&'static str, Content)>, ServeError> {
+        let model = artifact::load_model_file(req.str("path"))?;
+        Ok(self.register(req.str("name"), model))
+    }
+
+    fn cmd_compile(&self, req: &Checked<'_>) -> Result<Vec<(&'static str, Content)>, ServeError> {
+        let text = match (req.value("netlist").as_str(), req.value("path").as_str()) {
+            (Some(t), _) => Cow::Borrowed(t),
+            (None, Some(path)) => Cow::Owned(artifact::read_text(Path::new(path))?),
+            (None, None) => return Err(bad("compile needs 'netlist' text or a 'path'")),
         };
-        let circuit = awesym_circuit::parse_spice(&text).map_err(|e| ServeError::BadRequest {
-            what: format!("netlist: {e}"),
-        })?;
+        let circuit =
+            awesym_circuit::parse_spice(&text).map_err(|e| bad(format!("netlist: {e}")))?;
         let (input, output) =
-            resolve::resolve_io(&circuit, need_str(req, "input")?, need_str(req, "output")?)
-                .map_err(|what| ServeError::BadRequest { what })?;
-        let specs: Vec<String> = match req.get("symbols") {
-            None | Some(Content::Null) => Vec::new(),
-            Some(v) => v
-                .as_seq()
-                .and_then(|s| {
-                    s.iter()
-                        .map(|v| v.as_str().map(str::to_string))
-                        .collect::<Option<_>>()
-                })
-                .ok_or_else(|| ServeError::BadRequest {
-                    what: "'symbols' must be an array of strings".into(),
-                })?,
-        };
-        let bindings = resolve::resolve_symbol_specs(&circuit, &specs)
-            .map_err(|what| ServeError::BadRequest { what })?;
-        let order = opt_u64(req, "order")?.map_or(2, |v| v as usize);
+            resolve::resolve_io(&circuit, req.str("input"), req.str("output")).map_err(bad)?;
+        let symbols = req.value("symbols").as_seq().unwrap_or_default();
+        let specs: Vec<&str> = symbols.iter().filter_map(Content::as_str).collect();
+        let bindings = resolve::resolve_symbol_specs(&circuit, &specs).map_err(bad)?;
+        let order = req.value("order").as_u64().map_or(2, |v| v as usize);
         let model = CompiledModel::build(&circuit, input, output, &bindings, order)?;
-        let mut fields = model_summary(name, &model);
-        fields.push((
-            "shard",
-            Content::U64(shard_of(name, self.shards.len()) as u64),
-        ));
-        if let Some(e) = self.insert_model(name, model) {
-            fields.push(("evicted", Content::Str(e)));
-        }
-        Ok(fields)
+        Ok(self.register(req.str("name"), model))
     }
 
-    fn cmd_save(&self, req: &Content) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let path = need_str(req, "path")?;
-        let (_, model) = self.route(req)?;
+    fn cmd_save(&self, req: &Checked<'_>) -> Result<Vec<(&'static str, Content)>, ServeError> {
+        let path = req.str("path");
+        let (_, model) = self.lookup(req.str("model"))?;
         artifact::save_artifact(&model, path)?;
         Ok(vec![("path", Content::Str(path.to_string()))])
     }
 
     fn cmd_eval(
         &self,
-        req: &Content,
-        deadline: Option<(Instant, u64)>,
+        req: &Checked<'_>,
+        t0: Instant,
         clock: &mut StageClock,
-    ) -> Result<BatchResults, ServeError> {
-        let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
-        let values = point_from(
-            req.get("values").ok_or_else(|| ServeError::BadRequest {
-                what: "missing 'values' array".into(),
-            })?,
-            "'values'",
-        )?;
-        let kind = output_kind(req)?;
+    ) -> Result<ResponseBody, ServeError> {
+        let deadline = self.deadline_at(req.value("deadline_ms").as_u64(), t0);
+        let kind = req.output()?;
+        let (shard, model) = clock.time(Stage::Lookup, || self.lookup(req.str("model")))?;
+        let values: Vec<f64> = numbers(req.value("values")).collect();
+        // NaN/Inf symbol values would propagate through every moment; reject
+        // them at the door with a clear message instead.
+        check_finite(values.iter().copied(), "'values'")?;
+        if let BatchOutput::Step { times } = &kind {
+            check_finite(times.iter().copied(), "'times'")?;
+        }
         let results = clock.time(Stage::Eval, || {
             shard.evaluate_columns(
                 model,
@@ -637,7 +473,10 @@ impl Server {
         })?;
         clock.time(Stage::Degrade, || self.record_outcome(&results));
         match results.error(0) {
-            None => Ok(results),
+            None => Ok(ResponseBody::Point {
+                head: Vec::new(),
+                result: results,
+            }),
             Some(_) if results.deadline_exceeded => Err(ServeError::DeadlineExceeded {
                 deadline_ms: deadline.map_or(0, |(_, ms)| ms),
             }),
@@ -658,100 +497,43 @@ impl Server {
         }
     }
 
-    /// A JSON `batch` request, its `deadline_ms` and `workers` already
-    /// validated: the `points` array is validated and copied into
-    /// columns (charged to `parse`), then evaluated like any other batch.
-    fn cmd_batch(
+    /// Answers a batch request, from a JSON `batch` line or an `AWSQ`
+    /// frame alike: the model lookup, the points copied into columns
+    /// within `max_batch_points` (charged to `parse`), then evaluation on
+    /// the owning shard's pool into columnar results and the response
+    /// head.
+    fn answer_batch(
         &self,
-        req: &Content,
-        deadline: Option<(Instant, u64)>,
-        workers: Option<u64>,
-        clock: &mut StageClock,
+        req: BatchRequest<'_>,
         encoding: WireEncoding,
-    ) -> Result<BatchBody, ServeError> {
-        let (shard, model) = clock.time(Stage::Lookup, || self.route(req))?;
-        let raw_points =
-            req.get("points")
-                .and_then(Content::as_seq)
-                .ok_or_else(|| ServeError::BadRequest {
-                    what: "missing 'points' array of arrays".into(),
-                })?;
-        self.check_batch_len(raw_points.len())?;
-        let points = clock.time(Stage::Parse, || {
-            columns_from(raw_points, model.symbols().len())
-        })?;
-        let kind = output_kind(req)?;
-        let workers = workers.map(|v| (v as usize).max(1));
-        self.run_batch(
-            shard, model, points, kind, workers, deadline, clock, encoding,
-        )
-    }
-
-    /// A binary-v1 frame's batch: the payload is copied into columns
-    /// only once the model is resolved and the point count is within
-    /// `max_batch_points`; validation and error precedence match
-    /// [`Server::cmd_batch`] on the equivalent JSON request.
-    fn frame_batch(
-        &self,
-        req: FrameRequest<'_>,
-        deadline: Option<(Instant, u64)>,
+        t0: Instant,
         clock: &mut StageClock,
     ) -> Result<BatchBody, ServeError> {
+        let deadline = self.deadline_at(req.deadline_ms, t0);
         let (shard, model) = clock.time(Stage::Lookup, || self.lookup(req.model))?;
-        self.check_batch_len(req.count)?;
-        let points = clock.time(Stage::Parse, || req.columns())?;
+        let (syms, limit) = (model.symbols().len(), self.config.max_batch_points);
+        let points = clock.time(Stage::Parse, || req.points.columns(syms, limit))?;
         if let BatchOutput::Step { times } = &req.output {
             check_finite(times.iter().copied(), "'times'")?;
         }
-        let workers = req.workers.map(|w| w.max(1));
-        self.run_batch(
-            shard,
-            model,
-            points,
-            req.output,
-            workers,
-            deadline,
-            clock,
-            WireEncoding::BinaryV1,
-        )
-    }
-
-    /// The batch engine's back half, shared by every batch request:
-    /// evaluation on the owning shard's pool into columnar results, then
-    /// the response head.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &self,
-        shard: &Shard,
-        model: Arc<CompiledModel>,
-        points: PointColumns,
-        kind: BatchOutput,
-        workers: Option<usize>,
-        deadline: Option<(Instant, u64)>,
-        clock: &mut StageClock,
-        encoding: WireEncoding,
-    ) -> Result<BatchBody, ServeError> {
         // The binary frame carries a fixed number of f64 columns per
         // point, so the variable-width kind has no binary form.
-        if kind == BatchOutput::Rom && encoding == WireEncoding::BinaryV1 {
-            return Err(ServeError::BadRequest {
-                what: "kind 'rom' has no fixed-width binary layout; \
-                       use \"encoding\":\"ndjson\""
-                    .into(),
-            });
+        if req.output == BatchOutput::Rom && encoding == WireEncoding::BinaryV1 {
+            return Err(bad("kind 'rom' has no fixed-width binary layout; \
+                 use \"encoding\":\"ndjson\""));
         }
         let n_points = points.len();
-        let t0 = Instant::now();
+        let start = Instant::now();
         let results = clock.time(Stage::Eval, || {
             shard.evaluate_columns(
                 model,
                 Arc::new(points),
-                kind,
+                req.output,
                 deadline.map(|(at, _)| at),
-                workers,
+                req.workers.map(|w| w.max(1)),
             )
         })?;
-        let elapsed = t0.elapsed();
+        let elapsed = start.elapsed();
         let ok_count = clock.time(Stage::Degrade, || {
             self.stats.record_batch(n_points, elapsed);
             self.record_outcome(&results);
@@ -776,86 +558,64 @@ impl Server {
         }
         Ok(BatchBody {
             head,
-            // Filled from the request envelope by `respond` so
-            // correlation survives the binary frame too.
-            id: None,
             ok_count: ok_count as u64,
             elapsed_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            deadline_exceeded: results.deadline_exceeded,
             deadline,
             results,
         })
     }
 
-    fn cmd_stats(&self) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let ser = |e: serde_json::Error| ServeError::BadRequest {
-            what: format!("stats serialization: {e}"),
-        };
-        let server = serde_json::to_value(&self.stats.snapshot()).map_err(ser)?;
-        let registry = serde_json::to_value(&self.registry_stats()).map_err(ser)?;
+    fn cmd_stats(&self) -> Vec<(&'static str, Content)> {
         let mut models: Vec<String> = Vec::new();
         let mut shards: Vec<Content> = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             models.extend(shard.registry().names());
             shards.push(obj(vec![
-                (
-                    "health",
-                    serde_json::to_value(&shard.health()).map_err(ser)?,
-                ),
-                (
-                    "registry",
-                    serde_json::to_value(&shard.registry().stats()).map_err(ser)?,
-                ),
+                ("health", shard.health().to_content()),
+                ("registry", shard.registry().stats().to_content()),
             ]));
         }
         models.sort();
-        Ok(vec![
-            ("server", server),
-            ("registry", registry),
+        vec![
+            ("server", self.stats.snapshot().to_content()),
+            ("registry", self.registry_stats().to_content()),
             (
                 "models",
                 Content::Seq(models.into_iter().map(Content::Str).collect()),
             ),
             ("shards", Content::Seq(shards)),
-        ])
+        ]
     }
 
     /// Readiness probe: per-shard breaker phase, chunk-crash count, and
     /// queue depth. `ready` is the AND over shards (breaker closed, not
     /// draining) — a load balancer should stop routing when it goes
     /// false.
-    fn cmd_health(&self) -> Result<Vec<(&'static str, Content)>, ServeError> {
-        let ready = self.shards.iter().all(Shard::is_ready);
-        let shards: Result<Vec<Content>, _> = self
-            .shards
-            .iter()
-            .map(|s| serde_json::to_value(&s.health()))
-            .collect();
-        Ok(vec![
-            ("ready", Content::Bool(ready)),
+    fn cmd_health(&self) -> Vec<(&'static str, Content)> {
+        let shards = self.shards.iter().map(|s| s.health().to_content());
+        vec![
             (
-                "shards",
-                Content::Seq(shards.map_err(|e| ServeError::BadRequest {
-                    what: format!("health serialization: {e}"),
-                })?),
+                "ready",
+                Content::Bool(self.shards.iter().all(Shard::is_ready)),
             ),
-        ])
+            ("shards", Content::Seq(shards.collect())),
+        ]
     }
 
     /// Graceful-shutdown entry: every shard stops admitting evaluation
     /// work (new eval/batch requests get `unavailable`) while in-flight
     /// jobs finish. `pending` reports jobs still queued or running; poll
     /// until it reaches zero, then send `shutdown`.
-    fn cmd_drain(&self) -> Result<Vec<(&'static str, Content)>, ServeError> {
+    fn cmd_drain(&self) -> Vec<(&'static str, Content)> {
         let mut pending = 0u64;
         for shard in &self.shards {
             shard.drain();
             pending += shard.queue_depth() as u64;
         }
-        Ok(vec![
+        vec![
             ("draining", Content::Bool(true)),
             ("pending", Content::U64(pending)),
-        ])
+        ]
     }
 
     /// Handles one request line into a fresh buffer. Prefer
@@ -886,8 +646,7 @@ impl Server {
         if line.is_empty() {
             return None;
         }
-        let t0 = Instant::now();
-        let mut clock = StageClock::new(self.config.observe);
+        let (t0, mut clock) = self.start(None);
         // Size guard before the parser ever sees the bytes.
         let req = clock.time(Stage::Parse, || {
             if line.len() > self.config.max_line_bytes {
@@ -950,11 +709,7 @@ impl Server {
         decode: Option<(u64, u64)>,
         out: &mut Vec<u8>,
     ) -> ResponseMeta {
-        let t0 = Instant::now();
-        let mut clock = StageClock::new(self.config.observe);
-        if let Some((start, dur)) = decode {
-            clock.charge(Stage::Parse, start, dur);
-        }
+        let (t0, clock) = self.start(decode);
         self.finish_request(req, req_encoding, t0, clock, out)
     }
 
@@ -965,43 +720,44 @@ impl Server {
     ///
     /// `decode` is the transport's measured frame decode, charged to
     /// `parse` (as is the payload copy). A decode failure is passed in
-    /// as `Err` and answered with the typed NDJSON error envelope. For
-    /// every frame `awesym_net::decode_request` accepts, the response
-    /// bytes equal [`Server::handle_decoded_into`] on its tree, timing
-    /// fields aside.
+    /// as `Err` and answered with the typed NDJSON error envelope. The
+    /// request is answered by the function that answers a JSON `batch`
+    /// line, so for every frame `awesym_net::decode_request` accepts, the
+    /// response bytes equal [`Server::handle_decoded_into`] on its tree,
+    /// timing fields aside.
     pub fn handle_frame_into(
         &self,
-        req: Result<FrameRequest<'_>, ServeError>,
+        mut req: Result<BatchRequest<'_>, ServeError>,
         decode: Option<(u64, u64)>,
         out: &mut Vec<u8>,
     ) -> ResponseMeta {
-        let t0 = Instant::now();
-        let mut clock = StageClock::new(self.config.observe);
-        if let Some((start, dur)) = decode {
-            clock.charge(Stage::Parse, start, dur);
-        }
-        let (id, outcome) = match req {
-            Ok(mut req) => {
-                let id = req.id.take().unwrap_or(Content::Null);
-                let deadline = self.deadline_at(req.deadline_ms, t0);
-                let outcome = self.admit().and_then(|_slot| {
-                    self.frame_batch(req, deadline, &mut clock)
-                        .map(Reply::Batch)
-                });
-                (id, outcome)
-            }
-            Err(e) => (Content::Null, Err(e)),
-        };
+        let (t0, mut clock) = self.start(decode);
+        let id = req.as_mut().ok().and_then(|r| r.id.take());
+        let outcome = req.and_then(|req| {
+            let _slot = self.admit()?;
+            self.answer_batch(req, WireEncoding::BinaryV1, t0, &mut clock)
+        });
         let reply = Replied {
-            id,
-            outcome,
+            id: id.unwrap_or(Content::Null),
+            outcome: outcome.map(ResponseBody::Batch),
             encoding: WireEncoding::BinaryV1,
             shutdown: false,
         };
         self.respond(reply, WireEncoding::BinaryV1, t0, clock, out)
     }
 
-    /// Dispatches an already-parsed request, then [`Server::respond`]s.
+    /// A request's start: its clock, with the transport's externally
+    /// measured decode, if any, charged to `parse`.
+    fn start(&self, decode: Option<(u64, u64)>) -> (Instant, StageClock) {
+        let mut clock = StageClock::new(self.config.observe);
+        if let Some((start, dur)) = decode {
+            clock.charge(Stage::Parse, start, dur);
+        }
+        (Instant::now(), clock)
+    }
+
+    /// Checks an already-parsed request against the schema (charged to
+    /// `parse`), dispatches it, then [`Server::respond`]s.
     /// `req_encoding` is the encoding the *request* arrived in (used
     /// only to label the parse-stage split).
     fn finish_request(
@@ -1012,62 +768,52 @@ impl Server {
         mut clock: StageClock,
         out: &mut Vec<u8>,
     ) -> ResponseMeta {
-        let id = req
-            .as_ref()
-            .ok()
-            .and_then(|r| r.get("id").cloned())
-            .unwrap_or(Content::Null);
+        let id = req.as_ref().ok().and_then(|r| r.get("id")).cloned();
         let mut shutdown = false;
         let mut encoding = WireEncoding::Ndjson;
-        let outcome: Result<Reply, ServeError> = req.and_then(|req| {
-            encoding = encode::negotiate(&req)?;
-            let cmd = need_str(&req, "cmd")?.to_string();
-            let (deadline, workers) = if matches!(cmd.as_str(), "eval" | "batch") {
-                let deadline = self.deadline_at(opt_u64(&req, "deadline_ms")?, t0);
-                (deadline, opt_u64(&req, "workers")?)
-            } else {
-                (None, None)
-            };
-            if encoding == WireEncoding::BinaryV1 && cmd != "batch" {
-                return Err(ServeError::BadRequest {
-                    what: format!("encoding 'binary-v1' only applies to cmd 'batch' (got '{cmd}')"),
-                });
+        let outcome = req.and_then(|req| {
+            let req = clock.time(Stage::Parse, || request::check(&req))?;
+            let (name, cmd, ..) = *req.command;
+            if req.value("encoding").as_str() == Some(WireEncoding::BinaryV1.as_str()) {
+                if cmd != Cmd::Batch {
+                    let only = "encoding 'binary-v1' only applies to cmd 'batch'";
+                    return Err(bad(format!("{only} (got '{name}')")));
+                }
+                encoding = WireEncoding::BinaryV1;
             }
-            match cmd.as_str() {
+            match cmd {
                 // Heavy commands claim an in-flight slot (shedding when
                 // the budget is exhausted); cheap ones always answer.
-                "load" => self.cmd_load(&req).map(Reply::Fields),
-                "compile" => {
+                Cmd::Load => self.cmd_load(&req).map(ResponseBody::Fields),
+                Cmd::Compile => {
                     let _slot = self.admit()?;
-                    self.cmd_compile(&req).map(Reply::Fields)
+                    self.cmd_compile(&req).map(ResponseBody::Fields)
                 }
-                "save" => self.cmd_save(&req).map(Reply::Fields),
-                "eval" => {
+                Cmd::Save => self.cmd_save(&req).map(ResponseBody::Fields),
+                Cmd::Eval => {
                     let _slot = self.admit()?;
-                    self.cmd_eval(&req, deadline, &mut clock).map(Reply::Point)
+                    self.cmd_eval(&req, t0, &mut clock)
                 }
-                "batch" => {
+                Cmd::Batch => {
+                    let batch = req.batch()?;
                     let _slot = self.admit()?;
-                    self.cmd_batch(&req, deadline, workers, &mut clock, encoding)
-                        .map(Reply::Batch)
+                    self.answer_batch(batch, encoding, t0, &mut clock)
+                        .map(ResponseBody::Batch)
                 }
-                "stats" => self.cmd_stats().map(Reply::Fields),
-                "health" => self.cmd_health().map(Reply::Fields),
-                "drain" => self.cmd_drain().map(Reply::Fields),
-                "shutdown" => {
+                Cmd::Stats => Ok(ResponseBody::Fields(self.cmd_stats())),
+                Cmd::Health => Ok(ResponseBody::Fields(self.cmd_health())),
+                Cmd::Drain => Ok(ResponseBody::Fields(self.cmd_drain())),
+                Cmd::Shutdown => {
                     shutdown = true;
-                    Ok(Reply::Fields(vec![("shutdown", Content::Bool(true))]))
+                    Ok(ResponseBody::Fields(vec![(
+                        "shutdown",
+                        Content::Bool(true),
+                    )]))
                 }
-                other => Err(ServeError::BadRequest {
-                    what: format!(
-                        "unknown cmd '{other}' \
-                         (load|compile|save|eval|batch|stats|health|drain|shutdown)"
-                    ),
-                }),
             }
         });
         let reply = Replied {
-            id,
+            id: id.unwrap_or(Content::Null),
             outcome,
             encoding,
             shutdown,
@@ -1085,38 +831,28 @@ impl Server {
         mut clock: StageClock,
         out: &mut Vec<u8>,
     ) -> ResponseMeta {
-        let Replied {
-            id,
-            outcome,
-            mut encoding,
-            shutdown,
-        } = reply;
-        let mut ok = outcome.is_ok();
-        let mut envelope = vec![("ok", Content::Bool(ok))];
-        if !id.is_null() {
-            envelope.push(("id", id.clone()));
-        }
-        let body = match outcome {
-            Ok(Reply::Fields(extra)) => {
-                // Only batch bodies have a binary form; everything else
-                // is an NDJSON object whatever was negotiated.
-                encoding = WireEncoding::Ndjson;
-                envelope.extend(extra);
-                ResponseBody::Fields(envelope)
+        let envelope = |ok: bool| {
+            let mut fields = vec![("ok", Content::Bool(ok))];
+            if !reply.id.is_null() {
+                fields.push(("id", reply.id.clone()));
             }
-            Ok(Reply::Point(result)) => {
-                encoding = WireEncoding::Ndjson;
-                ResponseBody::Point {
-                    head: envelope,
-                    result,
-                }
+            fields
+        };
+        let mut ok = reply.outcome.is_ok();
+        let body = match reply.outcome {
+            Ok(ResponseBody::Fields(extra)) => {
+                let mut fields = envelope(true);
+                fields.extend(extra);
+                ResponseBody::Fields(fields)
             }
-            Ok(Reply::Batch(mut b)) => {
-                envelope.append(&mut b.head);
-                b.head = envelope;
-                if !id.is_null() {
-                    b.id = Some(id.clone());
-                }
+            Ok(ResponseBody::Point { result, .. }) => ResponseBody::Point {
+                head: envelope(true),
+                result,
+            },
+            Ok(ResponseBody::Batch(mut b)) => {
+                let mut head = envelope(true);
+                head.append(&mut b.head);
+                b.head = head;
                 ResponseBody::Batch(b)
             }
             Err(e) => {
@@ -1125,10 +861,14 @@ impl Server {
                 if matches!(e, ServeError::Overloaded { .. }) {
                     self.stats.record_request_shed();
                 }
-                encoding = WireEncoding::Ndjson;
-                push_error_fields(&mut envelope, &e);
-                ResponseBody::Fields(envelope)
+                error_body(envelope(false), &e)
             }
+        };
+        // Only batch bodies have a binary form; everything else is an
+        // NDJSON object whatever was negotiated.
+        let mut encoding = match body {
+            ResponseBody::Batch(_) => reply.encoding,
+            _ => WireEncoding::Ndjson,
         };
         let start_len = out.len();
         let encoded = clock.time(Stage::Serialize, || encode_response(encoding, &body, out));
@@ -1141,14 +881,10 @@ impl Server {
             if matches!(e, ServeError::DeadlineExceeded { .. }) {
                 self.stats.record_deadline_exceeded();
             }
-            let mut fields = vec![("ok", Content::Bool(false))];
-            if !id.is_null() {
-                fields.push(("id", id));
-            }
-            push_error_fields(&mut fields, &e);
+            let body = error_body(envelope(false), &e);
             clock.time(Stage::Serialize, || {
                 // A field list encodes infallibly (no deadline).
-                let _ = encode_response(WireEncoding::Ndjson, &ResponseBody::Fields(fields), out);
+                let _ = encode_response(WireEncoding::Ndjson, &body, out);
             });
         }
         self.stats.record_request(t0.elapsed(), ok);
@@ -1167,19 +903,20 @@ impl Server {
         if let Some((_, dur)) = clock.spans[Stage::Parse.index()] {
             self.stats.record_parse_encoding(req_encoding, dur);
         }
-        ResponseMeta { encoding, shutdown }
+        ResponseMeta {
+            encoding,
+            shutdown: reply.shutdown,
+        }
     }
 
     /// Appends one NDJSON stats line to `out`: the server snapshot (with
     /// per-stage breakdown), registry counters, and how many trace spans
     /// the ring has overwritten.
     pub fn stats_line_into(&self, out: &mut Vec<u8>) {
-        let server = serde_json::to_value(&self.stats.snapshot()).unwrap_or(Content::Null);
-        let registry = serde_json::to_value(&self.registry_stats()).unwrap_or(Content::Null);
         let line = obj(vec![
             ("stats", Content::Bool(true)),
-            ("server", server),
-            ("registry", registry),
+            ("server", self.stats.snapshot().to_content()),
+            ("registry", self.registry_stats().to_content()),
             ("spans_dropped", Content::U64(self.tracer.dropped())),
         ]);
         serde_json::write_value(&line, out);
@@ -1471,11 +1208,7 @@ mod tests {
         let c = parse(&r);
         assert!(!ok_of(&c), "{}", r.text());
         assert_eq!(code_of(&c), Some("bad_request"));
-        let err = point_from(
-            &Content::Seq(vec![Content::F64(1.0), Content::F64(f64::NAN)]),
-            "'values'",
-        )
-        .unwrap_err();
+        let err = check_finite([1.0, f64::NAN], "'values'").unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
     }
 

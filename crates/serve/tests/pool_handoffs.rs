@@ -10,7 +10,7 @@
 //! an operator reads it, from `{"cmd":"stats"}`.
 
 use awesym_circuit::generators::{coupled_lines, opamp741, CoupledLineSpec};
-use awesym_serve::{BatchOutput, FrameRequest, Server, ServerConfig};
+use awesym_serve::{BatchOutput, BatchPoints, BatchRequest, Server, ServerConfig};
 use serde::Content;
 
 const OPAMP: &str = "opamp";
@@ -147,12 +147,14 @@ fn single_point_requests_never_reach_the_pool_queue() {
         let before = handoffs(&server);
         for _ in 0..FRAMES {
             out.clear();
-            let req = FrameRequest {
+            let req = BatchRequest {
                 model: XTALK,
                 output: BatchOutput::Moments,
-                count: FRAME_POINTS,
-                syms: 2,
-                payload: &payload,
+                points: BatchPoints::Payload {
+                    count: FRAME_POINTS,
+                    syms: 2,
+                    payload: &payload,
+                },
                 deadline_ms: None,
                 workers,
                 id: None,

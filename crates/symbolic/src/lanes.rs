@@ -35,6 +35,18 @@
 //! flight (from the out-of-order window's perspective) behind the current
 //! block's arithmetic chain instead of serialized after it.
 //!
+//! Only a call of two or more blocks uses the second region and its
+//! instruction stream: row-major `eval_batch` and the timing engine's
+//! Monte Carlo blocks. The serve engine evaluates in 32-point deadline
+//! strides, so each of its `eval_columns` calls is one block and always
+//! replays in phase `Ping`. A prototype with a single input region, on
+//! the cross-talk model (per-run minima of 400 repetitions, medians over
+//! 20 alternating runs), gave bit-identical outputs and the same
+//! column-major speed (6.38 ns per point on 4096-point calls both ways;
+//! 7.03 against 7.05 ns on 32-point strides), while row-major
+//! `eval_batch` slowed from 9.14 to 9.73 ns per point, in 19 of the 20
+//! runs. So the regions pay on multi-block calls, not on the served path.
+//!
 //! ## Numeric contract
 //!
 //! Every tape op is evaluated **elementwise** — lane `l` of a block only

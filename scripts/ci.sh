@@ -36,12 +36,12 @@ step() {
   echo "    (${CURRENT_STEP}: $((t1 - t0))s)"
 }
 
-# Informational: the non-test line count a simplifying change is scored
-# by. This step never fails the gate.
+# Informational: the non-test line and public-item counts a simplifying
+# change is scored by. This step never fails the gate.
 loc_count() {
-  echo "    non-test lines under crates/: $(scripts/loc.sh 2>/dev/null || echo unknown)"
+  (scripts/loc.sh 2>/dev/null || echo "unknown") | sed 's/^/    /'
 }
-step "non-test line count (informational)" loc_count
+step "non-test line and public-item counts (informational)" loc_count
 
 step "cargo build --release" cargo build --release
 
