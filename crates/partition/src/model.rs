@@ -5,7 +5,7 @@ use awesym_awe::{pade_rom, Rom};
 use awesym_circuit::{Circuit, ElementId, Node};
 use awesym_linalg::Complex64;
 use awesym_symbolic::{
-    AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, OptLevel, SymbolSet,
+    AffineTail, CompileOptions, CompiledFn, Evaluator, ExprGraph, OptLevel, SymbolSet, Tape,
 };
 
 /// Options for [`CompiledModel::build_with_options`].
@@ -112,6 +112,53 @@ struct TaylorTail {
     jac: Vec<Vec<f64>>,
 }
 
+/// Compiles the moments `m_k = P_k / D^{k+1}` of `sm` into one tape.
+///
+/// Below [`OptLevel::Full`] the lowering is the naive reference: each
+/// polynomial term by term ([`ExprGraph::poly`]) and one division by a
+/// power of `D` per moment. At [`OptLevel::Full`] each polynomial is
+/// nested ([`ExprGraph::poly_nested`]) and the moments share one
+/// reciprocal, `m_k = P_k · r^{k+1}` with `r = 1/D`: one division per
+/// point. Its [`CompiledFn::raw_op_count`] stays the length of the naive
+/// lowering's [`OptLevel::None`] tape, the reference the optimizer is
+/// measured against; both lowerings share one graph, and only the
+/// outputs compiled decide which ops the tape holds.
+fn moment_tape(sm: &SymbolicMoments, nsym: usize, level: OptLevel) -> CompiledFn {
+    let mut g = ExprGraph::new(nsym);
+    let nested = (level == OptLevel::Full).then(|| {
+        let d = g.poly_nested(&sm.d);
+        let one = g.constant(1.0);
+        let r = g.div(one, d);
+        let mut r_pow = r;
+        let mut outputs = Vec::with_capacity(sm.p.len());
+        for (k, pk) in sm.p.iter().enumerate() {
+            if k > 0 {
+                r_pow = g.mul(r_pow, r);
+            }
+            let p = g.poly_nested(pk);
+            outputs.push(g.mul(p, r_pow));
+        }
+        outputs
+    });
+    let d = g.poly(&sm.d);
+    let mut naive = Vec::with_capacity(sm.p.len());
+    let mut d_pow = d;
+    for (k, pk) in sm.p.iter().enumerate() {
+        if k > 0 {
+            d_pow = g.mul(d_pow, d);
+        }
+        let p = g.poly(pk);
+        naive.push(g.div(p, d_pow));
+    }
+    let options = CompileOptions::new().opt_level(level);
+    match nested {
+        None => g.compile_with(&naive, &options),
+        Some(outputs) => g
+            .compile_with(&outputs, &options)
+            .with_raw_op_count(g.raw_op_count(&naive)),
+    }
+}
+
 /// A compiled reduced-order symbolic model.
 ///
 /// Built once (the expensive symbolic analysis); evaluated many times at
@@ -214,18 +261,7 @@ impl CompiledModel {
         let nsym = sys.symbols().len();
         let mut models = Vec::with_capacity(sms.len());
         for (idx, sm) in sms.into_iter().enumerate() {
-            // Compile P_0..P_{k_sym−1} and D into one tape; share D's powers.
-            let mut g = ExprGraph::new(nsym);
-            let d_id = g.poly(&sm.d);
-            let mut outputs = Vec::with_capacity(k_sym);
-            let mut d_pow = d_id;
-            for pk in &sm.p {
-                let p_id = g.poly(pk);
-                outputs.push(g.div(p_id, d_pow));
-                d_pow = g.mul(d_pow, d_id);
-            }
-            let fun = g.compile_with(&outputs, &CompileOptions::new().opt_level(opts.opt_level));
-
+            let fun = moment_tape(&sm, nsym, opts.opt_level);
             let taylor = if k_sym < total {
                 let base_all = sys.reference_moments_for(idx, sys.nominal(), total)?;
                 let jac_all = sys.moment_jacobian_for(idx, sys.nominal(), total)?;
@@ -280,6 +316,11 @@ impl CompiledModel {
         self.fun.opt_level()
     }
 
+    /// The compiled moment tape.
+    pub fn tape(&self) -> &Tape {
+        self.fun.tape()
+    }
+
     /// Checks every numeric quantity baked into the model — nominal
     /// values, tape constants, and the Taylor tail — for NaN/Inf. A model
     /// deserialized from a corrupted artifact can carry non-finite
@@ -298,7 +339,7 @@ impl CompiledModel {
             }
         };
         check(&self.nominal, "nominal value")?;
-        for (i, op) in self.fun.tape().ops().iter().enumerate() {
+        for (i, op) in self.tape().ops().iter().enumerate() {
             if let awesym_symbolic::TapeOp::Const(c) = op {
                 if !c.is_finite() {
                     return Err(format!("non-finite tape constant at op {i}"));

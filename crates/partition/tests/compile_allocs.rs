@@ -16,8 +16,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// `parse_spice` allocations on the coupled-line netlist.
 const PARSE_ALLOCS: u64 = 7_014;
-/// `CompiledModel::build` allocations for its cross-talk model.
-const BUILD_ALLOCS: u64 = 4_645;
+/// `CompiledModel::build` allocations for its cross-talk model, the naive
+/// moment lowering it counts `raw_op_count` from included.
+const BUILD_ALLOCS: u64 = 4_665;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);

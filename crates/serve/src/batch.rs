@@ -24,8 +24,10 @@
 //!   `catch_unwind`, so a poisoned point becomes a `PointError` with code
 //!   `internal` and the rest of the batch (and the server) keeps going;
 //! - **numeric health** — non-finite moments are rejected as
-//!   `numeric_unstable` instead of being returned, and ROM construction
-//!   reports when it had to degrade to a lower approximation order;
+//!   `numeric_unstable` instead of being returned (on the lane path by
+//!   `BatchResults::settle_finite`, one contiguous pass per result
+//!   column of each 32-point stride), and ROM construction reports when
+//!   it had to degrade to a lower approximation order;
 //! - **deadlines** — every chunk checks the batch deadline cooperatively
 //!   between points and marks unevaluated points `deadline_exceeded`
 //!   instead of running arbitrarily long;
@@ -363,18 +365,7 @@ impl<'m> ChunkEval<'m> {
                 )
             }));
             match run {
-                Ok(Ok(())) => {
-                    for i in done..done + stride {
-                        if out.row(i).all(f64::is_finite) {
-                            out.succeed(i);
-                        } else {
-                            out.fail(
-                                i,
-                                PointError::numeric("evaluation produced non-finite moments"),
-                            );
-                        }
-                    }
-                }
+                Ok(Ok(())) => out.settle_finite(done..done + stride, non_finite_moments),
                 Ok(Err(shape)) => {
                     // Unreachable (arity pre-checked), but degrade to a
                     // per-point error rather than trusting it.
@@ -485,9 +476,7 @@ fn eval_point(
     // Numeric health gate: never hand back NaN/Inf moments (a division by
     // a zero-valued symbol combination, or an injected fault).
     if moments.iter().any(|m| !m.is_finite()) {
-        return Err(PointError::numeric(
-            "evaluation produced non-finite moments",
-        ));
+        return Err(non_finite_moments());
     }
     let note_degraded = |d: &Option<Degradation>| {
         if d.is_some() {
@@ -516,6 +505,12 @@ fn eval_point(
         }
     }
     Ok(())
+}
+
+/// The error of a point whose moments came out non-finite, on the lane
+/// and the per-point path alike.
+fn non_finite_moments() -> PointError {
+    PointError::numeric("evaluation produced non-finite moments")
 }
 
 /// Worker-count default: the machine's available parallelism.
@@ -620,6 +615,44 @@ mod tests {
                 assert_eq!(&got, base.get_or_insert_with(|| got.clone()), "workers={w}");
                 let helped = n > 37 && w > 1;
                 assert_eq!(pool.handoffs(), u64::from(helped), "n={n} workers={w}");
+            }
+        }
+    }
+
+    /// Points whose moments overflow, from finite symbol values, are
+    /// settled by the lane path's column-wise check exactly as the
+    /// per-point path settles them: the same status bytes, the same
+    /// errors, and NaN in every column of a failed point.
+    #[test]
+    fn lane_path_fails_non_finite_points_as_the_per_point_path_does() {
+        let m = model2();
+        let mut pts = grid(4096);
+        for (i, p) in pts.iter_mut().enumerate().filter(|(i, _)| i % 37 == 5) {
+            *p = vec![1e300, 1e300 * (1.0 + i as f64)];
+        }
+        let output = BatchOutput::Moments;
+        let lanes = run(&m, &pts, &output, Some(2), None);
+
+        let input = PointColumns::from_rows(&pts, 2);
+        let ctl = BatchCtl::new(None, 0);
+        let mut per_point = ChunkEval::new(&m, &output);
+        per_point.out.reset(pts.len());
+        for i in 0..pts.len() {
+            per_point.point_guarded(&input, 0, i, &output, &ctl);
+        }
+        let reference = &per_point.out;
+
+        let failed = lanes.status().iter().filter(|&&b| b != 0).count();
+        assert_eq!(failed, (0..pts.len()).filter(|i| i % 37 == 5).count());
+        assert_eq!(lanes.status(), reference.status());
+        let bits = |r: &BatchResults| r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lanes), bits(reference));
+        for i in 0..pts.len() {
+            assert_eq!(lanes.error(i), reference.error(i), "point {i}");
+            if lanes.error(i).is_some() {
+                assert!(lanes.point(i).is_err());
+                let nan = (0..lanes.cols()).all(|k| lanes.values()[k * pts.len() + i].is_nan());
+                assert!(nan, "point {i} reads NaN in every column");
             }
         }
     }

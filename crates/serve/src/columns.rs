@@ -6,7 +6,15 @@
 //! - [`BatchResults`]: a batch's outcome as one column-major `f64`
 //!   buffer plus a status-byte column — the binary-v1 `AWSB` response
 //!   layout — with point errors and the variable-width extras (ROM
-//!   summaries, step-response degradations) in sparse side tables.
+//!   summaries, step-response degradations) in sparse side tables. The
+//!   lane kernel writes a stride of points straight into the columns,
+//!   and `settle_finite` then checks them column by column: one
+//!   contiguous pass per column, and a per-point pass only for a stride
+//!   that holds a non-finite value.
+//!
+//! Bytes cross in one pass each way: an `AWSQ` payload is decoded into
+//! [`PointColumns`] with one conversion per value, and the `AWSB` writer
+//! appends each result value's bytes without zero-filling the space.
 //!
 //! A batch request ([`crate::BatchRequest`]) copies its points, an
 //! `AWSQ` payload or the rows of a JSON `points` array, into one
@@ -18,6 +26,8 @@ use crate::batch::{BatchCtl, BatchOutput, DelaySummary, PointResult, PointValue,
 use crate::error::{point_code, PointError};
 use crate::ServeError;
 use awesym_partition::{CompiledModel, Degradation};
+use awesym_symbolic::MAX_BLOCK_POINTS;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 /// Status byte of a slot no evaluation has answered yet. Never leaves the
@@ -101,7 +111,7 @@ impl PointColumns {
         assert_eq!(bytes.len(), count * syms * 8, "payload length mismatch");
         let values = bytes
             .chunks_exact(8)
-            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .map(|b| f64::from_le_bytes(b.try_into().expect("an 8-byte chunk")))
             .collect();
         PointColumns {
             count,
@@ -181,7 +191,9 @@ impl PointColumns {
     /// The first point, in index order, that holds a non-finite value —
     /// the point a row-by-row parse of the same batch would trip on.
     pub(crate) fn first_non_finite(&self) -> Option<usize> {
-        if self.values.iter().all(|v| v.is_finite()) {
+        // A fold with no early exit vectorizes; a finite batch reads
+        // every value anyway.
+        if self.values.iter().fold(true, |ok, v| ok & v.is_finite()) {
             return None;
         }
         self.values
@@ -440,6 +452,35 @@ impl BatchResults {
 
     pub(crate) fn succeed(&mut self, i: usize) {
         self.status[i] = 0;
+    }
+
+    /// Settles slots `range`, at most one lane block of them, once the
+    /// lane kernel has written their columns: a point with a non-finite
+    /// value in any column fails with the error `e` makes, the others
+    /// succeed. Each column is checked in one contiguous pass; only a
+    /// block that holds a non-finite value is then sorted point by point,
+    /// through a mask on the stack.
+    pub(crate) fn settle_finite(&mut self, range: Range<usize>, e: impl Fn() -> PointError) {
+        let column = |k: usize| &self.values[k * self.count..][range.clone()];
+        let finite = |col: &[f64]| col.iter().fold(true, |ok, v| ok & v.is_finite());
+        if (0..self.cols).all(|k| finite(column(k))) {
+            self.status[range].fill(0);
+            return;
+        }
+        let mut bad = [false; MAX_BLOCK_POINTS];
+        let bad = &mut bad[..range.len()];
+        for k in 0..self.cols {
+            for (b, v) in bad.iter_mut().zip(column(k)) {
+                *b |= !v.is_finite();
+            }
+        }
+        for (i, &b) in range.zip(bad.iter()) {
+            if b {
+                self.fail(i, e());
+            } else {
+                self.succeed(i);
+            }
+        }
     }
 
     /// Marks point `i` failed: status byte, side-table entry, and NaN in

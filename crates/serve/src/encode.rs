@@ -352,20 +352,14 @@ fn write_binary_batch(b: &BatchBody, out: &mut Vec<u8>) -> Result<(), ServeError
     }
     out.extend_from_slice(r.status());
     // Columnar payload: the result buffer is already column-major
-    // with NaN in failed points, so this is one copy, cut into
-    // deadline-checked strides.
-    let at = out.len();
-    out.resize(at + 8 * r.values().len(), 0);
-    let strides = out[at..]
-        .chunks_mut(8 * DEADLINE_CHECK_STRIDE)
-        .zip(r.values().chunks(DEADLINE_CHECK_STRIDE));
-    for (i, (dst, vals)) in strides.enumerate() {
+    // with NaN in failed points, so this is one pass over it, cut into
+    // deadline-checked strides, that appends each value's bytes without
+    // zero-filling the space first.
+    for (i, vals) in r.values().chunks(DEADLINE_CHECK_STRIDE).enumerate() {
         if i > 0 {
             check_encode_deadline(b)?;
         }
-        for (d, v) in dst.chunks_exact_mut(8).zip(vals) {
-            d.copy_from_slice(&v.to_le_bytes());
-        }
+        out.extend(vals.iter().flat_map(|v| v.to_le_bytes()));
     }
     Ok(())
 }

@@ -240,19 +240,22 @@ impl<'a> Checked<'a> {
     ///
     /// # Errors
     ///
-    /// A `bad_request` for kind `step` without `times`.
+    /// A `bad_request` for kind `step` without `times`, and for `times`
+    /// with another kind (an `AWSQ` frame's `TimesWithoutStep`).
     pub(crate) fn output(&self) -> Result<BatchOutput, ServeError> {
         let kind = self.value("kind").as_str();
+        let times = self.value("times");
         Ok(match kind.or(self.value("output").as_str()) {
+            Some("step") if times.is_null() => {
+                return Err(bad("kind 'step' requires a 'times' array"))
+            }
+            Some("step") => BatchOutput::Step {
+                times: numbers(times).collect(),
+            },
+            _ if !times.is_null() => return Err(bad("'times' present but kind is not 'step'")),
             Some("rom") => BatchOutput::Rom,
             Some("dc_gain") => BatchOutput::DcGain,
             Some("delays") => BatchOutput::Delays,
-            Some("step") => match self.value("times") {
-                Content::Null => return Err(bad("kind 'step' requires a 'times' array")),
-                times => BatchOutput::Step {
-                    times: numbers(times).collect(),
-                },
-            },
             _ => BatchOutput::Moments,
         })
     }
@@ -523,6 +526,24 @@ mod tests {
         for bad in [Content::Null, Content::U64(7), text("frobnicate")] {
             refuse(Content::Map(vec![("cmd".into(), bad)]), "'cmd'");
         }
+        // Fields that fit the table but not each other.
+        let eval_fields = required_fields("eval", "", "");
+        for kind in ["moments", "rom", "dc_gain", "delays"] {
+            let fields = with(&eval_fields, "kind", text(kind));
+            let times = with(&fields, "times", numbers_of(&[1e-9]));
+            refuse(request("eval", &times), "'times'");
+        }
+        let batch = with(
+            &required_fields("batch", "", ""),
+            "times",
+            numbers_of(&[1e-9]),
+        );
+        refuse(request("batch", &batch), "'times'");
+        let netlist = required_fields("compile", "", "");
+        refuse(
+            request("compile", &with(&netlist, "path", text(&artifact))),
+            "'path'",
+        );
         let compile = required_fields("compile", "", "");
         let order = awesym_partition::MAX_ORDER as u64;
         for bad in [0, order + 1] {
@@ -572,9 +593,13 @@ mod tests {
         };
         let mut seen = Vec::new();
         for kind in kinds {
-            let json = format!(
-                r#"{{"cmd":"eval","model":"m","values":[1],"kind":"{kind}","times":[1e-9]}}"#
-            );
+            let times = if *kind == "step" {
+                r#","times":[1e-9]"#
+            } else {
+                ""
+            };
+            let json =
+                format!(r#"{{"cmd":"eval","model":"m","values":[1],"kind":"{kind}"{times}}}"#);
             let req: Content = serde_json::from_str(&json).expect("valid JSON");
             let output = check(&req).and_then(|c| c.output()).expect("a valid kind");
             assert!(!seen.contains(&output), "{kind} repeats {output:?}");

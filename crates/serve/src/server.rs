@@ -423,7 +423,10 @@ impl Server {
 
     fn cmd_compile(&self, req: &Checked<'_>) -> Result<Vec<(&'static str, Content)>, ServeError> {
         let text = match (req.value("netlist").as_str(), req.value("path").as_str()) {
-            (Some(t), _) => Cow::Borrowed(t),
+            (Some(_), Some(_)) => {
+                return Err(bad("compile takes 'netlist' text or a 'path', not both"))
+            }
+            (Some(t), None) => Cow::Borrowed(t),
             (None, Some(path)) => Cow::Owned(artifact::read_text(Path::new(path))?),
             (None, None) => return Err(bad("compile needs 'netlist' text or a 'path'")),
         };

@@ -5,110 +5,27 @@
 //! FNV-1a 64 digest of each saved artifact must equal its pinned value.
 //! A change to how netlists are parsed or the numeric partition is
 //! assembled may make a compile cheaper, never different.
+//!
+//! The symbolic moments each tape is lowered from are pinned apart from
+//! the tape, so a change to the lowering alone moves the artifact digests
+//! and the op counts but not the moment digests.
 
-use awesym_circuit::generators::{coupled_lines, opamp741, rc_mesh, CoupledLineSpec};
-use awesym_circuit::parse_spice;
-use awesym_partition::CompiledModel;
-use awesym_serve::resolve::{resolve_io, resolve_symbol_specs};
+mod common;
+
+use awesym_partition::SymbolicMoments;
 use awesym_serve::{to_artifact_string, Server};
-use std::path::PathBuf;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// One `compile`: a netlist and the request's arguments.
-struct Compile {
-    name: &'static str,
-    netlist: String,
-    input: &'static str,
-    output: String,
-    symbols: &'static [&'static str],
-    order: usize,
-}
-
-impl Compile {
-    fn build(&self) -> CompiledModel {
-        let c = parse_spice(&self.netlist).unwrap();
-        let (input, output) = resolve_io(&c, self.input, &self.output).unwrap();
-        let bindings = resolve_symbol_specs(&c, self.symbols).unwrap();
-        CompiledModel::build(&c, input, output, &bindings, self.order).unwrap()
-    }
-}
-
-/// perfbench's fleet, in its compile order, plus the fixture models.
-fn compiles() -> Vec<Compile> {
-    let amp = opamp741();
-    let lines = coupled_lines(&CoupledLineSpec::default());
-    let lines_text = lines.circuit.to_spice();
-    let mesh = rc_mesh(30, 30, 10.0, 1e-15);
-    let ladder = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/rc_ladder20.sp"),
-    )
-    .unwrap();
-    vec![
-        Compile {
-            name: "opamp",
-            netlist: amp.circuit.to_spice(),
-            input: "vin",
-            output: amp.circuit.node_name(amp.output).to_string(),
-            symbols: &["ro_q14:g", "c_comp"],
-            order: 2,
-        },
-        Compile {
-            name: "lines_direct",
-            netlist: lines_text.clone(),
-            input: "vin",
-            output: lines.circuit.node_name(lines.aggressor_out).to_string(),
-            symbols: &["rdrv1", "cload1"],
-            order: 1,
-        },
-        Compile {
-            name: "lines_xtalk",
-            netlist: lines_text,
-            input: "vin",
-            output: lines.circuit.node_name(lines.victim_out).to_string(),
-            symbols: &["rdrv1", "cload2"],
-            order: 2,
-        },
-        Compile {
-            name: "mesh",
-            netlist: mesh.circuit.to_spice(),
-            input: "vin",
-            output: mesh.circuit.node_name(mesh.output).to_string(),
-            symbols: &["rdrv", "cm29_29"],
-            order: 2,
-        },
-        Compile {
-            name: "rc_ladder20_r1_c20",
-            netlist: ladder.clone(),
-            input: "vin",
-            output: "n20".into(),
-            symbols: &["r1", "c20"],
-            order: 2,
-        },
-        Compile {
-            name: "rc_ladder20_4sym",
-            netlist: ladder,
-            input: "vin",
-            output: "n20".into(),
-            symbols: &["r1", "c5", "r12:g", "c20"],
-            order: 3,
-        },
-    ]
-}
+use awesym_symbolic::TapeOp;
+use common::{compiles, fnv1a64, FLEET};
 
 #[test]
 fn fleet_and_fixture_artifacts_keep_their_pinned_digests() {
     let want: [(&str, usize, u64); 6] = [
-        ("opamp", 3045, 0xc916_272b_d496_fb0f),
-        ("lines_direct", 926, 0x3417_c1ca_7ccf_f272),
-        ("lines_xtalk", 2225, 0xb059_c89d_df9c_ca74),
-        ("mesh", 2957, 0x3a28_2f01_b696_8bae),
-        ("rc_ladder20_r1_c20", 2951, 0x50a3_cfb3_6d23_f4fe),
-        ("rc_ladder20_4sym", 156_029, 0xe328_09f2_1443_8fc3),
+        ("opamp", 2781, 0xd2d4_4589_691f_0814),
+        ("lines_direct", 974, 0xc82e_9b8f_890e_6e32),
+        ("lines_xtalk", 2075, 0x53e3_6790_4739_0031),
+        ("mesh", 2689, 0x5cac_359e_1038_2ffb),
+        ("rc_ladder20_r1_c20", 2683, 0x73c1_956b_2883_4f95),
+        ("rc_ladder20_4sym", 102_281, 0x1528_737a_905e_7967),
     ];
     let got: Vec<(&str, usize, u64)> = compiles()
         .iter()
@@ -118,6 +35,76 @@ fn fleet_and_fixture_artifacts_keep_their_pinned_digests() {
         })
         .collect();
     assert_eq!(got, want);
+}
+
+/// FNV-1a 64 of `sm`'s polynomials, `D` and then each `P_k`: per
+/// polynomial its term count, then each term's exponents and the bits of
+/// its coefficient.
+fn moments_digest(sm: &SymbolicMoments) -> u64 {
+    let mut bytes = Vec::new();
+    for p in std::iter::once(&sm.d).chain(&sm.p) {
+        bytes.extend_from_slice(&(p.num_terms() as u64).to_le_bytes());
+        for (exps, c) in p.terms() {
+            bytes.extend_from_slice(exps);
+            bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn fleet_and_fixture_symbolic_moments_keep_their_pinned_digests() {
+    let want: [(&str, usize, u64); 6] = [
+        ("opamp", 32, 0x74df_0abf_0c6a_dab0),
+        ("lines_direct", 7, 0x9c52_e6d7_0657_0b0a),
+        ("lines_xtalk", 22, 0x7a58_9e8b_a629_7538),
+        ("mesh", 32, 0x1318_14d2_eb95_75b6),
+        ("rc_ladder20_r1_c20", 32, 0x16bd_b6cb_40ac_0ec4),
+        ("rc_ladder20_4sym", 1_362, 0xbafa_0dbb_327f_ca55),
+    ];
+    let got: Vec<(&str, usize, u64)> = compiles()
+        .iter()
+        .map(|c| {
+            let sm = c.moments();
+            let terms = std::iter::once(&sm.d)
+                .chain(&sm.p)
+                .map(|p| p.num_terms())
+                .sum();
+            (c.name, terms, moments_digest(&sm))
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// Each fleet model's tape: its ops, its compute ops (the ops other than
+/// the `Const` and `Sym` loads the lane plan hoists out of the kernel),
+/// and its divisions, each evaluated once per point.
+#[test]
+fn fleet_tapes_keep_their_pinned_op_counts() {
+    let want: [(&str, usize, usize, usize); FLEET] = [
+        ("opamp", 70, 35, 1),
+        ("lines_direct", 18, 8, 1),
+        ("lines_xtalk", 50, 25, 1),
+        ("mesh", 68, 35, 1),
+    ];
+    let got: Vec<(&str, usize, usize, usize)> = compiles()[..FLEET]
+        .iter()
+        .map(|c| {
+            let ops = c.build().tape().ops().to_vec();
+            let compute = ops
+                .iter()
+                .filter(|op| !matches!(op, TapeOp::Const(_) | TapeOp::Sym(_)))
+                .count();
+            let divs = ops
+                .iter()
+                .filter(|op| matches!(op, TapeOp::Div(..)))
+                .count();
+            (c.name, ops.len(), compute, divs)
+        })
+        .collect();
+    assert_eq!(got, want);
+    let compute: usize = got.iter().map(|g| g.2).sum();
+    assert!(compute <= 103, "fleet compute ops {compute} > 103");
 }
 
 fn answer(server: &Server, line: &str) -> String {

@@ -201,7 +201,8 @@ impl ExprGraph {
         acc.expect("n > 0")
     }
 
-    /// Lowers a polynomial into the graph.
+    /// Lowers a polynomial into the graph term by term, `Σ c·Π s_i^{e_i}`:
+    /// the naive reference lowering.
     ///
     /// # Panics
     ///
@@ -221,6 +222,92 @@ impl ExprGraph {
             acc = self.add(acc, term);
         }
         acc
+    }
+
+    /// Lowers a polynomial in nested (multivariate Horner) form. The terms
+    /// are split by the powers of one symbol `s`,
+    /// `P = (…(C_e·s + C_{e−1})·s + …)·s + C_0`, and each coefficient
+    /// polynomial `C_i` is nested the same way in the other symbols. Each
+    /// step is one multiply-add once the tape optimizer fuses it, where
+    /// [`ExprGraph::poly`] spends a product chain on every term. Every term
+    /// is kept.
+    ///
+    /// At each level the split symbol is the one whose nesting costs the
+    /// fewest steps, searched over every order while at most four symbols
+    /// remain; beyond that it is the symbol that occurs in the most terms.
+    /// Ties go to the lower index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the polynomial ranges over a different symbol count.
+    pub fn poly_nested(&mut self, p: &MPoly) -> ExprId {
+        assert_eq!(p.nvars(), self.n_syms, "nvars mismatch");
+        let mut terms: Vec<(&[u8], f64)> = p.terms().collect();
+        let syms: Vec<usize> = (0..self.n_syms)
+            .filter(|&s| terms.iter().any(|(e, _)| e[s] > 0))
+            .collect();
+        self.nest(&mut terms, &syms)
+    }
+
+    /// The nested form of `terms`, whose exponents are zero outside `syms`.
+    fn nest(&mut self, terms: &mut [(&[u8], f64)], syms: &[usize]) -> ExprId {
+        if terms.is_empty() {
+            return self.constant(0.0);
+        }
+        if syms.is_empty() {
+            // Exponent vectors are unique, so one constant term is left.
+            debug_assert_eq!(terms.len(), 1);
+            return self.constant(terms[0].1);
+        }
+        let v = split_symbol(terms, syms);
+        let rest = without(syms, v);
+        sort_by_power(terms, v);
+        let s = self.sym(v as u32);
+        let mut groups = terms.chunk_by_mut(|a, b| a.0[v] == b.0[v]);
+        let top = groups.next().expect("terms are not empty");
+        let mut deg = top[0].0[v];
+        let mut acc = self.nest(top, &rest);
+        for group in groups {
+            let e = group[0].0[v];
+            while deg > e {
+                acc = self.mul(acc, s);
+                deg -= 1;
+            }
+            let c = self.nest(group, &rest);
+            acc = self.add(acc, c);
+        }
+        for _ in 0..deg {
+            acc = self.mul(acc, s);
+        }
+        acc
+    }
+
+    /// Number of ops the raw lowering of `outputs` emits: the length of
+    /// their [`OptLevel::None`] tape.
+    pub fn raw_op_count(&self, outputs: &[ExprId]) -> usize {
+        self.reachable(outputs).iter().filter(|&&r| r).count()
+    }
+
+    /// Marks the nodes reachable from `outputs`.
+    fn reachable(&self, outputs: &[ExprId]) -> Vec<bool> {
+        let mut needed = vec![false; self.nodes.len()];
+        let mut stack: Vec<ExprId> = outputs.to_vec();
+        while let Some(id) = stack.pop() {
+            let i = id.0 as usize;
+            if needed[i] {
+                continue;
+            }
+            needed[i] = true;
+            match self.nodes[i] {
+                Node::Add(a, b) | Node::Mul(a, b) | Node::Div(a, b) => {
+                    stack.push(a);
+                    stack.push(b);
+                }
+                Node::Neg(a) | Node::Sqrt(a) => stack.push(a),
+                _ => {}
+            }
+        }
+        needed
     }
 
     /// Direct recursive evaluation (reference implementation for tests;
@@ -278,24 +365,7 @@ impl ExprGraph {
     /// Lowers the subgraph reachable from `outputs` into SSA tape ops
     /// (each op's destination is its own index).
     fn lower(&self, outputs: &[ExprId]) -> (Vec<TapeOp>, Vec<u32>) {
-        // Mark reachable nodes.
-        let mut needed = vec![false; self.nodes.len()];
-        let mut stack: Vec<ExprId> = outputs.to_vec();
-        while let Some(id) = stack.pop() {
-            let i = id.0 as usize;
-            if needed[i] {
-                continue;
-            }
-            needed[i] = true;
-            match self.nodes[i] {
-                Node::Add(a, b) | Node::Mul(a, b) | Node::Div(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Node::Neg(a) | Node::Sqrt(a) => stack.push(a),
-                _ => {}
-            }
-        }
+        let needed = self.reachable(outputs);
         // Emit in index order (children always have smaller indices than
         // parents because nodes are appended after their operands).
         let mut reg_of = vec![u32::MAX; self.nodes.len()];
@@ -320,6 +390,60 @@ impl ExprGraph {
         let outs = outputs.iter().map(|o| reg_of[o.0 as usize]).collect();
         (ops, outs)
     }
+}
+
+/// Symbols up to which [`ExprGraph::poly_nested`] searches every nesting
+/// order (4! = 24 orders); with more it splits greedily.
+const EXHAUSTIVE_NEST_SYMS: usize = 4;
+
+/// The symbol [`ExprGraph::poly_nested`] splits `terms` on first.
+fn split_symbol(terms: &mut [(&[u8], f64)], syms: &[usize]) -> usize {
+    if syms.len() > EXHAUSTIVE_NEST_SYMS {
+        let occurrences = |v: usize| terms.iter().filter(|(e, _)| e[v] > 0).count();
+        // `max_by_key` keeps the last maximum; scan high to low so ties
+        // go to the lower index.
+        return *syms
+            .iter()
+            .rev()
+            .max_by_key(|&&v| occurrences(v))
+            .expect("syms is not empty");
+    }
+    *syms
+        .iter()
+        .min_by_key(|&&v| split_cost(terms, syms, v))
+        .expect("syms is not empty")
+}
+
+/// Horner steps of the cheapest nesting of `terms` over `syms` (at most
+/// [`EXHAUSTIVE_NEST_SYMS`] of them).
+fn nest_cost(terms: &mut [(&[u8], f64)], syms: &[usize]) -> usize {
+    syms.iter()
+        .map(|&v| split_cost(terms, syms, v))
+        .min()
+        .unwrap_or(0)
+}
+
+/// Horner steps of nesting `terms` by the powers of `v` first: one per
+/// power below the top, plus the cheapest nesting of each coefficient
+/// polynomial in the other symbols.
+fn split_cost(terms: &mut [(&[u8], f64)], syms: &[usize], v: usize) -> usize {
+    let rest = without(syms, v);
+    sort_by_power(terms, v);
+    let top = terms.first().map_or(0, |t| usize::from(t.0[v]));
+    top + terms
+        .chunk_by_mut(|a, b| a.0[v] == b.0[v])
+        .map(|group| nest_cost(group, &rest))
+        .sum::<usize>()
+}
+
+/// Orders `terms` by falling power of symbol `v` (stable).
+fn sort_by_power(terms: &mut [(&[u8], f64)], v: usize) {
+    terms.sort_by_key(|t| std::cmp::Reverse(t.0[v]));
+}
+
+/// `syms` without `v`.
+fn without(syms: &[usize], v: usize) -> Vec<usize> {
+    syms.iter().copied().filter(|&s| s != v).collect()
 }
 
 /// One instruction of a compiled tape; operands are register indices.
@@ -513,6 +637,15 @@ impl CompiledFn {
         self.opt_level
     }
 
+    /// Records `raw_ops` as [`CompiledFn::raw_op_count`]: for a tape built
+    /// from another lowering of the same function than the reference one,
+    /// the reference's [`OptLevel::None`] length (see
+    /// [`ExprGraph::raw_op_count`]).
+    pub fn with_raw_op_count(mut self, raw_ops: usize) -> Self {
+        self.raw_ops = raw_ops;
+        self
+    }
+
     /// The underlying tape.
     pub fn tape(&self) -> &Tape {
         &self.tape
@@ -658,6 +791,44 @@ mod tests {
         for point in [[1.0, 2.0], [-0.5, 3.0], [2.2, -1.1]] {
             assert!((g.eval(id, &point) - p.eval(&point)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn nested_lowering_matches_eval_in_fewer_ops() {
+        // x³y + 2x·z² − 7 + 3y: a gap in the powers of x, and terms without
+        // some symbols. Over 3 symbols every nesting order is searched; over
+        // 6 the split symbols are chosen greedily.
+        for n in [3, 6] {
+            let mut s = SymbolSet::new();
+            let syms: Vec<_> = (0..n).map(|i| s.intern(&format!("s{i}"))).collect();
+            let v = |i: usize| MPoly::var(&s, syms[i]);
+            let p = v(0)
+                .pow(3)
+                .mul(&v(1))
+                .add(&v(0).mul(&v(2).pow(2)).scale(2.0))
+                .sub(&MPoly::constant(n, 7.0))
+                .add(&v(1).scale(3.0));
+            let mut g = ExprGraph::new(n);
+            let nested = g.poly_nested(&p);
+            let naive = g.poly(&p);
+            for t in [0.3, -1.7, 2.5] {
+                let point: Vec<f64> = (0..n).map(|i| t + 0.25 * i as f64).collect();
+                let want = p.eval(&point);
+                assert!((g.eval(nested, &point) - want).abs() < 1e-12 * want.abs());
+            }
+            let (f_nested, f_naive) = (g.compile(&[nested]), g.compile(&[naive]));
+            assert!(
+                f_nested.op_count() < f_naive.op_count(),
+                "{n} symbols: nested {} vs naive {}",
+                f_nested.op_count(),
+                f_naive.op_count()
+            );
+        }
+        let mut g = ExprGraph::new(2);
+        let zero = g.poly_nested(&MPoly::zero(2));
+        let seven = g.poly_nested(&MPoly::constant(2, 7.0));
+        assert_eq!(g.eval(zero, &[1.0, 2.0]), 0.0);
+        assert_eq!(g.eval(seven, &[1.0, 2.0]), 7.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! A straight tape replay spends a large fraction of its dispatched ops on
 //! `Const` and `Sym` loads: of the ops in the three optimized
-//! `tape_bench` tapes (46, 86 and 118), 20, 32 and 44 are `Const` and 2
-//! each are `Sym`, ≈ 38 % + 2 % of the mix. A replay re-splats the same
+//! `tape_bench` tapes (38, 70 and 93), 20, 33 and 45 are `Const` and 2
+//! each are `Sym`, ≈ 49 % + 3 % of the mix. A replay re-splats the same
 //! constants and re-copies the same input columns every block. The plan
 //! removes both from the steady-state stream by a single
 //! reaching-definitions pass over the (register-reusing) tape:

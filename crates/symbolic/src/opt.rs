@@ -8,8 +8,8 @@
 //!    `x·1`, `x·0`, `x/1`, `−(−x)`), and value-numbering CSE with
 //!    canonical operand order for commutative ops;
 //! 2. **fuse** — `a + (−b) → a − b` ([`TapeOp::Sub`]) and
-//!    `a·b + c → MulAdd(a,b,c)` ([`TapeOp::MulAdd`]) when the product
-//!    has no other consumer;
+//!    `a·b + c → MulAdd(a,b,c)` ([`TapeOp::MulAdd`]) when every consumer
+//!    of the product is such a sum;
 //! 3. **dce** — drop ops unreachable from the outputs and compact;
 //! 4. **regalloc** — linear-scan register reuse from last-use liveness,
 //!    shrinking the register file well below the instruction count.
@@ -269,19 +269,29 @@ fn use_counts(ops: &[TapeOp], outs: &[u32]) -> Vec<u32> {
 /// `Neg`/`Mul` definitions go dead and fall to the subsequent DCE pass.
 fn fuse(mut ops: Vec<TapeOp>, outs: &[u32]) -> Vec<TapeOp> {
     let uses = use_counts(&ops, outs);
+    let mut add_uses = vec![0u32; ops.len()];
+    for op in &ops {
+        if let TapeOp::Add(a, b) = *op {
+            add_uses[a as usize] += 1;
+            add_uses[b as usize] += 1;
+        }
+    }
+    // Prefer mul-add: it retires the whole product op. Fuse a product
+    // only when every use of it is a sum, so that it goes dead; one that
+    // is also an output or another op's operand is computed anyway. A
+    // `MulAdd` rounds `a·b` before the sum, as the product did, so each
+    // fused use reads the same value.
+    let fusable = |v: u32| uses[v as usize] == add_uses[v as usize];
     for i in 0..ops.len() {
         let TapeOp::Add(a, b) = ops[i] else { continue };
-        // Prefer mul-add: it retires the whole product op. Only fuse a
-        // single-use product — a shared one would still be computed, and
-        // the fused FMA-style rounding would diverge from its other uses.
         if let TapeOp::Mul(x, y) = ops[a as usize] {
-            if uses[a as usize] == 1 {
+            if fusable(a) {
                 ops[i] = TapeOp::MulAdd(x, y, b);
                 continue;
             }
         }
         if let TapeOp::Mul(x, y) = ops[b as usize] {
-            if uses[b as usize] == 1 {
+            if fusable(b) {
                 ops[i] = TapeOp::MulAdd(x, y, a);
                 continue;
             }
@@ -517,6 +527,28 @@ mod tests {
         let out = f2.eval(&[2.0, 3.0, 4.0]);
         assert_eq!(out[0], 10.0);
         assert_eq!(out[1], 24.0);
+    }
+
+    #[test]
+    fn a_product_read_only_by_sums_fuses_into_each() {
+        let mut g = ExprGraph::new(3);
+        let x = g.sym(0);
+        let y = g.sym(1);
+        let z = g.sym(2);
+        let xy = g.mul(x, y);
+        let a = g.add(xy, z);
+        let b = g.add(xy, x);
+        let f = g.compile(&[a, b]);
+        assert_eq!(
+            kinds(f.tape()),
+            vec!["sym", "sym", "sym", "muladd", "muladd"]
+        );
+        let raw = g.compile_with(&[a, b], &CompileOptions::new().opt_level(OptLevel::None));
+        for vals in [[2.0, 3.0, 4.0], [0.1, 0.7, -1e-3]] {
+            let (got, want) = (f.eval(&vals), raw.eval(&vals));
+            assert_eq!(got[0].to_bits(), want[0].to_bits());
+            assert_eq!(got[1].to_bits(), want[1].to_bits());
+        }
     }
 
     #[test]

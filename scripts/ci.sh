@@ -45,6 +45,12 @@ step "non-test line and public-item counts (informational)" loc_count
 
 step "cargo build --release" cargo build --release
 
+# The nested moment lowering against full numeric AWE at full size (10^4
+# seeded points per bundled and fleet model); the debug suite below runs
+# the same test on fewer points.
+step "lowering accuracy vs numeric AWE (release, full size)" \
+  cargo test --release -q -p awesym-serve --test lowering_accuracy
+
 # The printed symbolic forms are pinned: `paper eq14` and `paper eq16`
 # must each print exactly their section of results/paper_output.txt,
 # from the `=== eq. (N)` banner to the blank line before the next banner.
